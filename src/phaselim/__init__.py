@@ -26,8 +26,8 @@ from .limits import (ThresholdInfeasibleError, ThresholdQuery,
                      sorted_mi_upper, tail_power_fraction, write_figure_csv)
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
                     PartitionPowers, ProblemInstance, SortedSignal,
-                    SupportSet, floor_count, observe, partition_powers,
-                    sample_signal_vector, sample_support)
+                    SupportSet, floor_count, observe, partition_power_arrays,
+                    partition_powers, sample_signal_vector, sample_support)
 from .rng import parallel_map, sample_circular_gaussian, substream
 from .simulate import (ErrorCurve, SimConfig, decode, error_curve,
                        error_event, isotonic_residual, pava_nonincreasing)
@@ -43,7 +43,8 @@ __all__ = [
     # model
     "SupportSet", "DiscreteFlat", "DiscreteGeneral", "GaussianIID",
     "SortedSignal", "PartitionPowers", "ProblemInstance", "floor_count",
-    "partition_powers", "sample_support", "sample_signal_vector", "observe",
+    "partition_powers", "partition_power_arrays", "sample_support",
+    "sample_signal_vector", "observe",
     # densities
     "NoiseModel", "GaussianNoise", "ConditionalOutputLaw",
     "ConcentrationConstants", "noncentral_chi2_scaled_logpdf",

@@ -35,7 +35,6 @@ __all__ = [
     "NoiseModel",
     "GaussianNoise",
     "noncentral_chi2_scaled_logpdf",
-    "noncentral_chi2_scaled_pdf",
     "exp_modified_gaussian_logpdf",
     "ConditionalOutputLaw",
     "conditional_output_logpdf",
@@ -50,7 +49,6 @@ __all__ = [
     "ConcentrationConstants",
     "concentration_tail_bound",
     "golden_max",
-    "export_density_trace",
 ]
 
 LOG_FLOOR = -745.0
@@ -131,10 +129,6 @@ def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
            - (su - sl) ** 2 / fresh_power
            + np.log(i0e(2.0 * su * sl / fresh_power)))
     return np.where(u < 0, -np.inf, out)
-
-
-def noncentral_chi2_scaled_pdf(u, known_sq, fresh_power):
-    return np.exp(noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power))
 
 
 def exp_modified_gaussian_logpdf(y, fresh_power, sigma):
@@ -419,14 +413,3 @@ def concentration_tail_bound(n: int, scale: float, mu: float) -> float:
     rm = float(concentration_rate(-mu))
     hi = 0.0 if math.isinf(rm) else math.exp(-n * scale * rm)
     return lo + hi
-
-
-def export_density_trace(law: ConditionalOutputLaw, path, y_lo: float,
-                         y_hi: float, points: int = 2001) -> None:
-    """Write a ``y,pdf,log_pdf`` CSV trace of the law (debug aid)."""
-    ys = np.linspace(y_lo, y_hi, points)
-    logp = np.asarray(law.logpdf(ys))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("y,pdf,log_pdf\n")
-        for yv, lp in zip(ys, logp):
-            fh.write(f"{yv:.17g},{math.exp(lp) if lp > -745 else 0.0:.17g},{lp:.17g}\n")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .densities import GaussianNoise, NoiseModel, golden_max
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
-                    SortedSignal, floor_count, partition_powers)
+                    SortedSignal, floor_count, partition_power_arrays)
 
 __all__ = [
     "tail_power_fraction",
@@ -48,68 +48,114 @@ REGIME_NOTE = ("asymptotic regime: thresholds are leading-order as k and "
 
 _HALF_LOG_PI_E_2 = 0.5 * math.log(math.pi * math.e / 2.0)
 
+# tail_power_fraction sums its series below this alpha; the coefficients
+# 1 / (n (n - 1)) for n = 8 down to 2 are in Horner order, and the first
+# omitted term is about 3e-23 relative at the switch.
+_TAIL_SERIES_BELOW = 1e-3
+_TAIL_SERIES = tuple(1.0 / (n * (n - 1)) for n in range(8, 1, -1))
+
+# Missed power, in units of the noise scale sqrt(exp(2h)), past which the
+# rate forms are evaluated in log-scaled form: the plain forms square it,
+# and the square overflows near 1e154. Far below that cutoff, at every
+# power a query uses in practice, the plain forms run unchanged.
+_SCALED_RATIO = 1e100
+
 
 class ThresholdInfeasibleError(ValueError):
     """No finite measurement count: the missable power is zero somewhere on
     the optimization range (e.g. an all-zero signal)."""
 
 
-def tail_power_fraction(alpha, nodes: int = 96):
+def tail_power_fraction(alpha):
     """Limiting fraction of total power in the weakest ``alpha`` fraction of
     i.i.d. complex Gaussian coefficients.
 
-    Computed by Gauss-Legendre quadrature of the positive part
-    ``max(alpha - F(u), 0)`` of the unit-mean exponential law ``F``; the
-    integrand's support ends at ``-log(1 - alpha)``. Endpoints are exact:
-    0 at 0 and 1 at 1.
+    The squared magnitudes follow the unit-mean exponential law, whose
+    lowest ``alpha`` quantile carries ``g(alpha) = alpha + (1 - alpha)
+    log(1 - alpha)`` of the mean power. Below ``alpha = 1e-3`` the two
+    terms cancel to about ``alpha^2 / 2``, so ``g`` is summed there from its
+    series ``sum_{n>=2} alpha^n / (n (n - 1))`` instead. Endpoints are
+    exact: 0 at 0 and 1 at 1.
     """
     a = np.asarray(alpha, dtype=float)
-    if np.any(a < 0) or np.any(a > 1):
+    if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
     scalar = a.ndim == 0
     a = np.atleast_1d(a)
-    out = np.zeros_like(a)
-    out[a == 1.0] = 1.0
-    inner = (a > 0.0) & (a < 1.0)
-    if np.any(inner):
-        ai = a[inner]
-        top = -np.log1p(-ai)
-        gx, gw = np.polynomial.legendre.leggauss(nodes)
-        u = 0.5 * top[:, None] * (gx + 1.0)
-        vals = ai[:, None] - 1.0 + np.exp(-u)
-        out[inner] = 0.5 * top * np.sum(gw * vals, axis=1)
+    out = np.ones_like(a)
+    small = a < _TAIL_SERIES_BELOW
+    inner = ~small & (a < 1.0)
+    s = a[small]
+    series = np.zeros_like(s)
+    for coef in _TAIL_SERIES:
+        series = series * s + coef
+    out[small] = s * s * series
+    ai = a[inner]
+    out[inner] = ai + (1.0 - ai) * np.log1p(-ai)
     return float(out[0]) if scalar else out
+
+
+def _half_log1p_sq(coef: float, v: np.ndarray, e2h: float, big: np.ndarray):
+    """``0.5 log1p(coef v^2 / e2h)``; entries flagged ``big`` use the equal
+    form ``log v + 0.5 log(coef / e2h) + 0.5 log1p(e2h / (coef v^2))``,
+    which never squares ``v``."""
+    if not np.any(big):
+        return 0.5 * np.log1p(coef * v * v / e2h)
+    out = np.empty(v.shape)
+    s = v[~big]
+    out[~big] = 0.5 * np.log1p(coef * s * s / e2h)
+    b = v[big]
+    out[big] = (np.log(b) + 0.5 * math.log(coef / e2h)
+                + 0.5 * np.log1p(e2h / coef / b / b))
+    return out
+
+
+def _scaled(v: np.ndarray, e2h: float) -> np.ndarray:
+    """Entries whose missed power is past ``_SCALED_RATIO`` noise scales."""
+    return v > _SCALED_RATIO * math.sqrt(e2h)
 
 
 def mi_pair_lower(miss_power, noise: NoiseModel):
     """Entropy-power lower form ``0.5 log(1 + 4 v^2 / exp(2h))``."""
     v = np.asarray(miss_power, dtype=float)
-    out = 0.5 * np.log1p(4.0 * v * v / noise.exp_2h())
+    e2h = noise.exp_2h()
+    out = _half_log1p_sq(4.0, v, e2h, _scaled(v, e2h))
     return float(out) if out.ndim == 0 else out
 
 
 def mi_pair_upper(miss_power, keep_power, noise: NoiseModel):
     """Reverse-entropy-power upper form: max-entropy term, cross-power
     term, and the additive ``0.5 log(pi e / 2)`` gap."""
-    v = np.asarray(miss_power, dtype=float)
-    w = np.asarray(keep_power, dtype=float)
+    v, w = np.broadcast_arrays(np.asarray(miss_power, dtype=float),
+                               np.asarray(keep_power, dtype=float))
     e2h = noise.exp_2h()
+    big = _scaled(v, e2h)
+    offset = e2h / (2.0 * math.pi * math.e)
+    if np.any(big):
+        # v w / (v^2 + offset) with numerator and denominator divided by v^2
+        cross = np.empty(v.shape)
+        s, t = v[~big], w[~big]
+        cross[~big] = s * t / (s * s + offset)
+        b = v[big]
+        cross[big] = (w[big] / b) / (1.0 + offset / b / b)
+    else:
+        cross = v * w / (v * v + offset)
     out = (_HALF_LOG_PI_E_2
-           + 0.5 * np.log1p(2.0 * math.pi * math.e * v * v / e2h)
-           + 0.5 * np.log1p(v * w / (v * v + e2h / (2.0 * math.pi * math.e))))
+           + _half_log1p_sq(2.0 * math.pi * math.e, v, e2h, big)
+           + 0.5 * np.log1p(cross))
     return float(out) if out.ndim == 0 else out
 
 
 def sorted_mi_lower(alpha, signal: SortedSignal, noise: NoiseModel,
                     mode: str = "floor"):
-    split = partition_powers(signal, float(alpha), mode=mode)
-    return mi_pair_lower(split.miss_power, noise)
+    miss, _ = partition_power_arrays(signal, alpha, mode=mode)
+    return mi_pair_lower(miss, noise)
 
 
 def sorted_mi_upper(alpha, signal: SortedSignal, noise: NoiseModel,
                     mode: str = "floor"):
-    split = partition_powers(signal, float(alpha), mode=mode)
-    return mi_pair_upper(split.miss_power, split.keep_power, noise)
+    miss, keep = partition_power_arrays(signal, alpha, mode=mode)
+    return mi_pair_upper(miss, keep, noise)
 
 
 def gaussian_mi_lower(alpha, c_beta: float, noise: NoiseModel):
@@ -135,6 +181,14 @@ def flat_mi_upper(alpha, c_beta: float, noise: NoiseModel):
     return mi_pair_upper(a * c_beta, (1.0 - a) * c_beta, noise)
 
 
+def _check_alpha_search(alpha_star: float, grid_step: float) -> None:
+    """Reject a maximization range or grid step the alpha search cannot use."""
+    if not 0.0 < alpha_star < 1.0:
+        raise ValueError("alpha_star must lie in (0, 1)")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError("grid_step must be finite and positive")
+
+
 @dataclass(frozen=True)
 class ThresholdQuery:
     p: int
@@ -147,8 +201,7 @@ class ThresholdQuery:
     refine: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_star < 1.0:
-            raise ValueError("alpha_star must lie in (0, 1)")
+        _check_alpha_search(self.alpha_star, self.grid_step)
         if self.k < 1 or self.p < self.k:
             raise ValueError("need 1 <= k <= p")
         if self.mode not in ("floor", "asymptotic"):
@@ -181,35 +234,24 @@ class ThresholdResult:
         }
 
 
-def _rate_pair(query: ThresholdQuery):
+def _rate_pair(signal: SignalModel, noise: NoiseModel, mode: str):
     """Vectorized (lower, upper) mutual-information forms over alpha."""
-    sig = query.signal
-    if isinstance(sig, GaussianIID):
-        c = sig.c_beta
-        return (lambda a: gaussian_mi_lower(a, c, query.noise),
-                lambda a: gaussian_mi_upper(a, c, query.noise))
-    if isinstance(sig, DiscreteFlat) and query.mode == "asymptotic":
-        c = sig.c_beta
-        return (lambda a: flat_mi_lower(a, c, query.noise),
-                lambda a: flat_mi_upper(a, c, query.noise))
-    if isinstance(sig, DiscreteFlat):
-        sorted_sig = SortedSignal.flat(sig.c_beta, sig.k)
-    elif isinstance(sig, DiscreteGeneral):
-        sorted_sig = SortedSignal(np.asarray(sig.values, dtype=complex))
+    if isinstance(signal, GaussianIID):
+        c = signal.c_beta
+        return (lambda a: gaussian_mi_lower(a, c, noise),
+                lambda a: gaussian_mi_upper(a, c, noise))
+    if isinstance(signal, DiscreteFlat) and mode == "asymptotic":
+        c = signal.c_beta
+        return (lambda a: flat_mi_lower(a, c, noise),
+                lambda a: flat_mi_upper(a, c, noise))
+    if isinstance(signal, DiscreteFlat):
+        sorted_sig = SortedSignal.flat(signal.c_beta, signal.k)
+    elif isinstance(signal, DiscreteGeneral):
+        sorted_sig = SortedSignal(np.asarray(signal.values, dtype=complex))
     else:
-        raise TypeError(f"unknown signal model {type(sig).__name__}")
-
-    def lower(a):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        return np.array([sorted_mi_lower(ai, sorted_sig, query.noise, query.mode)
-                         for ai in a])
-
-    def upper(a):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        return np.array([sorted_mi_upper(ai, sorted_sig, query.noise, query.mode)
-                         for ai in a])
-
-    return lower, upper
+        raise TypeError(f"unknown signal model {type(signal).__name__}")
+    return (lambda a: sorted_mi_lower(a, sorted_sig, noise, mode),
+            lambda a: sorted_mi_upper(a, sorted_sig, noise, mode))
 
 
 def _maximize_on_grid(objective, grid: np.ndarray, refine: bool):
@@ -227,8 +269,8 @@ def _maximize_on_grid(objective, grid: np.ndarray, refine: bool):
 def _normalized_thresholds(lower_fn, upper_fn, alpha_star: float,
                            grid_step: float, refine: bool):
     grid = np.arange(alpha_star, 1.0, grid_step)
-    if grid.size == 0 or grid[-1] < 1.0:
-        grid = np.append(grid, 1.0)
+    # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
+    grid = np.append(grid[grid < 1.0], 1.0)
 
     lo_vals = np.atleast_1d(np.asarray(lower_fn(grid), dtype=float))
     if np.any(lo_vals == 0.0):
@@ -261,7 +303,7 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     ``1 / log`` of the power (for ``alpha_star = 0.1`` the ratio is within
     5% of the limit only above ``c_beta / sigma ~ 8.4e12``).
     """
-    lower_fn, upper_fn = _rate_pair(query)
+    lower_fn, upper_fn = _rate_pair(query.signal, query.noise, query.mode)
     v_ach, v_con, a_ach, a_con = _normalized_thresholds(
         lower_fn, upper_fn, query.alpha_star, query.grid_step, query.refine)
     budget = query.k * math.log(query.p / query.k)
@@ -279,20 +321,18 @@ def snr_db(signal: SignalModel, noise: GaussianNoise) -> float:
     """Caption convention: ``10 log10(2 * power^2 / sigma^2)`` where power
     is the (expected) total signal power. Base-10 decibels; the i.i.d.
     Gaussian model drops its vanishing ``1/k`` correction."""
-    if isinstance(signal, (DiscreteFlat, GaussianIID)):
-        c = signal.total_power
-        snr = 2.0 * c * c / noise.sigma**2
-    elif isinstance(signal, DiscreteGeneral):
-        c = signal.total_power
-        snr = 2.0 * c * c / noise.sigma**2
-    else:
+    if not isinstance(signal, (DiscreteFlat, DiscreteGeneral, GaussianIID)):
         raise TypeError(f"unknown signal model {type(signal).__name__}")
-    return 10.0 * math.log10(snr)
+    c = signal.total_power
+    return 10.0 * math.log10(2.0 * c * c / noise.sigma**2)
 
 
 def c_beta_from_snr_db(db: float, sigma: float = 1.0) -> float:
     """Inverse of :func:`snr_db` for the flat and Gaussian models."""
     return sigma * math.sqrt(10.0 ** (db / 10.0) / 2.0)
+
+
+_CURVE_MODELS = {"flat": DiscreteFlat, "gaussian": GaussianIID}
 
 
 def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
@@ -307,20 +347,20 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
     if snr_db_values is None:
         snr_db_values = np.arange(-10.0, 41.0, 1.0)
     snr_db_values = np.asarray(snr_db_values, dtype=float)
+    _check_alpha_search(alpha_star, grid_step)
     noise = GaussianNoise(sigma)
-    out: dict[str, np.ndarray] = {}
+    c_values = [c_beta_from_snr_db(float(db), sigma) for db in snr_db_values]
+    signals = {}
     for kind in kinds:
+        if kind not in _CURVE_MODELS:
+            raise ValueError(f"unknown curve kind {kind!r}")
+        # the limiting forms do not depend on k
+        signals[kind] = [_CURVE_MODELS[kind](c_beta=c, k=1) for c in c_values]
+    out: dict[str, np.ndarray] = {}
+    for kind, models in signals.items():
         rows = np.empty((snr_db_values.size, 3))
-        for i, db in enumerate(snr_db_values):
-            c = c_beta_from_snr_db(float(db), sigma)
-            if kind == "flat":
-                lo = lambda a: flat_mi_lower(a, c, noise)
-                hi = lambda a: flat_mi_upper(a, c, noise)
-            elif kind == "gaussian":
-                lo = lambda a: gaussian_mi_lower(a, c, noise)
-                hi = lambda a: gaussian_mi_upper(a, c, noise)
-            else:
-                raise ValueError(f"unknown curve kind {kind!r}")
+        for i, (db, signal) in enumerate(zip(snr_db_values, models)):
+            lo, hi = _rate_pair(signal, noise, "asymptotic")
             v_ach, v_con, _, _ = _normalized_thresholds(
                 lo, hi, alpha_star, grid_step, refine=True)
             rows[i] = (db, v_ach, v_con)

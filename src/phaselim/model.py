@@ -36,6 +36,7 @@ __all__ = [
     "sample_signal_vector",
     "observe",
     "partition_powers",
+    "partition_power_arrays",
 ]
 
 # Sub-draw paths under one instance seed.
@@ -78,6 +79,11 @@ class SupportSet:
         return len(set(self.indices) - set(other.indices))
 
 
+def _check_power_and_size(c_beta: float, k: int) -> None:
+    if not (math.isfinite(c_beta) and c_beta > 0) or k < 1:
+        raise ValueError("need finite c_beta > 0 and k >= 1")
+
+
 @dataclass(frozen=True)
 class DiscreteFlat:
     """All ``k`` support coefficients equal ``sqrt(c_beta / k)``."""
@@ -86,8 +92,7 @@ class DiscreteFlat:
     k: int
 
     def __post_init__(self):
-        if self.c_beta <= 0 or self.k < 1:
-            raise ValueError("need c_beta > 0 and k >= 1")
+        _check_power_and_size(self.c_beta, self.k)
 
     @property
     def total_power(self) -> float:
@@ -125,8 +130,7 @@ class GaussianIID:
     k: int
 
     def __post_init__(self):
-        if self.c_beta <= 0 or self.k < 1:
-            raise ValueError("need c_beta > 0 and k >= 1")
+        _check_power_and_size(self.c_beta, self.k)
 
     @property
     def sigma_beta_sq(self) -> float:
@@ -196,7 +200,8 @@ def partition_powers(signal: SortedSignal, alpha: float, mode: str = "floor") ->
 
     ``mode="floor"`` takes the exact ``floor(alpha*k)``-entry prefix;
     ``mode="asymptotic"`` linearly interpolates the prefix sums at the real
-    point ``alpha*k`` (the large-``k`` limiting curve).
+    point ``alpha*k`` (the large-``k`` limiting curve). The rate forms use
+    :func:`partition_power_arrays`; this scalar form is its reference.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -215,6 +220,31 @@ def partition_powers(signal: SortedSignal, alpha: float, mode: str = "floor") ->
         raise ValueError(f"unknown mode {mode!r}")
     keep = signal.total_power - miss
     return PartitionPowers(miss_power=miss, keep_power=keep, miss_count=m)
+
+
+def partition_power_arrays(signal: SortedSignal, alpha, mode: str = "floor"):
+    """Array form of :func:`partition_powers`: ``(miss_power, keep_power)``
+    for every entry of ``alpha`` (scalar in, scalar out).
+
+    Indexes ``signal.prefix`` directly with the same snapped
+    ``floor(alpha*k)`` count and the same ``asymptotic`` interpolation, so
+    each entry equals the scalar split bit for bit.
+    """
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError("alpha must lie in [0, 1]")
+    if mode not in ("floor", "asymptotic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    k = signal.k
+    ak = a * k
+    m = np.floor(ak)
+    m = (m + (ak - m > 1.0 - _FLOOR_SNAP)).astype(np.intp)
+    miss = signal.prefix[m]
+    if mode == "asymptotic":
+        frac = ak - m
+        step = signal.sq_magnitudes[np.minimum(m, k - 1)]
+        miss = miss + np.where((frac > 0) & (m < k), frac * step, 0.0)
+    return miss, signal.prefix[-1] - miss
 
 
 def sample_support(p: int, k: int, rng: np.random.Generator) -> SupportSet:

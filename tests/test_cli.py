@@ -42,6 +42,39 @@ def test_bad_domain_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "alpha_star" in err
 
 
+def test_bad_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # each used to print NaN and exit 0, exit 4, or silently search alpha = 1
+    monkeypatch.chdir(tmp_path)
+    flat = ["thresholds", "--model", "flat", "--p", "100", "--k", "4",
+            "--mode", "asymptotic"]
+    cases = [
+        ["thresholds", "--model", "gaussian", "--p", "100", "--k", "4",
+         "--c-beta", "nan"],
+        flat + ["--c-beta", "nan"],
+        flat + ["--c-beta", "inf"],
+        flat + ["--grid-step", "0"],
+        flat + ["--grid-step", "-0.01"],
+        flat + ["--grid-step", "nan"],
+        ["figure", "--grid-step", "0", "--out-dir", "figs"],
+        ["simulate", "--p", "6", "--k", "2", "--c-beta", "nan"],
+    ]
+    for argv in cases:
+        code, stdout, err = _run(argv, capsys)
+        assert code == 2, argv
+        assert "Traceback" not in err and stdout == "", argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_thresholds_extreme_power_is_finite(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(["thresholds", "--model", "gaussian", "--p", "1000",
+                            "--k", "10", "--c-beta", "1e200", "--json"], capsys)
+    assert code == 0
+    rec = json.loads(stdout)
+    assert 0.0 < rec["n_con"] <= rec["n_ach"] < float("inf")
+    assert rec["alpha_ach"] == 1.0 and rec["alpha_con"] == 1.0
+
+
 def test_thresholds_example_json(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "th.json"

@@ -1,6 +1,7 @@
 """Rate forms, the tail power fraction, and threshold optimization."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,8 @@ from phaselim.limits import (ThresholdInfeasibleError, ThresholdQuery,
                              sorted_mi_lower, sorted_mi_upper,
                              tail_power_fraction, write_figure_csv)
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                            SortedSignal)
+                            SortedSignal, floor_count, partition_power_arrays,
+                            partition_powers)
 
 
 # ------------------------------------------------- tail power fraction
@@ -48,6 +50,23 @@ def test_tail_fraction_shape():
     assert np.all(g <= grid + 1e-15)       # weakest entries carry less power
     with pytest.raises(ValueError):
         tail_power_fraction(1.5)
+
+
+def test_tail_fraction_against_mpmath():
+    # independent oracle: the power below the alpha quantile t = -log(1-alpha)
+    # of the unit exponential, int_0^t u e^-u du = gammainc(2, 0, t), at 60
+    # digits; the grid straddles the series/closed-form switch at 1e-3
+    alphas = np.concatenate((np.logspace(-12, -0.3, 48),
+                             1.0 - np.logspace(-12, -1, 23),
+                             [np.nextafter(1e-3, 0.0), 1e-3]))
+    ours = tail_power_fraction(alphas)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for a, g in zip(alphas, ours):
+            t = -mpmath.log1p(-mpmath.mpf(float(a)))
+            exact = mpmath.gammainc(2, 0, t)
+            worst = max(worst, float(abs(mpmath.mpf(float(g)) - exact) / exact))
+    assert worst < 1e-12
 
 
 # --------------------------------------------------- pair rate forms
@@ -126,6 +145,67 @@ def test_sorted_rates_flat_floor():
         float(mi_pair_upper(0.2, 0.8, noise)), abs=1e-14)
 
 
+def test_pair_rates_against_mpmath_over_all_powers():
+    # missed powers from 1e-3 to 1e300 cross the log-scaled cutoff (1e100
+    # noise scales) and the old overflow of v*v near 1e154, in one array
+    for sigma in (1e-3, 1.0, 1e3):
+        noise = GaussianNoise(sigma)
+        e2h = noise.exp_2h()
+        v = np.logspace(-3, 300, 102)
+        for ratio in (0.0, 0.5, 3.0):
+            w = ratio * v
+            lo = mi_pair_lower(v, noise)
+            hi = mi_pair_upper(v, w, noise)
+            with mpmath.workdps(60):
+                for vi, wi, l, h in zip(v, w, lo, hi):
+                    vm, wm, em = (mpmath.mpf(float(x)) for x in (vi, wi, e2h))
+                    pe2 = 2 * mpmath.pi * mpmath.e
+                    l_ref = 0.5 * mpmath.log1p(4 * vm**2 / em)
+                    h_ref = (0.5 * mpmath.log(mpmath.pi * mpmath.e / 2)
+                             + 0.5 * mpmath.log1p(pe2 * vm**2 / em)
+                             + 0.5 * mpmath.log1p(vm * wm / (vm**2 + em / pe2)))
+                    assert abs(l - l_ref) <= 1e-13 * l_ref
+                    assert abs(h - h_ref) <= 1e-13 * h_ref
+    noise = GaussianNoise(1.0)
+    assert math.isfinite(mi_pair_lower(1e200, noise))
+    assert math.isfinite(mi_pair_upper(1e200, 1e200, noise))
+
+
+def test_sorted_rates_match_per_alpha_partition():
+    # the array path reproduces partition_powers -> mi_pair_* alpha by alpha,
+    # bit for bit, including alphas whose alpha*k sits within the 1e-9 floor
+    # snap just below an integer
+    rng = np.random.default_rng(11)
+    noise = GaussianNoise(0.7)
+    signals = [SortedSignal.flat(2.5, 10), SortedSignal.flat(1.0, 1000)]
+    for _ in range(6):
+        k = int(rng.integers(1, 50))
+        general = DiscreteGeneral(values=tuple(rng.normal(size=k)
+                                               + 1j * rng.normal(size=k)))
+        signals.append(SortedSignal(np.asarray(general.values)))
+    assert floor_count((3 - 5e-10) / 10, 10) == 3   # the snap case occurs
+    for sig in signals:
+        counts = np.arange(1, sig.k + 1)
+        alphas = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 64),
+                                 counts / sig.k, (counts - 5e-10) / sig.k,
+                                 (counts - 2e-9) / sig.k))
+        for mode in ("floor", "asymptotic"):
+            miss, keep = partition_power_arrays(sig, alphas, mode)
+            lo = sorted_mi_lower(alphas, sig, noise, mode)
+            hi = sorted_mi_upper(alphas, sig, noise, mode)
+            for j, a in enumerate(alphas):
+                ref = partition_powers(sig, float(a), mode)
+                assert miss[j] == ref.miss_power and keep[j] == ref.keep_power
+                assert lo[j] == mi_pair_lower(ref.miss_power, noise)
+                assert hi[j] == mi_pair_upper(ref.miss_power, ref.keep_power,
+                                              noise)
+            for bad in (-0.1, 1.5, np.nan):
+                with pytest.raises(ValueError):
+                    sorted_mi_lower(np.append(alphas, bad), sig, noise, mode)
+                with pytest.raises(ValueError):
+                    sorted_mi_upper(np.append(alphas, bad), sig, noise, mode)
+
+
 # ------------------------------------------------- threshold queries
 
 def test_threshold_query_validation():
@@ -141,6 +221,10 @@ def test_threshold_query_validation():
     # floor mode with floor(alpha* k) = 0 cannot express the error event
     with pytest.raises(ValueError):
         ThresholdQuery(p=10, k=4, signal=sig, alpha_star=0.1, mode="floor")
+    for step in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ThresholdQuery(p=10, k=4, signal=sig, alpha_star=0.5,
+                           grid_step=step)
 
 
 def test_threshold_example_value():
@@ -192,6 +276,38 @@ def test_threshold_monotone_in_snr():
         prev = r.n_ach
 
 
+def test_thresholds_finite_at_extreme_power():
+    # at alpha = 1 the forms are L(1) = 0.5 log1p(4 c^2 / exp(2h)) and
+    # U(1) = 0.5 log(pi e / 2) + 0.5 log1p(c^2 / sigma^2), so
+    # n_ach / n_con = U(1) / ((1 - alpha_star) L(1)); the plain forms
+    # overflowed here (n_ach 0, n_con nan)
+    for c_beta in (1e200, 1e300):
+        q = ThresholdQuery(p=1000, k=10, signal=GaussianIID(c_beta=c_beta, k=10),
+                           alpha_star=0.1)
+        r = measurement_thresholds(q)
+        assert math.isfinite(r.n_ach) and math.isfinite(r.n_con)
+        assert 0.0 < r.n_con <= r.n_ach
+        assert r.alpha_ach == 1.0 and r.alpha_con == 1.0
+        with mpmath.workdps(60):
+            c = mpmath.mpf(c_beta)
+            lower = 0.5 * mpmath.log1p(2 * c**2 / (mpmath.pi * mpmath.e))
+            upper = (0.5 * mpmath.log(mpmath.pi * mpmath.e / 2)
+                     + 0.5 * mpmath.log1p(c**2))
+            ratio = float(upper / (mpmath.mpf(1.0 - 0.1) * lower))
+        assert r.n_ach / r.n_con == pytest.approx(ratio, rel=1e-12)
+
+
+def test_threshold_grid_never_passes_one():
+    # np.arange(0.1, 1.0, 1e-6) ends at 1.0000000000009 > 1, which the rate
+    # forms reject as an alpha outside [0, 1]
+    for signal in (GaussianIID(c_beta=1.0, k=10), DiscreteFlat(c_beta=1.0, k=10)):
+        q = ThresholdQuery(p=1000, k=10, signal=signal, alpha_star=0.1,
+                           mode="asymptotic", grid_step=1e-6)
+        r = measurement_thresholds(q)
+        assert 0.1 <= r.alpha_ach <= 1.0 and 0.1 <= r.alpha_con <= 1.0
+        assert 0.0 < r.n_con <= r.n_ach
+
+
 def test_general_signal_floor_thresholds():
     sig = DiscreteGeneral(values=(0.5, 1.0, 1.5, 2.0))
     q = ThresholdQuery(p=40, k=4, signal=sig, alpha_star=0.3, mode="floor")
@@ -221,6 +337,13 @@ def test_figure_curves_shape():
         assert np.all(np.diff(rows[:, 1]) < 0)   # ach strictly decreasing
         assert np.all(np.diff(rows[:, 2]) < 0)   # con strictly decreasing
         assert np.all(rows[:, 2] <= rows[:, 1])  # converse below achievability
+
+
+def test_figure_curves_reject_bad_input():
+    for kwargs in ({"grid_step": 0.0}, {"grid_step": math.nan},
+                   {"alpha_star": 1.0}, {"kinds": ("flat", "bogus")}):
+        with pytest.raises(ValueError):
+            figure_curves(**kwargs)
 
 
 def test_write_figure_csv_roundtrip(tmp_path):

@@ -71,6 +71,10 @@ def test_signal_validation():
         GaussianIID(c_beta=1.0, k=0)
     with pytest.raises(ValueError):
         DiscreteGeneral(values=())
+    for model in (DiscreteFlat, GaussianIID):
+        for c_beta in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                model(c_beta=c_beta, k=3)
 
 
 def test_flat_vector_deterministic():
