@@ -13,13 +13,16 @@ of thread count; only the manifest timestamps differ.
 Exit codes: 0 success, 1 verification failure / replay mismatch,
 2 usage or invalid parameters, 3 I/O failure, 4 numeric failure.
 
-Defaults can come from ``--config`` (a JSON object or flat ``key = value``
-lines whose keys mirror the flag names); explicit flags win. The master
-seed falls back to the ``PHASELIM_SEED`` environment variable, then 0.
+Each parameter is an explicit flag, else the ``--config`` value (a JSON
+object or flat ``key = value`` lines whose keys mirror the flag names;
+keys the subcommand does not have are ignored), else its default. The
+master seed falls back to the ``PHASELIM_SEED`` environment variable,
+then 0.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -132,16 +135,27 @@ def _write_manifest(path: str, command: str, params: dict,
         fh.write("\n")
 
 
-def _manifest_path(args, command: str) -> str:
-    if getattr(args, "manifest_out", None):
-        return args.manifest_out
-    out = getattr(args, "out", None)
-    if out:
-        return out + ".manifest.json"
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir:
-        return os.path.join(out_dir, "manifest.json")
+def _manifest_path(params: dict, command: str) -> str:
+    if params.get("out"):
+        return params["out"] + ".manifest.json"
+    if params.get("out_dir"):
+        return os.path.join(params["out_dir"], "manifest.json")
     return f"{command}_manifest.json"
+
+
+def _check_location(path: str, is_dir: bool) -> None:
+    """Raise ``OSError`` now if ``path`` cannot be written once the work is
+    done. A file's directory must exist; a directory is created later, so
+    its nearest existing ancestor must be a writable directory."""
+    target = os.path.abspath(path)
+    if not is_dir and os.path.isdir(target):
+        raise IsADirectoryError(f"cannot write {path!r}: it is a directory")
+    target = target if is_dir else os.path.dirname(target)
+    while is_dir and not os.path.exists(target):
+        target = os.path.dirname(target)
+    if not (os.path.isdir(target) and os.access(target, os.W_OK | os.X_OK)):
+        raise NotADirectoryError(
+            f"cannot write {path!r}: no writable directory at {target!r}")
 
 
 def _signal_for(model: str, c_beta: float, k: int):
@@ -189,6 +203,8 @@ def _run_thresholds(params: dict):
 
 def _run_figure(params: dict):
     step = params["snr_step"]
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("snr_step must be finite and positive")
     grid = np.arange(params["snr_min"], params["snr_max"] + step / 2.0, step)
     curves = figure_curves(alpha_star=params["alpha_star"],
                            snr_db_values=grid, kinds=("flat", "gaussian"),
@@ -260,7 +276,8 @@ _RUNNERS = {
     "simulate": _run_simulate,
 }
 
-# which parameters name output locations, for replay redirection
+# which parameters name output locations: checked before the work runs,
+# redirected by replay
 _OUTPUT_KEYS = {
     "thresholds": {"out": "file"},
     "figure": {"out_dir": "dir"},
@@ -270,13 +287,69 @@ _OUTPUT_KEYS = {
 
 
 # ----------------------------------------------------------------- parser
+# Each subcommand option is ``name: (convert, default, add_argument
+# keywords)``. ``convert`` reads the flag's text and the config value
+# alike; ``_REQUIRED`` marks an option that a flag or the config must set.
 
-def _build_parser(config: dict) -> argparse.ArgumentParser:
-    def conf(key, fallback, convert):
-        if key in config:
-            return convert(config[key])
-        return fallback
+_REQUIRED = object()
 
+_COMMON_OPTIONS = {
+    "seed": (int, None, {"help": "master seed (env PHASELIM_SEED, default 0)"}),
+    "threads": (int, 1, {"help": "worker cap; results do not depend on it"}),
+    "manifest": (str, None,
+                 {"help": "run manifest path (default next to outputs)"}),
+}
+
+_COMMANDS = {
+    "thresholds": ("achievability and converse measurement counts", {
+        "model": (str, _REQUIRED, {"choices": ("gaussian", "flat")}),
+        "p": (int, _REQUIRED, {}),
+        "k": (int, _REQUIRED, {}),
+        "c_beta": (float, 1.0, {}),
+        "sigma": (float, 1.0, {}),
+        "alpha_star": (float, 0.1, {}),
+        "mode": (str, "asymptotic", {"choices": ("floor", "asymptotic")}),
+        "grid_step": (float, 1e-3, {}),
+        "json": (_to_bool, False, {"action": "store_true"}),
+        "out": (str, None, {"help": "also write the JSON record here"}),
+    }),
+    "figure": ("threshold-vs-SNR curve CSVs for both models", {
+        "alpha_star": (float, 0.1, {}),
+        "snr_min": (float, -10.0, {}),
+        "snr_max": (float, 40.0, {}),
+        "snr_step": (float, 1.0, {}),
+        "sigma": (float, 1.0, {}),
+        "grid_step": (float, 1e-3, {}),
+        "out_dir": (str, "figures", {}),
+    }),
+    "verify": ("statistical check suites, JSON-lines reports", {
+        "suite": (str, _REQUIRED, {"choices": SUITE_NAMES}),
+        "trials": (int, 100000, {}),
+        "out": (str, None, {"help": "also write the JSON lines here"}),
+    }),
+    "simulate": ("exhaustive-decoder error curve at tiny sizes", {
+        "p": (int, _REQUIRED, {}),
+        "k": (int, _REQUIRED, {}),
+        "model": (str, "flat", {"choices": ("flat", "gaussian")}),
+        "c_beta": (float, 1.0, {}),
+        "sigma": (float, 1.0, {}),
+        "alpha_star": (float, 0.5, {}),
+        "n_grid": (_parse_n_grid, (5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
+                   {"help": "comma list (5,10,15) or lo:hi:step range"}),
+        "trials": (int, 400, {}),
+        "decoder": (str, "auto",
+                    {"choices": ("auto", "flat-ml", "mc-marginal")}),
+        "mc_samples": (int, 256, {}),
+        "out": (str, "error_curve.csv", {}),
+    }),
+}
+
+
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argparse tree and its subcommand parsers by name, built once per
+    process. Every subcommand option parses to ``None`` when its flag is
+    absent; :func:`_resolve` fills in the config value or the default."""
     parser = argparse.ArgumentParser(
         prog="phaselim",
         description="Measurement thresholds for approximate support "
@@ -284,93 +357,15 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"phaselim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--seed", type=int,
-                        default=conf("seed", _default_seed(), int),
-                        help="master seed (env PHASELIM_SEED, default 0)")
-        sp.add_argument("--threads", type=int,
-                        default=conf("threads", 1, int),
-                        help="worker cap; results do not depend on it")
+    for command, (help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name, (convert, _, keywords) in {**options,
+                                             **_COMMON_OPTIONS}.items():
+            if "action" not in keywords:
+                keywords = {"type": convert, **keywords}
+            sp.add_argument("--" + name.replace("_", "-"), default=None,
+                            **keywords)
         sp.add_argument("--config", help="JSON or key=value defaults file")
-        sp.add_argument("--manifest", dest="manifest_out",
-                        default=conf("manifest", None, str),
-                        help="run manifest path (default next to outputs)")
-
-    th = sub.add_parser("thresholds",
-                        help="achievability and converse measurement counts")
-    th.add_argument("--model", required="model" not in config,
-                    choices=("gaussian", "flat"),
-                    default=conf("model", None, str))
-    th.add_argument("--p", type=int, required="p" not in config,
-                    default=conf("p", None, int))
-    th.add_argument("--k", type=int, required="k" not in config,
-                    default=conf("k", None, int))
-    th.add_argument("--c-beta", type=float,
-                    default=conf("c_beta", 1.0, float))
-    th.add_argument("--sigma", type=float, default=conf("sigma", 1.0, float))
-    th.add_argument("--alpha-star", type=float,
-                    default=conf("alpha_star", 0.1, float))
-    th.add_argument("--mode", choices=("floor", "asymptotic"),
-                    default=conf("mode", "asymptotic", str))
-    th.add_argument("--grid-step", type=float,
-                    default=conf("grid_step", 1e-3, float))
-    th.add_argument("--json", action="store_true",
-                    default=conf("json", False, _to_bool))
-    th.add_argument("--out", default=conf("out", None, str),
-                    help="also write the JSON record here")
-    add_common(th)
-
-    fig = sub.add_parser("figure",
-                         help="threshold-vs-SNR curve CSVs for both models")
-    fig.add_argument("--alpha-star", type=float,
-                     default=conf("alpha_star", 0.1, float))
-    fig.add_argument("--snr-min", type=float,
-                     default=conf("snr_min", -10.0, float))
-    fig.add_argument("--snr-max", type=float,
-                     default=conf("snr_max", 40.0, float))
-    fig.add_argument("--snr-step", type=float,
-                     default=conf("snr_step", 1.0, float))
-    fig.add_argument("--sigma", type=float, default=conf("sigma", 1.0, float))
-    fig.add_argument("--grid-step", type=float,
-                     default=conf("grid_step", 1e-3, float))
-    fig.add_argument("--out-dir", default=conf("out_dir", "figures", str))
-    add_common(fig)
-
-    ver = sub.add_parser("verify",
-                         help="statistical check suites, JSON-lines reports")
-    ver.add_argument("--suite", required="suite" not in config,
-                     choices=SUITE_NAMES, default=conf("suite", None, str))
-    ver.add_argument("--trials", type=int,
-                     default=conf("trials", 100000, int))
-    ver.add_argument("--out", default=conf("out", None, str),
-                     help="also write the JSON lines here")
-    add_common(ver)
-
-    sim = sub.add_parser("simulate",
-                         help="exhaustive-decoder error curve at tiny sizes")
-    sim.add_argument("--p", type=int, required="p" not in config,
-                     default=conf("p", None, int))
-    sim.add_argument("--k", type=int, required="k" not in config,
-                     default=conf("k", None, int))
-    sim.add_argument("--model", choices=("flat", "gaussian"),
-                     default=conf("model", "flat", str))
-    sim.add_argument("--c-beta", type=float,
-                     default=conf("c_beta", 1.0, float))
-    sim.add_argument("--sigma", type=float, default=conf("sigma", 1.0, float))
-    sim.add_argument("--alpha-star", type=float,
-                     default=conf("alpha_star", 0.5, float))
-    sim.add_argument("--n-grid", type=_parse_n_grid,
-                     default=conf("n_grid", (5, 10, 15, 20, 25, 30, 35, 40,
-                                             45, 50), _parse_n_grid),
-                     help="comma list (5,10,15) or lo:hi:step range")
-    sim.add_argument("--trials", type=int, default=conf("trials", 400, int))
-    sim.add_argument("--decoder", choices=("auto", "flat-ml", "mc-marginal"),
-                     default=conf("decoder", "auto", str))
-    sim.add_argument("--mc-samples", type=int,
-                     default=conf("mc_samples", 256, int))
-    sim.add_argument("--out", default=conf("out", "error_curve.csv", str))
-    add_common(sim)
 
     rep = sub.add_parser("replay",
                          help="re-run a manifest, compare output digests")
@@ -379,15 +374,73 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                      help="directory for regenerated outputs (default temp)")
     rep.add_argument("--threads", type=int, default=None,
                      help="override the recorded thread count")
-    return parser
+    return parser, sub.choices
 
 
-def _params_from_args(args, command: str) -> dict:
-    skip = {"command", "config", "manifest_out"}
-    params = {key: val for key, val in vars(args).items() if key not in skip}
-    if "n_grid" in params:
-        params["n_grid"] = list(params["n_grid"])
-    return params
+def _resolve(args, config: dict) -> dict:
+    """Every option of ``args.command``: the explicit flag, else the config
+    value read by the flag's converter, else the default. A required option
+    that neither sets is a usage error (``SystemExit(2)``)."""
+    values, missing = {}, []
+    options = {**_COMMANDS[args.command][1], **_COMMON_OPTIONS}
+    for name, (convert, default, _) in options.items():
+        flag = getattr(args, name)
+        if flag is not None:
+            values[name] = flag
+        elif name in config:
+            try:
+                values[name] = convert(config[name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad config value for {name}: {exc}") from exc
+        elif default is _REQUIRED:
+            missing.append("--" + name.replace("_", "-"))
+        else:
+            values[name] = default
+    if missing:
+        _parser()[1][args.command].error(
+            "the following arguments are required: " + ", ".join(missing))
+    if values["seed"] is None:
+        values["seed"] = _default_seed()
+    return values
+
+
+# --------------------------------------------------------------- commands
+
+def _cmd_run(args) -> int:
+    config = _load_config(args.config) if args.config else {}
+    params = _resolve(args, config)
+    manifest = params.pop("manifest")
+    # a default manifest sits beside an output checked here or in the
+    # working directory
+    for key, kind in _OUTPUT_KEYS[args.command].items():
+        if params[key]:
+            _check_location(params[key], kind == "dir")
+    if manifest:
+        _check_location(manifest, False)
+
+    started = _utc_now()
+    outputs, text, meta = _RUNNERS[args.command](params)
+    finished = _utc_now()
+    if text:
+        print(text)
+    _write_manifest(manifest or _manifest_path(params, args.command),
+                    args.command, params, outputs, started, finished)
+
+    if args.command == "verify":
+        counts = meta["counts"]
+        if meta["bad_numerics"]:
+            print(f"numeric failure: {meta['bad_numerics']} non-finite "
+                  "estimates", file=sys.stderr)
+            return 4
+        if counts["inconclusive"]:
+            print(f"warning: {counts['inconclusive']} inconclusive "
+                  "verdicts (underpowered run)", file=sys.stderr)
+        print(f"{sum(counts.values())} checks: {counts['pass']} pass, "
+              f"{counts['fail']} fail, {counts['inconclusive']} "
+              "inconclusive", file=sys.stderr)
+        if counts["fail"]:
+            return 1
+    return 0
 
 
 def _cmd_replay(args) -> int:
@@ -426,78 +479,20 @@ def _cmd_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
+    args = _parser()[0].parse_args(argv)
+    replay = args.command == "replay"
     try:
-        config = _load_config(known.config) if known.config else {}
+        return _cmd_replay(args) if replay else _cmd_run(args)
     except OSError as exc:
-        print(f"phaselim: cannot read config: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"phaselim: bad config: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        parser = _build_parser(config)
-    except ValueError as exc:
         print(f"phaselim: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, KeyError) as exc:
+        print(f"phaselim: {'bad manifest: ' if replay else ''}{exc}",
+              file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
-
-    if args.command == "replay":
-        try:
-            return _cmd_replay(args)
-        except OSError as exc:
-            print(f"phaselim: {exc}", file=sys.stderr)
-            return 3
-        except (ValueError, KeyError) as exc:
-            print(f"phaselim: bad manifest: {exc}", file=sys.stderr)
-            return 2
-        except _NUMERIC_ERRORS as exc:
-            print(f"phaselim: numeric failure: {exc}", file=sys.stderr)
-            return 4
-
-    params = _params_from_args(args, args.command)
-    started = _utc_now()
-    try:
-        outputs, text, meta = _RUNNERS[args.command](params)
     except _NUMERIC_ERRORS as exc:
         print(f"phaselim: numeric failure: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"phaselim: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"phaselim: {exc}", file=sys.stderr)
-        return 2
-    finished = _utc_now()
-
-    if text:
-        print(text)
-    try:
-        _write_manifest(_manifest_path(args, args.command), args.command,
-                        params, outputs, started, finished)
-    except OSError as exc:
-        print(f"phaselim: cannot write manifest: {exc}", file=sys.stderr)
-        return 3
-
-    if args.command == "verify":
-        counts = meta["counts"]
-        if meta["bad_numerics"]:
-            print(f"numeric failure: {meta['bad_numerics']} non-finite "
-                  "estimates", file=sys.stderr)
-            return 4
-        if counts["inconclusive"]:
-            print(f"warning: {counts['inconclusive']} inconclusive "
-                  "verdicts (underpowered run)", file=sys.stderr)
-        print(f"{sum(counts.values())} checks: {counts['pass']} pass, "
-              f"{counts['fail']} fail, {counts['inconclusive']} "
-              "inconclusive", file=sys.stderr)
-        if counts["fail"]:
-            return 1
-    return 0
 
 
 if __name__ == "__main__":

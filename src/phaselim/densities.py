@@ -94,8 +94,8 @@ class GaussianNoise(NoiseModel):
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and positive")
 
     def logpdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -233,7 +233,6 @@ class ConditionalOutputLaw:
     known_sq: float
     fresh_power: float
     noise: NoiseModel
-    nodes: int = 80
 
     def __post_init__(self):
         if self.known_sq < 0 or not self.fresh_power > 0:
@@ -242,7 +241,7 @@ class ConditionalOutputLaw:
     def logpdf(self, y, force_quadrature: bool = False):
         return conditional_output_logpdf(
             y, self.known_sq, self.fresh_power, self.noise,
-            nodes=self.nodes, force_quadrature=force_quadrature)
+            force_quadrature=force_quadrature)
 
     def pdf(self, y, force_quadrature: bool = False):
         return np.exp(self.logpdf(y, force_quadrature=force_quadrature))

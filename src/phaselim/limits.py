@@ -60,6 +60,10 @@ _TAIL_SERIES = tuple(1.0 / (n * (n - 1)) for n in range(8, 1, -1))
 # power a query uses in practice, the plain forms run unchanged.
 _SCALED_RATIO = 1e100
 
+# Most alpha grid entries a threshold search may use. Several float arrays
+# of the grid's length are live at once, so this bounds the search memory.
+_MAX_ALPHA_GRID = 1e7
+
 
 class ThresholdInfeasibleError(ValueError):
     """No finite measurement count: the missable power is zero somewhere on
@@ -187,6 +191,9 @@ def _check_alpha_search(alpha_star: float, grid_step: float) -> None:
         raise ValueError("alpha_star must lie in (0, 1)")
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError("grid_step must be finite and positive")
+    if (1.0 - alpha_star) / grid_step > _MAX_ALPHA_GRID:
+        raise ValueError(f"grid_step {grid_step!r} gives more than "
+                         f"{_MAX_ALPHA_GRID:.0e} alpha grid points")
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,6 @@ class ThresholdQuery:
     alpha_star: float = 0.1
     mode: str = "floor"          # ignored for GaussianIID (always limiting)
     grid_step: float = 1e-3
-    refine: bool = True
 
     def __post_init__(self):
         _check_alpha_search(self.alpha_star, self.grid_step)
@@ -235,14 +241,17 @@ class ThresholdResult:
 
 
 def _rate_pair(signal: SignalModel, noise: NoiseModel, mode: str):
-    """Vectorized (lower, upper) mutual-information forms over alpha."""
+    """Vectorized missed power and (lower, upper) mutual-information forms
+    over alpha."""
     if isinstance(signal, GaussianIID):
         c = signal.c_beta
-        return (lambda a: gaussian_mi_lower(a, c, noise),
+        return (lambda a: c * tail_power_fraction(a),
+                lambda a: gaussian_mi_lower(a, c, noise),
                 lambda a: gaussian_mi_upper(a, c, noise))
     if isinstance(signal, DiscreteFlat) and mode == "asymptotic":
         c = signal.c_beta
-        return (lambda a: flat_mi_lower(a, c, noise),
+        return (lambda a: a * c,
+                lambda a: flat_mi_lower(a, c, noise),
                 lambda a: flat_mi_upper(a, c, noise))
     if isinstance(signal, DiscreteFlat):
         sorted_sig = SortedSignal.flat(signal.c_beta, signal.k)
@@ -250,15 +259,16 @@ def _rate_pair(signal: SignalModel, noise: NoiseModel, mode: str):
         sorted_sig = SortedSignal(np.asarray(signal.values, dtype=complex))
     else:
         raise TypeError(f"unknown signal model {type(signal).__name__}")
-    return (lambda a: sorted_mi_lower(a, sorted_sig, noise, mode),
+    return (lambda a: partition_power_arrays(sorted_sig, a, mode)[0],
+            lambda a: sorted_mi_lower(a, sorted_sig, noise, mode),
             lambda a: sorted_mi_upper(a, sorted_sig, noise, mode))
 
 
-def _maximize_on_grid(objective, grid: np.ndarray, refine: bool):
+def _maximize_on_grid(objective, grid: np.ndarray):
     vals = objective(grid)
     i = int(np.argmax(vals))
     best_a, best_v = float(grid[i]), float(vals[i])
-    if refine and 0 < i < grid.size - 1:
+    if 0 < i < grid.size - 1:
         a, v = golden_max(lambda t: float(objective(np.array([t]))[0]),
                           float(grid[i - 1]), float(grid[i + 1]), tol=1e-12)
         if v > best_v:
@@ -266,16 +276,25 @@ def _maximize_on_grid(objective, grid: np.ndarray, refine: bool):
     return best_a, best_v
 
 
-def _normalized_thresholds(lower_fn, upper_fn, alpha_star: float,
-                           grid_step: float, refine: bool):
+def _check_finite(*counts: float) -> None:
+    if not all(math.isfinite(c) for c in counts):
+        raise FloatingPointError("measurement count is not a finite float")
+
+
+def _normalized_thresholds(miss_fn, lower_fn, upper_fn, alpha_star: float,
+                           grid_step: float):
     grid = np.arange(alpha_star, 1.0, grid_step)
     # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
     grid = np.append(grid[grid < 1.0], 1.0)
 
     lo_vals = np.atleast_1d(np.asarray(lower_fn(grid), dtype=float))
     if np.any(lo_vals == 0.0):
-        raise ThresholdInfeasibleError(
-            "missable power vanishes on the optimization range")
+        # the missed power grows with alpha, so it is least at alpha_star
+        if miss_fn(alpha_star) == 0.0:
+            raise ThresholdInfeasibleError(
+                "missable power vanishes on the optimization range")
+        raise FloatingPointError(
+            "lower rate underflows to 0 at positive missed power")
 
     def ach(a):
         return np.asarray(a) / np.atleast_1d(np.asarray(lower_fn(a)))
@@ -283,8 +302,9 @@ def _normalized_thresholds(lower_fn, upper_fn, alpha_star: float,
     def con(a):
         return (np.asarray(a) - alpha_star) / np.atleast_1d(np.asarray(upper_fn(a)))
 
-    a_ach, v_ach = _maximize_on_grid(ach, grid, refine)
-    a_con, v_con = _maximize_on_grid(con, grid, refine)
+    a_ach, v_ach = _maximize_on_grid(ach, grid)
+    a_con, v_con = _maximize_on_grid(con, grid)
+    _check_finite(v_ach, v_con)
     return v_ach, v_con, a_ach, a_con
 
 
@@ -294,7 +314,10 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     ``n_ach``: above this count the decoder's miss fraction stays below
     ``alpha_star`` with vanishing error probability; ``n_con``: below it no
     decoder can. Both are grid maxima over ``alpha in [alpha_star, 1]``
-    with golden-section refinement inside the best grid cell.
+    with golden-section refinement inside the best grid cell. Raises
+    ``FloatingPointError`` when a count leaves the float range (a missed
+    power whose square underflows) and ``ThresholdInfeasibleError`` when
+    the missable power is zero.
 
     At high power (i.i.d. Gaussian model) both maximizers sit at
     ``alpha = 1`` and ``n_ach / n_con`` tends to ``1 / (1 - alpha_star)``
@@ -303,13 +326,15 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     ``1 / log`` of the power (for ``alpha_star = 0.1`` the ratio is within
     5% of the limit only above ``c_beta / sigma ~ 8.4e12``).
     """
-    lower_fn, upper_fn = _rate_pair(query.signal, query.noise, query.mode)
     v_ach, v_con, a_ach, a_con = _normalized_thresholds(
-        lower_fn, upper_fn, query.alpha_star, query.grid_step, query.refine)
+        *_rate_pair(query.signal, query.noise, query.mode),
+        query.alpha_star, query.grid_step)
     budget = query.k * math.log(query.p / query.k)
+    n_ach, n_con = v_ach * budget, v_con * budget
+    _check_finite(n_ach, n_con)
     return ThresholdResult(
-        n_ach=v_ach * budget,
-        n_con=v_con * budget,
+        n_ach=n_ach,
+        n_con=n_con,
         alpha_ach=a_ach,
         alpha_con=a_con,
         n_ach_norm=v_ach,
@@ -347,6 +372,9 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
     if snr_db_values is None:
         snr_db_values = np.arange(-10.0, 41.0, 1.0)
     snr_db_values = np.asarray(snr_db_values, dtype=float)
+    if snr_db_values.size == 0 or not np.all(np.isfinite(snr_db_values)):
+        raise ValueError("snr_db_values must be a non-empty set of finite "
+                         "values")
     _check_alpha_search(alpha_star, grid_step)
     noise = GaussianNoise(sigma)
     c_values = [c_beta_from_snr_db(float(db), sigma) for db in snr_db_values]
@@ -360,9 +388,9 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
     for kind, models in signals.items():
         rows = np.empty((snr_db_values.size, 3))
         for i, (db, signal) in enumerate(zip(snr_db_values, models)):
-            lo, hi = _rate_pair(signal, noise, "asymptotic")
             v_ach, v_con, _, _ = _normalized_thresholds(
-                lo, hi, alpha_star, grid_step, refine=True)
+                *_rate_pair(signal, noise, "asymptotic"), alpha_star,
+                grid_step)
             rows[i] = (db, v_ach, v_con)
         out[kind] = rows
     return out

@@ -121,7 +121,7 @@ def _finalize(check: str, params: dict, estimate: float, se: float,
 
 def _draw_info_samples(miss_power: float, keep_power: float,
                        noise: NoiseModel, trials: int,
-                       rng: np.random.Generator, nodes: int = 80):
+                       rng: np.random.Generator):
     """Sample per-observation information densities under the pair model."""
     w_keep = sample_circular_gaussian(rng, trials)
     w_miss = sample_circular_gaussian(rng, trials)
@@ -131,18 +131,18 @@ def _draw_info_samples(miss_power: float, keep_power: float,
     full_sq = np.abs(proj_full) ** 2
     y = full_sq + z
     vals, n_clamped = info_density(y, full_sq, np.abs(proj_keep) ** 2,
-                                   miss_power, noise, nodes=nodes)
+                                   miss_power, noise)
     return vals, n_clamped
 
 
 def mi_estimate(miss_power: float, keep_power: float, noise: NoiseModel,
                 trials: int, rng: np.random.Generator,
-                resolution: float = 0.01, max_clamp_fraction: float = 1e-3,
-                nodes: int = 80) -> VerificationReport:
+                resolution: float = 0.01,
+                max_clamp_fraction: float = 1e-3) -> VerificationReport:
     """Monte Carlo mutual-information estimate checked against the
     analytic sandwich for the same power split."""
     vals, n_clamped = _draw_info_samples(miss_power, keep_power, noise,
-                                         trials, rng, nodes=nodes)
+                                         trials, rng)
     estimate = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     lower = float(mi_pair_lower(miss_power, noise))
@@ -159,8 +159,8 @@ def mi_estimate(miss_power: float, keep_power: float, noise: NoiseModel,
 
 
 def sandwich_check(battery=None, trials: int = 100000, master_seed: int = 0,
-                   threads: int = 1, resolution: float = 0.01,
-                   nodes: int = 80) -> list[VerificationReport]:
+                   threads: int = 1,
+                   resolution: float = 0.01) -> list[VerificationReport]:
     """Run :func:`mi_estimate` over the (miss, keep, sigma) battery.
 
     Combo ``i`` draws from substream ``(master_seed, i)``, so results do
@@ -172,7 +172,7 @@ def sandwich_check(battery=None, trials: int = 100000, master_seed: int = 0,
         idx, (miss, keep, sigma) = idx_combo
         return mi_estimate(miss, keep, GaussianNoise(sigma), trials,
                            substream(master_seed, idx),
-                           resolution=resolution, nodes=nodes)
+                           resolution=resolution)
 
     return parallel_map(one, list(enumerate(battery)), threads)
 
@@ -181,7 +181,7 @@ def concentration_check(miss_power: float = 1.0, keep_power: float = 0.0,
                         sigma: float = 1.0, n: int = 20,
                         mu_values=(0.0, 0.01, 0.02, 0.05),
                         trials: int = 10000, info_samples: int = 1000000,
-                        master_seed: int = 0, nodes: int = 80,
+                        master_seed: int = 0,
                         rel_se_limit: float = 3e-3) -> list[VerificationReport]:
     """Empirical two-sided tails of the summed information density against
     the analytic bound ``exp(-n C r(mu)) + exp(-n C r(-mu))``.
@@ -196,15 +196,14 @@ def concentration_check(miss_power: float = 1.0, keep_power: float = 0.0,
     consts = concentration_constant(total, noise)
 
     vals, _ = _draw_info_samples(miss_power, keep_power, noise,
-                                 info_samples, substream(master_seed, 0),
-                                 nodes=nodes)
+                                 info_samples, substream(master_seed, 0))
     info_mean = float(np.mean(vals))
     info_se = float(np.std(vals, ddof=1) / math.sqrt(info_samples))
     centering_bad = not (info_se <= rel_se_limit * abs(info_mean))
 
     draw_rng = substream(master_seed, 1)
     block, _ = _draw_info_samples(miss_power, keep_power, noise,
-                                  trials * n, draw_rng, nodes=nodes)
+                                  trials * n, draw_rng)
     sums = block.reshape(trials, n).sum(axis=1)
     centered = sums - n * info_mean
 
@@ -274,15 +273,14 @@ def _second_difference_scan(logpdf, center: float, sigma: float,
 
 
 def logconcavity_check(battery=None, step_scale: float = 0.01,
-                       points: int = 2001, tol: float = 1e-6,
-                       nodes: int = 80) -> list[VerificationReport]:
+                       points: int = 2001,
+                       tol: float = 1e-6) -> list[VerificationReport]:
     """Second-difference log-concavity scan of the conditional output law
     over its bulk (grid centered at the mean, spanning ten noise widths)."""
     battery = DEFAULT_LOGCONCAVITY_BATTERY if battery is None else tuple(battery)
     reports = []
     for known_sq, fresh, sigma in battery:
-        law = ConditionalOutputLaw(known_sq, fresh, GaussianNoise(sigma),
-                                   nodes=nodes)
+        law = ConditionalOutputLaw(known_sq, fresh, GaussianNoise(sigma))
         est = _second_difference_scan(law.logpdf, known_sq + fresh, sigma,
                                       step_scale, points)
         reports.append(_finalize(
@@ -324,9 +322,12 @@ def run_suite(suite: str, trials: int = 100000, master_seed: int = 0,
               threads: int = 1) -> list[VerificationReport]:
     """Dispatch a named verification suite with scaled sample budgets.
 
-    ``trials`` is the sandwich budget; the concentration suite uses a tenth
-    of it for tail trials and ten times it for the centering run.
+    ``trials`` is the sandwich budget, at least 1; the concentration suite
+    uses a tenth of it for tail trials and ten times it for the centering
+    run.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if suite == "sandwich":
         return sandwich_check(trials=trials, master_seed=master_seed,
                               threads=threads)

@@ -1,10 +1,15 @@
 """Command line surface: flags, exit codes, manifests, replay."""
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselim.cli import main
 
@@ -55,8 +60,14 @@ def test_bad_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
         flat + ["--grid-step", "0"],
         flat + ["--grid-step", "-0.01"],
         flat + ["--grid-step", "nan"],
+        flat + ["--sigma", "inf"],
         ["figure", "--grid-step", "0", "--out-dir", "figs"],
         ["simulate", "--p", "6", "--k", "2", "--c-beta", "nan"],
+        ["figure", "--snr-step", "0", "--out-dir", "figs"],
+        ["figure", "--snr-min", "5", "--snr-max", "0", "--out-dir", "figs"],
+        ["verify", "--suite", "sandwich", "--trials", "0"],
+        # a 9e9-entry alpha grid: refused before any array is built
+        flat + ["--grid-step", "1e-10"],
     ]
     for argv in cases:
         code, stdout, err = _run(argv, capsys)
@@ -73,6 +84,47 @@ def test_thresholds_extreme_power_is_finite(tmp_path, capsys, monkeypatch):
     rec = json.loads(stdout)
     assert 0.0 < rec["n_con"] <= rec["n_ach"] < float("inf")
     assert rec["alpha_ach"] == 1.0 and rec["alpha_con"] == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+def test_thresholds_tiny_power_is_numeric_failure(tmp_path, capsys,
+                                                  monkeypatch):
+    # the counts leave the float range; the power itself is positive
+    monkeypatch.chdir(tmp_path)
+    for c_beta in ("1e-155", "1e-170"):
+        code, stdout, err = _run(["thresholds", "--model", "gaussian",
+                                  "--p", "1000", "--k", "10",
+                                  "--c-beta", c_beta, "--json"], capsys)
+        assert code == 4, c_beta
+        assert stdout == "" and "numeric failure" in err, c_beta
+
+
+def test_unusable_output_fails_before_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before checking the output location")
+
+    for name in ("run_suite", "figure_curves", "measurement_thresholds",
+                 "error_curve"):
+        monkeypatch.setattr(f"phaselim.cli.{name}", no_work)
+    (tmp_path / "blocker").write_text("file, not a directory\n")
+    missing = str(tmp_path / "missing" / "out")
+    cases = [
+        ["verify", "--suite", "sandwich", "--out", missing],
+        ["thresholds", "--model", "flat", "--p", "100", "--k", "4",
+         "--out", missing],
+        ["simulate", "--p", "6", "--k", "2", "--out", missing],
+        ["figure", "--out-dir", str(tmp_path / "blocker" / "figs")],
+        ["verify", "--suite", "logconcavity", "--manifest", missing],
+        ["thresholds", "--model", "flat", "--p", "100", "--k", "4",
+         "--out", str(tmp_path)],
+    ]
+    for argv in cases:
+        code, stdout, err = _run(argv, capsys)
+        assert code == 3, argv
+        assert stdout == "" and "Traceback" not in err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
 
 def test_thresholds_example_json(tmp_path, capsys, monkeypatch):
@@ -266,3 +318,174 @@ def test_manifest_excludes_itself(tmp_path, capsys, monkeypatch):
     assert list(doc["outputs"]) == ["e.csv"]
     assert doc["version"]
     assert doc["started"] <= doc["finished"]
+
+
+def test_config_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
+    # one process, one parser: each run sees only its own config
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PHASELIM_SEED", raising=False)
+    conf_a = tmp_path / "a.conf"
+    conf_a.write_text("model = flat\np = 80\nk = 4\nalpha_star = 0.2\n"
+                      "seed = 5\nout = a.json\n")
+    conf_b = tmp_path / "b.json"
+    conf_b.write_text(json.dumps({"model": "gaussian", "p": 90, "k": 3,
+                                  "sigma": 0.5, "threads": 2,
+                                  "out": "b.json"}))
+    common = {"c_beta": 1.0, "grid_step": 0.001, "json": False,
+              "mode": "asymptotic"}
+    expected = {
+        "a.json": dict(common, model="flat", p=80, k=4, alpha_star=0.2,
+                       sigma=1.0, seed=5, threads=1, out="a.json"),
+        "b.json": dict(common, model="gaussian", p=90, k=3, alpha_star=0.1,
+                       sigma=0.5, seed=0, threads=2, out="b.json"),
+        "c.json": dict(common, model="flat", p=70, k=2, alpha_star=0.1,
+                       sigma=1.0, seed=0, threads=1, out="c.json"),
+    }
+    for argv in (["--config", str(conf_a)], ["--config", str(conf_b)],
+                 ["--model", "flat", "--p", "70", "--k", "2",
+                  "--out", "c.json"]):
+        assert main(["thresholds"] + argv) == 0
+    capsys.readouterr()
+    for out, params in expected.items():
+        doc = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert doc["params"] == params
+    # without a config, --model is missing again: nothing was remembered
+    with pytest.raises(SystemExit) as exc:
+        main(["thresholds", "--p", "80", "--k", "4"])
+    assert exc.value.code == 2
+    assert "required: --model" in capsys.readouterr().err
+
+
+# Manifest params of one call per subcommand, with and without --config,
+# recorded from the CLI that rebuilt its parser on every call.
+_CONFIGS = {
+    "th.conf": "model = gaussian\np = 200\nk = 5\nc_beta = 2.5\nseed = 9\n"
+               "json = true\nsnr_min = 3\nbogus = 1\n",
+    "fig.json": json.dumps({"snr_min": -2, "snr_max": 2, "sigma": 0.5,
+                            "grid_step": 0.01, "out_dir": "f2", "threads": 2,
+                            "suite": "sandwich"}),
+    "ver.conf": "suite = negative-control\ntrials = 50\nseed = 4\n"
+                "manifest = vm.json\n",
+    "sim.json": json.dumps({"p": 6, "k": 2, "n_grid": [2, 4], "trials": 10,
+                            "model": "gaussian", "mc_samples": 16,
+                            "out": "s2.csv", "json": True}),
+}
+_PINNED_PARAMS = [
+    (["thresholds", "--model", "flat", "--p", "100", "--k", "4",
+      "--out", "th.json"], 0, "th.json.manifest.json",
+     {"alpha_star": 0.1, "c_beta": 1.0, "grid_step": 0.001, "json": False,
+      "k": 4, "mode": "asymptotic", "model": "flat", "out": "th.json",
+      "p": 100, "seed": 0, "sigma": 1.0, "threads": 1}),
+    (["thresholds", "--config", "th.conf", "--alpha-star", "0.2"], 0,
+     "thresholds_manifest.json",
+     {"alpha_star": 0.2, "c_beta": 2.5, "grid_step": 0.001, "json": True,
+      "k": 5, "mode": "asymptotic", "model": "gaussian", "out": None,
+      "p": 200, "seed": 9, "sigma": 1.0, "threads": 1}),
+    (["figure", "--snr-min", "0", "--snr-max", "4", "--snr-step", "2",
+      "--grid-step", "0.01", "--out-dir", "figs"], 0, "figs/manifest.json",
+     {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "figs", "seed": 0,
+      "sigma": 1.0, "snr_max": 4.0, "snr_min": 0.0, "snr_step": 2.0,
+      "threads": 1}),
+    (["figure", "--config", "fig.json", "--snr-step", "1"], 0,
+     "f2/manifest.json",
+     {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "f2", "seed": 0,
+      "sigma": 0.5, "snr_max": 2.0, "snr_min": -2.0, "snr_step": 1.0,
+      "threads": 2}),
+    (["verify", "--suite", "logconcavity", "--out", "lc.jsonl"], 0,
+     "lc.jsonl.manifest.json",
+     {"out": "lc.jsonl", "seed": 0, "suite": "logconcavity", "threads": 1,
+      "trials": 100000}),
+    (["verify", "--config", "ver.conf", "--threads", "2"], 1, "vm.json",
+     {"out": None, "seed": 4, "suite": "negative-control", "threads": 2,
+      "trials": 50}),
+    (["simulate", "--p", "6", "--k", "2", "--n-grid", "2,4", "--trials",
+      "10", "--out", "s.csv"], 0, "s.csv.manifest.json",
+     {"alpha_star": 0.5, "c_beta": 1.0, "decoder": "auto", "k": 2,
+      "mc_samples": 256, "model": "flat", "n_grid": [2, 4], "out": "s.csv",
+      "p": 6, "seed": 0, "sigma": 1.0, "threads": 1, "trials": 10}),
+    (["simulate", "--config", "sim.json", "--seed", "3"], 0,
+     "s2.csv.manifest.json",
+     {"alpha_star": 0.5, "c_beta": 1.0, "decoder": "auto", "k": 2,
+      "mc_samples": 16, "model": "gaussian", "n_grid": [2, 4],
+      "out": "s2.csv", "p": 6, "seed": 3, "sigma": 1.0, "threads": 1,
+      "trials": 10}),
+]
+
+
+def test_manifest_params_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PHASELIM_SEED", raising=False)
+    for name, text in _CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    for argv, code, manifest, params in _PINNED_PARAMS:
+        assert main(argv) == code, argv
+        doc = json.loads((tmp_path / manifest).read_text())
+        assert doc["params"] == params, argv
+        assert doc["master_seed"] == params["seed"], argv
+    capsys.readouterr()
+
+
+# Fuzz argv: every numeric flag takes an ordinary value, then up to two
+# flags take an edge value (zero, negative, non-finite or extreme).
+# Ordinary grid steps stay at or above 1e-3, so every accepted run is cheap.
+_EDGES = ["0", "-1", "-10", "nan", "inf", "-inf", "1e-300", "1e300"]
+
+
+def _flags(ordinary):
+    edits = st.lists(st.tuples(st.sampled_from(sorted(ordinary)),
+                               st.sampled_from(_EDGES)), max_size=2)
+    base = st.fixed_dictionaries({name: st.sampled_from(values)
+                                  for name, values in ordinary.items()})
+    return st.tuples(base, edits).map(
+        lambda t: [f"--{name.replace('_', '-')}={value}"
+                   for name, value in {**t[0], **dict(t[1])}.items()])
+
+
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: {name}")
+
+
+def _fuzz_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(["gaussian", "flat"]),
+       mode=st.sampled_from(["floor", "asymptotic"]),
+       flags=_flags({"p": ["100", "1000"], "k": ["4", "10"],
+                     "c_beta": ["0.3", "2", "40"], "sigma": ["0.3", "2"],
+                     "alpha_star": ["0.1", "0.5"],
+                     "grid_step": ["0.01", "0.001"]}))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzz_thresholds_argv(model, mode, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout = _fuzz_run(
+            ["thresholds", f"--model={model}", f"--mode={mode}", "--json",
+             f"--manifest={os.path.join(tmp, 'm.json')}"] + flags)
+    if code == 0:
+        rec = json.loads(stdout, parse_constant=_reject_constant)
+        assert 0.0 <= rec["n_con"] <= rec["n_ach"]
+    else:
+        assert stdout == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=_flags({"snr_min": ["-10", "0"], "snr_max": ["10", "40"],
+                     "snr_step": ["2", "5"], "sigma": ["0.3", "2"],
+                     "alpha_star": ["0.1", "0.5"],
+                     "grid_step": ["0.01", "0.001"]}))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzz_figure_argv(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "figs")
+        code, _ = _fuzz_run(["figure", f"--out-dir={out_dir}"] + flags)
+        # a refused run leaves nothing behind
+        assert os.path.isdir(out_dir) == (code == 0), flags

@@ -32,8 +32,9 @@ def test_gaussian_noise_against_norm():
         0.5 * math.log(2 * math.pi * math.e * 0.49), abs=1e-14)
     assert noise.exp_2h() == pytest.approx(2 * math.pi * math.e * 0.49)
     assert noise.peak() == pytest.approx(1.0 / (0.7 * math.sqrt(2 * math.pi)))
-    with pytest.raises(ValueError):
-        GaussianNoise(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GaussianNoise(bad)
 
 
 def test_gaussian_noise_sampling_moments():

@@ -221,7 +221,8 @@ def test_threshold_query_validation():
     # floor mode with floor(alpha* k) = 0 cannot express the error event
     with pytest.raises(ValueError):
         ThresholdQuery(p=10, k=4, signal=sig, alpha_star=0.1, mode="floor")
-    for step in (0.0, -0.01, math.nan, math.inf):
+    # 1e-10 would ask for a 5e9-entry alpha grid (more than 1e7)
+    for step in (0.0, -0.01, math.nan, math.inf, 1e-10):
         with pytest.raises(ValueError):
             ThresholdQuery(p=10, k=4, signal=sig, alpha_star=0.5,
                            grid_step=step)
@@ -263,6 +264,23 @@ def test_threshold_infeasible_zero_mass():
     q = ThresholdQuery(p=50, k=4, signal=sig, alpha_star=0.5, mode="floor")
     with pytest.raises(ThresholdInfeasibleError):
         measurement_thresholds(q)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+def test_threshold_underflow_is_numeric_failure():
+    # the missed power is positive but its square leaves the float range:
+    # at 1e-155 the lower rate is subnormal and the count overflows, at
+    # 1e-170 and below the rate underflows to 0
+    for signal in (GaussianIID(c_beta=1e-155, k=10),
+                   GaussianIID(c_beta=1e-170, k=10),
+                   DiscreteFlat(c_beta=1e-170, k=10),
+                   DiscreteGeneral(values=(1e-160, 1e-160, 1.0, 1.0))):
+        q = ThresholdQuery(p=1000, k=signal.k, signal=signal,
+                           alpha_star=0.5, mode="asymptotic")
+        with pytest.raises(FloatingPointError):
+            measurement_thresholds(q)
+    with pytest.raises(FloatingPointError):
+        figure_curves(snr_db_values=[-3100.0])
 
 
 def test_threshold_monotone_in_snr():
@@ -341,7 +359,9 @@ def test_figure_curves_shape():
 
 def test_figure_curves_reject_bad_input():
     for kwargs in ({"grid_step": 0.0}, {"grid_step": math.nan},
-                   {"alpha_star": 1.0}, {"kinds": ("flat", "bogus")}):
+                   {"alpha_star": 1.0}, {"kinds": ("flat", "bogus")},
+                   {"snr_db_values": []}, {"snr_db_values": [0.0, math.nan]},
+                   {"snr_db_values": [math.inf]}):
         with pytest.raises(ValueError):
             figure_curves(**kwargs)
 

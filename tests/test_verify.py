@@ -144,6 +144,9 @@ def test_run_suite_counts():
     assert len(neg) == 1 and neg[0].verdict == "fail"
     with pytest.raises(ValueError):
         run_suite("bogus")
+    # used to return NaN and infinite reports
+    with pytest.raises(ValueError):
+        run_suite("sandwich", trials=0)
 
 
 def test_run_suite_all_excludes_negative_control():
