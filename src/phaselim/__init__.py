@@ -20,10 +20,8 @@ from .densities import (ConcentrationConstants, ConditionalOutputLaw,
                         noncentral_chi2_scaled_logpdf)
 from .limits import (ThresholdInfeasibleError, ThresholdQuery,
                      ThresholdResult, c_beta_from_snr_db, figure_curves,
-                     flat_mi_lower, flat_mi_upper, gaussian_mi_lower,
-                     gaussian_mi_upper, measurement_thresholds,
-                     mi_pair_lower, mi_pair_upper, snr_db, sorted_mi_lower,
-                     sorted_mi_upper, tail_power_fraction, write_figure_csv)
+                     measurement_thresholds, mi_pair_lower, mi_pair_upper,
+                     snr_db, tail_power_fraction, write_figure_csv)
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
                     PartitionPowers, ProblemInstance, SortedSignal,
                     SupportSet, floor_count, observe, partition_power_arrays,
@@ -55,8 +53,6 @@ __all__ = [
     # limits
     "ThresholdQuery", "ThresholdResult", "ThresholdInfeasibleError",
     "tail_power_fraction", "mi_pair_lower", "mi_pair_upper",
-    "sorted_mi_lower", "sorted_mi_upper", "gaussian_mi_lower",
-    "gaussian_mi_upper", "flat_mi_lower", "flat_mi_upper",
     "measurement_thresholds", "snr_db", "c_beta_from_snr_db",
     "figure_curves", "write_figure_csv",
     # verify

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from .densities import GaussianNoise
-from .limits import (ThresholdQuery, figure_curves, measurement_thresholds,
-                     write_figure_csv)
+from .limits import (MAX_SNR_GRID, ThresholdQuery, figure_curves,
+                     measurement_thresholds, write_figure_csv)
 from .model import DiscreteFlat, GaussianIID
 from .simulate import SimConfig, error_curve
 from .verify import SUITE_NAMES, run_suite
@@ -205,7 +205,11 @@ def _run_figure(params: dict):
     step = params["snr_step"]
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("snr_step must be finite and positive")
-    grid = np.arange(params["snr_min"], params["snr_max"] + step / 2.0, step)
+    lo, hi = params["snr_min"], params["snr_max"]
+    if (hi - lo) / step + 1.0 > MAX_SNR_GRID:
+        raise ValueError(f"SNR grid {lo!r}:{hi!r}:{step!r} has more than "
+                         f"{MAX_SNR_GRID} points")
+    grid = np.arange(lo, hi + step / 2.0, step)
     curves = figure_curves(alpha_star=params["alpha_star"],
                            snr_db_values=grid, kinds=("flat", "gaussian"),
                            sigma=params["sigma"],

@@ -24,6 +24,7 @@ exponent a float64 exponential survives) with the clamp count reported.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,17 +140,12 @@ def exp_modified_gaussian_logpdf(y, fresh_power, sigma):
             + log_ndtr((y - sigma**2 / v) / sigma))
 
 
-# Gauss-Legendre nodes are cached per order; orders stay single-digit counts.
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 _QUAD_ELEMENT_BUDGET = 4_000_000  # grid elements per quadrature call
 
 
+@functools.cache   # per order; orders stay single-digit counts
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _conv_logpdf_quadrature(y, known_sq, fresh_power, noise: NoiseModel, nodes: int):

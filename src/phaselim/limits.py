@@ -15,7 +15,7 @@ Everything here is leading-order in ``k -> infinity`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,12 +27,6 @@ __all__ = [
     "tail_power_fraction",
     "mi_pair_lower",
     "mi_pair_upper",
-    "sorted_mi_lower",
-    "sorted_mi_upper",
-    "gaussian_mi_lower",
-    "gaussian_mi_upper",
-    "flat_mi_lower",
-    "flat_mi_upper",
     "ThresholdQuery",
     "ThresholdResult",
     "ThresholdInfeasibleError",
@@ -41,6 +35,7 @@ __all__ = [
     "c_beta_from_snr_db",
     "figure_curves",
     "write_figure_csv",
+    "MAX_SNR_GRID",
 ]
 
 REGIME_NOTE = ("asymptotic regime: thresholds are leading-order as k and "
@@ -63,6 +58,10 @@ _SCALED_RATIO = 1e100
 # Most alpha grid entries a threshold search may use. Several float arrays
 # of the grid's length are live at once, so this bounds the search memory.
 _MAX_ALPHA_GRID = 1e7
+
+# Most SNR points figure_curves takes; each costs one threshold search per
+# curve kind (about 1 ms), so this bounds a figure at tens of seconds.
+MAX_SNR_GRID = 10000
 
 
 class ThresholdInfeasibleError(ValueError):
@@ -150,41 +149,6 @@ def mi_pair_upper(miss_power, keep_power, noise: NoiseModel):
     return float(out) if out.ndim == 0 else out
 
 
-def sorted_mi_lower(alpha, signal: SortedSignal, noise: NoiseModel,
-                    mode: str = "floor"):
-    miss, _ = partition_power_arrays(signal, alpha, mode=mode)
-    return mi_pair_lower(miss, noise)
-
-
-def sorted_mi_upper(alpha, signal: SortedSignal, noise: NoiseModel,
-                    mode: str = "floor"):
-    miss, keep = partition_power_arrays(signal, alpha, mode=mode)
-    return mi_pair_upper(miss, keep, noise)
-
-
-def gaussian_mi_lower(alpha, c_beta: float, noise: NoiseModel):
-    """Limiting lower form for i.i.d. Gaussian coefficients of total power
-    ``c_beta`` at miss fraction ``alpha``."""
-    g = tail_power_fraction(alpha)
-    return mi_pair_lower(c_beta * np.asarray(g), noise)
-
-
-def gaussian_mi_upper(alpha, c_beta: float, noise: NoiseModel):
-    g = np.asarray(tail_power_fraction(alpha))
-    return mi_pair_upper(c_beta * g, c_beta * (1.0 - g), noise)
-
-
-def flat_mi_lower(alpha, c_beta: float, noise: NoiseModel):
-    """Large-k limit of the flat-signal lower form (missed power alpha*c)."""
-    a = np.asarray(alpha, dtype=float)
-    return mi_pair_lower(a * c_beta, noise)
-
-
-def flat_mi_upper(alpha, c_beta: float, noise: NoiseModel):
-    a = np.asarray(alpha, dtype=float)
-    return mi_pair_upper(a * c_beta, (1.0 - a) * c_beta, noise)
-
-
 def _check_alpha_search(alpha_star: float, grid_step: float) -> None:
     """Reject a maximization range or grid step the alpha search cannot use."""
     if not 0.0 < alpha_star < 1.0:
@@ -229,39 +193,28 @@ class ThresholdResult:
     regime_note: str = REGIME_NOTE
 
     def to_dict(self) -> dict:
-        return {
-            "n_ach": self.n_ach,
-            "n_con": self.n_con,
-            "alpha_ach": self.alpha_ach,
-            "alpha_con": self.alpha_con,
-            "n_ach_norm": self.n_ach_norm,
-            "n_con_norm": self.n_con_norm,
-            "regime_note": self.regime_note,
-        }
+        return asdict(self)
 
 
-def _rate_pair(signal: SignalModel, noise: NoiseModel, mode: str):
-    """Vectorized missed power and (lower, upper) mutual-information forms
-    over alpha."""
+def _split_total(c: float, missed_fraction):
+    f = np.asarray(missed_fraction, dtype=float)
+    return c * f, c * (1.0 - f)
+
+
+def _power_split(signal: SignalModel, mode: str):
+    """Vectorized ``alpha -> (miss_power, keep_power)``: how a miss fraction
+    splits the signal power is all that differs between models."""
     if isinstance(signal, GaussianIID):
-        c = signal.c_beta
-        return (lambda a: c * tail_power_fraction(a),
-                lambda a: gaussian_mi_lower(a, c, noise),
-                lambda a: gaussian_mi_upper(a, c, noise))
+        return lambda a: _split_total(signal.c_beta, tail_power_fraction(a))
     if isinstance(signal, DiscreteFlat) and mode == "asymptotic":
-        c = signal.c_beta
-        return (lambda a: a * c,
-                lambda a: flat_mi_lower(a, c, noise),
-                lambda a: flat_mi_upper(a, c, noise))
+        return lambda a: _split_total(signal.c_beta, a)
     if isinstance(signal, DiscreteFlat):
         sorted_sig = SortedSignal.flat(signal.c_beta, signal.k)
     elif isinstance(signal, DiscreteGeneral):
         sorted_sig = SortedSignal(np.asarray(signal.values, dtype=complex))
     else:
         raise TypeError(f"unknown signal model {type(signal).__name__}")
-    return (lambda a: partition_power_arrays(sorted_sig, a, mode)[0],
-            lambda a: sorted_mi_lower(a, sorted_sig, noise, mode),
-            lambda a: sorted_mi_upper(a, sorted_sig, noise, mode))
+    return lambda a: partition_power_arrays(sorted_sig, a, mode)
 
 
 def _maximize_on_grid(objective, grid: np.ndarray):
@@ -281,26 +234,25 @@ def _check_finite(*counts: float) -> None:
         raise FloatingPointError("measurement count is not a finite float")
 
 
-def _normalized_thresholds(miss_fn, lower_fn, upper_fn, alpha_star: float,
+def _normalized_thresholds(split, noise: NoiseModel, alpha_star: float,
                            grid_step: float):
     grid = np.arange(alpha_star, 1.0, grid_step)
     # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
     grid = np.append(grid[grid < 1.0], 1.0)
 
-    lo_vals = np.atleast_1d(np.asarray(lower_fn(grid), dtype=float))
-    if np.any(lo_vals == 0.0):
+    if np.any(mi_pair_lower(split(grid)[0], noise) == 0.0):
         # the missed power grows with alpha, so it is least at alpha_star
-        if miss_fn(alpha_star) == 0.0:
+        if split(alpha_star)[0] == 0.0:
             raise ThresholdInfeasibleError(
                 "missable power vanishes on the optimization range")
         raise FloatingPointError(
             "lower rate underflows to 0 at positive missed power")
 
     def ach(a):
-        return np.asarray(a) / np.atleast_1d(np.asarray(lower_fn(a)))
+        return np.asarray(a) / mi_pair_lower(split(a)[0], noise)
 
     def con(a):
-        return (np.asarray(a) - alpha_star) / np.atleast_1d(np.asarray(upper_fn(a)))
+        return (np.asarray(a) - alpha_star) / mi_pair_upper(*split(a), noise)
 
     a_ach, v_ach = _maximize_on_grid(ach, grid)
     a_con, v_con = _maximize_on_grid(con, grid)
@@ -327,7 +279,7 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     5% of the limit only above ``c_beta / sigma ~ 8.4e12``).
     """
     v_ach, v_con, a_ach, a_con = _normalized_thresholds(
-        *_rate_pair(query.signal, query.noise, query.mode),
+        _power_split(query.signal, query.mode), query.noise,
         query.alpha_star, query.grid_step)
     budget = query.k * math.log(query.p / query.k)
     n_ach, n_con = v_ach * budget, v_con * budget
@@ -375,6 +327,8 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
     if snr_db_values.size == 0 or not np.all(np.isfinite(snr_db_values)):
         raise ValueError("snr_db_values must be a non-empty set of finite "
                          "values")
+    if snr_db_values.size > MAX_SNR_GRID:
+        raise ValueError(f"more than {MAX_SNR_GRID} SNR points")
     _check_alpha_search(alpha_star, grid_step)
     noise = GaussianNoise(sigma)
     c_values = [c_beta_from_snr_db(float(db), sigma) for db in snr_db_values]
@@ -389,7 +343,7 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
         rows = np.empty((snr_db_values.size, 3))
         for i, (db, signal) in enumerate(zip(snr_db_values, models)):
             v_ach, v_con, _, _ = _normalized_thresholds(
-                *_rate_pair(signal, noise, "asymptotic"), alpha_star,
+                _power_split(signal, "asymptotic"), noise, alpha_star,
                 grid_step)
             rows[i] = (db, v_ach, v_con)
         out[kind] = rows

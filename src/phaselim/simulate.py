@@ -2,11 +2,12 @@
 
 Intended for sanity-checking the threshold story at sizes where exact
 maximum-likelihood decoding over all ``C(p, k)`` candidate supports is
-affordable (the config guard caps it at 1e4 candidates). Two decoders:
+affordable (the config guard caps it at 1e4 candidates). Both decoders
+score a candidate by its likelihood averaged over coefficient draws:
 
 ``flat-ml``
-    Exact ML when every support coefficient is the same known value: score
-    each candidate by the summed noise log density of the residuals.
+    Exact ML when every support coefficient is the same known value, the
+    one "draw".
 
 ``mc-marginal``
     For i.i.d. Gaussian coefficients, marginalize the likelihood over
@@ -18,12 +19,12 @@ zero-measurement limit exactly analyzable.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .densities import GaussianNoise, NoiseModel
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
@@ -43,22 +44,29 @@ __all__ = [
 ]
 
 MAX_CANDIDATES = 10000
-_CHUNK = 256
+# Most projections (candidates x rows x draws) one scoring chunk holds;
+# the chunk's other temporaries are of the same size.
+_CHUNK_ELEMENTS = 1 << 14
 
 
-def _candidate_array(p: int, k: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(p), k)), dtype=int)
+@functools.cache
+def _candidates(p: int, k: int) -> np.ndarray:
+    """All size-``k`` supports of ``{0..p-1}``, lexicographic, read-only."""
+    cands = np.array(list(itertools.combinations(range(p), k)), dtype=np.intp)
+    cands.flags.writeable = False
+    return cands
 
 
-def _flat_value(signal: SignalModel):
-    """Common coefficient magnitude squared, or None if not flat-like."""
+def _flat_value(signal: SignalModel) -> float:
+    """Common coefficient magnitude squared of a flat-like signal."""
     if isinstance(signal, DiscreteFlat):
         return signal.c_beta / signal.k
-    if isinstance(signal, DiscreteGeneral):
-        vals = set(signal.values)
-        if len(vals) == 1:
-            return abs(next(iter(vals))) ** 2
-    return None
+    if not isinstance(signal, DiscreteGeneral):
+        raise ValueError("flat-ml requires a flat signal model")
+    if len(set(signal.values)) > 1:
+        raise ValueError("flat-ml needs a single coefficient value; "
+                         "multi-valued assignment search is unsupported")
+    return abs(signal.values[0]) ** 2
 
 
 def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
@@ -66,48 +74,57 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
            mc_samples: int = 256,
            rng: np.random.Generator | None = None) -> SupportSet:
     """Pick the highest-scoring size-``k`` support for observations ``y``."""
-    x = np.asarray(x)
-    y = np.asarray(y, dtype=float)
-    p = x.shape[1]
-    k = signal.k
-    cands = _candidate_array(p, k)
-    if cands.shape[0] > MAX_CANDIDATES:
-        raise ValueError(f"C(p,k) = {cands.shape[0]} exceeds {MAX_CANDIDATES}")
+    x, y = np.asarray(x), np.asarray(y, dtype=float)
+    p, k = x.shape[1], signal.k
+    count = math.comb(p, k)
+    if count > MAX_CANDIDATES:
+        raise ValueError(f"C(p,k) = {count} exceeds {MAX_CANDIDATES}")
 
     if decoder == "flat-ml":
-        mag_sq = _flat_value(signal)
-        if mag_sq is None:
-            if isinstance(signal, DiscreteGeneral):
-                raise ValueError("flat-ml needs a single coefficient value; "
-                                 "multi-valued assignment search is unsupported")
-            raise ValueError("flat-ml requires a flat signal model")
-        scores = np.empty(cands.shape[0])
-        for lo in range(0, cands.shape[0], _CHUNK):
-            idx = cands[lo:lo + _CHUNK]
-            sums = x[:, idx].sum(axis=2)               # (n, chunk)
-            means = mag_sq * np.abs(sums) ** 2
-            scores[lo:lo + idx.shape[0]] = noise.logpdf(
-                y[:, None] - means).sum(axis=0)
+        scale = _flat_value(signal)
+        draws = np.ones((1, k))
     elif decoder == "mc-marginal":
         if not isinstance(signal, GaussianIID):
             raise ValueError("mc-marginal requires the Gaussian iid model")
         if rng is None:
             raise ValueError("mc-marginal needs an rng for its draws")
+        if mc_samples < 1:
+            raise ValueError("mc_samples must be at least 1")
         draws = sample_circular_gaussian(rng, (mc_samples, k),
                                          power=signal.sigma_beta_sq)
-        scores = np.empty(cands.shape[0])
-        chunk = max(1, _CHUNK // max(mc_samples // 64, 1))
-        for lo in range(0, cands.shape[0], chunk):
-            idx = cands[lo:lo + chunk]
-            proj = np.einsum("icj,mj->icm", np.conjugate(x[:, idx]), draws)
-            loglik = noise.logpdf(y[:, None, None] - np.abs(proj) ** 2)
-            scores[lo:lo + idx.shape[0]] = (
-                logsumexp(loglik.sum(axis=0), axis=1) - math.log(mc_samples))
+        scale = 1.0
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
 
-    best = int(np.argmax(scores))  # first max: lexicographic tie-break
-    return SupportSet(indices=tuple(int(i) for i in cands[best]), universe=p)
+    # first max: lexicographic tie-break
+    best = int(np.argmax(_candidate_scores(x, y, noise, draws, scale)))
+    return SupportSet(indices=tuple(int(i) for i in _candidates(p, k)[best]),
+                      universe=p)
+
+
+def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: NoiseModel,
+                      draws: np.ndarray, scale: float) -> np.ndarray:
+    """Per candidate, in lexicographic order: the log of the likelihood of
+    ``y`` averaged over the rows of ``draws``, with mean intensities
+    ``scale * |conj(x_S) @ draw|^2``. The projection is summed column by
+    column, not by a BLAS matmul whose rounding depends on the matrix
+    shape, so a score does not depend on the chunk it is computed in."""
+    n, p = x.shape
+    m, k = draws.shape
+    cands = _candidates(p, k)
+    xt = np.ascontiguousarray(np.conjugate(x).T)   # row j: conj of column j
+    step = max(1, _CHUNK_ELEMENTS // (max(n, 1) * m))
+    scores = np.empty(cands.shape[0])
+    for lo in range(0, cands.shape[0], step):
+        idx = cands[lo:lo + step]
+        proj = sum(xt[idx[:, j], :, None] * draws[:, j] for j in range(k))
+        loglik = noise.logpdf(y[:, None]
+                              - scale * np.abs(proj) ** 2).sum(axis=1)
+        top = loglik.max(axis=1, keepdims=True)
+        top[np.isneginf(top)] = 0.0   # no possible draw: -inf, not NaN
+        scores[lo:lo + len(idx)] = (
+            top[:, 0] + np.log(np.exp(loglik - top).mean(axis=1)))
+    return scores
 
 
 def error_event(true_support: SupportSet, decoded: SupportSet,
@@ -140,6 +157,8 @@ class SimConfig:
             raise ValueError("need 1 <= k <= p")
         if math.comb(self.p, self.k) > MAX_CANDIDATES:
             raise ValueError(f"C(p,k) exceeds {MAX_CANDIDATES}")
+        if not 0.0 < self.alpha_star <= 1.0:
+            raise ValueError("alpha_star must lie in (0, 1]")
         if floor_count(self.alpha_star, self.k) < 1:
             raise ValueError("need floor(alpha_star * k) >= 1")
         if self.trials < 1:
@@ -148,6 +167,8 @@ class SimConfig:
             raise ValueError("measurement counts must be nonnegative")
         if self.decoder not in ("flat-ml", "mc-marginal"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        if self.mc_samples < 1:
+            raise ValueError("mc_samples must be at least 1")
         if getattr(self.signal, "k") != self.k:
             raise ValueError("signal model k must match config k")
 

@@ -56,6 +56,19 @@ DEFAULT_LOGCONCAVITY_BATTERY = (
     (6.0, 1.0, 1.0),
 )
 
+# A report writes a non-finite float as a string of its JSON spelling,
+# which float() reads back, so the report stays strict JSON.
+_NON_FINITE = ("Infinity", "-Infinity", "NaN")
+
+
+def _encode(value):
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    return value
+
+
 SUITE_NAMES = ("sandwich", "concentration", "gconv", "logconcavity", "all",
                "negative-control")
 
@@ -90,6 +103,8 @@ class VerificationReport:
                            bool(self.params.get("forced_inconclusive", False)))
 
     def to_json_line(self) -> str:
+        """Strict JSON: a non-finite float is written as the string
+        ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``."""
         rec = {
             "check": self.check,
             "params": self.params,
@@ -100,7 +115,15 @@ class VerificationReport:
             "trials": self.trials,
             "verdict": self.verdict,
         }
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        return json.dumps(_encode(rec), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+
+    @classmethod
+    def from_json_line(cls, line: str) -> "VerificationReport":
+        """Read back a :meth:`to_json_line` record."""
+        return cls(**json.loads(line, object_hook=lambda rec: {
+            key: float(v) if v in _NON_FINITE else v
+            for key, v in rec.items()}))
 
 
 def _finalize(check: str, params: dict, estimate: float, se: float,

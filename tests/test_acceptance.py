@@ -14,9 +14,9 @@ from scipy.optimize import brentq
 
 from phaselim.cli import main as cli_main
 from phaselim.densities import GaussianNoise
-from phaselim.limits import (ThresholdQuery, figure_curves, flat_mi_lower,
-                             flat_mi_upper, measurement_thresholds,
-                             tail_power_fraction)
+from phaselim.limits import (ThresholdQuery, figure_curves,
+                             measurement_thresholds, mi_pair_lower,
+                             mi_pair_upper, tail_power_fraction)
 from phaselim.model import DiscreteFlat, GaussianIID
 from phaselim.simulate import SimConfig, error_curve, isotonic_residual
 from phaselim.verify import (concentration_check, logconcavity_check,
@@ -67,8 +67,8 @@ def test_criterion_02_rate_transcription():
         c = float(rng.uniform(0.05, 10.0))
         s = float(rng.uniform(0.2, 3.0))
         noise = GaussianNoise(s)
-        lo = float(flat_mi_lower(a, c, noise))
-        hi = float(flat_mi_upper(a, c, noise))
+        lo = float(mi_pair_lower(a * c, noise))
+        hi = float(mi_pair_upper(a * c, (1 - a) * c, noise))
         worst = max(worst, abs(lo - lower_alt(a, c, s)),
                     abs(hi - upper_alt(a, c, s)))
         ordered &= lo <= hi

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselim.cli import main
+from phaselim.verify import VerificationReport
 
 
 def _sha(path):
@@ -68,6 +69,17 @@ def test_bad_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
         ["verify", "--suite", "sandwich", "--trials", "0"],
         # a 9e9-entry alpha grid: refused before any array is built
         flat + ["--grid-step", "1e-10"],
+        # alpha_star past 1 wrote pe = 0 at every n (threshold above k)
+        ["simulate", "--model", "flat", "--p", "8", "--k", "2",
+         "--alpha-star", "5"],
+        ["simulate", "--model", "flat", "--p", "8", "--k", "2",
+         "--alpha-star", "nan"],
+        ["simulate", "--model", "gaussian", "--p", "8", "--k", "2",
+         "--mc-samples", "0"],
+        # a 4e6-point SNR grid: refused before it is built
+        ["figure", "--snr-min=0", "--snr-max=40", "--snr-step=1e-5",
+         "--out-dir", "figs"],
+        ["figure", "--snr-max=inf", "--out-dir", "figs"],
     ]
     for argv in cases:
         code, stdout, err = _run(argv, capsys)
@@ -202,6 +214,25 @@ def test_verify_underpowered_warns_but_passes(tmp_path, capsys, monkeypatch):
                         capsys)
     assert code == 0
     assert "inconclusive" in err
+
+
+def test_verify_one_trial_report_is_strict_json(tmp_path, capsys,
+                                               monkeypatch):
+    # one trial leaves the standard error infinite; the report spells it
+    # as a string and every verdict re-derives from the parsed record
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(["verify", "--suite", "sandwich", "--trials", "1",
+                            "--out", "r.jsonl"], capsys)
+    assert code == 0
+    lines = (tmp_path / "r.jsonl").read_text().splitlines()
+    assert lines == stdout.splitlines() and len(lines) == 12
+    for line in lines:
+        rec = json.loads(line, parse_constant=_reject_constant)
+        assert rec["se"] == "Infinity"
+        rep = VerificationReport.from_json_line(line)
+        assert rep.se == float("inf")
+        assert rep.recompute_verdict() == rec["verdict"] == "inconclusive"
+        assert rep.to_json_line() == line
 
 
 def test_simulate_guard_exit_two(tmp_path, capsys, monkeypatch):
@@ -489,3 +520,48 @@ def test_fuzz_figure_argv(flags):
         code, _ = _fuzz_run(["figure", f"--out-dir={out_dir}"] + flags)
         # a refused run leaves nothing behind
         assert os.path.isdir(out_dir) == (code == 0), flags
+
+
+def _strict_lines(path):
+    return [json.loads(line, parse_constant=_reject_constant)
+            for line in open(path, encoding="utf-8").read().splitlines()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["gaussian", "flat"]),
+       decoder=st.sampled_from(["auto", "flat-ml", "mc-marginal"]),
+       flags=_flags({"p": ["4", "8"], "k": ["1", "2"],
+                     "c_beta": ["0.5", "4"], "sigma": ["0.1", "1"],
+                     "alpha_star": ["0.5", "1"], "trials": ["1", "5"],
+                     "mc_samples": ["1", "16"], "n_grid": ["0,3", "4"]}))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzz_simulate_argv(model, decoder, flags):
+    # integer flags refuse the float edges, so every run stays at p <= 8,
+    # trials <= 5 and mc_samples <= 16
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "c.csv")
+        argv = ["simulate", f"--model={model}", f"--decoder={decoder}",
+                f"--out={out}"] + flags
+        code, _ = _fuzz_run(argv)
+        assert os.path.exists(out) == (code == 0), argv
+        if code == 0:
+            with open(out + ".manifest.json", encoding="utf-8") as fh:
+                json.load(fh, parse_constant=_reject_constant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(suite=st.sampled_from(["sandwich", "concentration", "gconv",
+                              "logconcavity", "negative-control"]),
+       trials=st.sampled_from(["1", "2", "3", "10", "50", "0", "-1", "nan"]),
+       seed=st.integers(0, 3))
+def test_fuzz_verify_argv(suite, trials, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "r.jsonl")
+        code, _ = _fuzz_run(["verify", f"--suite={suite}",
+                             f"--trials={trials}", f"--seed={seed}",
+                             "--threads=1", f"--out={out}"])
+        assert os.path.exists(out) == (code != 2), (suite, trials)
+        if os.path.exists(out):
+            for rec in _strict_lines(out):
+                rep = VerificationReport.from_json_line(json.dumps(rec))
+                assert rep.recompute_verdict() == rec["verdict"]

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from phaselim.densities import GaussianNoise
-from phaselim.limits import (ThresholdInfeasibleError, ThresholdQuery,
-                             c_beta_from_snr_db, figure_curves,
-                             flat_mi_lower, flat_mi_upper, gaussian_mi_lower,
-                             gaussian_mi_upper, measurement_thresholds,
+from phaselim.limits import (MAX_SNR_GRID, ThresholdInfeasibleError,
+                             ThresholdQuery, c_beta_from_snr_db,
+                             figure_curves, measurement_thresholds,
                              mi_pair_lower, mi_pair_upper, snr_db,
-                             sorted_mi_lower, sorted_mi_upper,
                              tail_power_fraction, write_figure_csv)
+from phaselim.limits import _power_split
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
                             SortedSignal, floor_count, partition_power_arrays,
                             partition_powers)
@@ -120,28 +119,38 @@ def test_pair_rates_pinned_values():
         1.0723649429247, abs=1e-12)
 
 
-def test_model_wrappers_consistency():
-    noise = GaussianNoise(0.8)
+def test_power_split_per_model():
+    # the one per-model step of the threshold search: how alpha splits the
+    # power, bit for bit as each model defines it
+    alphas = np.array([0.0, 1e-4, 0.2, 0.5, 0.9, 1.0])
     c = 1.7
-    for a in (0.2, 0.5, 0.9):
-        g = float(tail_power_fraction(a))
-        assert float(gaussian_mi_lower(a, c, noise)) == pytest.approx(
-            float(mi_pair_lower(c * g, noise)), abs=1e-14)
-        assert float(gaussian_mi_upper(a, c, noise)) == pytest.approx(
-            float(mi_pair_upper(c * g, c * (1 - g), noise)), abs=1e-14)
-        assert float(flat_mi_lower(a, c, noise)) == pytest.approx(
-            float(mi_pair_lower(a * c, noise)), abs=1e-14)
-        assert float(flat_mi_upper(a, c, noise)) == pytest.approx(
-            float(mi_pair_upper(a * c, (1 - a) * c, noise)), abs=1e-14)
+    g = tail_power_fraction(alphas)
+    values = (0.3 + 1j, -0.2, 0.9j, 0.4)
+    cases = [
+        (GaussianIID(c_beta=c, k=10), "floor", (c * g, c * (1.0 - g))),
+        (DiscreteFlat(c_beta=c, k=10), "asymptotic",
+         (alphas * c, (1.0 - alphas) * c)),
+        (DiscreteFlat(c_beta=c, k=10), "floor", partition_power_arrays(
+            SortedSignal.flat(c, 10), alphas, "floor")),
+        (DiscreteGeneral(values=values), "asymptotic", partition_power_arrays(
+            SortedSignal(np.asarray(values)), alphas, "asymptotic")),
+    ]
+    for signal, mode, (miss, keep) in cases:
+        got_miss, got_keep = _power_split(signal, mode)(alphas)
+        assert np.array_equal(got_miss, miss), signal
+        assert np.array_equal(got_keep, keep), signal
+    with pytest.raises(TypeError):
+        _power_split(SortedSignal.flat(c, 10), "floor")
 
 
 def test_sorted_rates_flat_floor():
     noise = GaussianNoise(1.0)
     sig = SortedSignal.flat(1.0, 10)
     # floor(0.25 * 10) = 2 entries carry power 0.2
-    assert float(sorted_mi_lower(0.25, sig, noise, "floor")) == pytest.approx(
+    miss, keep = partition_power_arrays(sig, 0.25, "floor")
+    assert float(mi_pair_lower(miss, noise)) == pytest.approx(
         float(mi_pair_lower(0.2, noise)), abs=1e-14)
-    assert float(sorted_mi_upper(0.25, sig, noise, "floor")) == pytest.approx(
+    assert float(mi_pair_upper(miss, keep, noise)) == pytest.approx(
         float(mi_pair_upper(0.2, 0.8, noise)), abs=1e-14)
 
 
@@ -191,8 +200,8 @@ def test_sorted_rates_match_per_alpha_partition():
                                  (counts - 2e-9) / sig.k))
         for mode in ("floor", "asymptotic"):
             miss, keep = partition_power_arrays(sig, alphas, mode)
-            lo = sorted_mi_lower(alphas, sig, noise, mode)
-            hi = sorted_mi_upper(alphas, sig, noise, mode)
+            lo = mi_pair_lower(miss, noise)
+            hi = mi_pair_upper(miss, keep, noise)
             for j, a in enumerate(alphas):
                 ref = partition_powers(sig, float(a), mode)
                 assert miss[j] == ref.miss_power and keep[j] == ref.keep_power
@@ -200,10 +209,13 @@ def test_sorted_rates_match_per_alpha_partition():
                 assert hi[j] == mi_pair_upper(ref.miss_power, ref.keep_power,
                                               noise)
             for bad in (-0.1, 1.5, np.nan):
+                bad_alphas = np.append(alphas, bad)
                 with pytest.raises(ValueError):
-                    sorted_mi_lower(np.append(alphas, bad), sig, noise, mode)
+                    mi_pair_lower(partition_power_arrays(
+                        sig, bad_alphas, mode)[0], noise)
                 with pytest.raises(ValueError):
-                    sorted_mi_upper(np.append(alphas, bad), sig, noise, mode)
+                    mi_pair_upper(*partition_power_arrays(
+                        sig, bad_alphas, mode), noise)
 
 
 # ------------------------------------------------- threshold queries
@@ -361,7 +373,8 @@ def test_figure_curves_reject_bad_input():
     for kwargs in ({"grid_step": 0.0}, {"grid_step": math.nan},
                    {"alpha_star": 1.0}, {"kinds": ("flat", "bogus")},
                    {"snr_db_values": []}, {"snr_db_values": [0.0, math.nan]},
-                   {"snr_db_values": [math.inf]}):
+                   {"snr_db_values": [math.inf]},
+                   {"snr_db_values": np.zeros(MAX_SNR_GRID + 1)}):
         with pytest.raises(ValueError):
             figure_curves(**kwargs)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phaselim import simulate
 from phaselim.densities import GaussianNoise, exp_modified_gaussian_logpdf
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
                             SupportSet, observe, sample_signal_vector,
@@ -131,6 +132,90 @@ def test_mc_marginal_recovers_high_snr():
     assert hits >= 8
 
 
+def test_decode_candidate_guard_runs_first():
+    # the C(p,k) guard refuses before the candidate array is built, and the
+    # array it builds otherwise is shared and read-only
+    simulate._candidates.cache_clear()
+    signal = DiscreteFlat(c_beta=1.0, k=5)
+    with pytest.raises(ValueError):
+        decode(np.zeros((1, 30), dtype=complex), np.zeros(1), signal,
+               GaussianNoise(1.0), "flat-ml")
+    assert simulate._candidates.cache_info().currsize == 0
+    cands = simulate._candidates(6, 2)
+    assert simulate._candidates(6, 2) is cands
+    assert not cands.flags.writeable
+    assert [tuple(c) for c in cands] == [(i, j) for i in range(6)
+                                         for j in range(i + 1, 6)]
+
+
+# pe values recorded with the decoder that kept one scoring branch per
+# decoder; the single scorer must reproduce them exactly
+_PINNED_CURVES = [
+    (dict(p=10, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+          noise=GaussianNoise(0.5), alpha_star=0.5, n_grid=(2, 4, 8, 16),
+          trials=50, master_seed=3),
+     [0.84, 0.54, 0.24, 0.02]),
+    (dict(p=7, k=3, signal=DiscreteGeneral(values=(0.6 + 0.3j,) * 3),
+          noise=GaussianNoise(0.3), alpha_star=0.34, n_grid=(3, 6, 12),
+          trials=40, master_seed=4),
+     [0.35, 0.05, 0.0]),
+    (dict(p=6, k=2, signal=GaussianIID(c_beta=2.0, k=2),
+          noise=GaussianNoise(0.2), alpha_star=0.5, n_grid=(2, 5, 10),
+          trials=40, decoder="mc-marginal", mc_samples=16, master_seed=5),
+     [0.925, 0.8, 0.6]),
+]
+
+
+def test_error_curves_pinned():
+    for kwargs, pe in _PINNED_CURVES:
+        assert error_curve(SimConfig(**kwargs)).pe.tolist() == pe, kwargs
+
+
+def test_chunked_scores_match_one_chunk(monkeypatch):
+    # a budget of a few candidates per chunk, with a ragged last chunk,
+    # scores every candidate exactly as one chunk does
+    rng = substream(17, 0)
+    noise = GaussianNoise(0.4)
+    n, p = 9, 7
+    x = sample_circular_gaussian(rng, (n, p))
+    y = np.abs(rng.normal(size=n))
+    blocks = [(np.ones((1, 2)), 0.8), (np.ones((1, 3)), 0.3),
+              (sample_circular_gaussian(rng, (16, 2), power=0.5), 1.0)]
+    for draws, scale in blocks:
+        m, k = draws.shape
+        whole = simulate._candidate_scores(x, y, noise, draws, scale)
+        assert whole.shape == (math.comb(p, k),)
+        for per_chunk in (1, 4):
+            monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS",
+                                per_chunk * n * m)
+            chunked = simulate._candidate_scores(x, y, noise, draws, scale)
+            assert np.array_equal(chunked, whole)
+        monkeypatch.undo()
+    for decoder, signal, kw in (
+            ("flat-ml", DiscreteFlat(c_beta=1.0, k=2), {}),
+            ("mc-marginal", GaussianIID(c_beta=1.0, k=2), {"mc_samples": 32})):
+        one = decode(x, y, signal, noise, decoder, rng=substream(3, 1), **kw)
+        monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 1)
+        tiny = decode(x, y, signal, noise, decoder, rng=substream(3, 1), **kw)
+        monkeypatch.undo()
+        assert tiny == one
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decode_ranks_impossible_candidates_last():
+    # columns 0 and 1 are so large that any candidate using them has a mean
+    # intensity that overflows: its likelihood is 0 (score -inf), and it
+    # must lose to the one finite candidate (2, 3), not win as a NaN
+    x = np.array([[1e200, 1e200, 1.0, 1.0], [1e200, -1e200, 1.0, 1j]])
+    noise = GaussianNoise(1.0)
+    y = np.array([4.0, 2.0])
+    decoded = decode(x, y, DiscreteFlat(c_beta=2.0, k=2), noise, "flat-ml")
+    assert decoded.indices == (2, 3)
+    decoded = decode(x, y, GaussianIID(c_beta=2.0, k=2), noise,
+                     "mc-marginal", mc_samples=8, rng=substream(0, 0))
+    assert decoded.indices == (2, 3)
+
+
 def test_error_event_threshold():
     a = SupportSet(indices=(0, 1, 2, 3), universe=10)
     b = SupportSet(indices=(0, 1, 2, 4), universe=10)  # one miss
@@ -157,6 +242,16 @@ def test_sim_config_guards():
         SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2), decoder="nope")
     with pytest.raises(ValueError):
         SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2), n_grid=(5, -1))
+    # alpha_star past 1 made every trial a success (threshold above k)
+    for alpha_star in (5.0, 1.5, 0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2),
+                      alpha_star=alpha_star)
+    for mc_samples in (0, -1):
+        with pytest.raises(ValueError):
+            SimConfig(p=10, k=2, signal=GaussianIID(1.0, 2),
+                      decoder="mc-marginal", mc_samples=mc_samples)
+    SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2), alpha_star=1.0)
 
 
 def test_error_curve_zero_measurement_analytic():
