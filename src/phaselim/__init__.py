@@ -10,20 +10,17 @@ check suites), :mod:`phaselim.simulate` (tiny exhaustive-decoder
 simulator), :mod:`phaselim.cli` (command line front end).
 """
 
-from .densities import (ConcentrationConstants, ConditionalOutputLaw,
-                        GaussianNoise, NoiseModel, concentration_constant,
-                        concentration_moment, concentration_rate,
-                        concentration_tail_bound,
+from .densities import (ConcentrationConstants, GaussianNoise,
+                        concentration_constant, concentration_moment,
+                        concentration_rate, concentration_tail_bound,
                         conditional_output_logpdf,
                         exp_modified_gaussian_logpdf, golden_max,
-                        info_density, info_density_sum,
-                        noncentral_chi2_scaled_logpdf)
+                        info_density, noncentral_chi2_scaled_logpdf)
 from .limits import (ThresholdInfeasibleError, ThresholdQuery,
                      ThresholdResult, c_beta_from_snr_db, figure_curves,
                      measurement_thresholds, mi_pair_lower, mi_pair_upper,
                      snr_db, tail_power_fraction, write_figure_csv)
-from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                    PartitionPowers, ProblemInstance, SortedSignal,
+from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SortedSignal,
                     SupportSet, floor_count, observe, partition_power_arrays,
                     partition_powers, sample_signal_vector, sample_support)
 from .rng import parallel_map, sample_circular_gaussian, substream
@@ -40,14 +37,13 @@ __all__ = [
     "__version__",
     # model
     "SupportSet", "DiscreteFlat", "DiscreteGeneral", "GaussianIID",
-    "SortedSignal", "PartitionPowers", "ProblemInstance", "floor_count",
-    "partition_powers", "partition_power_arrays", "sample_support",
-    "sample_signal_vector", "observe",
+    "SortedSignal", "floor_count", "partition_powers",
+    "partition_power_arrays", "sample_support", "sample_signal_vector",
+    "observe",
     # densities
-    "NoiseModel", "GaussianNoise", "ConditionalOutputLaw",
-    "ConcentrationConstants", "noncentral_chi2_scaled_logpdf",
-    "exp_modified_gaussian_logpdf", "conditional_output_logpdf",
-    "info_density", "info_density_sum", "concentration_rate",
+    "GaussianNoise", "ConcentrationConstants",
+    "noncentral_chi2_scaled_logpdf", "exp_modified_gaussian_logpdf",
+    "conditional_output_logpdf", "info_density", "concentration_rate",
     "concentration_moment", "concentration_constant",
     "concentration_tail_bound", "golden_max",
     # limits

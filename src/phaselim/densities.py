@@ -10,8 +10,8 @@ of freedom; its density is evaluated in exponentially scaled Bessel form::
     f_U(u) = (1/v) * exp(-(sqrt(u) - sqrt(lam))^2 / v) * I0e(2 sqrt(u lam) / v)
 
 which never overflows. The density of ``Y`` is the convolution of ``f_U``
-with the noise density. For zero ``known_sq`` and Gaussian noise the
-convolution has the exponentially-modified-Gaussian closed form; otherwise
+with the Gaussian noise density. For zero ``known_sq`` the convolution has
+the exponentially-modified-Gaussian closed form; otherwise
 it is integrated with composite Gauss-Legendre quadrature in sqrt(u) space
 (the substitution removes the square-root cusp of the exponent at u = 0).
 Segment edges are the points where either factor leaves its bulk, and the
@@ -23,7 +23,6 @@ exponent a float64 exponential survives) with the clamp count reported.
 """
 from __future__ import annotations
 
-import abc
 import functools
 import math
 from dataclasses import dataclass
@@ -33,14 +32,11 @@ from scipy.special import i0e, log_ndtr, logsumexp
 
 __all__ = [
     "LOG_FLOOR",
-    "NoiseModel",
     "GaussianNoise",
     "noncentral_chi2_scaled_logpdf",
     "exp_modified_gaussian_logpdf",
-    "ConditionalOutputLaw",
     "conditional_output_logpdf",
     "info_density",
-    "info_density_sum",
     "concentration_rate",
     "output_law_peak",
     "log_moment_objective",
@@ -54,49 +50,27 @@ __all__ = [
 
 LOG_FLOOR = -745.0
 
-# Bulk half-widths, in factor-specific units: the noise strip is
-# tail_halfwidth() wide (8.5 sigma for Gaussian, mass < 1e-16 outside) and
-# the chi-square bulk spans 7 fluctuation scales in sqrt space
-# (exp(-49) relative outside).
+# Bulk half-widths: the noise strip spans 8.5 sigma on each side (mass
+# < 1e-16 outside) and the chi-square bulk 7 fluctuation scales in sqrt
+# space (exp(-49) relative outside).
+_NOISE_BULK = 8.5
 _SQRT_BULK = 7.0
 
-
-class NoiseModel(abc.ABC):
-    """Additive noise with a log-concave density (extension point)."""
-
-    @abc.abstractmethod
-    def logpdf(self, z): ...
-
-    @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, size): ...
-
-    @abc.abstractmethod
-    def entropy(self) -> float:
-        """Differential entropy in nats."""
-
-    @abc.abstractmethod
-    def peak(self) -> float:
-        """Sup of the density."""
-
-    @abc.abstractmethod
-    def tail_halfwidth(self) -> float:
-        """Half-width outside which the density mass is negligible (<1e-16)."""
-
-    def pdf(self, z):
-        return np.exp(self.logpdf(z))
-
-    def exp_2h(self) -> float:
-        """exp(2 * entropy); the entropy-power scale of the noise."""
-        return float(np.exp(2.0 * self.entropy()))
+# Noise scales whose square, and the entropy power 2 pi e sigma^2 of the
+# rate forms, stay normal floats with room to divide by.
+_SIGMA_MIN, _SIGMA_MAX = 1e-150, 1e150
 
 
 @dataclass(frozen=True)
-class GaussianNoise(NoiseModel):
+class GaussianNoise:
+    """Additive ``N(0, sigma^2)`` noise with ``sigma`` in [1e-150, 1e150]."""
+
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be finite and positive")
+        if not _SIGMA_MIN <= self.sigma <= _SIGMA_MAX:   # NaN fails too
+            raise ValueError(f"sigma must lie in [{_SIGMA_MIN:g}, "
+                             f"{_SIGMA_MAX:g}], got {self.sigma!r}")
 
     def logpdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -106,13 +80,16 @@ class GaussianNoise(NoiseModel):
         return rng.normal(0.0, self.sigma, size)
 
     def entropy(self) -> float:
+        """Differential entropy in nats."""
         return 0.5 * math.log(2.0 * math.pi * math.e * self.sigma**2)
 
     def peak(self) -> float:
+        """Sup of the density."""
         return 1.0 / math.sqrt(2.0 * math.pi * self.sigma**2)
 
-    def tail_halfwidth(self) -> float:
-        return 8.5 * self.sigma
+    def exp_2h(self) -> float:
+        """exp(2 * entropy); the entropy-power scale of the noise."""
+        return float(np.exp(2.0 * self.entropy()))
 
 
 def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
@@ -140,7 +117,12 @@ def exp_modified_gaussian_logpdf(y, fresh_power, sigma):
             + log_ndtr((y - sigma**2 / v) / sigma))
 
 
-_QUAD_ELEMENT_BUDGET = 4_000_000  # grid elements per quadrature call
+# Grid elements (samples x 4 segments x nodes) one quadrature chunk holds;
+# the chunk's other temporaries are of the same size, 512 kB each, so a
+# chunk runs in cache and its memory is reused by the next. Large chunks
+# (32 MB temporaries at 4e6 elements) spend about a fifth of the run in
+# page faults, a cost that varies from one process to the next.
+_QUAD_ELEMENT_BUDGET = 2**16
 
 
 @functools.cache   # per order; orders stay single-digit counts
@@ -148,11 +130,12 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _conv_logpdf_quadrature(y, known_sq, fresh_power, noise: NoiseModel, nodes: int):
-    y = np.asarray(y, dtype=float)
-    lam = np.broadcast_to(np.asarray(known_sq, dtype=float), y.shape)
+def _conv_logpdf_quadrature(y, lam, fresh_power, noise: GaussianNoise,
+                            nodes: int):
+    """Quadrature log densities at 1-d ``y`` with matched powers ``lam`` of
+    the same length."""
     v = float(fresh_power)
-    hw = noise.tail_halfwidth()
+    hw = _NOISE_BULK * noise.sigma
     sl = np.sqrt(lam)
     sv = math.sqrt(v)
     top = np.clip(y + hw, 0.0, None)
@@ -183,15 +166,15 @@ def _conv_logpdf_quadrature(y, known_sq, fresh_power, noise: NoiseModel, nodes: 
     return logsumexp(log_fu + log_fz + log_w, axis=(-1, -2))
 
 
-def conditional_output_logpdf(y, known_sq, fresh_power, noise: NoiseModel,
+def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise,
                               nodes: int = 80, force_quadrature: bool = False):
     """Log density of one observation given the matched projection power.
 
-    Dispatches to the exponentially-modified-Gaussian closed form when the
-    matched power is identically zero and the noise is Gaussian; otherwise
-    integrates the convolution numerically. Raises on non-finite ``y``.
-    May return values below ``LOG_FLOOR`` or ``-inf``; flooring is the
-    caller's choice (see :func:`info_density`).
+    Uses the exponentially-modified-Gaussian closed form when the matched
+    power is identically zero; otherwise integrates the convolution
+    numerically, at most ``_QUAD_ELEMENT_BUDGET`` grid elements at a time.
+    Raises on non-finite ``y``. May return values below ``LOG_FLOOR`` or
+    ``-inf``; flooring is the caller's choice (see :func:`info_density`).
     """
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr)):
@@ -203,48 +186,22 @@ def conditional_output_logpdf(y, known_sq, fresh_power, noise: NoiseModel,
         raise ValueError("fresh_power must be positive")
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
-    if (not force_quadrature and isinstance(noise, GaussianNoise)
-            and np.all(lam == 0.0)):
+    if not force_quadrature and np.all(lam == 0.0):
         out = exp_modified_gaussian_logpdf(y_arr, fresh_power, noise.sigma)
-    elif y_arr.ndim == 1 and y_arr.size * nodes > _QUAD_ELEMENT_BUDGET:
-        # chunk big 1-d batches: the quadrature grid is (size, 4, nodes)
-        # and would otherwise allocate multi-GB temporaries
-        lam_b = np.broadcast_to(lam, y_arr.shape)
-        step = max(1, _QUAD_ELEMENT_BUDGET // (4 * nodes))
-        out = np.empty_like(y_arr)
-        for lo in range(0, y_arr.size, step):
-            sl = slice(lo, lo + step)
-            out[sl] = _conv_logpdf_quadrature(y_arr[sl], lam_b[sl],
-                                              fresh_power, noise, nodes)
     else:
-        out = _conv_logpdf_quadrature(y_arr, lam, fresh_power, noise, nodes)
+        ys = y_arr.ravel()
+        lams = np.broadcast_to(lam, y_arr.shape).ravel()
+        step = max(1, _QUAD_ELEMENT_BUDGET // (4 * nodes))
+        out = np.empty_like(ys)
+        for lo in range(0, ys.size, step):
+            sl = slice(lo, lo + step)
+            out[sl] = _conv_logpdf_quadrature(ys[sl], lams[sl], fresh_power,
+                                              noise, nodes)
+        out = out.reshape(y_arr.shape)
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class ConditionalOutputLaw:
-    """Law of one observation given matched power ``known_sq`` and missed
-    power ``fresh_power`` (the convolution described in the module docs)."""
-
-    known_sq: float
-    fresh_power: float
-    noise: NoiseModel
-
-    def __post_init__(self):
-        if self.known_sq < 0 or not self.fresh_power > 0:
-            raise ValueError("need known_sq >= 0 and fresh_power > 0")
-
-    def logpdf(self, y, force_quadrature: bool = False):
-        return conditional_output_logpdf(
-            y, self.known_sq, self.fresh_power, self.noise,
-            force_quadrature=force_quadrature)
-
-    def pdf(self, y, force_quadrature: bool = False):
-        return np.exp(self.logpdf(y, force_quadrature=force_quadrature))
-
-
-def info_density(y, full_sq, known_sq, fresh_power, noise: NoiseModel,
-                 nodes: int = 80):
+def info_density(y, full_sq, known_sq, fresh_power, noise: GaussianNoise):
     """Per-observation information density samples.
 
     ``full_sq`` is the squared magnitude of the complete projection,
@@ -255,26 +212,12 @@ def info_density(y, full_sq, known_sq, fresh_power, noise: NoiseModel,
     y = np.asarray(y, dtype=float)
     num = noise.logpdf(y - np.asarray(full_sq, dtype=float))
     den = np.atleast_1d(np.asarray(conditional_output_logpdf(
-        y, known_sq, fresh_power, noise, nodes=nodes)))
+        y, known_sq, fresh_power, noise)))
     clamped = ~(den >= LOG_FLOOR)  # catches -inf and nan
     n_clamped = int(np.count_nonzero(clamped))
     den = np.where(clamped, LOG_FLOOR, den)
     vals = np.atleast_1d(num) - den
     return vals, n_clamped
-
-
-def info_density_sum(y, full_sq, known_sq, fresh_power, noise: NoiseModel,
-                     nodes: int = 80):
-    """Summed information density over a block of observations.
-
-    Empty blocks sum to zero. Returns ``(total, n_clamped)``.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        return 0.0, 0
-    vals, n_clamped = info_density(y, full_sq, known_sq, fresh_power, noise,
-                                   nodes=nodes)
-    return float(np.sum(vals)), n_clamped
 
 
 def concentration_rate(u):
@@ -310,16 +253,16 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200)
     return x, max(fc, fd)
 
 
-def output_law_peak(total_power: float, noise: NoiseModel):
+def output_law_peak(total_power: float, noise: GaussianNoise):
     """Sup of the zero-matched-power output density and its location.
 
     The density is log-concave (both convolution factors are), so a golden
     search over the hull of the two bulks finds the global mode.
     """
-    law = ConditionalOutputLaw(0.0, total_power, noise)
-    th = noise.tail_halfwidth()
-    ym, logm = golden_max(lambda t: float(law.logpdf(t)), -th, total_power + th,
-                          tol=1e-12)
+    th = _NOISE_BULK * noise.sigma
+    ym, logm = golden_max(
+        lambda t: conditional_output_logpdf(t, 0.0, total_power, noise),
+        -th, total_power + th, tol=1e-12)
     return float(np.exp(logm)), ym
 
 
@@ -336,8 +279,8 @@ def _power_integral_edges(t: float, total_power: float, noise_scale: float,
     return edges
 
 
-def log_moment_objective(t: float, total_power: float, noise: NoiseModel,
-                         nodes: int = 64, _peak_cache=None) -> float:
+def log_moment_objective(t: float, total_power: float, noise: GaussianNoise,
+                         _peak_cache=None) -> float:
     """Log of ``t * (M+1)^{-t} * integral f^t`` for the zero-matched-power
     output law ``f`` with sup ``M``. Log-concave in ``t``."""
     if not t > 0:
@@ -346,34 +289,31 @@ def log_moment_objective(t: float, total_power: float, noise: NoiseModel,
         M, ym = output_law_peak(total_power, noise)
     else:
         M, ym = _peak_cache
-    law = ConditionalOutputLaw(0.0, total_power, noise)
     lnM = math.log(M)
-    scale = noise.tail_halfwidth() / 8.5
-    edges = _power_integral_edges(t, total_power, scale, ym)
-    gx, gw = _gl_nodes(nodes)
+    edges = _power_integral_edges(t, total_power, noise.sigma, ym)
+    gx, gw = _gl_nodes(64)
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     ys = a[:, None] + half[:, None] * (gx + 1.0)
-    integrand = np.exp(t * (np.asarray(law.logpdf(ys.ravel())).reshape(ys.shape) - lnM))
-    val = float(np.sum(half[:, None] * gw * integrand))
+    log_f = conditional_output_logpdf(ys, 0.0, total_power, noise)
+    val = float(np.sum(half[:, None] * gw * np.exp(t * (log_f - lnM))))
     if val <= 0.0:
         return -np.inf
     return math.log(t) - t * math.log1p(M) + t * lnM + math.log(val)
 
 
-def concentration_moment(total_power: float, noise: NoiseModel,
-                         t_lo: float = 1e-3, t_hi: float = 1e3,
-                         nodes: int = 64) -> float:
-    """Sup over ``t in [t_lo, t_hi]`` of the moment objective (linear scale).
+def concentration_moment(total_power: float, noise: GaussianNoise) -> float:
+    """Sup over ``t in [1e-3, 1e3]`` of the moment objective (linear scale).
 
     Golden-section search on ``ln t``; valid because the objective is
     log-concave in ``t``, hence unimodal.
     """
     pk = output_law_peak(total_power, noise)
     obj = lambda lt: log_moment_objective(math.exp(lt), total_power, noise,
-                                          nodes=nodes, _peak_cache=pk)
-    _, best = golden_max(obj, math.log(t_lo), math.log(t_hi), tol=1e-10)
-    best = max(best, obj(math.log(t_lo)), obj(math.log(t_hi)))
+                                          _peak_cache=pk)
+    lo, hi = math.log(1e-3), math.log(1e3)
+    _, best = golden_max(obj, lo, hi, tol=1e-10)
+    best = max(best, obj(lo), obj(hi))
     return float(np.exp(best))
 
 
@@ -389,9 +329,9 @@ class ConcentrationConstants:
     noise_peak: float
 
 
-def concentration_constant(total_power: float, noise: NoiseModel,
-                           **moment_kwargs) -> ConcentrationConstants:
-    moment = concentration_moment(total_power, noise, **moment_kwargs)
+def concentration_constant(total_power: float,
+                           noise: GaussianNoise) -> ConcentrationConstants:
+    moment = concentration_moment(total_power, noise)
     peak = noise.peak()
     return ConcentrationConstants(
         moment=moment,

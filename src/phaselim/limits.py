@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .densities import GaussianNoise, NoiseModel, golden_max
+from .densities import GaussianNoise, golden_max
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
                     SortedSignal, floor_count, partition_power_arrays)
 
@@ -52,8 +52,11 @@ _TAIL_SERIES = tuple(1.0 / (n * (n - 1)) for n in range(8, 1, -1))
 # Missed power, in units of the noise scale sqrt(exp(2h)), past which the
 # rate forms are evaluated in log-scaled form: the plain forms square it,
 # and the square overflows near 1e154. Far below that cutoff, at every
-# power a query uses in practice, the plain forms run unchanged.
+# power a query uses in practice, the plain forms run unchanged. A missed
+# power past _SCALED_POWER is scaled at any noise scale (it only matters
+# for sigma above about 1e49).
 _SCALED_RATIO = 1e100
+_SCALED_POWER = 1e150
 
 # Most alpha grid entries a threshold search may use. Several float arrays
 # of the grid's length are live at once, so this bounds the search memory.
@@ -114,11 +117,12 @@ def _half_log1p_sq(coef: float, v: np.ndarray, e2h: float, big: np.ndarray):
 
 
 def _scaled(v: np.ndarray, e2h: float) -> np.ndarray:
-    """Entries whose missed power is past ``_SCALED_RATIO`` noise scales."""
-    return v > _SCALED_RATIO * math.sqrt(e2h)
+    """Entries whose missed power is past ``_SCALED_RATIO`` noise scales or
+    past ``_SCALED_POWER``."""
+    return v > min(_SCALED_RATIO * math.sqrt(e2h), _SCALED_POWER)
 
 
-def mi_pair_lower(miss_power, noise: NoiseModel):
+def mi_pair_lower(miss_power, noise: GaussianNoise):
     """Entropy-power lower form ``0.5 log(1 + 4 v^2 / exp(2h))``."""
     v = np.asarray(miss_power, dtype=float)
     e2h = noise.exp_2h()
@@ -126,7 +130,7 @@ def mi_pair_lower(miss_power, noise: NoiseModel):
     return float(out) if out.ndim == 0 else out
 
 
-def mi_pair_upper(miss_power, keep_power, noise: NoiseModel):
+def mi_pair_upper(miss_power, keep_power, noise: GaussianNoise):
     """Reverse-entropy-power upper form: max-entropy term, cross-power
     term, and the additive ``0.5 log(pi e / 2)`` gap."""
     v, w = np.broadcast_arrays(np.asarray(miss_power, dtype=float),
@@ -165,7 +169,7 @@ class ThresholdQuery:
     p: int
     k: int
     signal: SignalModel
-    noise: NoiseModel = field(default_factory=GaussianNoise)
+    noise: GaussianNoise = field(default_factory=GaussianNoise)
     alpha_star: float = 0.1
     mode: str = "floor"          # ignored for GaussianIID (always limiting)
     grid_step: float = 1e-3
@@ -234,7 +238,7 @@ def _check_finite(*counts: float) -> None:
         raise FloatingPointError("measurement count is not a finite float")
 
 
-def _normalized_thresholds(split, noise: NoiseModel, alpha_star: float,
+def _normalized_thresholds(split, noise: GaussianNoise, alpha_star: float,
                            grid_step: float):
     grid = np.arange(alpha_star, 1.0, grid_step)
     # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
@@ -305,8 +309,16 @@ def snr_db(signal: SignalModel, noise: GaussianNoise) -> float:
 
 
 def c_beta_from_snr_db(db: float, sigma: float = 1.0) -> float:
-    """Inverse of :func:`snr_db` for the flat and Gaussian models."""
-    return sigma * math.sqrt(10.0 ** (db / 10.0) / 2.0)
+    """Inverse of :func:`snr_db` for the flat and Gaussian models. Raises
+    ``ValueError`` when the power is not a finite positive float."""
+    try:
+        c = sigma * math.sqrt(10.0 ** (db / 10.0) / 2.0)
+    except OverflowError:
+        c = math.inf
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"SNR {db!r} dB gives no finite positive signal "
+                         "power")
+    return c
 
 
 _CURVE_MODELS = {"flat": DiscreteFlat, "gaussian": GaussianIID}

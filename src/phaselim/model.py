@@ -1,27 +1,23 @@
 """Measurement model: sparse coefficient vectors observed through squared
 magnitudes of random complex projections plus additive noise.
 
-A problem instance is built from four independent sub-draws of one master
-seed: the support (a uniform size-``k`` subset of ``{0..p-1}``), the
-coefficient vector on that support, the ``n x p`` sensing matrix with
-i.i.d. unit-power circular complex Gaussian entries, and the noise vector.
-Row ``i`` of the observation obeys::
+The support ``S`` is a size-``k`` subset of ``{0..p-1}``, ``b`` the
+coefficient vector on it, and the sensing rows ``x_i`` have i.i.d.
+unit-power circular complex Gaussian entries. Row ``i`` of the observation
+obeys::
 
     y[i] = |<x_i restricted to S, b>|^2 + z[i]
 
-with the inner product conjugating the first argument. Identical seeds give
-byte-identical instances; the sensing matrix is regenerable from the seed
-and is therefore never serialized.
+with the inner product conjugating the first argument.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import sample_circular_gaussian, substream
+from .rng import sample_circular_gaussian
 
 __all__ = [
     "SupportSet",
@@ -29,8 +25,6 @@ __all__ = [
     "DiscreteGeneral",
     "GaussianIID",
     "SortedSignal",
-    "PartitionPowers",
-    "ProblemInstance",
     "floor_count",
     "sample_support",
     "sample_signal_vector",
@@ -38,9 +32,6 @@ __all__ = [
     "partition_powers",
     "partition_power_arrays",
 ]
-
-# Sub-draw paths under one instance seed.
-_SUB_SUPPORT, _SUB_SIGNAL, _SUB_MATRIX, _SUB_NOISE = 0, 1, 2, 3
 
 # Fractions within 1e-9 of the next integer count as that integer, so that
 # binary-float artifacts (0.3 * 10 = 2.999...96) do not change counts.
@@ -177,26 +168,11 @@ class SortedSignal:
         return float(self.prefix[count])
 
 
-@dataclass(frozen=True)
-class PartitionPowers:
-    """Power split of a sorted signal at a miss fraction ``alpha``.
-
-    ``miss_power`` is the power of the weakest entries a decoder may miss,
-    ``keep_power`` the rest, ``miss_count`` the number of missable entries.
-    ``miss_power + keep_power`` reproduces the stored total exactly.
-    """
-
-    miss_power: float
-    keep_power: float
-    miss_count: int
-
-    @property
-    def total_power(self) -> float:
-        return self.miss_power + self.keep_power
-
-
-def partition_powers(signal: SortedSignal, alpha: float, mode: str = "floor") -> PartitionPowers:
-    """Split sorted power at fraction ``alpha`` of the ``k`` entries.
+def partition_powers(signal: SortedSignal, alpha: float,
+                     mode: str = "floor") -> tuple[float, float]:
+    """Split sorted power at fraction ``alpha`` of the ``k`` entries into
+    ``(miss_power, keep_power)``: the power of the weakest entries a decoder
+    may miss, and the rest.
 
     ``mode="floor"`` takes the exact ``floor(alpha*k)``-entry prefix;
     ``mode="asymptotic"`` linearly interpolates the prefix sums at the real
@@ -218,8 +194,7 @@ def partition_powers(signal: SortedSignal, alpha: float, mode: str = "floor") ->
             miss += frac * float(signal.sq_magnitudes[m])
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    keep = signal.total_power - miss
-    return PartitionPowers(miss_power=miss, keep_power=keep, miss_count=m)
+    return miss, signal.total_power - miss
 
 
 def partition_power_arrays(signal: SortedSignal, alpha, mode: str = "floor"):
@@ -269,70 +244,11 @@ def sample_signal_vector(model: SignalModel, rng: np.random.Generator) -> np.nda
     raise TypeError(f"unknown signal model {type(model).__name__}")
 
 
-def _projection_power(x_rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``|<x_i, b>|^2`` per row, conjugating the first argument."""
-    return np.abs(np.conjugate(x_rows) @ beta) ** 2
-
-
 def observe(x_rows: np.ndarray, beta: np.ndarray, noise, rng: np.random.Generator) -> np.ndarray:
-    """Observation vector for sensing rows ``x_rows`` (shape ``(n, k)``)."""
+    """Observation vector ``|<x_i, b>|^2 + z_i`` for sensing rows ``x_rows``
+    (shape ``(n, k)``), conjugating the first argument."""
     x_rows = np.atleast_2d(np.asarray(x_rows))
     if x_rows.shape[1] != np.asarray(beta).shape[0]:
         raise ValueError("row width must match coefficient length")
-    mean = _projection_power(x_rows, beta)
+    mean = np.abs(np.conjugate(x_rows) @ beta) ** 2
     return mean + noise.sample(rng, mean.shape[0])
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    """One realized recovery problem, regenerable from ``(p, k, n, seed)``
-    plus the stored support, coefficients, and observations."""
-
-    p: int
-    k: int
-    n: int
-    seed: int
-    support: SupportSet
-    beta: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def generate(cls, p: int, k: int, n: int, signal: SignalModel, noise,
-                 seed: int) -> "ProblemInstance":
-        if getattr(signal, "k") != k:
-            raise ValueError("signal model k must match instance k")
-        support = sample_support(p, k, substream(seed, _SUB_SUPPORT))
-        beta = sample_signal_vector(signal, substream(seed, _SUB_SIGNAL))
-        x = sample_circular_gaussian(substream(seed, _SUB_MATRIX), (n, p))
-        z = noise.sample(substream(seed, _SUB_NOISE), n)
-        y = _projection_power(x[:, support.indices], beta) + z
-        return cls(p=p, k=k, n=n, seed=seed, support=support, beta=beta,
-                   x=x, y=y, z=z)
-
-    def to_json(self) -> str:
-        rec = {
-            "p": self.p,
-            "k": self.k,
-            "n": self.n,
-            "seed": self.seed,
-            "support": list(self.support.indices),
-            "beta_re": [float(v) for v in self.beta.real],
-            "beta_im": [float(v) for v in self.beta.imag],
-            "y": [float(v) for v in self.y],
-        }
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemInstance":
-        rec = json.loads(text)
-        p, k, n, seed = rec["p"], rec["k"], rec["n"], rec["seed"]
-        support = SupportSet(indices=tuple(rec["support"]), universe=p)
-        beta = np.asarray(rec["beta_re"], dtype=float) + 1j * np.asarray(
-            rec["beta_im"], dtype=float)
-        y = np.asarray(rec["y"], dtype=float)
-        x = sample_circular_gaussian(substream(seed, _SUB_MATRIX), (n, p))
-        z = y - _projection_power(x[:, support.indices], beta)
-        return cls(p=p, k=k, n=n, seed=seed, support=support, beta=beta,
-                   x=x, y=y, z=z)

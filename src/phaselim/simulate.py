@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import GaussianNoise, NoiseModel
+from .densities import GaussianNoise
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
                     SupportSet, floor_count, observe, sample_signal_vector,
                     sample_support)
@@ -70,7 +70,7 @@ def _flat_value(signal: SignalModel) -> float:
 
 
 def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
-           noise: NoiseModel, decoder: str = "flat-ml",
+           noise: GaussianNoise, decoder: str = "flat-ml",
            mc_samples: int = 256,
            rng: np.random.Generator | None = None) -> SupportSet:
     """Pick the highest-scoring size-``k`` support for observations ``y``."""
@@ -102,7 +102,7 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
                       universe=p)
 
 
-def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: NoiseModel,
+def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
                       draws: np.ndarray, scale: float) -> np.ndarray:
     """Per candidate, in lexicographic order: the log of the likelihood of
     ``y`` averaged over the rows of ``draws``, with mean intensities
@@ -143,7 +143,7 @@ class SimConfig:
     p: int
     k: int
     signal: SignalModel
-    noise: NoiseModel = field(default_factory=GaussianNoise)
+    noise: GaussianNoise = field(default_factory=GaussianNoise)
     alpha_star: float = 0.5
     n_grid: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
     trials: int = 400

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .densities import (ConditionalOutputLaw, GaussianNoise, NoiseModel,
-                        concentration_constant, concentration_tail_bound,
+from .densities import (GaussianNoise, concentration_constant,
+                        concentration_tail_bound, conditional_output_logpdf,
                         info_density)
 from .limits import mi_pair_lower, mi_pair_upper, tail_power_fraction
 from .model import GaussianIID, SortedSignal, floor_count, sample_signal_vector
@@ -143,7 +143,7 @@ def _finalize(check: str, params: dict, estimate: float, se: float,
 
 
 def _draw_info_samples(miss_power: float, keep_power: float,
-                       noise: NoiseModel, trials: int,
+                       noise: GaussianNoise, trials: int,
                        rng: np.random.Generator):
     """Sample per-observation information densities under the pair model."""
     w_keep = sample_circular_gaussian(rng, trials)
@@ -158,7 +158,7 @@ def _draw_info_samples(miss_power: float, keep_power: float,
     return vals, n_clamped
 
 
-def mi_estimate(miss_power: float, keep_power: float, noise: NoiseModel,
+def mi_estimate(miss_power: float, keep_power: float, noise: GaussianNoise,
                 trials: int, rng: np.random.Generator,
                 resolution: float = 0.01,
                 max_clamp_fraction: float = 1e-3) -> VerificationReport:
@@ -173,7 +173,7 @@ def mi_estimate(miss_power: float, keep_power: float, noise: NoiseModel,
     params = {
         "miss_power": miss_power,
         "keep_power": keep_power,
-        "sigma": getattr(noise, "sigma", None),
+        "sigma": noise.sigma,
         "n_clamped": n_clamped,
     }
     forced = (n_clamped / max(trials, 1)) > max_clamp_fraction
@@ -303,9 +303,10 @@ def logconcavity_check(battery=None, step_scale: float = 0.01,
     battery = DEFAULT_LOGCONCAVITY_BATTERY if battery is None else tuple(battery)
     reports = []
     for known_sq, fresh, sigma in battery:
-        law = ConditionalOutputLaw(known_sq, fresh, GaussianNoise(sigma))
-        est = _second_difference_scan(law.logpdf, known_sq + fresh, sigma,
-                                      step_scale, points)
+        noise = GaussianNoise(sigma)
+        est = _second_difference_scan(
+            lambda ys: conditional_output_logpdf(ys, known_sq, fresh, noise),
+            known_sq + fresh, sigma, step_scale, points)
         reports.append(_finalize(
             "logconcavity",
             {"known_sq": known_sq, "fresh_power": fresh, "sigma": sigma,

@@ -2,6 +2,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -80,6 +81,20 @@ def test_bad_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
         ["figure", "--snr-min=0", "--snr-max=40", "--snr-step=1e-5",
          "--out-dir", "figs"],
         ["figure", "--snr-max=inf", "--out-dir", "figs"],
+        # noise scales outside [1e-150, 1e150]: the counts were 0 (exit 0)
+        # below it and a numeric failure (exit 4) above it
+        ["thresholds", "--model", "gaussian", "--p", "1000", "--k", "10",
+         "--sigma", "1e-155"],
+        flat + ["--sigma", "1e-160"],
+        flat + ["--sigma", "1e160"],
+        flat + ["--sigma", "1e300"],
+        ["figure", "--sigma", "1e-155", "--out-dir", "figs"],
+        ["figure", "--sigma", "1e160", "--out-dir", "figs"],
+        ["simulate", "--p", "6", "--k", "2", "--sigma", "1e-160"],
+        ["simulate", "--p", "6", "--k", "2", "--sigma", "1e160"],
+        # an SNR point whose power overflows: refused before any curve
+        ["figure", "--snr-min=40", "--snr-max=1e300", "--snr-step=1e300",
+         "--out-dir", "figs"],
     ]
     for argv in cases:
         code, stdout, err = _run(argv, capsys)
@@ -96,6 +111,30 @@ def test_thresholds_extreme_power_is_finite(tmp_path, capsys, monkeypatch):
     rec = json.loads(stdout)
     assert 0.0 < rec["n_con"] <= rec["n_ach"] < float("inf")
     assert rec["alpha_ach"] == 1.0 and rec["alpha_con"] == 1.0
+
+
+def test_noise_scale_range_edges(tmp_path, capsys, monkeypatch):
+    # both ends of the accepted sigma range give finite positive counts
+    monkeypatch.chdir(tmp_path)
+    for sigma in ("1e-150", "1e150"):
+        for model, c_beta in itertools.product(("gaussian", "flat"),
+                                               ("1", "1e200", "1e300")):
+            code, stdout, _ = _run(["thresholds", "--model", model,
+                                    "--p", "1000", "--k", "10",
+                                    "--sigma", sigma, "--c-beta", c_beta,
+                                    "--json"], capsys)
+            assert code == 0, (model, sigma, c_beta)
+            rec = json.loads(stdout)
+            assert 0.0 < rec["n_con"] <= rec["n_ach"] < float("inf")
+        code, _, _ = _run(["figure", "--sigma", sigma, "--snr-step", "10",
+                           "--out-dir", "figs" + sigma], capsys)
+        assert code == 0, sigma
+        code, _, _ = _run(["simulate", "--p", "6", "--k", "2",
+                           "--sigma", sigma, "--n-grid", "2", "--trials", "3",
+                           "--out", f"c{sigma}.csv"], capsys)
+        assert code == 0, sigma
+        assert "# reference n_ach = 0\n" not in (
+            tmp_path / f"c{sigma}.csv").read_text()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
@@ -459,7 +498,8 @@ def test_manifest_params_pinned(tmp_path, capsys, monkeypatch):
 # Fuzz argv: every numeric flag takes an ordinary value, then up to two
 # flags take an edge value (zero, negative, non-finite or extreme).
 # Ordinary grid steps stay at or above 1e-3, so every accepted run is cheap.
-_EDGES = ["0", "-1", "-10", "nan", "inf", "-inf", "1e-300", "1e300"]
+_EDGES = ["0", "-1", "-10", "nan", "inf", "-inf", "1e-300", "1e-155",
+          "1e300"]
 
 
 def _flags(ordinary):
@@ -503,7 +543,7 @@ def test_fuzz_thresholds_argv(model, mode, flags):
              f"--manifest={os.path.join(tmp, 'm.json')}"] + flags)
     if code == 0:
         rec = json.loads(stdout, parse_constant=_reject_constant)
-        assert 0.0 <= rec["n_con"] <= rec["n_ach"]
+        assert 0.0 < rec["n_con"] <= rec["n_ach"]
     else:
         assert stdout == ""
 

@@ -7,14 +7,15 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import erfc
 
-from phaselim.densities import (LOG_FLOOR, ConditionalOutputLaw,
-                                GaussianNoise, concentration_constant,
+from phaselim import densities
+from phaselim.densities import (LOG_FLOOR, GaussianNoise,
+                                concentration_constant,
                                 concentration_moment, concentration_rate,
                                 concentration_scale_from_moment,
                                 concentration_tail_bound,
                                 conditional_output_logpdf,
                                 exp_modified_gaussian_logpdf, golden_max,
-                                info_density, info_density_sum,
+                                info_density,
                                 log_moment_objective,
                                 noncentral_chi2_scaled_logpdf,
                                 output_law_peak)
@@ -32,9 +33,16 @@ def test_gaussian_noise_against_norm():
         0.5 * math.log(2 * math.pi * math.e * 0.49), abs=1e-14)
     assert noise.exp_2h() == pytest.approx(2 * math.pi * math.e * 0.49)
     assert noise.peak() == pytest.approx(1.0 / (0.7 * math.sqrt(2 * math.pi)))
-    for bad in (0.0, math.nan, math.inf):
+    for bad in (0.0, math.nan, math.inf, 1e-155, 1e160, 1e300, -1.0):
         with pytest.raises(ValueError):
             GaussianNoise(bad)
+    # the range edges: every derived scale is a finite positive float
+    for edge in (1e-150, 1e150):
+        noise = GaussianNoise(edge)
+        assert math.isfinite(noise.entropy())
+        assert 0.0 < noise.exp_2h() < math.inf
+        assert 0.0 < noise.peak() < math.inf
+        assert np.isfinite(noise.logpdf(edge))
 
 
 def test_gaussian_noise_sampling_moments():
@@ -112,13 +120,15 @@ def test_emg_is_quadrature_fast_path():
 def test_conditional_logpdf_normalization_and_mean():
     for lam, v, sigma in [(0.0, 1.0, 1.0), (2.0, 0.5, 1.0), (1.0, 2.0, 0.5),
                           (5.0, 1.0, 0.25)]:
-        law = ConditionalOutputLaw(lam, v, GaussianNoise(sigma))
+        noise = GaussianNoise(sigma)
+
+        def pdf(y):
+            return np.exp(conditional_output_logpdf(y, lam, v, noise))
+
         lo = -10 * sigma
         hi = lam + v * 50 + 20 * math.sqrt(lam * v + 1) + 10 * sigma
-        total, _ = integrate.quad(lambda y: float(law.pdf(y)), lo, hi,
-                                  limit=400)
-        mean, _ = integrate.quad(lambda y: y * float(law.pdf(y)), lo, hi,
-                                 limit=400)
+        total, _ = integrate.quad(pdf, lo, hi, limit=400)
+        mean, _ = integrate.quad(lambda y: y * pdf(y), lo, hi, limit=400)
         assert total == pytest.approx(1.0, abs=5e-7), (lam, v, sigma)
         assert mean == pytest.approx(lam + v, abs=5e-6), (lam, v, sigma)
 
@@ -137,18 +147,34 @@ def test_conditional_logpdf_validation():
     assert arr.shape == (2,)
 
 
-def test_conditional_logpdf_chunked_batch_identical():
-    # the big-batch chunking path must agree with one-shot evaluation
+def test_conditional_logpdf_chunked_batch_identical(monkeypatch):
+    # a value does not depend on the chunk it is computed in: one chunk for
+    # the whole batch, 100-sample batches, and 37-sample chunks of both
     noise = GaussianNoise(1.0)
     rng = substream(23, 0)
     ys = rng.normal(3.0, 2.0, size=2000)
     lams = rng.uniform(0.0, 4.0, size=2000)
+    monkeypatch.setattr(densities, "_QUAD_ELEMENT_BUDGET", 2000 * 4 * 40)
+    one_chunk = conditional_output_logpdf(ys, lams, 1.0, noise, nodes=40)
+    monkeypatch.setattr(densities, "_QUAD_ELEMENT_BUDGET", 37 * 4 * 40)
+    chunks = []
+    quadrature = densities._conv_logpdf_quadrature
+    monkeypatch.setattr(densities, "_conv_logpdf_quadrature",
+                        lambda y, *rest: chunks.append(y.size)
+                        or quadrature(y, *rest))
     whole = conditional_output_logpdf(ys, lams, 1.0, noise, nodes=40)
     parts = np.concatenate([
         conditional_output_logpdf(ys[i:i + 100], lams[i:i + 100], 1.0,
                                   noise, nodes=40)
         for i in range(0, 2000, 100)])
-    assert np.array_equal(whole, parts)
+    assert chunks[:55] == [37] * 54 + [2000 - 54 * 37]
+    assert chunks[55:58] == [37, 37, 26]
+    assert np.array_equal(whole, one_chunk)
+    assert np.array_equal(parts, one_chunk)
+    # a grid that is not 1-d is chunked the same way
+    grid = conditional_output_logpdf(ys.reshape(40, 50), lams.reshape(40, 50),
+                                     1.0, noise, nodes=40)
+    assert np.array_equal(grid.ravel(), one_chunk)
 
 
 def test_conditional_logpdf_narrow_noise():
@@ -170,13 +196,6 @@ def test_info_density_clamp_counting():
     vals, n_clamped = info_density(y, np.zeros(3), np.zeros(3), 1.0, noise)
     assert n_clamped >= 1
     assert np.all(np.isfinite(vals) | (vals == -np.inf))
-
-
-def test_info_density_sum_empty():
-    total, n_clamped = info_density_sum(np.array([]), np.array([]),
-                                        np.array([]), 1.0, GaussianNoise(1.0))
-    assert total == 0.0
-    assert n_clamped == 0
 
 
 def test_info_density_importance_identity():
@@ -235,9 +254,9 @@ def test_concentration_rate_properties():
 def test_output_law_peak_matches_grid():
     noise = GaussianNoise(1.0)
     peak, ym = output_law_peak(2.0, noise)
-    law = ConditionalOutputLaw(0.0, 2.0, noise)
     ys = np.linspace(-8, 20, 20001)
-    grid_max = float(np.max(law.pdf(ys)))
+    grid_max = float(np.max(np.exp(conditional_output_logpdf(ys, 0.0, 2.0,
+                                                             noise))))
     assert peak == pytest.approx(grid_max, rel=1e-6)
     assert peak >= grid_max - 1e-12
 

@@ -156,8 +156,9 @@ def test_sorted_rates_flat_floor():
 
 def test_pair_rates_against_mpmath_over_all_powers():
     # missed powers from 1e-3 to 1e300 cross the log-scaled cutoff (1e100
-    # noise scales) and the old overflow of v*v near 1e154, in one array
-    for sigma in (1e-3, 1.0, 1e3):
+    # noise scales, or 1e150 at the largest sigma) and the old overflow of
+    # v*v near 1e154, in one array, up to both ends of the sigma range
+    for sigma in (1e-150, 1e-3, 1.0, 1e3, 1e150):
         noise = GaussianNoise(sigma)
         e2h = noise.exp_2h()
         v = np.logspace(-3, 300, 102)
@@ -203,11 +204,10 @@ def test_sorted_rates_match_per_alpha_partition():
             lo = mi_pair_lower(miss, noise)
             hi = mi_pair_upper(miss, keep, noise)
             for j, a in enumerate(alphas):
-                ref = partition_powers(sig, float(a), mode)
-                assert miss[j] == ref.miss_power and keep[j] == ref.keep_power
-                assert lo[j] == mi_pair_lower(ref.miss_power, noise)
-                assert hi[j] == mi_pair_upper(ref.miss_power, ref.keep_power,
-                                              noise)
+                ref_miss, ref_keep = partition_powers(sig, float(a), mode)
+                assert miss[j] == ref_miss and keep[j] == ref_keep
+                assert lo[j] == mi_pair_lower(ref_miss, noise)
+                assert hi[j] == mi_pair_upper(ref_miss, ref_keep, noise)
             for bad in (-0.1, 1.5, np.nan):
                 bad_alphas = np.append(alphas, bad)
                 with pytest.raises(ValueError):
@@ -374,7 +374,12 @@ def test_figure_curves_reject_bad_input():
                    {"alpha_star": 1.0}, {"kinds": ("flat", "bogus")},
                    {"snr_db_values": []}, {"snr_db_values": [0.0, math.nan]},
                    {"snr_db_values": [math.inf]},
-                   {"snr_db_values": np.zeros(MAX_SNR_GRID + 1)}):
+                   {"snr_db_values": np.zeros(MAX_SNR_GRID + 1)},
+                   # powers that overflow or underflow the float range
+                   {"snr_db_values": [40.0, 1e300]},
+                   {"snr_db_values": [3100.0]},
+                   {"snr_db_values": [-1e300]},
+                   {"sigma": 1e-155}, {"sigma": 1e160}):
         with pytest.raises(ValueError):
             figure_curves(**kwargs)
 

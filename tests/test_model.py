@@ -1,5 +1,4 @@
-"""Signal models, supports, sorted prefixes, and instance round-trips."""
-import json
+"""Signal models, supports, sorted prefixes, and power splits."""
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from scipy import stats
 
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                            ProblemInstance, SortedSignal, SupportSet,
+                            SortedSignal, SupportSet,
                             floor_count, observe, partition_powers,
                             sample_signal_vector, sample_support)
 from phaselim.densities import GaussianNoise
@@ -137,14 +136,14 @@ def test_sorted_signal_prefix():
 
 def test_partition_modes():
     sig = SortedSignal.flat(1.0, 10)
-    lo = partition_powers(sig, 0.25, mode="floor")
-    assert lo.miss_count == 2
-    assert lo.miss_power == pytest.approx(0.2)
-    hi = partition_powers(sig, 0.25, mode="asymptotic")
-    assert hi.miss_power == pytest.approx(0.25)
-    assert hi.miss_power + hi.keep_power == pytest.approx(sig.total_power)
-    full = partition_powers(sig, 1.0, mode="floor")
-    assert full.keep_power == pytest.approx(0.0)
+    lo_miss, _ = partition_powers(sig, 0.25, mode="floor")
+    assert floor_count(0.25, sig.k) == 2
+    assert lo_miss == pytest.approx(0.2)
+    hi_miss, hi_keep = partition_powers(sig, 0.25, mode="asymptotic")
+    assert hi_miss == pytest.approx(0.25)
+    assert hi_miss + hi_keep == pytest.approx(sig.total_power)
+    _, full_keep = partition_powers(sig, 1.0, mode="floor")
+    assert full_keep == pytest.approx(0.0)
     with pytest.raises(ValueError):
         partition_powers(sig, 1.5)
     with pytest.raises(ValueError):
@@ -158,11 +157,10 @@ def test_partition_split_exact_on_battery():
         sig = SortedSignal(rng.normal(size=k) + 1j * rng.normal(size=k))
         a = float(rng.uniform(0, 1))
         for mode in ("floor", "asymptotic"):
-            parts = partition_powers(sig, a, mode=mode)
-            assert parts.miss_power + parts.keep_power == pytest.approx(
-                sig.total_power, abs=1e-12)
-            assert parts.miss_power >= -1e-15
-            assert parts.keep_power >= -1e-12
+            miss, keep = partition_powers(sig, a, mode=mode)
+            assert miss + keep == pytest.approx(sig.total_power, abs=1e-12)
+            assert miss >= -1e-15
+            assert keep >= -1e-12
 
 
 def test_projection_convention():
@@ -177,36 +175,6 @@ def test_projection_convention():
 def test_observe_shape_check():
     with pytest.raises(ValueError):
         observe(np.ones((2, 3)), np.ones(2), GaussianNoise(1.0), substream(0, 0))
-
-
-def test_instance_roundtrip():
-    sig = GaussianIID(c_beta=1.0, k=3)
-    inst = ProblemInstance.generate(p=12, k=3, n=7, signal=sig,
-                                    noise=GaussianNoise(0.5), seed=42)
-    assert inst.y.shape == (7,)
-    text = inst.to_json()
-    rec = json.loads(text)
-    assert set(rec) == {"p", "k", "n", "seed", "support", "beta_re",
-                        "beta_im", "y"}
-    back = ProblemInstance.from_json(text)
-    assert back.support.indices == inst.support.indices
-    assert np.allclose(back.beta, inst.beta)
-    assert np.allclose(back.y, inst.y)
-    # sensing matrix regenerates from the seed alone
-    assert np.array_equal(back.x, inst.x)
-    assert np.allclose(back.z, inst.z, atol=1e-12)
-
-
-def test_instance_determinism():
-    sig = DiscreteFlat(c_beta=1.0, k=2)
-    a = ProblemInstance.generate(p=6, k=2, n=4, signal=sig,
-                                 noise=GaussianNoise(1.0), seed=5)
-    b = ProblemInstance.generate(p=6, k=2, n=4, signal=sig,
-                                 noise=GaussianNoise(1.0), seed=5)
-    c = ProblemInstance.generate(p=6, k=2, n=4, signal=sig,
-                                 noise=GaussianNoise(1.0), seed=6)
-    assert np.array_equal(a.y, b.y)
-    assert not np.array_equal(a.y, c.y)
 
 
 def test_circular_gaussian_component_variance():

@@ -1,0 +1,54 @@
+"""Names that code outside the package reaches into must keep existing:
+the functions the benchmark tracer wraps, the names the demos import and
+the names each module's ``__all__`` lists."""
+import ast
+import importlib
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _traced_names():
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TRACED table")
+
+
+def _demo_imports():
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "phaselim"):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_traced_functions_exist():
+    traced = _traced_names()
+    assert traced
+    for module, names in traced.items():
+        mod = importlib.import_module(f"phaselim.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_demo_imports_exist():
+    imports = list(_demo_imports())
+    assert {demo for demo, _, _ in imports} == {
+        p.name for p in (ROOT / "demos").glob("*.py")}
+    for demo, module, name in imports:
+        mod = importlib.import_module(module)
+        assert hasattr(mod, name), f"{demo}: {module}.{name}"
+
+
+def test_all_names_exist():
+    for module in ("phaselim", "phaselim.densities", "phaselim.limits",
+                   "phaselim.model", "phaselim.rng", "phaselim.simulate",
+                   "phaselim.verify"):
+        mod = importlib.import_module(module)
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{module}.{name}"

@@ -147,6 +147,12 @@ def test_run_suite_counts():
     # used to return NaN and infinite reports
     with pytest.raises(ValueError):
         run_suite("sandwich", trials=0)
+    # a battery noise scale outside [1e-150, 1e150] is refused
+    for sigma in (1e-155, 1e160):
+        with pytest.raises(ValueError):
+            sandwich_check(battery=[(1.0, 0.0, sigma)], trials=10)
+        with pytest.raises(ValueError):
+            logconcavity_check(battery=[(0.0, 1.0, sigma)])
 
 
 def test_run_suite_all_excludes_negative_control():
