@@ -10,13 +10,20 @@ of freedom; its density is evaluated in exponentially scaled Bessel form::
     f_U(u) = (1/v) * exp(-(sqrt(u) - sqrt(lam))^2 / v) * I0e(2 sqrt(u lam) / v)
 
 which never overflows. The density of ``Y`` is the convolution of ``f_U``
-with the Gaussian noise density. For zero ``known_sq`` the convolution has
-the exponentially-modified-Gaussian closed form; otherwise
-it is integrated with composite Gauss-Legendre quadrature in sqrt(u) space
-(the substitution removes the square-root cusp of the exponent at u = 0).
-Segment edges are the points where either factor leaves its bulk, and the
-integrand is log-concave in ``u``, so its maximum always lies inside the
-covered hull; everything outside is smaller by at least exp(-36).
+with the Gaussian noise density. ``f_U`` is a Poisson(``known_sq/v``)
+mixture of Gamma(``j+1``, ``v``) laws (Johnson, Kotz & Balakrishnan, vol. 2,
+ch. 29), so the convolution is a series whose ``j = 0`` term is the
+exponentially-modified-Gaussian closed form and whose other terms are
+truncated-normal partial moments (parabolic cylinder functions, DLMF 12.8),
+summed by a three-term recurrence run upward or downward (Miller's
+algorithm, DLMF 3.6), whichever is stable for the sample.
+
+Composite Gauss-Legendre quadrature in sqrt(u) space (the substitution
+removes the square-root cusp of the exponent at u = 0) is the test oracle
+and the fallback for samples whose series would be too long. Segment edges
+are the points where either factor leaves its bulk, and the integrand is
+log-concave in ``u``, so its maximum always lies inside the covered hull;
+everything outside is smaller than the noise peak by at least exp(-36).
 
 All log densities are exact logs, floored at ``LOG_FLOOR`` (the smallest
 exponent a float64 exponential survives) with the clamp count reported.
@@ -28,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, log_ndtr, logsumexp
+from scipy.special import erfcx, i0e, logsumexp
 
 __all__ = [
     "LOG_FLOOR",
@@ -59,6 +66,8 @@ _SQRT_BULK = 7.0
 # Noise scales whose square, and the entropy power 2 pi e sigma^2 of the
 # rate forms, stay normal floats with room to divide by.
 _SIGMA_MIN, _SIGMA_MAX = 1e-150, 1e150
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -109,12 +118,47 @@ def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
     return np.where(u < 0, -np.inf, out)
 
 
+def _emg_logpdf(y, v, sigma):
+    """:func:`exp_modified_gaussian_logpdf` of a 1-d ``y``.
+
+    The density is ``exp(sigma^2/(2v^2) - y/v) Phi(tau) / v`` with
+    ``tau = (y - sigma^2/v) / sigma``. With ``e = erfcx(|tau|/sqrt 2)``,
+    ``Phi(tau) = exp(-tau^2/2) e/2`` for ``tau < 0``, and there the exponent
+    and ``-tau^2/2`` cancel analytically to ``-y^2/(2 sigma^2)``; for
+    ``tau >= 0``, ``log Phi(tau) = log1p(-exp(-tau^2/2) e/2)``. Computed in
+    place, three arrays at a time: the concentration suite passes a
+    million samples per call.
+    """
+    s2 = sigma * sigma
+    tau = (y - s2 / v) / sigma
+    right = tau >= 0
+    with np.errstate(over="ignore"):
+        e = np.abs(tau)
+        e *= _SQRT_HALF
+        erfcx(e, out=e)
+        tmp = np.multiply(tau, tau, out=tau)    # tau >= 0
+        tmp *= -0.5
+        np.exp(tmp, out=tmp)
+        tmp *= e
+        tmp *= -0.5
+        np.log1p(tmp, out=tmp)
+        out = np.log(e, out=e)                  # tau < 0
+        scratch = np.multiply(y, y)
+        scratch *= 1.0 / (2.0 * s2)
+        out -= scratch
+        out += -math.log(2.0 * v)
+        np.multiply(y, 1.0 / v, out=scratch)
+        tmp -= scratch
+        tmp += 0.5 * (sigma / v) * (sigma / v) - math.log(v)
+    np.copyto(out, tmp, where=right)
+    return out
+
+
 def exp_modified_gaussian_logpdf(y, fresh_power, sigma):
     """Closed-form log density of Exp(mean fresh_power) + N(0, sigma^2)."""
     y = np.asarray(y, dtype=float)
-    v = float(fresh_power)
-    return (-math.log(v) + sigma**2 / (2.0 * v * v) - y / v
-            + log_ndtr((y - sigma**2 / v) / sigma))
+    out = _emg_logpdf(y.ravel(), float(fresh_power), float(sigma))
+    return out.reshape(y.shape)[()]
 
 
 # Grid elements (samples x 4 segments x nodes) one quadrature chunk holds;
@@ -138,7 +182,7 @@ def _conv_logpdf_quadrature(y, lam, fresh_power, noise: GaussianNoise,
     hw = _NOISE_BULK * noise.sigma
     sl = np.sqrt(lam)
     sv = math.sqrt(v)
-    top = np.clip(y + hw, 0.0, None)
+    top = np.clip(y, 0.0, None) + hw
     edges = np.stack(
         [
             np.zeros_like(y),
@@ -166,15 +210,157 @@ def _conv_logpdf_quadrature(y, lam, fresh_power, noise: GaussianNoise,
     return logsumexp(log_fu + log_fz + log_w, axis=(-1, -2))
 
 
+def _quadrature_logpdf(ys, lams, v, noise: GaussianNoise, nodes: int):
+    """Chunked :func:`_conv_logpdf_quadrature` over 1-d ``ys``/``lams``."""
+    step = max(1, _QUAD_ELEMENT_BUDGET // (4 * nodes))
+    out = np.empty_like(ys)
+    for lo in range(0, ys.size, step):
+        sl = slice(lo, lo + step)
+        out[sl] = _conv_logpdf_quadrature(ys[sl], lams[sl], v, noise, nodes)
+    return out
+
+
+# Series form. With a = lam/v and mu = y - sigma^2/v the density is
+#
+#     f(y) = EMG(y) * sum_j e^-a a^j/j! * R_j,   R_j = M_j / (M_0 j! v^j),
+#
+# the Poisson(a) mixture of Gamma(j+1, v) laws, each convolved with the
+# noise. M_j = int_0^inf u^j phi_sigma(u - mu) du are truncated-normal
+# partial moments; their ratios t_j = M_j/M_{j-1} obey
+# t_j = mu + (j-1) sigma^2 / t_{j-1}, with t_1 = mu + sigma phi/Phi(tau) at
+# tau = mu/sigma. Run upward, this recurrence damps rounding errors when
+# tau >= 0 and amplifies them by about exp(2 |tau| sqrt(j)) when tau < 0;
+# run downward from an estimate (Miller's algorithm, DLMF 3.6) it damps the
+# start error by about exp(-|tau| / sqrt(j)) per step when tau < 0.
+#
+# A sample runs upward while tau >= _FORWARD_MIN_TAU and |tau| sqrt(c) <=
+# _FORWARD_GROWTH, c being the index of its largest term (error growth up
+# to there at most e^8), and downward otherwise, from a start far enough
+# above c that the damping down to c reaches about e^-25.
+_FORWARD_MIN_TAU = -1.5
+_FORWARD_GROWTH = 4.0
+_BACKWARD_DAMPING = 12.5
+# Samples whose series would run past this many terms, or is not finite,
+# take the quadrature instead. The mpmath tests validate the series up to
+# this length, where its rounding error (about eps * known_sq/v) stays
+# near 1e-11.
+_SERIES_MAX_TERMS = 4096
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def _term_counts(mu, a, v, sigma):
+    """Per-sample ``(c, J)``: ``c`` bounds the index of the largest mixture
+    term and ``J = c + 12 sqrt(c) + 20`` terms cover it.
+
+    The ratio of consecutive terms is ``a t_j / (j^2 v)``, and
+    ``t_j <= max(mu, 0) + sqrt(j) sigma`` (and ``<= j sigma^2 / |mu|`` for
+    ``mu < 0``), so past ``c`` the terms fall at least like a Poisson tail;
+    12 of its standard deviations leave less than e^-72.
+    """
+    up = np.sqrt(a * np.maximum(mu, 0.0) / v) + np.cbrt(a * sigma / v) ** 2
+    with np.errstate(divide="ignore"):
+        down = np.where(mu < 0, a * sigma * sigma / (-mu * v), np.inf)
+    c = np.minimum(up, down)
+    return c, np.floor(c + 12.0 * np.sqrt(c) + 20.0)
+
+
+def _forward_log_sums(mu, tau, a, terms, v, sigma):
+    """``log sum_{j <= J} e^-a a^j/j! R_j`` by the upward recurrence.
+
+    Samples are visited in order of their term count, so the ones still
+    running are a suffix and each sample stops at its own ``J``.
+    """
+    order = np.argsort(terms, kind="stable")
+    mu, a, terms = mu[order], a[order], terms[order]
+    log_a = np.log(a)
+    s2 = sigma * sigma
+    t = mu + sigma * _SQRT_2_OVER_PI / erfcx(tau[order] * -_SQRT_HALF)
+    log_term = np.zeros_like(mu)    # log(a^j/j! R_j)
+    acc = np.zeros_like(mu)         # running log-sum-exp, from j = 0
+    for j in range(1, int(terms[-1]) + 1):
+        lo = np.searchsorted(terms, j)
+        tt = t[lo:]
+        if j > 1:
+            np.divide((j - 1) * s2, tt, out=tt)
+            tt += mu[lo:]
+        log_term[lo:] += np.log(tt) + (log_a[lo:] - math.log(j * j * v))
+        np.logaddexp(acc[lo:], log_term[lo:], out=acc[lo:])
+    out = np.empty_like(acc)
+    out[order] = acc - a
+    return out
+
+
+def _backward_log_sums(mu, a, start, v, sigma):
+    """The same sums by the downward recurrence from ``t_start``, estimated
+    by the fixed point of ``t^2 = mu t + (start - 1/2) sigma^2``, summed by
+    Horner's rule in log space (``H_{j-1} = 1 + q_j H_j``)."""
+    order = np.argsort(start, kind="stable")
+    mu, a, start = mu[order], a[order], start[order]
+    log_a = np.log(a)
+    s2 = sigma * sigma
+    t = np.empty_like(mu)
+    h = np.zeros_like(mu)           # log H_j
+    for j in range(int(start[-1]), 0, -1):
+        lo = np.searchsorted(start, j)
+        hi = np.searchsorted(start, j, side="right")
+        if hi > lo:     # samples whose run starts here
+            m = mu[lo:hi]
+            e = (j - 0.5) * s2
+            t[lo:hi] = 2.0 * e / (np.sqrt(m * m + 4.0 * e) - m)
+        tt = t[lo:]
+        q = np.log(tt) + (log_a[lo:] - math.log(j * j * v))
+        np.logaddexp(0.0, q + h[lo:], out=h[lo:])
+        if j > 1:
+            np.subtract(tt, mu[lo:], out=tt)
+            np.divide((j - 1) * s2, tt, out=tt)
+    out = np.empty_like(h)
+    out[order] = h - a
+    return out
+
+
+def _conv_logpdf_series(ys, lams, v, sigma):
+    """Series log densities at 1-d ``ys``; NaN marks a sample left to the
+    quadrature."""
+    out = _emg_logpdf(ys, v, sigma)
+    idx = np.flatnonzero(lams > 0)
+    if idx.size == 0:
+        return out
+    # extreme powers give inf/NaN counts or sums; those samples fall back
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        a = lams[idx] / v
+        mu = ys[idx] - sigma * sigma / v
+        tau = mu / sigma
+        c, terms = _term_counts(mu, a, v, sigma)
+        forward = ((tau >= _FORWARD_MIN_TAU)
+                   & (-tau * np.sqrt(c) <= _FORWARD_GROWTH))
+        reach = np.ceil((np.sqrt(c) - _BACKWARD_DAMPING / tau) ** 2)
+        start = np.where(forward, terms, np.maximum(terms + 20.0, reach))
+        run = start <= _SERIES_MAX_TERMS
+        log_sums = np.full_like(mu, np.nan)
+        sel = forward & run
+        if sel.any():
+            log_sums[sel] = _forward_log_sums(mu[sel], tau[sel], a[sel],
+                                              terms[sel], v, sigma)
+        sel = ~forward & run
+        if sel.any():
+            log_sums[sel] = _backward_log_sums(mu[sel], a[sel], start[sel],
+                                               v, sigma)
+    out[idx] += log_sums
+    return out
+
+
 def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise,
                               nodes: int = 80, force_quadrature: bool = False):
     """Log density of one observation given the matched projection power.
 
-    Uses the exponentially-modified-Gaussian closed form when the matched
-    power is identically zero; otherwise integrates the convolution
-    numerically, at most ``_QUAD_ELEMENT_BUDGET`` grid elements at a time.
-    Raises on non-finite ``y``. May return values below ``LOG_FLOOR`` or
-    ``-inf``; flooring is the caller's choice (see :func:`info_density`).
+    Sums the Poisson mixture series of the convolution, whose zero-power
+    term is the exponentially-modified-Gaussian closed form; a sample whose
+    series is too long or not finite is integrated numerically, at most
+    ``_QUAD_ELEMENT_BUDGET`` grid elements at a time, as is every sample
+    under ``force_quadrature`` (``nodes`` is the quadrature order). A value
+    does not depend on the batch it is computed in. Raises on non-finite
+    ``y``. May return values below ``LOG_FLOOR`` or ``-inf``; flooring is
+    the caller's choice (see :func:`info_density`).
     """
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr)):
@@ -186,18 +372,18 @@ def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise,
         raise ValueError("fresh_power must be positive")
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
-    if not force_quadrature and np.all(lam == 0.0):
-        out = exp_modified_gaussian_logpdf(y_arr, fresh_power, noise.sigma)
+    ys = y_arr.ravel()
+    lams = np.broadcast_to(lam, y_arr.shape).ravel()
+    v = float(fresh_power)
+    if force_quadrature:
+        out = _quadrature_logpdf(ys, lams, v, noise, nodes)
     else:
-        ys = y_arr.ravel()
-        lams = np.broadcast_to(lam, y_arr.shape).ravel()
-        step = max(1, _QUAD_ELEMENT_BUDGET // (4 * nodes))
-        out = np.empty_like(ys)
-        for lo in range(0, ys.size, step):
-            sl = slice(lo, lo + step)
-            out[sl] = _conv_logpdf_quadrature(ys[sl], lams[sl], fresh_power,
-                                              noise, nodes)
-        out = out.reshape(y_arr.shape)
+        out = _conv_logpdf_series(ys, lams, v, noise.sigma)
+        redo = np.flatnonzero(np.isnan(out))
+        if redo.size:
+            out[redo] = _quadrature_logpdf(ys[redo], lams[redo], v, noise,
+                                           nodes)
+    out = out.reshape(y_arr.shape)
     return float(out[0]) if scalar else out
 
 

@@ -301,11 +301,12 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
 def snr_db(signal: SignalModel, noise: GaussianNoise) -> float:
     """Caption convention: ``10 log10(2 * power^2 / sigma^2)`` where power
     is the (expected) total signal power. Base-10 decibels; the i.i.d.
-    Gaussian model drops its vanishing ``1/k`` correction."""
+    Gaussian model drops its vanishing ``1/k`` correction. Taken in logs,
+    so no square overflows or underflows."""
     if not isinstance(signal, (DiscreteFlat, DiscreteGeneral, GaussianIID)):
         raise TypeError(f"unknown signal model {type(signal).__name__}")
-    c = signal.total_power
-    return 10.0 * math.log10(2.0 * c * c / noise.sigma**2)
+    return 10.0 * (math.log10(2.0) + 2.0 * math.log10(signal.total_power)
+                   - 2.0 * math.log10(noise.sigma))
 
 
 def c_beta_from_snr_db(db: float, sigma: float = 1.0) -> float:

@@ -2,8 +2,11 @@
 constants machinery."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import erfc
 
@@ -108,9 +111,43 @@ def test_emg_against_erfc_transcription():
                                          abs=1e-12)
 
 
+def _mp_emg_logpdf(y, v, sigma):
+    with mp.workdps(40):
+        y, v, sigma = mp.mpf(y), mp.mpf(v), mp.mpf(sigma)
+        tau = (y - sigma ** 2 / v) / sigma
+        return float(sigma ** 2 / (2 * v ** 2) - y / v - mp.log(v)
+                     + mp.log(mp.ncdf(tau)))
+
+
+def test_emg_against_mpmath_down_to_tiny_power():
+    # the exponent sigma^2/(2v^2) - y/v and log Phi(tau) cancel for small v;
+    # summed as two floats they are off by 2.1 nats at v = 1e-8, sigma 1
+    for sigma in (1e-4, 1e-2, 1.0, 10.0):
+        for v in (1e-10, 1e-8, 1e-6, 1e-3, 1.0, 1e3):
+            ys = np.concatenate([np.linspace(-8 * sigma, 8 * sigma, 9),
+                                 [v, 5 * v, 30 * v + 3 * sigma]])
+            ours = exp_modified_gaussian_logpdf(ys, v, sigma)
+            for y, val in zip(ys, ours):
+                ref = _mp_emg_logpdf(y, v, sigma)
+                assert val == pytest.approx(ref, rel=1e-13, abs=1e-12), \
+                    (y, v, sigma)
+
+
+def test_output_law_peak_below_noise_peak():
+    # a convolution with the noise cannot rise above the noise peak; the
+    # 1e-12 allowance is rounding in logs of size |log v| <= 25
+    for sigma in (1e-2, 1.0, 10.0):
+        noise = GaussianNoise(sigma)
+        for power in np.logspace(-10, 3, 14):
+            peak, _ = output_law_peak(power, noise)
+            assert peak <= noise.peak() * (1 + 1e-12), (power, sigma)
+
+
 def test_emg_is_quadrature_fast_path():
+    # down to 12.5 noise widths below zero, where the quadrature's noise
+    # strip must start from max(y, 0)
     noise = GaussianNoise(0.8)
-    ys = np.linspace(-3, 12, 80)
+    ys = np.concatenate([np.linspace(-10, -3.2, 18), np.linspace(-3, 12, 80)])
     fast = conditional_output_logpdf(ys, 0.0, 1.3, noise)
     slow = conditional_output_logpdf(ys, 0.0, 1.3, noise,
                                      force_quadrature=True)
@@ -131,6 +168,181 @@ def test_conditional_logpdf_normalization_and_mean():
         mean, _ = integrate.quad(lambda y: y * pdf(y), lo, hi, limit=400)
         assert total == pytest.approx(1.0, abs=5e-7), (lam, v, sigma)
         assert mean == pytest.approx(lam + v, abs=5e-6), (lam, v, sigma)
+
+
+def _mp_log_ive(order, x):
+    # log(I_order(x) e^-x); Hankel's asymptotic series past x = 1e3, where
+    # mpmath's besseli is slow
+    if x < 1000:
+        return mp.log(mp.besseli(order, x)) - x
+    total = term = mp.mpf(1)
+    for k in range(1, 80):
+        term *= mp.mpf((2 * k - 1) ** 2 - 4 * order ** 2) / (8 * k * x)
+        total += term
+        if abs(term) < mp.mpf(10) ** (-mp.mp.dps - 2):
+            break
+    return mp.log(total / mp.sqrt(2 * mp.pi * x))
+
+
+def _mp_conditional_logpdf(y, lam, v, sigma):
+    """log int_0^inf f_U(u) phi_sigma(y - u) du in mpmath. The integrand is
+    log-concave in u, so it is split at its mode (found by bisection on the
+    derivative's sign) and at doubling distances from it, out to where it
+    has dropped by more than e^-500."""
+    with mp.workdps(20):
+        y, lam, v, sigma = (mp.mpf(float(z)) for z in (y, lam, v, sigma))
+        const = -mp.log(v) - mp.log(sigma * mp.sqrt(2 * mp.pi))
+
+        def logg(u):
+            x = 2 * mp.sqrt(u * lam) / v
+            return (const - (mp.sqrt(u) - mp.sqrt(lam)) ** 2 / v
+                    + _mp_log_ive(0, x) - (y - u) ** 2 / (2 * sigma ** 2))
+
+        def slope(u):
+            if lam == 0 or u == 0:
+                return -1 / v + lam / v ** 2 + (y - u) / sigma ** 2
+            x = 2 * mp.sqrt(u * lam) / v
+            ratio = mp.exp(_mp_log_ive(1, x) - _mp_log_ive(0, x))
+            return -1 / v + ratio * mp.sqrt(lam / u) / v + (y - u) / sigma ** 2
+
+        mode = mp.mpf(0)
+        if slope(mode) > 0:
+            lo, hi = mp.mpf(0), max(y, lam, mp.mpf(0)) + 10 * (sigma + v)
+            while slope(hi) > 0:
+                hi *= 2
+            for _ in range(70):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+            mode = (lo + hi) / 2
+        top = logg(mode)
+
+        def reach(sign):
+            # distance at which logg has dropped by 1; None if u = 0 first
+            d = (sigma + v + mp.sqrt(lam * v)) * mp.mpf(1e-3)
+            while True:
+                if mode + sign * d <= 0:
+                    return None
+                if logg(mode + sign * d) <= top - 1:
+                    break
+                d *= 2
+            lo, hi = d / 2, d
+            for _ in range(30):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if logg(mode + sign * mid) > top - 1 else (lo, mid)
+            return hi
+
+        right = reach(+1)
+        pts = [mode + right * 2 ** k for k in range(10)]
+        left = reach(-1) if mode > 0 else None
+        if left is not None:
+            pts = [mode - left * 2 ** k for k in range(10)
+                   if mode - left * 2 ** k > 0][::-1] + pts
+        pts = [mp.mpf(0)] + ([] if mode == 0 else [mode]) + pts
+        pts = sorted(set(pts))
+        return float(top + mp.log(mp.quad(lambda u: mp.exp(logg(u) - top),
+                                          pts)))
+
+
+def _spy_quadrature(monkeypatch):
+    calls = []
+    quadrature = densities._quadrature_logpdf
+    monkeypatch.setattr(densities, "_quadrature_logpdf",
+                        lambda ys, *rest: calls.append(ys.size)
+                        or quadrature(ys, *rest))
+    return calls
+
+
+def test_conditional_logpdf_against_mpmath(monkeypatch):
+    # known_sq in [0, 1e6], fresh_power in [1e-10, 1e3], sigma in [1e-4, 10],
+    # y within 5 standard deviations of the output mean; the corners first.
+    # The series error grows like eps * (a + |log f|) with a = known_sq/v
+    # (its terms and prefactor are of that size); a sample whose series
+    # would run past _SERIES_MAX_TERMS takes the 80-node quadrature, held
+    # to its own accuracy at these extremes.
+    rng = substream(41, 0)
+    cases = [(0.0, 1e-10, 1e-4), (0.0, 1e3, 10.0), (1e6, 1e3, 10.0),
+             (1e6, 1e-10, 1e-4), (1e-8, 1e-10, 10.0), (1e3, 1.0, 1e-4),
+             (1.0, 1e-3, 10.0), (5.0, 1.0, 1.0)]
+    cases += [(0.0 if rng.random() < 0.1 else 10 ** rng.uniform(-8, 6),
+               10 ** rng.uniform(-10, 3), 10 ** rng.uniform(-4, 1))
+              for _ in range(22)]
+    n_series = n_quadrature = 0
+    for lam, v, sigma in cases:
+        sd = math.sqrt(sigma ** 2 + v * v + 2 * v * lam)
+        y = lam + v + rng.uniform(-5.0, 5.0) * sd
+        calls = _spy_quadrature(monkeypatch)
+        ours = conditional_output_logpdf(y, lam, v, GaussianNoise(sigma))
+        ref = _mp_conditional_logpdf(y, lam, v, sigma)
+        if calls:
+            n_quadrature += 1
+            tol = 1e-7 * max(1.0, abs(ref))
+        else:
+            n_series += 1
+            tol = 5e-14 * (1.0 + lam / v + abs(ref))
+        assert abs(ours - ref) <= tol, (y, lam, v, sigma, ours, ref)
+    assert n_series >= 20 and n_quadrature >= 5
+
+
+def test_series_matches_quadrature_across_switch_and_cap(monkeypatch):
+    # both sides of tau = mu/sigma = _FORWARD_MIN_TAU, of the growth edge
+    # |tau| sqrt(c) = _FORWARD_GROWTH and of the term cap, with
+    # known_sq + v near sigma^2/v so that the scanned y stay in the bulk;
+    # mpmath settles the samples at each change of direction
+    for lam, v, sigma in [(0.5, 0.5, 1.0), (3.0, 1.0, 2.0), (24.0, 1.0, 5.0),
+                          (99.0, 1.0, 10.0), (35.0, 0.2, 2.65)]:
+        taus = np.linspace(-2.5, 0.5, 601)
+        ys = sigma * taus + sigma ** 2 / v
+        mu = ys - sigma ** 2 / v
+        c, _ = densities._term_counts(mu, np.full_like(ys, lam / v), v, sigma)
+        forward = ((taus >= densities._FORWARD_MIN_TAU)
+                   & (-taus * np.sqrt(c) <= densities._FORWARD_GROWTH))
+        assert forward.any() and (~forward).any()
+        noise = GaussianNoise(sigma)
+        calls = _spy_quadrature(monkeypatch)
+        series = conditional_output_logpdf(ys, lam, v, noise)
+        assert calls == []
+        quad = conditional_output_logpdf(ys, lam, v, noise,
+                                         force_quadrature=True)
+        assert np.max(np.abs(series - quad)) <= 1e-12, (lam, v, sigma)
+        for i in np.flatnonzero(forward[1:] != forward[:-1]):
+            for j in (i, i + 1):
+                ref = _mp_conditional_logpdf(ys[j], lam, v, sigma)
+                assert abs(series[j] - ref) <= 5e-14 * (1 + lam / v + abs(ref))
+    # a bulk sample just inside the cap runs the series, one just past it
+    # takes the quadrature; both agree with the quadrature oracle
+    v, sigma = 1.0, 0.5
+    noise = GaussianNoise(sigma)
+    cap = densities._SERIES_MAX_TERMS
+    lams = np.linspace(2500.0, 4500.0, 2001)
+    ys = lams + v
+    _, terms = densities._term_counts(ys - sigma ** 2 / v, lams / v, v, sigma)
+    inside = lams[terms <= cap][-1]
+    outside = lams[terms > cap][0]
+    for lam, expect_quadrature in ((inside, False), (outside, True)):
+        y = lam + v
+        calls = _spy_quadrature(monkeypatch)
+        ours = conditional_output_logpdf(y, lam, v, noise)
+        assert bool(calls) == expect_quadrature
+        quad = conditional_output_logpdf(y, lam, v, noise,
+                                         force_quadrature=True)
+        assert abs(ours - quad) <= 1e-9, lam
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.one_of(st.just(0.0), st.floats(1e-6, 30.0)),
+       v=st.floats(0.05, 5.0), sigma=st.floats(0.05, 3.0))
+def test_conditional_density_normalized(lam, v, sigma):
+    # trapezoid steps of sigma/8 on the smooth (noise-convolved) density
+    noise = GaussianNoise(sigma)
+    lo = -12.0 * sigma
+    hi = lam + 46.0 * v + 14.0 * math.sqrt(lam * v) + 12.0 * sigma
+    ys = np.linspace(lo, hi, int((hi - lo) / (sigma / 8.0)) + 2)
+    pdf = np.exp(conditional_output_logpdf(ys, lam, v, noise))
+    h = ys[1] - ys[0]
+    total = h * (pdf.sum() - 0.5 * (pdf[0] + pdf[-1]))
+    mean = h * np.sum(ys * pdf)
+    assert total == pytest.approx(1.0, abs=1e-9)
+    assert mean == pytest.approx(lam + v, abs=1e-8 * (1.0 + lam + v))
 
 
 def test_conditional_logpdf_validation():
@@ -155,17 +367,19 @@ def test_conditional_logpdf_chunked_batch_identical(monkeypatch):
     ys = rng.normal(3.0, 2.0, size=2000)
     lams = rng.uniform(0.0, 4.0, size=2000)
     monkeypatch.setattr(densities, "_QUAD_ELEMENT_BUDGET", 2000 * 4 * 40)
-    one_chunk = conditional_output_logpdf(ys, lams, 1.0, noise, nodes=40)
+    one_chunk = conditional_output_logpdf(ys, lams, 1.0, noise, nodes=40,
+                                          force_quadrature=True)
     monkeypatch.setattr(densities, "_QUAD_ELEMENT_BUDGET", 37 * 4 * 40)
     chunks = []
     quadrature = densities._conv_logpdf_quadrature
     monkeypatch.setattr(densities, "_conv_logpdf_quadrature",
                         lambda y, *rest: chunks.append(y.size)
                         or quadrature(y, *rest))
-    whole = conditional_output_logpdf(ys, lams, 1.0, noise, nodes=40)
+    whole = conditional_output_logpdf(ys, lams, 1.0, noise, nodes=40,
+                                      force_quadrature=True)
     parts = np.concatenate([
         conditional_output_logpdf(ys[i:i + 100], lams[i:i + 100], 1.0,
-                                  noise, nodes=40)
+                                  noise, nodes=40, force_quadrature=True)
         for i in range(0, 2000, 100)])
     assert chunks[:55] == [37] * 54 + [2000 - 54 * 37]
     assert chunks[55:58] == [37, 37, 26]
@@ -173,8 +387,49 @@ def test_conditional_logpdf_chunked_batch_identical(monkeypatch):
     assert np.array_equal(parts, one_chunk)
     # a grid that is not 1-d is chunked the same way
     grid = conditional_output_logpdf(ys.reshape(40, 50), lams.reshape(40, 50),
-                                     1.0, noise, nodes=40)
+                                     1.0, noise, nodes=40,
+                                     force_quadrature=True)
     assert np.array_equal(grid.ravel(), one_chunk)
+
+    # the series: each sample's term count, direction and start are its
+    # own, so a sample gives the same bits alone, in a batch, in any slice
+    # of it and in any order; the batch mixes zero matched power, both
+    # directions and samples left to the quadrature
+    chunks.clear()
+    noise = GaussianNoise(0.5)
+    ys = np.concatenate([rng.normal(3.0, 2.0, size=1500),
+                         rng.uniform(-3.0, 0.5, size=400),
+                         [2.0, -1.0, 0.3, 1e4, 3e4]])
+    lams = np.concatenate([rng.uniform(0.0, 4.0, size=1500),
+                           rng.uniform(0.0, 60.0, size=400),
+                           [0.0, 0.0, 0.0, 1e4, 3e4]])
+    v = 0.25
+    mu = ys - 0.25 / v
+    _, terms = densities._term_counts(mu, lams / v, v, 0.5)
+    tau = mu / 0.5
+    series = lams > 0
+    assert np.any(series & (tau >= densities._FORWARD_MIN_TAU))
+    assert np.any(series & (tau < densities._FORWARD_MIN_TAU))
+    assert np.any(terms > densities._SERIES_MAX_TERMS)
+    batch = conditional_output_logpdf(ys, lams, v, noise)
+    assert np.all(np.isfinite(batch))
+    # only the two huge-power samples take the quadrature
+    assert sum(chunks) == 2
+    perm = substream(23, 1).permutation(ys.size)
+    shuffled = conditional_output_logpdf(ys[perm], lams[perm], v, noise)
+    assert np.array_equal(shuffled, batch[perm])
+    for size in (7, 100, 1000):
+        parts = np.concatenate([
+            conditional_output_logpdf(ys[i:i + size], lams[i:i + size], v,
+                                      noise)
+            for i in range(0, ys.size, size)])
+        assert np.array_equal(parts, batch), size
+    alone = [conditional_output_logpdf(float(ys[i]), float(lams[i]), v, noise)
+             for i in range(0, ys.size, 17)]
+    assert np.array_equal(np.array(alone), batch[::17])
+    grid = conditional_output_logpdf(ys[:1900].reshape(38, 50),
+                                     lams[:1900].reshape(38, 50), v, noise)
+    assert np.array_equal(grid.ravel(), batch[:1900])
 
 
 def test_conditional_logpdf_narrow_noise():

@@ -354,6 +354,12 @@ def test_snr_roundtrip():
     db = snr_db(sig, noise)
     assert db == pytest.approx(10 * math.log10(2 * 4.0 / 0.25))
     assert c_beta_from_snr_db(db, 0.5) == pytest.approx(2.0, rel=1e-12)
+    # the square of the power would underflow or overflow as a float
+    unit = GaussianNoise(1.0)
+    assert snr_db(DiscreteFlat(c_beta=1e-200, k=1), unit) == pytest.approx(
+        10 * math.log10(2.0) - 4000.0, rel=1e-14)
+    assert snr_db(DiscreteFlat(c_beta=1e200, k=1), unit) == pytest.approx(
+        10 * math.log10(2.0) + 4000.0, rel=1e-14)
 
 
 def test_figure_curves_shape():
