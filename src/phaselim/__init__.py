@@ -11,11 +11,10 @@ simulator), :mod:`phaselim.cli` (command line front end).
 """
 
 from .densities import (ConcentrationConstants, GaussianNoise,
-                        concentration_constant, concentration_moment,
-                        concentration_rate, concentration_tail_bound,
-                        conditional_output_logpdf,
-                        exp_modified_gaussian_logpdf, golden_max,
-                        info_density, noncentral_chi2_scaled_logpdf)
+                        concentration_constant, concentration_rate,
+                        concentration_tail_bound, conditional_output_logpdf,
+                        golden_max, info_density,
+                        noncentral_chi2_scaled_logpdf)
 from .limits import (ThresholdInfeasibleError, ThresholdQuery,
                      ThresholdResult, c_beta_from_snr_db, figure_curves,
                      measurement_thresholds, mi_pair_lower, mi_pair_upper,
@@ -42,9 +41,8 @@ __all__ = [
     "observe",
     # densities
     "GaussianNoise", "ConcentrationConstants",
-    "noncentral_chi2_scaled_logpdf", "exp_modified_gaussian_logpdf",
-    "conditional_output_logpdf", "info_density", "concentration_rate",
-    "concentration_moment", "concentration_constant",
+    "noncentral_chi2_scaled_logpdf", "conditional_output_logpdf",
+    "info_density", "concentration_rate", "concentration_constant",
     "concentration_tail_bound", "golden_max",
     # limits
     "ThresholdQuery", "ThresholdResult", "ThresholdInfeasibleError",

@@ -41,14 +41,10 @@ __all__ = [
     "LOG_FLOOR",
     "GaussianNoise",
     "noncentral_chi2_scaled_logpdf",
-    "exp_modified_gaussian_logpdf",
     "conditional_output_logpdf",
     "info_density",
     "concentration_rate",
     "output_law_peak",
-    "log_moment_objective",
-    "concentration_moment",
-    "concentration_scale_from_moment",
     "concentration_constant",
     "ConcentrationConstants",
     "concentration_tail_bound",
@@ -104,8 +100,8 @@ class GaussianNoise:
 def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
     """Log density of ``|W|^2`` for complex Gaussian ``W`` with mean power
     ``known_sq`` and fluctuation power ``fresh_power``."""
-    if not fresh_power > 0:
-        raise ValueError("fresh_power must be positive")
+    if not 0 < fresh_power < math.inf:
+        raise ValueError("fresh_power must be positive and finite")
     u = np.asarray(u, dtype=float)
     lam = np.asarray(known_sq, dtype=float)
     if np.any(lam < 0):
@@ -119,7 +115,8 @@ def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
 
 
 def _emg_logpdf(y, v, sigma):
-    """:func:`exp_modified_gaussian_logpdf` of a 1-d ``y``.
+    """Log density of Exp(mean ``v``) + N(0, sigma^2) at a 1-d ``y``: the
+    zero-matched-power output law.
 
     The density is ``exp(sigma^2/(2v^2) - y/v) Phi(tau) / v`` with
     ``tau = (y - sigma^2/v) / sigma``. With ``e = erfcx(|tau|/sqrt 2)``,
@@ -152,13 +149,6 @@ def _emg_logpdf(y, v, sigma):
         tmp += 0.5 * (sigma / v) * (sigma / v) - math.log(v)
     np.copyto(out, tmp, where=right)
     return out
-
-
-def exp_modified_gaussian_logpdf(y, fresh_power, sigma):
-    """Closed-form log density of Exp(mean fresh_power) + N(0, sigma^2)."""
-    y = np.asarray(y, dtype=float)
-    out = _emg_logpdf(y.ravel(), float(fresh_power), float(sigma))
-    return out.reshape(y.shape)[()]
 
 
 # Grid elements (samples x 4 segments x nodes) one quadrature chunk holds;
@@ -368,8 +358,8 @@ def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise,
     lam = np.asarray(known_sq, dtype=float)
     if np.any(lam < 0):
         raise ValueError("known_sq must be nonnegative")
-    if not fresh_power > 0:
-        raise ValueError("fresh_power must be positive")
+    if not 0 < fresh_power < math.inf:
+        raise ValueError("fresh_power must be positive and finite")
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     ys = y_arr.ravel()
@@ -414,7 +404,11 @@ def concentration_rate(u):
     return float(out) if out.ndim == 0 else out
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
+# Golden-section steps at most; 200 shrink the bracket by 0.618^200 ~ 1e-42.
+_GOLDEN_MAX_ITER = 200
+
+
+def golden_max(f, lo: float, hi: float, tol: float = 1e-10):
     """Golden-section maximization of a unimodal ``f`` on ``[lo, hi]``.
 
     Returns ``(x, f(x))``; converges to the boundary if ``f`` is monotone.
@@ -425,7 +419,7 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     it = 0
-    while (b - a) > tol and it < max_iter:
+    while (b - a) > tol and it < _GOLDEN_MAX_ITER:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -465,16 +459,12 @@ def _power_integral_edges(t: float, total_power: float, noise_scale: float,
     return edges
 
 
-def log_moment_objective(t: float, total_power: float, noise: GaussianNoise,
-                         _peak_cache=None) -> float:
+def _log_moment_objective(t: float, total_power: float, noise: GaussianNoise,
+                          peak: tuple[float, float]) -> float:
     """Log of ``t * (M+1)^{-t} * integral f^t`` for the zero-matched-power
-    output law ``f`` with sup ``M``. Log-concave in ``t``."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if _peak_cache is None:
-        M, ym = output_law_peak(total_power, noise)
-    else:
-        M, ym = _peak_cache
+    output law ``f`` whose sup ``M`` sits at ``ym``, ``peak = (M, ym)``.
+    Log-concave in ``t``."""
+    M, ym = peak
     lnM = math.log(M)
     edges = _power_integral_edges(t, total_power, noise.sigma, ym)
     gx, gw = _gl_nodes(64)
@@ -488,26 +478,6 @@ def log_moment_objective(t: float, total_power: float, noise: GaussianNoise,
     return math.log(t) - t * math.log1p(M) + t * lnM + math.log(val)
 
 
-def concentration_moment(total_power: float, noise: GaussianNoise) -> float:
-    """Sup over ``t in [1e-3, 1e3]`` of the moment objective (linear scale).
-
-    Golden-section search on ``ln t``; valid because the objective is
-    log-concave in ``t``, hence unimodal.
-    """
-    pk = output_law_peak(total_power, noise)
-    obj = lambda lt: log_moment_objective(math.exp(lt), total_power, noise,
-                                          _peak_cache=pk)
-    lo, hi = math.log(1e-3), math.log(1e3)
-    _, best = golden_max(obj, lo, hi, tol=1e-10)
-    best = max(best, obj(lo), obj(hi))
-    return float(np.exp(best))
-
-
-def concentration_scale_from_moment(moment: float, noise_peak: float) -> float:
-    """Scale constant ``150 * max(2 * moment * (noise_peak + 1), 1)``."""
-    return 150.0 * max(2.0 * moment * (noise_peak + 1.0), 1.0)
-
-
 @dataclass(frozen=True)
 class ConcentrationConstants:
     moment: float       # sup-of-moments constant of the output law
@@ -517,12 +487,25 @@ class ConcentrationConstants:
 
 def concentration_constant(total_power: float,
                            noise: GaussianNoise) -> ConcentrationConstants:
-    moment = concentration_moment(total_power, noise)
-    peak = noise.peak()
+    """Concentration constants of the zero-matched-power output law.
+
+    ``moment`` is the sup over ``t in [1e-3, 1e3]`` of the moment objective
+    (linear scale), found by golden-section search on ``ln t``; valid
+    because the objective is log-concave in ``t``, hence unimodal. The scale
+    is ``150 * max(2 * moment * (noise_peak + 1), 1)``.
+    """
+    law_peak = output_law_peak(total_power, noise)
+    obj = lambda lt: _log_moment_objective(math.exp(lt), total_power, noise,
+                                           law_peak)
+    lo, hi = math.log(1e-3), math.log(1e3)
+    _, best = golden_max(obj, lo, hi, tol=1e-10)
+    best = max(best, obj(lo), obj(hi))
+    moment = float(np.exp(best))
+    noise_peak = noise.peak()
     return ConcentrationConstants(
         moment=moment,
-        scale=concentration_scale_from_moment(moment, peak),
-        noise_peak=peak,
+        scale=150.0 * max(2.0 * moment * (noise_peak + 1.0), 1.0),
+        noise_peak=noise_peak,
     )
 
 

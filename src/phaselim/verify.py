@@ -5,17 +5,19 @@ self-certifying: the verdict is a pure function of the stored fields
 (estimate, standard error, bounds, resolution), so a reader can recompute
 it from the report alone. Pass means the estimate sits inside
 ``[lower - 3 se, upper + 3 se]``; a run whose standard error exceeds the
-configured resolution (or whose sampler clamped too often) is declared
+fixed resolution (or whose sampler clamped too often) is declared
 inconclusive rather than pass or fail.
 
 All randomness flows through seeded substreams keyed by the battery index,
-so report bytes are identical across runs and across thread counts.
+so report bytes are identical across runs and across thread counts. The
+batteries, resolutions, grids and tolerances are fixed module constants;
+the only inputs are the trial budgets, the master seed and the thread cap.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -24,7 +26,8 @@ from .densities import (GaussianNoise, concentration_constant,
                         concentration_tail_bound, conditional_output_logpdf,
                         info_density)
 from .limits import mi_pair_lower, mi_pair_upper, tail_power_fraction
-from .model import GaussianIID, SortedSignal, floor_count, sample_signal_vector
+from .model import (GaussianIID, SortedSignal, partition_power_arrays,
+                    sample_signal_vector)
 from .rng import parallel_map, sample_circular_gaussian, substream
 
 __all__ = [
@@ -55,6 +58,26 @@ DEFAULT_LOGCONCAVITY_BATTERY = (
     (0.0, 2.0, 0.5),
     (6.0, 1.0, 1.0),
 )
+
+# Fixed check definitions; a report's params record the ones that shape it.
+_MI_RESOLUTION = 0.01          # sandwich: se above this is inconclusive,
+_MAX_CLAMP_FRACTION = 1e-3     # as is this share of floored densities
+_CONC_MISS_POWER = 1.0         # concentration: pair split and noise scale,
+_CONC_KEEP_POWER = 0.0
+_CONC_SIGMA = 1.0
+_CONC_N = 20                   # densities per sum,
+_CONC_MU_VALUES = (0.0, 0.01, 0.02, 0.05)
+_CONC_REL_SE_LIMIT = 3e-3      # largest centering se relative to its mean
+_GCONV_C_BETA = 1.0            # sorted-prefix convergence: signal power,
+_GCONV_K = 10000               # length, seed count, alpha grid step and
+_GCONV_SEEDS = 20              # tolerance in units of 1/sqrt(k)
+_GCONV_ALPHA_STEP = 0.01
+_GCONV_TOL_SCALE = 5.0
+_SCAN_STEP_SCALE = 0.01        # curvature scans: grid step in noise widths,
+_SCAN_POINTS = 2001            # grid points, and the largest second
+_SCAN_TOL = 1e-6               # difference that still counts as concave
+_NEG_SIGMA = 1.0               # negative control: two Gaussians of this
+_NEG_SEPARATION = 8.0          # scale, this many scales apart
 
 # A report writes a non-finite float as a string of its JSON spelling,
 # which float() reads back, so the report stays strict JSON.
@@ -159,9 +182,7 @@ def _draw_info_samples(miss_power: float, keep_power: float,
 
 
 def mi_estimate(miss_power: float, keep_power: float, noise: GaussianNoise,
-                trials: int, rng: np.random.Generator,
-                resolution: float = 0.01,
-                max_clamp_fraction: float = 1e-3) -> VerificationReport:
+                trials: int, rng: np.random.Generator) -> VerificationReport:
     """Monte Carlo mutual-information estimate checked against the
     analytic sandwich for the same power split."""
     vals, n_clamped = _draw_info_samples(miss_power, keep_power, noise,
@@ -176,63 +197,59 @@ def mi_estimate(miss_power: float, keep_power: float, noise: GaussianNoise,
         "sigma": noise.sigma,
         "n_clamped": n_clamped,
     }
-    forced = (n_clamped / max(trials, 1)) > max_clamp_fraction
+    forced = (n_clamped / max(trials, 1)) > _MAX_CLAMP_FRACTION
     return _finalize("mi_sandwich", params, estimate, se, lower, upper,
-                     trials, resolution=resolution, forced_inconclusive=forced)
+                     trials, resolution=_MI_RESOLUTION,
+                     forced_inconclusive=forced)
 
 
-def sandwich_check(battery=None, trials: int = 100000, master_seed: int = 0,
-                   threads: int = 1,
-                   resolution: float = 0.01) -> list[VerificationReport]:
-    """Run :func:`mi_estimate` over the (miss, keep, sigma) battery.
+def sandwich_check(trials: int = 100000, master_seed: int = 0,
+                   threads: int = 1) -> list[VerificationReport]:
+    """Run :func:`mi_estimate` over :data:`DEFAULT_SANDWICH_BATTERY`.
 
     Combo ``i`` draws from substream ``(master_seed, i)``, so results do
     not depend on the thread count or completion order.
     """
-    battery = DEFAULT_SANDWICH_BATTERY if battery is None else tuple(battery)
-
     def one(idx_combo):
         idx, (miss, keep, sigma) = idx_combo
         return mi_estimate(miss, keep, GaussianNoise(sigma), trials,
-                           substream(master_seed, idx),
-                           resolution=resolution)
+                           substream(master_seed, idx))
 
-    return parallel_map(one, list(enumerate(battery)), threads)
+    return parallel_map(one, list(enumerate(DEFAULT_SANDWICH_BATTERY)),
+                        threads)
 
 
-def concentration_check(miss_power: float = 1.0, keep_power: float = 0.0,
-                        sigma: float = 1.0, n: int = 20,
-                        mu_values=(0.0, 0.01, 0.02, 0.05),
-                        trials: int = 10000, info_samples: int = 1000000,
-                        master_seed: int = 0,
-                        rel_se_limit: float = 3e-3) -> list[VerificationReport]:
+def concentration_check(trials: int = 10000, info_samples: int = 1000000,
+                        master_seed: int = 0) -> list[VerificationReport]:
     """Empirical two-sided tails of the summed information density against
     the analytic bound ``exp(-n C r(mu)) + exp(-n C r(-mu))``.
 
-    The centering constant is a high-precision Monte Carlo run whose
-    standard error must stay below ``rel_se_limit`` of the estimate, else
-    every report is marked inconclusive. The bound's scale constant is
-    deliberately conservative, so large slack is the expected outcome.
+    Sums of ``n = 20`` densities at unit missed power and unit noise are
+    probed at ``mu`` in ``_CONC_MU_VALUES``. The centering constant is a
+    Monte Carlo run of ``info_samples`` draws whose standard error must stay
+    below 3e-3 of the estimate, else every report is marked inconclusive.
+    The bound's scale constant is deliberately conservative, so large slack
+    is the expected outcome.
     """
+    miss, keep, sigma, n = (_CONC_MISS_POWER, _CONC_KEEP_POWER, _CONC_SIGMA,
+                            _CONC_N)
     noise = GaussianNoise(sigma)
-    total = miss_power + keep_power
-    consts = concentration_constant(total, noise)
+    consts = concentration_constant(miss + keep, noise)
 
-    vals, _ = _draw_info_samples(miss_power, keep_power, noise,
-                                 info_samples, substream(master_seed, 0))
+    vals, _ = _draw_info_samples(miss, keep, noise, info_samples,
+                                 substream(master_seed, 0))
     info_mean = float(np.mean(vals))
     info_se = float(np.std(vals, ddof=1) / math.sqrt(info_samples))
-    centering_bad = not (info_se <= rel_se_limit * abs(info_mean))
+    centering_bad = not (info_se <= _CONC_REL_SE_LIMIT * abs(info_mean))
 
-    draw_rng = substream(master_seed, 1)
-    block, _ = _draw_info_samples(miss_power, keep_power, noise,
-                                  trials * n, draw_rng)
+    block, _ = _draw_info_samples(miss, keep, noise, trials * n,
+                                  substream(master_seed, 1))
     sums = block.reshape(trials, n).sum(axis=1)
     centered = sums - n * info_mean
 
     base_params = {
-        "miss_power": miss_power,
-        "keep_power": keep_power,
+        "miss_power": miss,
+        "keep_power": keep,
         "sigma": sigma,
         "n": n,
         "scale": consts.scale,
@@ -241,7 +258,7 @@ def concentration_check(miss_power: float = 1.0, keep_power: float = 0.0,
         "info_se": info_se,
     }
     reports = []
-    for mu in mu_values:
+    for mu in _CONC_MU_VALUES:
         deviation = 2.0 * n * consts.scale * mu
         bound = concentration_tail_bound(n, consts.scale, mu)
         for side, hit in (("lower", centered <= -deviation),
@@ -255,77 +272,71 @@ def concentration_check(miss_power: float = 1.0, keep_power: float = 0.0,
     return reports
 
 
-def tail_fraction_convergence_check(c_beta: float = 1.0, k: int = 10000,
-                                    n_seeds: int = 20, alpha_step: float = 0.01,
-                                    master_seed: int = 0, threads: int = 1,
-                                    tol_scale: float = 5.0) -> list[VerificationReport]:
+def tail_fraction_convergence_check(master_seed: int = 0,
+                                    threads: int = 1) -> list[VerificationReport]:
     """Sorted-prefix power sums of one Gaussian draw versus the limiting
     fraction curve, uniformly over the alpha grid, one report per seed.
 
-    The tolerance ``tol_scale / sqrt(k)`` tracks the root-k fluctuation
-    scale of the empirical sorted sums.
+    Twenty seeds of ``k = 10000`` coefficients on an alpha grid of step
+    0.01; the tolerance ``5 / sqrt(k)`` tracks the root-k fluctuation scale
+    of the empirical sorted sums.
     """
-    alphas = np.arange(0.0, 1.0 + alpha_step / 2, alpha_step)
-    alphas = np.clip(alphas, 0.0, 1.0)
+    c_beta, k, step = _GCONV_C_BETA, _GCONV_K, _GCONV_ALPHA_STEP
+    alphas = np.clip(np.arange(0.0, 1.0 + step / 2, step), 0.0, 1.0)
     limit = c_beta * np.asarray(tail_power_fraction(alphas))
-    counts = np.array([floor_count(a, k) for a in alphas])
-    tol = tol_scale / math.sqrt(k)
+    tol = _GCONV_TOL_SCALE / math.sqrt(k)
 
     def one(seed_idx):
         beta = sample_signal_vector(GaussianIID(c_beta, k),
                                     substream(master_seed, seed_idx))
-        prefix = SortedSignal(beta).prefix
-        dev = np.abs(prefix[counts] - limit) / c_beta
+        prefix = partition_power_arrays(SortedSignal(beta), alphas, "floor")[0]
+        dev = np.abs(prefix - limit) / c_beta
         return _finalize(
             "tail_fraction_convergence",
             {"seed_index": seed_idx, "k": k, "c_beta": c_beta,
-             "alpha_step": alpha_step},
+             "alpha_step": step},
             float(np.max(dev)), 0.0, None, tol, trials=1)
 
-    return parallel_map(one, list(range(n_seeds)), threads)
+    return parallel_map(one, list(range(_GCONV_SEEDS)), threads)
 
 
-def _second_difference_scan(logpdf, center: float, sigma: float,
-                            step_scale: float, points: int) -> float:
-    """Max second difference of a log density on a centered grid."""
-    step = step_scale * sigma
-    ys = center + step * (np.arange(points) - (points - 1) / 2.0)
+def _second_difference_scan(logpdf, center: float, sigma: float) -> float:
+    """Max second difference of a log density on the fixed grid centered
+    at ``center``, checked against ``_SCAN_TOL``."""
+    step = _SCAN_STEP_SCALE * sigma
+    ys = center + step * (np.arange(_SCAN_POINTS) - (_SCAN_POINTS - 1) / 2.0)
     lp = np.asarray(logpdf(ys), dtype=float)
     d2 = lp[2:] - 2.0 * lp[1:-1] + lp[:-2]
     return float(np.max(d2))
 
 
-def logconcavity_check(battery=None, step_scale: float = 0.01,
-                       points: int = 2001,
-                       tol: float = 1e-6) -> list[VerificationReport]:
+def logconcavity_check() -> list[VerificationReport]:
     """Second-difference log-concavity scan of the conditional output law
-    over its bulk (grid centered at the mean, spanning ten noise widths)."""
-    battery = DEFAULT_LOGCONCAVITY_BATTERY if battery is None else tuple(battery)
+    over its bulk (grid centered at the mean, spanning ten noise widths on
+    each side), one report per :data:`DEFAULT_LOGCONCAVITY_BATTERY` entry."""
     reports = []
-    for known_sq, fresh, sigma in battery:
+    for known_sq, fresh, sigma in DEFAULT_LOGCONCAVITY_BATTERY:
         noise = GaussianNoise(sigma)
         est = _second_difference_scan(
             lambda ys: conditional_output_logpdf(ys, known_sq, fresh, noise),
-            known_sq + fresh, sigma, step_scale, points)
+            known_sq + fresh, sigma)
         reports.append(_finalize(
             "logconcavity",
             {"known_sq": known_sq, "fresh_power": fresh, "sigma": sigma,
-             "step_scale": step_scale, "points": points},
-            est, 0.0, None, tol, trials=points))
+             "step_scale": _SCAN_STEP_SCALE, "points": _SCAN_POINTS},
+            est, 0.0, None, _SCAN_TOL, trials=_SCAN_POINTS))
     return reports
 
 
-def logconcavity_negative_control(sigma: float = 1.0, separation: float = 8.0,
-                                  step_scale: float = 0.01,
-                                  points: int = 2001,
-                                  tol: float = 1e-6) -> VerificationReport:
+def logconcavity_negative_control() -> VerificationReport:
     """Deliberately bimodal mixture; the scan must fail on it.
 
     A correct curvature test rejects the equal mixture of two unit-weight
-    Gaussians ``separation`` apart, whose log density is convex between
-    the modes.
+    Gaussians ``_NEG_SEPARATION`` widths apart, whose log density is convex
+    between the modes.
     """
-    mu2 = separation * sigma
+    sigma = _NEG_SIGMA
+    mu2 = _NEG_SEPARATION * sigma
 
     def logpdf(y):
         y = np.asarray(y, dtype=float)
@@ -334,12 +345,12 @@ def logconcavity_negative_control(sigma: float = 1.0, separation: float = 8.0,
         return logsumexp(np.stack([a, b]), axis=0) + math.log(0.5) \
             - 0.5 * math.log(2 * math.pi * sigma ** 2)
 
-    est = _second_difference_scan(logpdf, mu2 / 2.0, sigma, step_scale, points)
+    est = _second_difference_scan(logpdf, mu2 / 2.0, sigma)
     return _finalize(
         "logconcavity_negative_control",
-        {"sigma": sigma, "separation": separation, "step_scale": step_scale,
-         "points": points},
-        est, 0.0, None, tol, trials=points)
+        {"sigma": sigma, "separation": _NEG_SEPARATION,
+         "step_scale": _SCAN_STEP_SCALE, "points": _SCAN_POINTS},
+        est, 0.0, None, _SCAN_TOL, trials=_SCAN_POINTS)
 
 
 def run_suite(suite: str, trials: int = 100000, master_seed: int = 0,

@@ -224,8 +224,7 @@ def test_criterion_07_logconcavity_scan():
 
 
 def test_criterion_08_sorted_prefix_convergence():
-    reports = tail_fraction_convergence_check(c_beta=1.0, k=10000,
-                                              n_seeds=20, master_seed=0)
+    reports = tail_fraction_convergence_check(master_seed=0)
     devs = [r.estimate for r in reports]
     ok = len(reports) == 20 and all(r.verdict == "pass" for r in reports)
     _line(8, "sorted-prefix convergence",

@@ -12,15 +12,10 @@ from scipy.special import erfc
 
 from phaselim import densities
 from phaselim.densities import (LOG_FLOOR, GaussianNoise,
-                                concentration_constant,
-                                concentration_moment, concentration_rate,
-                                concentration_scale_from_moment,
+                                concentration_constant, concentration_rate,
                                 concentration_tail_bound,
-                                conditional_output_logpdf,
-                                exp_modified_gaussian_logpdf, golden_max,
-                                info_density,
-                                log_moment_objective,
-                                noncentral_chi2_scaled_logpdf,
+                                conditional_output_logpdf, golden_max,
+                                info_density, noncentral_chi2_scaled_logpdf,
                                 output_law_peak)
 from phaselim.rng import sample_circular_gaussian, substream
 
@@ -96,6 +91,11 @@ def test_magnitude_sq_monte_carlo():
 
 # ----------------------------------------------- closed form vs quadrature
 
+def _emg_logpdf(y, v, sigma):
+    # zero matched power: the output law is Exp(mean v) + N(0, sigma^2)
+    return conditional_output_logpdf(y, 0.0, v, GaussianNoise(sigma))
+
+
 def _emg_oracle(y, v, sigma):
     # independent transcription: exp(s^2/(2 v^2) - y/v) * Phi(y/s - s/v) / v
     t = y / sigma - sigma / v
@@ -106,7 +106,7 @@ def _emg_oracle(y, v, sigma):
 def test_emg_against_erfc_transcription():
     for v, sigma in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.3)]:
         for y in np.linspace(-4 * sigma, 8 * v, 60):
-            ours = exp_modified_gaussian_logpdf(y, v, sigma)
+            ours = _emg_logpdf(y, v, sigma)
             assert ours == pytest.approx(math.log(_emg_oracle(y, v, sigma)),
                                          abs=1e-12)
 
@@ -126,7 +126,7 @@ def test_emg_against_mpmath_down_to_tiny_power():
         for v in (1e-10, 1e-8, 1e-6, 1e-3, 1.0, 1e3):
             ys = np.concatenate([np.linspace(-8 * sigma, 8 * sigma, 9),
                                  [v, 5 * v, 30 * v + 3 * sigma]])
-            ours = exp_modified_gaussian_logpdf(ys, v, sigma)
+            ours = _emg_logpdf(ys, v, sigma)
             for y, val in zip(ys, ours):
                 ref = _mp_emg_logpdf(y, v, sigma)
                 assert val == pytest.approx(ref, rel=1e-13, abs=1e-12), \
@@ -353,6 +353,12 @@ def test_conditional_logpdf_validation():
         conditional_output_logpdf(1.0, -0.1, 1.0, noise)
     with pytest.raises(ValueError):
         conditional_output_logpdf(1.0, 0.0, 0.0, noise)
+    # an infinite fresh power used to give -inf everywhere without an error
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            conditional_output_logpdf(1.0, 0.0, bad, noise)
+        with pytest.raises(ValueError):
+            noncentral_chi2_scaled_logpdf(1.0, 0.0, bad)
     out = conditional_output_logpdf(2.0, 1.0, 1.0, noise)
     assert isinstance(out, float)
     arr = conditional_output_logpdf(np.array([1.0, 2.0]), 1.0, 1.0, noise)
@@ -522,9 +528,9 @@ def test_concentration_moment_grid_oracle():
     total = 1.0
     pk = output_law_peak(total, noise)
     lts = np.linspace(math.log(1e-3), math.log(1e3), 2000)
-    grid = max(log_moment_objective(math.exp(lt), total, noise,
-                                    _peak_cache=pk) for lt in lts)
-    ours = concentration_moment(total, noise)
+    grid = max(densities._log_moment_objective(math.exp(lt), total, noise, pk)
+               for lt in lts)
+    ours = concentration_constant(total, noise).moment
     assert math.log(ours) >= grid - 1e-6
     assert math.log(ours) == pytest.approx(grid, abs=1e-4)
 
@@ -534,13 +540,26 @@ def test_concentration_moment_lower_bound():
     noise = GaussianNoise(1.0)
     for total in (0.5, 1.0, 2.0):
         peak, _ = output_law_peak(total, noise)
-        assert concentration_moment(total, noise) >= 1.0 / (peak + 1.0) - 1e-9
+        moment = concentration_constant(total, noise).moment
+        assert moment >= 1.0 / (peak + 1.0) - 1e-9
 
 
-def test_concentration_scale_formula():
-    assert concentration_scale_from_moment(2.0, 0.5) == pytest.approx(900.0)
-    # degenerate small moments clamp at the fixed floor
-    assert concentration_scale_from_moment(1e-9, 0.1) == pytest.approx(150.0)
+@settings(max_examples=40, deadline=None)
+@given(log_power=st.floats(-6.0, 6.0), log_sigma=st.floats(-2.0, 2.0))
+def test_concentration_constant_properties(log_power, log_sigma):
+    # total power and noise scale log-uniform over twelve and four decades
+    total, noise = 10.0 ** log_power, GaussianNoise(10.0 ** log_sigma)
+    consts = concentration_constant(total, noise)
+    assert all(math.isfinite(x)
+               for x in (consts.moment, consts.scale, consts.noise_peak))
+    peak, _ = output_law_peak(total, noise)
+    assert peak <= noise.peak()
+    assert consts.noise_peak == noise.peak()
+    # the objective at t = 1 is 1/(M+1), since f integrates to one
+    assert consts.moment >= 1.0 / (peak + 1.0) - 1e-9
+    # the scale clamps at 150 for small moments
+    assert consts.scale == 150.0 * max(
+        2.0 * consts.moment * (consts.noise_peak + 1.0), 1.0)
 
 
 def test_concentration_constant_bundle():
@@ -548,7 +567,7 @@ def test_concentration_constant_bundle():
     consts = concentration_constant(1.0, noise)
     assert consts.noise_peak == pytest.approx(1 / math.sqrt(2 * math.pi))
     assert consts.scale == pytest.approx(
-        concentration_scale_from_moment(consts.moment, consts.noise_peak))
+        150.0 * max(2.0 * consts.moment * (consts.noise_peak + 1.0), 1.0))
     assert consts.scale >= 150.0
 
 

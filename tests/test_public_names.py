@@ -1,8 +1,10 @@
 """Names that code outside the package reaches into must keep existing:
-the functions the benchmark tracer wraps, the names the demos import and
-the names each module's ``__all__`` lists."""
+the functions the benchmark tracer wraps, the names the demos import (and
+the keyword arguments the demos pass to them) and the names each module's
+``__all__`` lists."""
 import ast
 import importlib
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -43,6 +45,33 @@ def test_demo_imports_exist():
     for demo, module, name in imports:
         mod = importlib.import_module(module)
         assert hasattr(mod, name), f"{demo}: {module}.{name}"
+
+
+def test_demo_keywords_exist():
+    # no test runs the demos, so a dropped parameter would break one silently
+    checked = 0
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "phaselim"):
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = getattr(mod, alias.name)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in imported):
+                continue
+            params = inspect.signature(imported[node.func.id]).parameters
+            takes_any = any(p.kind is p.VAR_KEYWORD for p in params.values())
+            for kw in node.keywords:
+                if kw.arg is not None and not takes_any:
+                    assert kw.arg in params, \
+                        f"{path.name}:{node.lineno}: {node.func.id}({kw.arg}=)"
+                    checked += 1
+    assert checked
 
 
 def test_all_names_exist():

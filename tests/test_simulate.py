@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phaselim import simulate
-from phaselim.densities import GaussianNoise, exp_modified_gaussian_logpdf
+from phaselim.densities import GaussianNoise, conditional_output_logpdf
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
                             SupportSet, observe, sample_signal_vector,
                             sample_support)
@@ -111,7 +111,7 @@ def test_mc_marginal_matches_single_column_marginal():
     best_exact = None
     for j in range(3):
         v = float(np.abs(x[0, j]) ** 2) * signal.c_beta
-        exact = exp_modified_gaussian_logpdf(1.2, v, 0.7)
+        exact = conditional_output_logpdf(1.2, 0.0, v, GaussianNoise(0.7))
         if best_exact is None or exact > best_exact[1]:
             best_exact = (j, exact)
     decoded = decode(x, y, signal, noise, "mc-marginal", mc_samples=20000,
