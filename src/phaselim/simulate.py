@@ -16,6 +16,15 @@ score a candidate by its likelihood averaged over coefficient draws:
 
 Ties resolve to the lexicographically smallest candidate, which makes the
 zero-measurement limit exactly analyzable.
+
+Cost and memory of one decode: the products ``conj(x[:, c]) * draw[j]``
+of every column and slot are formed once per block of draws, in a table of
+at most ``_CHUNK_ELEMENTS`` products (one draw's ``k * p * n`` if that is
+more). Per (candidate, draw, row) element a chunk then makes ``k`` gathers
+and six arithmetic passes, and the Gaussian log-likelihood is taken once
+per (candidate, draw) from the sum of squared residuals. The scores fill
+a ``C(p, k) x mc_samples`` float matrix, at most 20 MB at 256 draws, and
+one log-mean-exp runs over it.
 """
 from __future__ import annotations
 
@@ -44,8 +53,10 @@ __all__ = [
 ]
 
 MAX_CANDIDATES = 10000
-# Most projections (candidates x rows x draws) one scoring chunk holds;
-# the chunk's other temporaries are of the same size.
+# Most projections (candidates x draws x rows) one scoring chunk holds, and
+# most products (slots x columns x draws x rows) one draw block's table
+# holds; the chunk's other temporaries are of the same size. Larger chunks
+# leave the cache and were measured slower (2^15 and up).
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -106,25 +117,40 @@ def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
                       draws: np.ndarray, scale: float) -> np.ndarray:
     """Per candidate, in lexicographic order: the log of the likelihood of
     ``y`` averaged over the rows of ``draws``, with mean intensities
-    ``scale * |conj(x_S) @ draw|^2``. The projection is summed column by
-    column, not by a BLAS matmul whose rounding depends on the matrix
-    shape, so a score does not depend on the chunk it is computed in."""
+    ``scale * |conj(x_S) @ draw|^2``.
+
+    The products ``conj(x[:, c]) * draws[s, j]`` of every column ``c``,
+    slot ``j`` and draw ``s`` are formed once per block of draws, and a
+    chunk of candidates only gathers and adds them. The projection is
+    summed slot by slot and the squared residuals over the contiguous row
+    axis, never by a BLAS call whose rounding depends on the array shape,
+    so a score does not depend on its candidate chunk or its draw block.
+    """
     n, p = x.shape
     m, k = draws.shape
     cands = _candidates(p, k)
-    xt = np.ascontiguousarray(np.conjugate(x).T)   # row j: conj of column j
-    step = max(1, _CHUNK_ELEMENTS // (max(n, 1) * m))
-    scores = np.empty(cands.shape[0])
-    for lo in range(0, cands.shape[0], step):
-        idx = cands[lo:lo + step]
-        proj = sum(xt[idx[:, j], :, None] * draws[:, j] for j in range(k))
-        loglik = noise.logpdf(y[:, None]
-                              - scale * np.abs(proj) ** 2).sum(axis=1)
-        top = loglik.max(axis=1, keepdims=True)
-        top[np.isneginf(top)] = 0.0   # no possible draw: -inf, not NaN
-        scores[lo:lo + len(idx)] = (
-            top[:, 0] + np.log(np.exp(loglik - top).mean(axis=1)))
-    return scores
+    xt = np.conjugate(x).T                     # row c: conj of column c
+    # draws per block: the block's product table fits in one chunk budget
+    block = max(1, _CHUNK_ELEMENTS // (k * p * max(n, 1)))
+    loglik = np.empty((cands.shape[0], m))
+    for d0 in range(0, m, block):
+        d = draws[d0:d0 + block]
+        table = xt[None, :, None, :] * d.T[:, None, :, None]   # (k, p, b, n)
+        step = max(1, _CHUNK_ELEMENTS // (max(n, 1) * len(d)))
+        for lo in range(0, cands.shape[0], step):
+            idx = cands[lo:lo + step]
+            proj = table[0, idx[:, 0]]                          # (c, b, n)
+            for j in range(1, k):
+                proj += table[j, idx[:, j]]
+            resid = np.square(proj.real)
+            resid += np.square(proj.imag)
+            resid *= scale
+            np.subtract(y, resid, out=resid)
+            loglik[lo:lo + len(idx), d0:d0 + len(d)] = noise.joint_logpdf(
+                np.einsum("cbn,cbn->cb", resid, resid), n)
+    top = loglik.max(axis=1, keepdims=True)
+    top[np.isneginf(top)] = 0.0   # no possible draw: -inf, not NaN
+    return top[:, 0] + np.log(np.exp(loglik - top).mean(axis=1))
 
 
 def error_event(true_support: SupportSet, decoded: SupportSet,

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import erfc
@@ -31,6 +31,11 @@ def test_gaussian_noise_against_norm():
         0.5 * math.log(2 * math.pi * math.e * 0.49), abs=1e-14)
     assert noise.exp_2h() == pytest.approx(2 * math.pi * math.e * 0.49)
     assert noise.peak() == pytest.approx(1.0 / (0.7 * math.sqrt(2 * math.pi)))
+    # the decoder's form: one noise value is the count-1 case, bit for bit,
+    # and independent values add
+    assert np.array_equal(noise.logpdf(ys), noise.joint_logpdf(ys * ys, 1))
+    assert noise.joint_logpdf(np.sum(ys * ys), ys.size) == pytest.approx(
+        np.sum(noise.logpdf(ys)), rel=1e-14)
     for bad in (0.0, math.nan, math.inf, 1e-155, 1e160, 1e300, -1.0):
         with pytest.raises(ValueError):
             GaussianNoise(bad)
@@ -89,6 +94,30 @@ def test_magnitude_sq_monte_carlo():
     assert np.var(u) == pytest.approx(v * v + 2 * v * lam, rel=0.05)
 
 
+@settings(max_examples=60, deadline=None)
+@given(log_x=st.floats(-6.0, 300.0), log_v=st.floats(-100.0, 100.0),
+       log_ratio=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e-8, 1e-8)))
+@example(log_x=300.0, log_v=0.0, log_ratio=0.0)
+@example(log_x=300.0, log_v=-100.0, log_ratio=1e-9)
+@example(log_x=300.0, log_v=100.0, log_ratio=-2.0)
+def test_magnitude_sq_against_mpmath(log_x, log_v, log_ratio):
+    # x = 2 sqrt(u lam)/v from 1e-6 to 1e300 and u/lam from 1e-2 to 1e2,
+    # including u next to lam; the tolerance is the form's own conditioning:
+    # sqrt(u) and sqrt(lam) carry one rounding each, which moves
+    # (sqrt(u) - sqrt(lam))^2 / v by about eps |u - lam| / v
+    log_lam = log_x + log_v - math.log10(2.0) - log_ratio / 2.0
+    assume(-300.0 < log_lam < 300.0 and -300.0 < log_lam + log_ratio < 300.0)
+    lam, u, v = 10.0 ** log_lam, 10.0 ** (log_lam + log_ratio), 10.0 ** log_v
+    ours = float(noncentral_chi2_scaled_logpdf(u, lam, v))
+    with mp.workdps(40):
+        mu, mlam, mv = mp.mpf(u), mp.mpf(lam), mp.mpf(v)
+        x = 2 * mp.sqrt(mu * mlam) / mv
+        ref = float(-mp.log(mv) - (mp.sqrt(mu) - mp.sqrt(mlam)) ** 2 / mv
+                    + _mp_log_ive(0, x))
+    assert abs(ours - ref) <= 1e-14 * (1.0 + abs(ref) + abs(u - lam) / v), \
+        (u, lam, v, ours, ref)
+
+
 # ----------------------------------------------- closed form vs quadrature
 
 def _emg_logpdf(y, v, sigma):
@@ -111,8 +140,8 @@ def test_emg_against_erfc_transcription():
                                          abs=1e-12)
 
 
-def _mp_emg_logpdf(y, v, sigma):
-    with mp.workdps(40):
+def _mp_emg_logpdf(y, v, sigma, dps=40):
+    with mp.workdps(dps):
         y, v, sigma = mp.mpf(y), mp.mpf(v), mp.mpf(sigma)
         tau = (y - sigma ** 2 / v) / sigma
         return float(sigma ** 2 / (2 * v ** 2) - y / v - mp.log(v)
@@ -184,12 +213,12 @@ def _mp_log_ive(order, x):
     return mp.log(total / mp.sqrt(2 * mp.pi * x))
 
 
-def _mp_conditional_logpdf(y, lam, v, sigma):
+def _mp_conditional_logpdf(y, lam, v, sigma, dps=20):
     """log int_0^inf f_U(u) phi_sigma(y - u) du in mpmath. The integrand is
     log-concave in u, so it is split at its mode (found by bisection on the
     derivative's sign) and at doubling distances from it, out to where it
     has dropped by more than e^-500."""
-    with mp.workdps(20):
+    with mp.workdps(dps):
         y, lam, v, sigma = (mp.mpf(float(z)) for z in (y, lam, v, sigma))
         const = -mp.log(v) - mp.log(sigma * mp.sqrt(2 * mp.pi))
 
@@ -349,8 +378,10 @@ def test_conditional_logpdf_validation():
     noise = GaussianNoise(1.0)
     with pytest.raises(ValueError):
         conditional_output_logpdf(np.inf, 0.0, 1.0, noise)
-    with pytest.raises(ValueError):
-        conditional_output_logpdf(1.0, -0.1, 1.0, noise)
+    # a NaN matched power was read as zero (the EMG value, -1.193 here)
+    for bad in (-0.1, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            conditional_output_logpdf(1.0, bad, 1.0, noise)
     with pytest.raises(ValueError):
         conditional_output_logpdf(1.0, 0.0, 0.0, noise)
     # an infinite fresh power used to give -inf everywhere without an error
@@ -363,6 +394,37 @@ def test_conditional_logpdf_validation():
     assert isinstance(out, float)
     arr = conditional_output_logpdf(np.array([1.0, 2.0]), 1.0, 1.0, noise)
     assert arr.shape == (2,)
+
+
+def test_conditional_logpdf_tiny_fresh_power():
+    # below 1e-16 * max(known_sq, sigma^2) the chi-square bulk is narrower
+    # than the float spacing near known_sq: for the N(5, 1) limit -0.9189
+    # the quadrature gave -0.9459 at 1e-30, -1.03e28 at 1e-35 and -1.03e293
+    # at 1e-300; and sigma^2 / fresh_power overflowed the EMG term to -inf
+    noise = GaussianNoise(1.0)
+    for fresh in (1e-30, 1e-35, 1e-300, 4e-16):
+        with pytest.raises(ValueError):
+            conditional_output_logpdf(5.0, 5.0, fresh, noise)
+    with pytest.raises(ValueError):     # the largest matched power decides
+        conditional_output_logpdf([5.0, 5.0], [0.0, 5.0], 1e-16, noise)
+    with pytest.raises(ValueError):
+        conditional_output_logpdf(0.0, 0.0, 1e-9, GaussianNoise(1e150))
+    assert conditional_output_logpdf(5.0, 5.0, 1e-15, noise) == pytest.approx(
+        -0.5 * math.log(2.0 * math.pi), abs=1e-8)
+    # just above the bound the quadrature and the EMG hold against mpmath
+    for lam, sigma in [(5.0, 1.0), (1e-6, 1e-2), (1e3, 1e-4), (1e6, 10.0),
+                       (1.0, 10.0)]:
+        v = 2e-16 * max(lam, sigma ** 2)
+        sd = math.sqrt(sigma ** 2 + 2.0 * lam * v)
+        for y in (lam + v, lam + v + 3.0 * sd):
+            ours = conditional_output_logpdf(y, lam, v, GaussianNoise(sigma))
+            ref = _mp_conditional_logpdf(y, lam, v, sigma, dps=30)
+            assert abs(ours - ref) <= 1e-8 * max(1.0, abs(ref)), (y, lam, v)
+    for sigma in (1e-4, 1.0, 1e150):
+        v = 2e-16 * sigma ** 2
+        for y in (0.0, 3.0 * sigma):
+            assert _emg_logpdf(y, v, sigma) == pytest.approx(
+                _mp_emg_logpdf(y, v, sigma, dps=80), rel=1e-13, abs=1e-12)
 
 
 def test_conditional_logpdf_chunked_batch_identical(monkeypatch):

@@ -1,8 +1,10 @@
 """Exhaustive decoder, error curves, and the monotone-fit helper."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from phaselim import simulate
 from phaselim.densities import GaussianNoise, conditional_output_logpdf
@@ -171,9 +173,37 @@ def test_error_curves_pinned():
         assert error_curve(SimConfig(**kwargs)).pe.tolist() == pe, kwargs
 
 
+def _reference_scores(x, y, noise, draws, scale):
+    """Plain per-candidate loop: log mean over draws ``s`` of the
+    likelihood ``prod_i f_Z(y_i - scale |conj(x_S) @ d_s|^2)``."""
+    m, k = draws.shape
+    out = []
+    for cand in itertools.combinations(range(x.shape[1]), k):
+        proj = np.conjugate(x[:, cand]) @ draws.T          # (rows, draws)
+        loglik = noise.logpdf(y[:, None] - scale * np.abs(proj) ** 2)
+        out.append(logsumexp(loglik.sum(axis=0)) - math.log(m))
+    return np.array(out)
+
+
+def test_candidate_scores_match_reference_loop():
+    rng = substream(19, 0)
+    noise = GaussianNoise(0.6)
+    n, p = 11, 6
+    x = sample_circular_gaussian(rng, (n, p))
+    y = np.abs(rng.normal(1.0, 1.0, size=n))
+    for k in (1, 2, 3):
+        for draws in (np.ones((1, k)),
+                      sample_circular_gaussian(rng, (16, k), power=0.7)):
+            for scale in (0.3, 1.0):
+                ours = simulate._candidate_scores(x, y, noise, draws, scale)
+                ref = _reference_scores(x, y, noise, draws, scale)
+                assert np.allclose(ours, ref, rtol=1e-12, atol=0), (k, scale)
+
+
 def test_chunked_scores_match_one_chunk(monkeypatch):
-    # a budget of a few candidates per chunk, with a ragged last chunk,
-    # scores every candidate exactly as one chunk does
+    # a budget of a few candidates per chunk, with a ragged last chunk, or
+    # of a few draws per product table, with a ragged last block, scores
+    # every candidate exactly as one chunk and one block do
     rng = substream(17, 0)
     noise = GaussianNoise(0.4)
     n, p = 9, 7
@@ -185,11 +215,13 @@ def test_chunked_scores_match_one_chunk(monkeypatch):
         m, k = draws.shape
         whole = simulate._candidate_scores(x, y, noise, draws, scale)
         assert whole.shape == (math.comb(p, k),)
-        for per_chunk in (1, 4):
-            monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS",
-                                per_chunk * n * m)
+        budgets = [per_chunk * n * m for per_chunk in (1, 4)]
+        if m > 1:   # tables of 3 or 5 of the 16 draws
+            budgets += [per_block * k * p * n for per_block in (3, 5)]
+        for budget in budgets:
+            monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", budget)
             chunked = simulate._candidate_scores(x, y, noise, draws, scale)
-            assert np.array_equal(chunked, whole)
+            assert np.array_equal(chunked, whole), budget
         monkeypatch.undo()
     for decoder, signal, kw in (
             ("flat-ml", DiscreteFlat(c_beta=1.0, k=2), {}),
