@@ -63,12 +63,13 @@ _SQRT_BULK = 7.0
 # rate forms, stay normal floats with room to divide by.
 _SIGMA_MIN, _SIGMA_MAX = 1e-150, 1e150
 
-# Smallest fresh power, relative to the larger of the matched power and
-# sigma^2. The quadrature fallback's error grows like eps sqrt(known_sq/v),
-# and past that the chi-square bulk is narrower than the float spacing near
-# known_sq (known_sq 5, sigma 1: -0.9459 at v = 1e-30 and -1.03e28 at 1e-35
-# against -0.9189); sigma^2 / v can overflow the EMG term to -inf. Above
-# the bound the fallback holds mpmath to about 1e-7 relative.
+# Smallest fresh power, relative to the matched power. The quadrature
+# fallback's error grows like eps sqrt(known_sq/v), and past that the
+# chi-square bulk is narrower than the float spacing near known_sq
+# (known_sq 5, sigma 1: -0.9459 at v = 1e-30 and -1.03e28 at 1e-35 against
+# -0.9189). Above the bound the fallback holds mpmath to about 1e-7
+# relative. At zero matched power the EMG form holds for any v whose
+# sigma^2 / v is a finite float.
 _FRESH_MIN_RATIO = 1e-16
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -86,15 +87,12 @@ class GaussianNoise:
                              f"{_SIGMA_MAX:g}], got {self.sigma!r}")
 
     def logpdf(self, z):
-        # joint_logpdf(z * z, 1), written out: as one expression numpy
-        # reuses the square's buffer, where a call would hold it alive
         z = np.asarray(z, dtype=float)
-        return -(z * z) / (2.0 * self.sigma**2) - 0.5 * math.log(2.0 * math.pi * self.sigma**2)
+        return self.joint_logpdf(z * z, 1)
 
     def joint_logpdf(self, sum_sq, count: int):
         """Log density of ``count`` independent noise values whose squares
-        sum to ``sum_sq``; ``logpdf(z)`` equals ``joint_logpdf(z * z, 1)``
-        bit for bit."""
+        sum to ``sum_sq``."""
         return (-sum_sq / (2.0 * self.sigma**2)
                 - count * (0.5 * math.log(2.0 * math.pi * self.sigma**2)))
 
@@ -366,10 +364,11 @@ def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise,
     ``_QUAD_ELEMENT_BUDGET`` grid elements at a time, as is every sample
     under ``force_quadrature`` (``nodes`` is the quadrature order). A value
     does not depend on the batch it is computed in. Raises on non-finite
-    ``y``, on a negative or non-finite ``known_sq`` and on a
-    ``fresh_power`` below ``1e-16 * max(known_sq, sigma^2)``, which no form
-    here resolves. May return values below ``LOG_FLOOR`` or
-    ``-inf``; flooring is the caller's choice (see :func:`info_density`).
+    ``y``, on a negative or non-finite ``known_sq``, and on a
+    ``fresh_power`` below ``1e-16 * known_sq`` or with an overflowing
+    ``sigma^2 / fresh_power``, which no form here resolves. May return
+    values below ``LOG_FLOOR`` or ``-inf``; flooring is the caller's choice
+    (see :func:`info_density`).
     """
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr)):
@@ -380,11 +379,13 @@ def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise,
         raise ValueError("known_sq must be nonnegative and finite")
     if not 0 < fresh_power < math.inf:
         raise ValueError("fresh_power must be positive and finite")
-    scale = max(lam_max, noise.sigma ** 2)
-    if fresh_power < _FRESH_MIN_RATIO * scale:
+    if fresh_power < _FRESH_MIN_RATIO * lam_max:
         raise ValueError(f"fresh_power must be at least {_FRESH_MIN_RATIO:g} "
-                         f"times max(known_sq, sigma^2) = {scale:g}, "
+                         f"times the largest known_sq {lam_max:g}, "
                          f"got {fresh_power!r}")
+    if not noise.sigma ** 2 / fresh_power < math.inf:
+        raise ValueError(f"sigma^2 / fresh_power overflows at sigma "
+                         f"{noise.sigma!r}, fresh_power {fresh_power!r}")
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     ys = y_arr.ravel()

@@ -17,14 +17,18 @@ score a candidate by its likelihood averaged over coefficient draws:
 Ties resolve to the lexicographically smallest candidate, which makes the
 zero-measurement limit exactly analyzable.
 
-Cost and memory of one decode: the products ``conj(x[:, c]) * draw[j]``
-of every column and slot are formed once per block of draws, in a table of
-at most ``_CHUNK_ELEMENTS`` products (one draw's ``k * p * n`` if that is
-more). Per (candidate, draw, row) element a chunk then makes ``k`` gathers
-and six arithmetic passes, and the Gaussian log-likelihood is taken once
-per (candidate, draw) from the sum of squared residuals. The scores fill
-a ``C(p, k) x mc_samples`` float matrix, at most 20 MB at 256 draws, and
-one log-mean-exp runs over it.
+Cost and memory of one decode: candidates run in super-chunks whose
+``candidates x mc_samples`` log-likelihoods fit in ``_SCORE_ELEMENTS``
+doubles (2 MB). Per super-chunk, the products ``conj(x[:, c]) * draw[j]``
+of every column it takes and every slot are formed once per block of
+draws, in a table of at most ``_CHUNK_ELEMENTS`` products (one draw's
+``k * p * n`` if that is more). Per (candidate, draw, row) element a chunk
+then makes ``k`` gathers and six arithmetic passes, and the Gaussian
+log-likelihood is taken once per (candidate, draw) from the sum of squared
+residuals. One log-mean-exp per super-chunk runs in place. Beyond ``x``
+and the draws a decode holds 2 MB of log-likelihoods, the table and a
+few chunk temporaries, whatever ``C(p, k)``: 3.3 MB at p = 141, k = 2,
+n = 40 and 256 draws.
 """
 from __future__ import annotations
 
@@ -58,6 +62,11 @@ MAX_CANDIDATES = 10000
 # holds; the chunk's other temporaries are of the same size. Larger chunks
 # leave the cache and were measured slower (2^15 and up).
 _CHUNK_ELEMENTS = 1 << 14
+# Most log-likelihoods (candidates x draws) one super-chunk of candidates
+# holds before their log-mean-exp, 2 MB. Each super-chunk rebuilds the
+# product table of the columns it takes, which costs about p / candidates
+# of its gathers; smaller super-chunks were measured slower.
+_SCORE_ELEMENTS = 1 << 18
 
 
 @functools.cache
@@ -119,38 +128,52 @@ def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
     ``y`` averaged over the rows of ``draws``, with mean intensities
     ``scale * |conj(x_S) @ draw|^2``.
 
-    The products ``conj(x[:, c]) * draws[s, j]`` of every column ``c``,
-    slot ``j`` and draw ``s`` are formed once per block of draws, and a
-    chunk of candidates only gathers and adds them. The projection is
-    summed slot by slot and the squared residuals over the contiguous row
-    axis, never by a BLAS call whose rounding depends on the array shape,
-    so a score does not depend on its candidate chunk or its draw block.
+    Candidates run in super-chunks of at most ``_SCORE_ELEMENTS / m``. The
+    products ``conj(x[:, c]) * draws[s, j]`` of every column ``c`` a
+    super-chunk takes, slot ``j`` and draw ``s`` are formed once per block
+    of draws, and a chunk of candidates only gathers and adds them. The
+    projection is summed slot by slot and the squared residuals over the
+    contiguous row axis, never by a BLAS call whose rounding depends on the
+    array shape, so a score does not depend on its chunk, its super-chunk
+    or its draw block.
     """
     n, p = x.shape
     m, k = draws.shape
     cands = _candidates(p, k)
     xt = np.conjugate(x).T                     # row c: conj of column c
-    # draws per block: the block's product table fits in one chunk budget
-    block = max(1, _CHUNK_ELEMENTS // (k * p * max(n, 1)))
-    loglik = np.empty((cands.shape[0], m))
-    for d0 in range(0, m, block):
-        d = draws[d0:d0 + block]
-        table = xt[None, :, None, :] * d.T[:, None, :, None]   # (k, p, b, n)
-        step = max(1, _CHUNK_ELEMENTS // (max(n, 1) * len(d)))
-        for lo in range(0, cands.shape[0], step):
-            idx = cands[lo:lo + step]
-            proj = table[0, idx[:, 0]]                          # (c, b, n)
-            for j in range(1, k):
-                proj += table[j, idx[:, j]]
-            resid = np.square(proj.real)
-            resid += np.square(proj.imag)
-            resid *= scale
-            np.subtract(y, resid, out=resid)
-            loglik[lo:lo + len(idx), d0:d0 + len(d)] = noise.joint_logpdf(
-                np.einsum("cbn,cbn->cb", resid, resid), n)
-    top = loglik.max(axis=1, keepdims=True)
-    top[np.isneginf(top)] = 0.0   # no possible draw: -inf, not NaN
-    return top[:, 0] + np.log(np.exp(loglik - top).mean(axis=1))
+    rows = max(n, 1)
+    scores = np.empty(cands.shape[0])
+    span = max(1, _SCORE_ELEMENTS // m)        # candidates per super-chunk
+    buf = np.empty((min(span, cands.shape[0]), m))
+    for c0 in range(0, cands.shape[0], span):
+        sup = cands[c0:c0 + span]
+        lo, hi = int(sup.min()), int(sup.max()) + 1   # columns it takes
+        pos = sup - lo
+        # draws per block: the block's product table fits in one chunk budget
+        block = max(1, _CHUNK_ELEMENTS // (k * (hi - lo) * rows))
+        loglik = buf[:len(sup)]
+        for d0 in range(0, m, block):
+            d = draws[d0:d0 + block]
+            table = (xt[None, lo:hi, None, :]
+                     * d.T[:, None, :, None])          # (k, columns, b, n)
+            step = max(1, _CHUNK_ELEMENTS // (rows * len(d)))
+            for c in range(0, len(sup), step):
+                idx = pos[c:c + step]
+                proj = table[0, idx[:, 0]]                      # (c, b, n)
+                for j in range(1, k):
+                    proj += table[j, idx[:, j]]
+                resid = np.square(proj.real)
+                resid += np.square(proj.imag)
+                resid *= scale
+                np.subtract(y, resid, out=resid)
+                loglik[c:c + step, d0:d0 + len(d)] = noise.joint_logpdf(
+                    np.einsum("cbn,cbn->cb", resid, resid), n)
+        top = loglik.max(axis=1, keepdims=True)
+        top[np.isneginf(top)] = 0.0   # no possible draw: -inf, not NaN
+        loglik -= top
+        np.exp(loglik, out=loglik)
+        scores[c0:c0 + len(sup)] = top[:, 0] + np.log(loglik.mean(axis=1))
+    return scores
 
 
 def error_event(true_support: SupportSet, decoded: SupportSet,

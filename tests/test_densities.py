@@ -397,10 +397,10 @@ def test_conditional_logpdf_validation():
 
 
 def test_conditional_logpdf_tiny_fresh_power():
-    # below 1e-16 * max(known_sq, sigma^2) the chi-square bulk is narrower
-    # than the float spacing near known_sq: for the N(5, 1) limit -0.9189
-    # the quadrature gave -0.9459 at 1e-30, -1.03e28 at 1e-35 and -1.03e293
-    # at 1e-300; and sigma^2 / fresh_power overflowed the EMG term to -inf
+    # below 1e-16 * known_sq the chi-square bulk is narrower than the float
+    # spacing near known_sq: for the N(5, 1) limit -0.9189 the quadrature
+    # gave -0.9459 at 1e-30, -1.03e28 at 1e-35 and -1.03e293 at 1e-300; and
+    # an overflowing sigma^2 / fresh_power took the EMG term to -inf
     noise = GaussianNoise(1.0)
     for fresh in (1e-30, 1e-35, 1e-300, 4e-16):
         with pytest.raises(ValueError):
@@ -409,12 +409,15 @@ def test_conditional_logpdf_tiny_fresh_power():
         conditional_output_logpdf([5.0, 5.0], [0.0, 5.0], 1e-16, noise)
     with pytest.raises(ValueError):
         conditional_output_logpdf(0.0, 0.0, 1e-9, GaussianNoise(1e150))
+    with pytest.raises(ValueError):
+        conditional_output_logpdf(0.0, 0.0, 5e-324, noise)
     assert conditional_output_logpdf(5.0, 5.0, 1e-15, noise) == pytest.approx(
         -0.5 * math.log(2.0 * math.pi), abs=1e-8)
-    # just above the bound the quadrature and the EMG hold against mpmath
+    # just above the bound the quadrature and the EMG hold against mpmath,
+    # also where the fresh power is far below sigma^2
     for lam, sigma in [(5.0, 1.0), (1e-6, 1e-2), (1e3, 1e-4), (1e6, 10.0),
-                       (1.0, 10.0)]:
-        v = 2e-16 * max(lam, sigma ** 2)
+                       (1.0, 10.0), (1e-6, 1.0)]:
+        v = 2e-16 * lam
         sd = math.sqrt(sigma ** 2 + 2.0 * lam * v)
         for y in (lam + v, lam + v + 3.0 * sd):
             ours = conditional_output_logpdf(y, lam, v, GaussianNoise(sigma))
@@ -425,6 +428,19 @@ def test_conditional_logpdf_tiny_fresh_power():
         for y in (0.0, 3.0 * sigma):
             assert _emg_logpdf(y, v, sigma) == pytest.approx(
                 _mp_emg_logpdf(y, v, sigma, dps=80), rel=1e-13, abs=1e-12)
+    # at zero matched power no ratio applies: the EMG holds at any fresh
+    # power whose sigma^2 / fresh_power is finite, and the output law's
+    # peak is the noise peak
+    for y in (-2.0, 0.0, 3.0, 5.0):
+        assert conditional_output_logpdf(y, 0.0, 1e-20, noise) == pytest.approx(
+            _mp_emg_logpdf(y, 1e-20, 1.0, dps=80), rel=1e-13, abs=1e-12)
+    for v in (1e-100, 1e-300):
+        ys = np.array([-2.0, 0.0, 3.0])
+        assert np.allclose(conditional_output_logpdf(ys, 0.0, v, noise),
+                           noise.logpdf(ys), rtol=0.0, atol=1e-12)
+    peak, mode = output_law_peak(1e-17, noise)
+    assert peak == pytest.approx(noise.peak(), rel=1e-12)
+    assert abs(mode) < 1e-6
 
 
 def test_conditional_logpdf_chunked_batch_identical(monkeypatch):

@@ -201,9 +201,10 @@ def test_candidate_scores_match_reference_loop():
 
 
 def test_chunked_scores_match_one_chunk(monkeypatch):
-    # a budget of a few candidates per chunk, with a ragged last chunk, or
-    # of a few draws per product table, with a ragged last block, scores
-    # every candidate exactly as one chunk and one block do
+    # a budget of a few candidates per chunk, with a ragged last chunk, of a
+    # few draws per product table, with a ragged last block, or of a few
+    # candidates per super-chunk, whose table starts past column 0, scores
+    # every candidate exactly as one chunk, block and super-chunk do
     rng = substream(17, 0)
     noise = GaussianNoise(0.4)
     n, p = 9, 7
@@ -215,19 +216,26 @@ def test_chunked_scores_match_one_chunk(monkeypatch):
         m, k = draws.shape
         whole = simulate._candidate_scores(x, y, noise, draws, scale)
         assert whole.shape == (math.comb(p, k),)
-        budgets = [per_chunk * n * m for per_chunk in (1, 4)]
+        budgets = [(per_chunk * n * m, None) for per_chunk in (1, 4)]
         if m > 1:   # tables of 3 or 5 of the 16 draws
-            budgets += [per_block * k * p * n for per_block in (3, 5)]
-        for budget in budgets:
-            monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", budget)
+            budgets += [(per_block * k * p * n, None) for per_block in (3, 5)]
+        # super-chunks of 1, 4 or 8 candidates, alone and with 3-draw tables
+        budgets += [(None, per_super * m) for per_super in (1, 4, 8)]
+        budgets += [(3 * k * n, 4 * m)]
+        for chunk, score in budgets:
+            if chunk is not None:
+                monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", chunk)
+            if score is not None:
+                monkeypatch.setattr(simulate, "_SCORE_ELEMENTS", score)
             chunked = simulate._candidate_scores(x, y, noise, draws, scale)
-            assert np.array_equal(chunked, whole), budget
-        monkeypatch.undo()
+            assert np.array_equal(chunked, whole), (chunk, score)
+            monkeypatch.undo()
     for decoder, signal, kw in (
             ("flat-ml", DiscreteFlat(c_beta=1.0, k=2), {}),
             ("mc-marginal", GaussianIID(c_beta=1.0, k=2), {"mc_samples": 32})):
         one = decode(x, y, signal, noise, decoder, rng=substream(3, 1), **kw)
         monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(simulate, "_SCORE_ELEMENTS", 1)
         tiny = decode(x, y, signal, noise, decoder, rng=substream(3, 1), **kw)
         monkeypatch.undo()
         assert tiny == one
