@@ -27,6 +27,9 @@ everything outside is smaller than the noise peak by at least exp(-36).
 
 All log densities are exact logs, floored at ``LOG_FLOOR`` (the smallest
 exponent a float64 exponential survives) with the clamp count reported.
+
+``scipy.special`` is imported inside the functions that call it, so
+importing this module, and the command line, does not load scipy.
 """
 from __future__ import annotations
 
@@ -35,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, i0e, logsumexp
 
 __all__ = [
     "LOG_FLOOR",
@@ -115,6 +117,7 @@ class GaussianNoise:
 def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
     """Log density of ``|W|^2`` for complex Gaussian ``W`` with mean power
     ``known_sq`` and fluctuation power ``fresh_power``."""
+    from scipy.special import i0e
     if not 0 < fresh_power < math.inf:
         raise ValueError("fresh_power must be positive and finite")
     u = np.asarray(u, dtype=float)
@@ -137,10 +140,13 @@ def _emg_logpdf(y, v, sigma):
     ``tau = (y - sigma^2/v) / sigma``. With ``e = erfcx(|tau|/sqrt 2)``,
     ``Phi(tau) = exp(-tau^2/2) e/2`` for ``tau < 0``, and there the exponent
     and ``-tau^2/2`` cancel analytically to ``-y^2/(2 sigma^2)``; for
-    ``tau >= 0``, ``log Phi(tau) = log1p(-exp(-tau^2/2) e/2)``. Computed in
-    place, three arrays at a time: the concentration suite passes a
-    million samples per call.
+    ``tau >= 0``, ``log Phi(tau) = log1p(-exp(-tau^2/2) e/2)``. Where
+    ``sigma/v`` is so large that ``sigma^2/(2v^2)`` overflows, the right
+    branch's exponent is taken as ``-(y - sigma^2/(2v))/v`` instead, which
+    is finite or ``-inf``. Computed in place, three arrays at a time: the
+    concentration suite passes a million samples per call.
     """
+    from scipy.special import erfcx
     s2 = sigma * sigma
     tau = (y - s2 / v) / sigma
     right = tau >= 0
@@ -159,9 +165,16 @@ def _emg_logpdf(y, v, sigma):
         scratch *= 1.0 / (2.0 * s2)
         out -= scratch
         out += -math.log(2.0 * v)
-        np.multiply(y, 1.0 / v, out=scratch)
-        tmp -= scratch
-        tmp += 0.5 * (sigma / v) * (sigma / v) - math.log(v)
+        half_sq = 0.5 * (sigma / v) * (sigma / v)
+        if half_sq < math.inf:
+            np.multiply(y, 1.0 / v, out=scratch)
+            tmp -= scratch
+            tmp += half_sq - math.log(v)
+        else:   # -y/v and half_sq would be inf - inf: take one quotient
+            np.subtract(y, s2 / (2.0 * v), out=scratch)
+            scratch /= v
+            tmp -= scratch
+            tmp -= math.log(v)
     np.copyto(out, tmp, where=right)
     return out
 
@@ -183,6 +196,7 @@ def _conv_logpdf_quadrature(y, lam, fresh_power, noise: GaussianNoise,
                             nodes: int):
     """Quadrature log densities at 1-d ``y`` with matched powers ``lam`` of
     the same length."""
+    from scipy.special import logsumexp
     v = float(fresh_power)
     hw = _NOISE_BULK * noise.sigma
     sl = np.sqrt(lam)
@@ -275,6 +289,7 @@ def _forward_log_sums(mu, tau, a, terms, v, sigma):
     Samples are visited in order of their term count, so the ones still
     running are a suffix and each sample stops at its own ``J``.
     """
+    from scipy.special import erfcx
     order = np.argsort(terms, kind="stable")
     mu, a, terms = mu[order], a[order], terms[order]
     log_a = np.log(a)
@@ -463,13 +478,16 @@ def output_law_peak(total_power: float, noise: GaussianNoise):
     """Sup of the zero-matched-power output density and its location.
 
     The density is log-concave (both convolution factors are), so a golden
-    search over the hull of the two bulks finds the global mode.
+    search over the hull of the two bulks finds the global mode. It is the
+    noise density averaged over the signal, so its sup is at most the noise
+    peak; the EMG form's rounding, which can overshoot that peak by an ulp
+    or two where ``total_power`` is far below ``sigma``, is clipped to it.
     """
     th = _NOISE_BULK * noise.sigma
     ym, logm = golden_max(
         lambda t: conditional_output_logpdf(t, 0.0, total_power, noise),
         -th, total_power + th, tol=1e-12)
-    return float(np.exp(logm)), ym
+    return min(float(np.exp(logm)), noise.peak()), ym
 
 
 def _power_integral_edges(t: float, total_power: float, noise_scale: float,

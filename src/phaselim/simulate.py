@@ -25,16 +25,28 @@ draws, in a table of at most ``_CHUNK_ELEMENTS`` products (one draw's
 ``k * p * n`` if that is more). Per (candidate, draw, row) element a chunk
 then makes ``k`` gathers and six arithmetic passes, and the Gaussian
 log-likelihood is taken once per (candidate, draw) from the sum of squared
-residuals. One log-mean-exp per super-chunk runs in place. Beyond ``x``
-and the draws a decode holds 2 MB of log-likelihoods, the table and a
-few chunk temporaries, whatever ``C(p, k)``: 3.3 MB at p = 141, k = 2,
-n = 40 and 256 draws.
+residuals. One log-mean-exp per super-chunk runs in place.
+
+Every pass writes into a buffer of a per-thread workspace that is grown on
+demand and reused by later decodes, so a chunk allocates nothing of its
+own size; fresh arrays of that size were mapped from the system and
+faulted in again on every chunk. The workspace holds the log-likelihoods
+(at most ``max(_SCORE_ELEMENTS, mc_samples)`` doubles), the product table
+(at most ``max(_CHUNK_ELEMENTS, k p n)`` complex numbers), the tiled draws
+of one slot (at most ``_CHUNK_ELEMENTS / k``), the tiled observations, two
+complex and two float chunk buffers (at most ``max(_CHUNK_ELEMENTS, n)``
+elements each) and the residual sums (at most ``_CHUNK_ELEMENTS``
+doubles): at most 3.4 MB while ``k p n`` stays within ``_CHUNK_ELEMENTS``,
+whatever ``C(p, k)``. It keeps the largest size any decode on its thread
+needed until the thread ends. A decode still allocates arrays the size of
+``x`` (its conjugate) and of the candidate list (column offsets, scores).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +79,40 @@ _CHUNK_ELEMENTS = 1 << 14
 # product table of the columns it takes, which costs about p / candidates
 # of its gathers; smaller super-chunks were measured slower.
 _SCORE_ELEMENTS = 1 << 18
+
+
+class _Workspace:
+    """Named scoring buffers, grown on demand and reused across decodes.
+
+    A buffer's contents are never read before a pass writes them, so a
+    score does not depend on what the workspace held before.
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+        self._views: dict[str, np.ndarray] = {}   # last view of each buffer
+
+    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialized contiguous ``shape`` view of buffer ``name``."""
+        view = self._views.get(name)
+        if view is not None and view.shape == shape:
+            return view     # the common case: a decode of the same shape
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        view = self._views[name] = buf[:size].reshape(shape)
+        return view
+
+
+_local = threading.local()
+
+
+def _thread_workspace() -> _Workspace:
+    ws = getattr(_local, "workspace", None)
+    if ws is None:
+        ws = _local.workspace = _Workspace()
+    return ws
 
 
 @functools.cache
@@ -117,13 +163,15 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
         raise ValueError(f"unknown decoder {decoder!r}")
 
     # first max: lexicographic tie-break
-    best = int(np.argmax(_candidate_scores(x, y, noise, draws, scale)))
+    best = int(np.argmax(_candidate_scores(x, y, noise, draws, scale,
+                                           _thread_workspace())))
     return SupportSet(indices=tuple(int(i) for i in _candidates(p, k)[best]),
                       universe=p)
 
 
 def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
-                      draws: np.ndarray, scale: float) -> np.ndarray:
+                      draws: np.ndarray, scale: float,
+                      ws: _Workspace | None = None) -> np.ndarray:
     """Per candidate, in lexicographic order: the log of the likelihood of
     ``y`` averaged over the rows of ``draws``, with mean intensities
     ``scale * |conj(x_S) @ draw|^2``.
@@ -134,9 +182,11 @@ def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
     of draws, and a chunk of candidates only gathers and adds them. The
     projection is summed slot by slot and the squared residuals over the
     contiguous row axis, never by a BLAS call whose rounding depends on the
-    array shape, so a score does not depend on its chunk, its super-chunk
-    or its draw block.
+    array shape, so a score does not depend on its chunk, its super-chunk,
+    its draw block or the workspace ``ws`` its passes write into (a fresh
+    one if not given).
     """
+    ws = _Workspace() if ws is None else ws
     n, p = x.shape
     m, k = draws.shape
     cands = _candidates(p, k)
@@ -144,30 +194,52 @@ def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
     rows = max(n, 1)
     scores = np.empty(cands.shape[0])
     span = max(1, _SCORE_ELEMENTS // m)        # candidates per super-chunk
-    buf = np.empty((min(span, cands.shape[0]), m))
     for c0 in range(0, cands.shape[0], span):
         sup = cands[c0:c0 + span]
         lo, hi = int(sup.min()), int(sup.max()) + 1   # columns it takes
         pos = sup - lo
         # draws per block: the block's product table fits in one chunk budget
         block = max(1, _CHUNK_ELEMENTS // (k * (hi - lo) * rows))
-        loglik = buf[:len(sup)]
+        loglik = ws.take("loglik", (len(sup), m), float)
         for d0 in range(0, m, block):
             d = draws[d0:d0 + block]
-            table = (xt[None, lo:hi, None, :]
-                     * d.T[:, None, :, None])          # (k, columns, b, n)
-            step = max(1, _CHUNK_ELEMENTS // (rows * len(d)))
+            b = len(d)
+            step = max(1, _CHUNK_ELEMENTS // (rows * b))
+            # Operands are tiled to full shape by copyto: a ufunc that
+            # broadcasts, or reads a strided operand, over inner runs
+            # shorter than numpy's buffer size allocates buffers of up to
+            # 8192 elements per operand per call.
+            cells = (hi - lo, b, n)                 # (columns, b, n)
+            table = ws.take("table", (k,) + cells, complex)
+            for j in range(k):
+                np.copyto(table[j], xt[lo:hi, None, :])
+                if b == 1:      # a scalar; the table may pass the budget
+                    table[j] *= d[0, j]
+                else:
+                    ds = ws.take("draw_rows", cells, complex)
+                    np.copyto(ds, d[None, :, j, None])
+                    table[j] *= ds
+            ys = ws.take("y_rows", (min(step, len(sup)), b, n), float)
+            np.copyto(ys, y)
             for c in range(0, len(sup), step):
                 idx = pos[c:c + step]
-                proj = table[0, idx[:, 0]]                      # (c, b, n)
+                shape = (len(idx), b, n)
+                # mode="clip": with the default "raise", take copies via a
+                # fresh array before writing to out
+                proj = np.take(table[0], idx[:, 0], axis=0, mode="clip",
+                               out=ws.take("proj", shape, complex))
                 for j in range(1, k):
-                    proj += table[j, idx[:, j]]
-                resid = np.square(proj.real)
-                resid += np.square(proj.imag)
+                    proj += np.take(table[j], idx[:, j], axis=0, mode="clip",
+                                    out=ws.take("gather", shape, complex))
+                resid = np.square(proj.real,
+                                  out=ws.take("resid", shape, float))
+                resid += np.square(proj.imag,
+                                   out=ws.take("imag_sq", shape, float))
                 resid *= scale
-                np.subtract(y, resid, out=resid)
-                loglik[c:c + step, d0:d0 + len(d)] = noise.joint_logpdf(
-                    np.einsum("cbn,cbn->cb", resid, resid), n)
+                np.subtract(ys[:len(idx)], resid, out=resid)
+                sum_sq = np.einsum("cbn,cbn->cb", resid, resid,
+                                   out=ws.take("sum_sq", shape[:2], float))
+                loglik[c:c + step, d0:d0 + b] = noise.joint_logpdf(sum_sq, n)
         top = loglik.max(axis=1, keepdims=True)
         top[np.isneginf(top)] = 0.0   # no possible draw: -inf, not NaN
         loglik -= top

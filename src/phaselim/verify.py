@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .densities import (GaussianNoise, concentration_constant,
                         concentration_tail_bound, conditional_output_logpdf,
@@ -339,6 +338,7 @@ def logconcavity_negative_control() -> VerificationReport:
     mu2 = _NEG_SEPARATION * sigma
 
     def logpdf(y):
+        from scipy.special import logsumexp
         y = np.asarray(y, dtype=float)
         a = -(y ** 2) / (2 * sigma ** 2)
         b = -((y - mu2) ** 2) / (2 * sigma ** 2)

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,6 +16,49 @@ from hypothesis import strategies as st
 
 from phaselim.cli import main
 from phaselim.verify import VerificationReport
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Run in a fresh interpreter: the limits and simulate commands, and the
+# closed-form gconv suite, must not load scipy, and verify must still find
+# it when its density kernels need it.
+_SCIPY_GUARD_SCRIPT = """
+import contextlib, io, sys
+from phaselim.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+common = ["--p", "8", "--k", "2", "--n-grid", "4,8", "--trials", "10"]
+for argv in (
+        ["thresholds", "--model", "gaussian", "--p", "1000", "--k", "10",
+         "--c-beta", "1", "--json"],
+        ["thresholds", "--model", "flat", "--p", "1000", "--k", "10",
+         "--c-beta", "1", "--json"],
+        ["figure", "--out-dir", "figs"],
+        ["simulate", "--model", "flat", "--decoder", "flat-ml",
+         "--out", "flat.csv"] + common,
+        ["simulate", "--model", "gaussian", "--decoder", "mc-marginal",
+         "--mc-samples", "16", "--out", "mc.csv"] + common,
+        ["replay", "mc.csv.manifest.json", "--scratch", "re"],
+        ["verify", "--suite", "gconv", "--out", "gconv.jsonl"]):
+    assert run(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert run(["verify", "--suite", "logconcavity", "--out", "lc.jsonl"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_limits_and_simulate_do_not_load_scipy(tmp_path):
+    path = [os.path.join(_ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD_SCRIPT],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _sha(path):

@@ -172,6 +172,19 @@ def test_output_law_peak_below_noise_peak():
             assert peak <= noise.peak() * (1 + 1e-12), (power, sigma)
 
 
+@pytest.mark.filterwarnings("error")
+def test_emg_right_branch_overflow_is_minus_inf(monkeypatch):
+    # sigma / v = 1e200: sigma^2/(2 v^2) and y/v both overflow, and their
+    # difference was NaN, which sent the samples to the quadrature
+    def no_fallback(*args):
+        raise AssertionError("quadrature fallback taken")
+
+    monkeypatch.setattr(densities, "_quadrature_logpdf", no_fallback)
+    out = conditional_output_logpdf([1e201, 1e200 * (1 + 1e-15)], 0.0,
+                                    1e-200, GaussianNoise(1))
+    assert np.array_equal(out, [-np.inf, -np.inf])
+
+
 def test_emg_is_quadrature_fast_path():
     # down to 12.5 noise widths below zero, where the quadrature's noise
     # strip must start from max(y, 0)
@@ -600,6 +613,25 @@ def test_output_law_peak_matches_grid():
     assert peak >= grid_max - 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(log_power=st.floats(-6.0, 6.0), log_sigma=st.floats(-2.0, 2.0))
+@example(log_power=-6.0, log_sigma=2.0)
+@example(log_power=6.0, log_sigma=-2.0)
+def test_output_law_peak_beats_dense_grid(log_power, log_sigma):
+    # golden_max on the log-concave output law: the log peak it returns is
+    # at least the largest log density on a dense grid over the search hull
+    # and around the returned mode, within 1e-12 (1 + |log peak|)
+    total, noise = 10.0 ** log_power, GaussianNoise(10.0 ** log_sigma)
+    peak, ym = output_law_peak(total, noise)
+    hull = densities._NOISE_BULK * noise.sigma
+    width = min(noise.sigma, total)
+    ys = np.concatenate([np.linspace(-hull, total + hull, 4001),
+                         ym + width * np.linspace(-5.0, 5.0, 4001)])
+    grid = float(np.max(conditional_output_logpdf(ys, 0.0, total, noise)))
+    log_peak = math.log(peak)
+    assert log_peak >= grid - 1e-12 * (1.0 + abs(log_peak))
+
+
 def test_concentration_moment_grid_oracle():
     # dense grid in ln t must not beat the golden search
     noise = GaussianNoise(1.0)
@@ -624,6 +656,7 @@ def test_concentration_moment_lower_bound():
 
 @settings(max_examples=40, deadline=None)
 @given(log_power=st.floats(-6.0, 6.0), log_sigma=st.floats(-2.0, 2.0))
+@example(log_power=-5.875, log_sigma=2.0)   # EMG peak 2 ulp over the noise's
 def test_concentration_constant_properties(log_power, log_sigma):
     # total power and noise scale log-uniform over twelve and four decades
     total, noise = 10.0 ** log_power, GaussianNoise(10.0 ** log_sigma)

@@ -1,6 +1,7 @@
 """Exhaustive decoder, error curves, and the monotone-fit helper."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,52 @@ def test_chunked_scores_match_one_chunk(monkeypatch):
         tiny = decode(x, y, signal, noise, decoder, rng=substream(3, 1), **kw)
         monkeypatch.undo()
         assert tiny == one
+
+
+def test_workspace_reuse_is_bit_identical():
+    # a workspace's buffers are overwritten before they are read, so a
+    # decode scores the same with a fresh workspace as after a larger or a
+    # smaller decode left its buffers behind
+    rng = substream(23, 0)
+    noise = GaussianNoise(0.7)
+
+    def instance(p, k, n, m, flat):
+        x = sample_circular_gaussian(rng, (n, p))
+        y = np.abs(rng.normal(1.0, 1.0, size=n))
+        if flat:
+            return x, y, np.ones((1, k)), 1.3
+        return x, y, sample_circular_gaussian(rng, (m, k), power=0.8), 1.0
+
+    for k in (1, 2, 3):
+        for flat in (True, False):
+            x, y, draws, scale = instance(9, k, 20, 64, flat)
+            fresh = simulate._candidate_scores(x, y, noise, draws, scale,
+                                               simulate._Workspace())
+            for p, n, m in ((14, 44, 256), (k + 1, 3, 4)):
+                ws = simulate._Workspace()
+                bx, by, bdraws, bscale = instance(p, k, n, m, flat)
+                simulate._candidate_scores(bx, by, noise, bdraws, bscale, ws)
+                again = simulate._candidate_scores(x, y, noise, draws, scale,
+                                                   ws)
+                assert np.array_equal(again, fresh), (k, flat, p)
+
+
+def test_repeated_decode_allocates_no_chunk_buffers():
+    # once the thread's workspace has grown, a decode allocates less than
+    # one chunk's complex temporary (2^14 elements, 256 kB)
+    signal = GaussianIID(c_beta=4.0, k=2)
+    noise = GaussianNoise(0.1)
+    _, x, y = _draw_instance(12, 2, 40, signal, noise, substream(29, 0))
+    args = (x, y, signal, noise, "mc-marginal")
+    first = decode(*args, mc_samples=256, rng=substream(29, 1))
+    tracemalloc.start()
+    try:
+        again = decode(*args, mc_samples=256, rng=substream(29, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < 16 * simulate._CHUNK_ELEMENTS, peak
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
