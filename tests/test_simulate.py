@@ -1,6 +1,7 @@
 """Exhaustive decoder, error curves, and the monotone-fit helper."""
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -242,7 +243,7 @@ def test_chunked_scores_match_one_chunk(monkeypatch):
         assert tiny == one
 
 
-def test_workspace_reuse_is_bit_identical():
+def test_workspace_reuse_is_bit_identical(monkeypatch):
     # a workspace's buffers are overwritten before they are read, so a
     # decode scores the same with a fresh workspace as after a larger or a
     # smaller decode left its buffers behind
@@ -259,15 +260,29 @@ def test_workspace_reuse_is_bit_identical():
     for k in (1, 2, 3):
         for flat in (True, False):
             x, y, draws, scale = instance(9, k, 20, 64, flat)
-            fresh = simulate._candidate_scores(x, y, noise, draws, scale,
-                                               simulate._Workspace())
+            monkeypatch.setattr(simulate, "_local", threading.local())
+            fresh = simulate._candidate_scores(x, y, noise, draws, scale)
             for p, n, m in ((14, 44, 256), (k + 1, 3, 4)):
-                ws = simulate._Workspace()
+                monkeypatch.setattr(simulate, "_local", threading.local())
                 bx, by, bdraws, bscale = instance(p, k, n, m, flat)
-                simulate._candidate_scores(bx, by, noise, bdraws, bscale, ws)
-                again = simulate._candidate_scores(x, y, noise, draws, scale,
-                                                   ws)
+                simulate._candidate_scores(bx, by, noise, bdraws, bscale)
+                again = simulate._candidate_scores(x, y, noise, draws, scale)
                 assert np.array_equal(again, fresh), (k, flat, p)
+
+
+def test_workspace_keeps_only_budgeted_buffers(monkeypatch):
+    # the product table of a decode past the chunk budget (k p n = 2 * 10^4
+    # > 2^14) is not kept; the thread keeps only buffers within the budgets
+    monkeypatch.setattr(simulate, "_local", threading.local())
+    noise = GaussianNoise(1.0)
+    _, x, y = _draw_instance(200, 1, 100, DiscreteFlat(c_beta=1.0, k=1),
+                             noise, substream(31, 0))
+    decode(x, y, DiscreteFlat(c_beta=1.0, k=1), noise, "flat-ml")
+    bufs = simulate._thread_workspace()._bufs
+    assert "proj" in bufs and "table" not in bufs
+    assert all(buf.size <= simulate._SCORE_ELEMENTS if name == "loglik"
+               else buf.size <= simulate._CHUNK_ELEMENTS
+               for name, buf in bufs.items())
 
 
 def test_repeated_decode_allocates_no_chunk_buffers():
