@@ -266,7 +266,8 @@ def _run_simulate(params: dict):
             alpha_star=params["alpha_star"], mode="asymptotic")
         ref_result = measurement_thresholds(ref_query)
         reference = {"n_ach": ref_result.n_ach, "n_con": ref_result.n_con}
-    except ValueError:
+    except (ValueError, *_NUMERIC_ERRORS):
+        # the curve stands without its asymptotic reference lines
         reference = None
     curve.to_csv(params["out"], reference=reference)
     text = "wrote " + params["out"]

@@ -19,9 +19,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .densities import GaussianNoise, golden_max
-from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
-                    SortedSignal, floor_count, partition_power_arrays)
+from .densities import GaussianNoise
+from .model import (_FLOOR_SNAP, DiscreteFlat, DiscreteGeneral, GaussianIID,
+                    SignalModel, SortedSignal, floor_count,
+                    partition_power_arrays)
 
 __all__ = [
     "tail_power_fraction",
@@ -61,6 +62,12 @@ _SCALED_POWER = 1e150
 # Most alpha grid entries a threshold search may use. Several float arrays
 # of the grid's length are live at once, so this bounds the search memory.
 _MAX_ALPHA_GRID = 1e7
+
+# The smooth searches zoom in on the best grid point: each round evaluates
+# _ZOOM_POINTS alphas across the best point's two neighbours, so the next
+# bracket is 1/16 as wide, until it is narrower than _ZOOM_WIDTH.
+_ZOOM_POINTS = 33
+_ZOOM_WIDTH = 1e-12
 
 # Most SNR points figure_curves takes; each costs one threshold search per
 # curve kind (about 1 ms), so this bounds a figure at tens of seconds.
@@ -180,10 +187,14 @@ class ThresholdQuery:
             raise ValueError("need 1 <= k <= p")
         if self.mode not in ("floor", "asymptotic"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.mode == "floor"
-                and not isinstance(self.signal, GaussianIID)
-                and floor_count(self.alpha_star, self.k) < 1):
-            raise ValueError("floor mode needs floor(alpha_star * k) >= 1")
+        if self.mode == "floor" and not isinstance(self.signal, GaussianIID):
+            # the search evaluates alpha = l/k from l = alpha_star * k on
+            count = floor_count(self.alpha_star, self.k)
+            whole = abs(self.alpha_star * self.k - count) <= _FLOOR_SNAP
+            if count < 1 or not whole:
+                raise ValueError(f"floor mode needs alpha_star * k to be a "
+                                 f"whole count >= 1, got {self.alpha_star!r} "
+                                 f"* {self.k}")
 
 
 @dataclass(frozen=True)
@@ -221,16 +232,21 @@ def _power_split(signal: SignalModel, mode: str):
     return lambda a: partition_power_arrays(sorted_sig, a, mode)
 
 
-def _maximize_on_grid(objective, grid: np.ndarray):
-    vals = objective(grid)
-    i = int(np.argmax(vals))
-    best_a, best_v = float(grid[i]), float(vals[i])
-    if 0 < i < grid.size - 1:
-        a, v = golden_max(lambda t: float(objective(np.array([t]))[0]),
-                          float(grid[i - 1]), float(grid[i + 1]), tol=1e-12)
-        if v > best_v:
-            best_a, best_v = float(a), float(v)
-    return best_a, best_v
+def _search_max(objective, alphas: np.ndarray, zoom: bool):
+    """Largest value of ``objective`` at ``alphas`` and where it is. With
+    ``zoom``, rounds of ``_ZOOM_POINTS`` alphas then search between the
+    round's best point's neighbours (the first and last cells included)
+    until they are ``_ZOOM_WIDTH`` apart; the best value seen is kept."""
+    best_a, best_v = math.nan, -math.inf
+    while True:
+        values = objective(alphas)
+        i = int(np.argmax(values))
+        if values[i] > best_v:
+            best_a, best_v = float(alphas[i]), float(values[i])
+        lo, hi = alphas[max(i - 1, 0)], alphas[min(i + 1, alphas.size - 1)]
+        if not zoom or hi - lo <= _ZOOM_WIDTH:
+            return best_a, best_v
+        alphas = np.linspace(lo, hi, _ZOOM_POINTS)
 
 
 def _check_finite(*counts: float) -> None:
@@ -238,13 +254,23 @@ def _check_finite(*counts: float) -> None:
         raise FloatingPointError("measurement count is not a finite float")
 
 
-def _normalized_thresholds(split, noise: GaussianNoise, alpha_star: float,
+def _normalized_thresholds(signal: SignalModel, mode: str,
+                           noise: GaussianNoise, alpha_star: float,
                            grid_step: float):
-    grid = np.arange(alpha_star, 1.0, grid_step)
-    # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
-    grid = np.append(grid[grid < 1.0], 1.0)
-
-    if np.any(mi_pair_lower(split(grid)[0], noise) == 0.0):
+    split = _power_split(signal, mode)
+    zoom = mode != "floor" or isinstance(signal, GaussianIID)
+    if zoom:
+        alphas = np.arange(alpha_star, 1.0, grid_step)
+        # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
+        alphas = np.append(alphas[alphas < 1.0], 1.0)
+    else:
+        # the missed power is a step function of alpha, so only alpha = l/k
+        # for l = alpha_star k, ..., k can be a maximizer; alpha_star itself
+        # stands for the first, so no reported alpha falls below it
+        k = signal.k
+        alphas = np.append(alpha_star, np.arange(
+            floor_count(alpha_star, k) + 1, k + 1) / k)
+    if np.any(mi_pair_lower(split(alphas)[0], noise) == 0.0):
         # the missed power grows with alpha, so it is least at alpha_star
         if split(alpha_star)[0] == 0.0:
             raise ThresholdInfeasibleError(
@@ -258,8 +284,8 @@ def _normalized_thresholds(split, noise: GaussianNoise, alpha_star: float,
     def con(a):
         return (np.asarray(a) - alpha_star) / mi_pair_upper(*split(a), noise)
 
-    a_ach, v_ach = _maximize_on_grid(ach, grid)
-    a_con, v_con = _maximize_on_grid(con, grid)
+    a_ach, v_ach = _search_max(ach, alphas, zoom)
+    a_con, v_con = _search_max(con, alphas, zoom)
     _check_finite(v_ach, v_con)
     return v_ach, v_con, a_ach, a_con
 
@@ -269,22 +295,31 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
 
     ``n_ach``: above this count the decoder's miss fraction stays below
     ``alpha_star`` with vanishing error probability; ``n_con``: below it no
-    decoder can. Both are grid maxima over ``alpha in [alpha_star, 1]``
-    with golden-section refinement inside the best grid cell. Raises
+    decoder can. Both are maxima over ``alpha in [alpha_star, 1]``. Raises
     ``FloatingPointError`` when a count leaves the float range (a missed
     power whose square underflows) and ``ThresholdInfeasibleError`` when
     the missable power is zero.
 
-    At high power (i.i.d. Gaussian model) both maximizers sit at
-    ``alpha = 1`` and ``n_ach / n_con`` tends to ``1 / (1 - alpha_star)``
-    only as a limit: the excess ``(n_ach / n_con) (1 - alpha_star) - 1`` is
-    about ``log(pi e / 2) / log(c_beta / sigma)``, so it shrinks only like
-    ``1 / log`` of the power (for ``alpha_star = 0.1`` the ratio is within
-    5% of the limit only above ``c_beta / sigma ~ 8.4e12``).
+    In floor mode a sorted signal's missed power is constant on each
+    ``[l/k, (l+1)/k)``, and the discrete-signal bounds of arXiv 1901.10647
+    are a maximum over the number ``l`` of missed support entries, with
+    the counting term and the mutual information of the same ``l``. So
+    the search evaluates exactly ``alpha = l/k``, for ``l = alpha_star k,
+    ..., k``, and does not use ``grid_step``. The smooth objectives zoom in
+    on the best ``grid_step`` grid point (see ``_search_max``).
+
+    At high power (i.i.d. Gaussian model) both maximizers tend to
+    ``alpha = 1``; the achievability one sits about ``exp(-L(1))`` below
+    it (``L`` the lower rate), 2.1e-6 at ``c_beta / sigma = 1e6``. The
+    ratio ``n_ach / n_con`` tends to ``1 / (1 - alpha_star)`` only as a
+    limit: the excess ``(n_ach / n_con) (1 - alpha_star) - 1`` is about
+    ``log(pi e / 2) / log(c_beta / sigma)``, so it shrinks only like ``1 /
+    log`` of the power (for ``alpha_star = 0.1`` the ratio is within 5% of
+    the limit only above ``c_beta / sigma ~ 8.4e12``).
     """
     v_ach, v_con, a_ach, a_con = _normalized_thresholds(
-        _power_split(query.signal, query.mode), query.noise,
-        query.alpha_star, query.grid_step)
+        query.signal, query.mode, query.noise, query.alpha_star,
+        query.grid_step)
     budget = query.k * math.log(query.p / query.k)
     n_ach, n_con = v_ach * budget, v_con * budget
     _check_finite(n_ach, n_con)
@@ -356,8 +391,7 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
         rows = np.empty((snr_db_values.size, 3))
         for i, (db, signal) in enumerate(zip(snr_db_values, models)):
             v_ach, v_con, _, _ = _normalized_thresholds(
-                _power_split(signal, "asymptotic"), noise, alpha_star,
-                grid_step)
+                signal, "asymptotic", noise, alpha_star, grid_step)
             rows[i] = (db, v_ach, v_con)
         out[kind] = rows
     return out

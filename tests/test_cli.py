@@ -340,6 +340,24 @@ def test_simulate_deterministic_csv(tmp_path, capsys, monkeypatch):
     assert "# reference n_ach" in text
 
 
+def test_simulate_keeps_curve_without_reference(tmp_path, capsys,
+                                                monkeypatch):
+    # the reference thresholds underflow at this power (numeric failure),
+    # but the error curve is computed, so it is written without them
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = _run(["simulate", "--p", "8", "--k", "2", "--c-beta",
+                       "1e-200", "--n-grid", "4", "--trials", "2",
+                       "--out", "c.csv"], capsys)
+    assert code == 0
+    text = (tmp_path / "c.csv").read_text()
+    assert text.startswith("n,pe,se,trials\n4,")
+    assert "# reference" not in text
+    code, stdout, _ = _run(["replay", "c.csv.manifest.json",
+                            "--scratch", str(tmp_path / "re")], capsys)
+    assert code == 0
+    assert "outputs identical" in stdout
+
+
 def test_replay_matches_under_other_thread_count(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = _run(["simulate", "--p", "7", "--k", "2", "--sigma", "0.5",

@@ -13,7 +13,7 @@ from phaselim.limits import (MAX_SNR_GRID, ThresholdInfeasibleError,
                              figure_curves, measurement_thresholds,
                              mi_pair_lower, mi_pair_upper, snr_db,
                              tail_power_fraction, write_figure_csv)
-from phaselim.limits import _maximize_on_grid, _power_split
+from phaselim.limits import _power_split, _search_max
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
                             SortedSignal, floor_count, partition_power_arrays,
                             partition_powers)
@@ -342,10 +342,78 @@ def test_threshold_grid_never_passes_one():
 
 def test_general_signal_floor_thresholds():
     sig = DiscreteGeneral(values=(0.5, 1.0, 1.5, 2.0))
-    q = ThresholdQuery(p=40, k=4, signal=sig, alpha_star=0.3, mode="floor")
+    q = ThresholdQuery(p=40, k=4, signal=sig, alpha_star=0.25, mode="floor")
     r = measurement_thresholds(q)
     assert r.n_ach > 0 and r.n_con >= 0
     assert math.isfinite(r.n_ach)
+
+
+def _floor_brute_force(q):
+    # n_ach, n_con, alpha_ach, alpha_con as the max over l missed entries
+    # of l/k over the rate of those same l entries (alpha_star itself for
+    # the first l), one scalar l at a time
+    sig = (SortedSignal.flat(q.signal.c_beta, q.k)
+           if isinstance(q.signal, DiscreteFlat)
+           else SortedSignal(np.asarray(q.signal.values, dtype=complex)))
+    first = floor_count(q.alpha_star, q.k)
+    points = [(q.alpha_star if l == first else l / q.k, l)
+              for l in range(first, q.k + 1)]
+    ach = [(a / mi_pair_lower(sig.prefix[l], q.noise), a) for a, l in points]
+    con = [((a - q.alpha_star) / mi_pair_upper(
+        sig.prefix[l], sig.total_power - sig.prefix[l], q.noise), a)
+        for a, l in points]
+    (v_ach, a_ach), (v_con, a_con) = (max(ach, key=lambda t: t[0]),
+                                      max(con, key=lambda t: t[0]))
+    budget = q.k * math.log(q.p / q.k)
+    return v_ach * budget, v_con * budget, a_ach, a_con
+
+
+def test_floor_thresholds_are_the_max_over_missed_counts():
+    # the missed power is constant on each [l/k, (l+1)/k), so a search over
+    # a grid climbed to just below the next step and paired the numerator
+    # of l + 1 missed entries with the rate of l (2x too high for flat
+    # k = 10 at alpha_star 0.1, and with the answer moving with grid_step
+    # for flat k = 100)
+    cases = [(DiscreteFlat(c_beta=0.1, k=10), 0.1),
+             (DiscreteFlat(c_beta=10.0, k=10), 0.1),
+             (DiscreteGeneral(values=(0.5, 1.0, 1.5, 2.0)), 0.25),
+             (DiscreteGeneral(values=(0.5, 1.0, 1.5, 2.0)), 0.5),
+             (DiscreteFlat(c_beta=1.0, k=100), 0.1),
+             # 0.3 * 10 is 3.0000000000000004, a whole count within the snap
+             (DiscreteFlat(c_beta=1.0, k=10), 0.3)]
+    for signal, alpha_star in cases:
+        results = []
+        for step in (1e-3, 1e-2, 0.05):
+            q = ThresholdQuery(p=1000, k=signal.k, signal=signal,
+                               noise=GaussianNoise(1.0),
+                               alpha_star=alpha_star, mode="floor",
+                               grid_step=step)
+            r = measurement_thresholds(q)
+            assert (r.n_ach, r.n_con, r.alpha_ach, r.alpha_con) == \
+                _floor_brute_force(q), (signal, alpha_star, step)
+            assert alpha_star <= r.alpha_ach <= 1.0
+            assert alpha_star <= r.alpha_con <= 1.0
+            results.append(r)
+        assert results[0] == results[1] == results[2]
+    # 0.3 * 4 = 1.2 missed entries is no whole count
+    with pytest.raises(ValueError, match="whole count"):
+        ThresholdQuery(p=40, k=4, signal=DiscreteGeneral(
+            values=(0.5, 1.0, 1.5, 2.0)), alpha_star=0.3, mode="floor")
+    # the Gaussian model has no floor mode, so any alpha_star is accepted
+    ThresholdQuery(p=40, k=4, signal=GaussianIID(c_beta=1.0, k=4),
+                   alpha_star=0.3, mode="floor")
+
+
+def _smooth_objectives(signal, noise, alpha_star):
+    split = _power_split(signal, "asymptotic")
+
+    def ach(a):
+        return np.asarray(a) / mi_pair_lower(split(a)[0], noise)
+
+    def con(a):
+        return (np.asarray(a) - alpha_star) / mi_pair_upper(*split(a), noise)
+
+    return ach, con
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,51 +422,42 @@ def test_general_signal_floor_thresholds():
        step=st.sampled_from([1e-3, 1e-2, 0.05]))
 def test_refine_step_beats_dense_grid(gaussian, log_c, log_sigma, alpha_star,
                                       step):
-    # the golden refine of _maximize_on_grid on the smooth objectives of the
-    # threshold search (Gaussian model, and flat power split in asymptotic
-    # mode): its value is at least every grid value and, where the best
-    # grid point is interior so that the refine runs, within 1e-12 relative
-    # of the largest on a dense grid over the two cells it searches
+    # the zoom of _search_max on the smooth objectives of the threshold
+    # search (Gaussian model, and flat power split in asymptotic mode): its
+    # value is at least every grid value and within 1e-12 relative of the
+    # largest on a dense grid over the cells beside the best grid point,
+    # and over the first and the last cell
     c_beta, noise = 10.0 ** log_c, GaussianNoise(10.0 ** log_sigma)
     signal = (GaussianIID(c_beta=c_beta, k=10) if gaussian
               else DiscreteFlat(c_beta=c_beta, k=10))
-    split = _power_split(signal, "asymptotic")
     grid = np.arange(alpha_star, 1.0, step)
     grid = np.append(grid[grid < 1.0], 1.0)
-
-    def ach(a):
-        return np.asarray(a) / mi_pair_lower(split(a)[0], noise)
-
-    def con(a):
-        return (np.asarray(a) - alpha_star) / mi_pair_upper(*split(a), noise)
-
-    for objective in (ach, con):
+    for objective in _smooth_objectives(signal, noise, alpha_star):
         values = objective(grid)
-        _, best = _maximize_on_grid(objective, grid)
+        a, best = _search_max(objective, grid, zoom=True)
+        assert alpha_star <= a <= 1.0
         assert best >= np.max(values)
         i = int(np.argmax(values))
-        if 0 < i < grid.size - 1:
-            cells = np.linspace(grid[i - 1], grid[i + 1], 4001)
+        for lo, hi in ((grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+                       (grid[0], grid[1]), (grid[-2], grid[-1])):
+            cells = np.linspace(lo, hi, 4001)
             assert best >= np.max(objective(cells)) * (1.0 - 1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="the refine is skipped when the best "
-                   "grid point is the last one, though the maximum can lie "
-                   "inside the last cell")
 def test_refine_searches_last_cell():
     # Gaussian model, c_beta 1, sigma 1, alpha_star 0.5: the converse
-    # objective is 0.4662592 at alpha = 1 but 0.4662797 near 0.99975
-    split = _power_split(GaussianIID(c_beta=1.0, k=10), "asymptotic")
-    noise = GaussianNoise(1.0)
-
-    def con(a):
-        return (np.asarray(a) - 0.5) / mi_pair_upper(*split(a), noise)
-
+    # objective is 0.4662592 at alpha = 1 but 0.4662797 near 0.9998
+    _, con = _smooth_objectives(GaussianIID(c_beta=1.0, k=10),
+                                GaussianNoise(1.0), 0.5)
     grid = np.arange(0.5, 1.0, 1e-3)
     grid = np.append(grid[grid < 1.0], 1.0)
-    _, best = _maximize_on_grid(con, grid)
+    a, best = _search_max(con, grid, zoom=True)
     cell = np.linspace(grid[-2], 1.0, 4001)
     assert best >= np.max(con(cell)) * (1.0 - 1e-12)
+    assert a < 1.0
+    r = measurement_thresholds(ThresholdQuery(
+        p=1000, k=10, signal=GaussianIID(c_beta=1.0, k=10), alpha_star=0.5))
+    assert r.n_con_norm >= 0.4662797 and r.alpha_con < 1.0
 
 
 # ----------------------------------------------------- SNR and curves
