@@ -92,11 +92,14 @@ class GaussianNoise:
         z = np.asarray(z, dtype=float)
         return self.joint_logpdf(z * z, 1)
 
-    def joint_logpdf(self, sum_sq, count: int):
+    def joint_logpdf(self, sum_sq, count: int, out=None):
         """Log density of ``count`` independent noise values whose squares
-        sum to ``sum_sq``."""
-        return (-sum_sq / (2.0 * self.sigma**2)
-                - count * (0.5 * math.log(2.0 * math.pi * self.sigma**2)))
+        sum to ``sum_sq``; with ``out`` (a float array of its shape, which
+        may be ``sum_sq`` itself), written there without temporaries."""
+        res = np.negative(sum_sq, out=out, dtype=float)
+        res /= 2.0 * self.sigma**2
+        res -= count * (0.5 * math.log(2.0 * math.pi * self.sigma**2))
+        return res
 
     def sample(self, rng: np.random.Generator, size):
         return rng.normal(0.0, self.sigma, size)

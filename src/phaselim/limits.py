@@ -185,6 +185,9 @@ class ThresholdQuery:
         _check_alpha_search(self.alpha_star, self.grid_step)
         if self.k < 1 or self.p < self.k:
             raise ValueError("need 1 <= k <= p")
+        if self.signal.k != self.k:
+            raise ValueError(f"signal model k = {self.signal.k} must match "
+                             f"query k = {self.k}")
         if self.mode not in ("floor", "asymptotic"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "floor" and not isinstance(self.signal, GaussianIID):

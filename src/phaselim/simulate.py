@@ -19,27 +19,52 @@ zero-measurement limit exactly analyzable.
 
 Cost and memory of one decode: candidates run in super-chunks whose
 ``candidates x mc_samples`` log-likelihoods fit in ``_SCORE_ELEMENTS``
-doubles (2 MB). Per super-chunk, the products ``conj(x[:, c]) * draw[j]``
-of every column it takes and every slot are formed once per block of
-draws, in a table of at most ``_CHUNK_ELEMENTS`` products (one draw's
-``k * p * n`` if that is more). Per (candidate, draw, row) element a chunk
-then makes ``k`` gathers and six arithmetic passes, and the Gaussian
-log-likelihood is taken once per (candidate, draw) from the sum of squared
-residuals. One log-mean-exp per super-chunk runs in place.
+doubles (2 MB), and one log-mean-exp per super-chunk runs in place. One of
+two forms fills them, picked per decode from ``(k, n)`` by
+``_lifted_pays``:
+
+direct
+    Per super-chunk, the products ``conj(x[:, c]) * draw[j]`` of every
+    column it takes and every slot are formed once per block of draws, in
+    a table of at most ``_CHUNK_ELEMENTS`` products (one draw's ``k p n``
+    if that is more). Per (candidate, draw, row) element a chunk then makes
+    ``k`` gathers and six arithmetic passes, and the Gaussian
+    log-likelihood is taken once per (candidate, draw) from the sum of
+    squared residuals: ``O(C m n k)`` for ``C`` candidates and ``m``
+    draws. flat-ml, with its one draw, always takes this form.
+
+lifted
+    The lifting of PhaseLift (Candes, Strohmer and Voroninski, arXiv
+    1109.4499), ``|x^H b|^2 = <x x^H, b b^H>``, makes a row's intensity
+    linear in ``k^2`` real features of the candidate's sensing entries.
+    With the observation prepended, the summed squared residual of a
+    (candidate, draw) pair is a quadratic form in the draw's features,
+    whose ``(k^2 + 1)(k^2 + 2) / 2`` Gram coefficients each candidate
+    sums over its rows once: a setup of ``O(C n k^4)``, then ``O(k^4)``
+    per (candidate, draw) whatever ``n``, ``O(C m k^4)`` in all. It pays
+    from about 3 rows for ``k <= 2``, 4 for ``k = 3`` and 8 for ``k = 4``
+    (256 draws). Where the expanded square may have cancelled (a draw that
+    fits a candidate's rows to within the rounding of the expansion) or
+    overflowed, the candidate is scored directly instead.
 
 Every pass writes into a buffer of a per-thread workspace that is grown on
 demand and reused by later decodes, so a chunk allocates nothing of its
 own size; fresh arrays of that size were mapped from the system and
 faulted in again on every chunk. The workspace holds at most
-``_SCORE_ELEMENTS`` doubles of log-likelihoods and eight buffers of at
-most ``_CHUNK_ELEMENTS`` elements: the product table, the tiled draws of
-one slot, the tiled observations, two complex and two float chunk buffers
-and the residual sums. A pass needs more only when ``mc_samples`` passes
-``_SCORE_ELEMENTS``, or ``k p n`` or ``n`` passes ``_CHUNK_ELEMENTS``; it
-then gets a fresh array that is not kept. So a thread holds at most 3.5
+``_SCORE_ELEMENTS`` doubles of log-likelihoods, the direct form's eight
+buffers of at most ``_CHUNK_ELEMENTS`` elements (the product table, the
+tiled draws of one slot, the tiled observations, two complex and two
+float chunk buffers and the residual sums) and the lifted form's four
+(the super-chunk's Gram coefficients, which bound it to ``_CHUNK_ELEMENTS``
+coefficients, and the slot-pair products, their right-hand factors and the
+features of one setup chunk). A pass needs more only when ``mc_samples``
+passes ``_SCORE_ELEMENTS``, or ``k p n``, ``n``, the lifted form's
+``(k^2 + 1) n`` or its coefficient count passes ``_CHUNK_ELEMENTS``; it
+then gets a fresh array that is not kept. So a thread holds at most 4.25
 MiB for as long as it lives, whatever ``C(p, k)``. A decode still
-allocates arrays the size of ``x`` (its conjugate) and of the candidate
-list (column offsets, scores).
+allocates arrays the size of ``x`` (its conjugate), of the candidate list
+(column offsets, scores) and, in the lifted form, of the draws'
+``(k^2 + 1)(k^2 + 2) / 2`` weights each.
 """
 from __future__ import annotations
 
@@ -79,6 +104,11 @@ _CHUNK_ELEMENTS = 1 << 14
 # product table of the columns it takes, which costs about p / candidates
 # of its gathers; smaller super-chunks were measured slower.
 _SCORE_ELEMENTS = 1 << 18
+# A lifted sum of squared residuals below this fraction of its rounding
+# scale (see ``_lifted_draw_terms``) is scored directly instead.
+_LIFT_FLOOR = 2.0 ** -16
+# Log-mean-exp terms below exp(_EXP_FLOOR) are raised to it before exp.
+_EXP_FLOOR = -700.0
 
 
 class _Workspace:
@@ -129,6 +159,23 @@ def _candidates(p: int, k: int) -> np.ndarray:
     cands = np.array(list(itertools.combinations(range(p), k)), dtype=np.intp)
     cands.flags.writeable = False
     return cands
+
+
+def _lifted_pays(k: int, n: int, m: int) -> bool:
+    """Whether the lifted form scores a decode of ``m`` draws, ``k`` slots
+    and ``n`` rows faster than the direct form.
+
+    Per (candidate, draw) the lifted form makes about ``k^2 (k^2 + 3) / 2``
+    multiply-adds and the direct form ``n (k + 6)`` passes, a pass costing
+    about two multiply-adds. Timed with 256 draws, the two forms
+    alternating, the lifted form took 1.05x the direct time at ``(p, k,
+    n)`` = (12, 4, 7) and 1.09x at (14, 3, 3), then 0.97x at (12, 4, 8)
+    and 0.78x at (14, 3, 4). Below 3 rows many draws fit every row almost
+    exactly, and the lifted form passes most candidates on to the direct
+    one: (12, 2, 2) took 1.04x, (12, 2, 3) 0.67x. One draw (flat-ml)
+    leaves the setup nothing to amortize.
+    """
+    return m > 1 and n >= 3 and k * k * (k * k + 3) < 4 * n * (k + 6)
 
 
 def _flat_value(signal: SignalModel) -> float:
@@ -182,75 +229,208 @@ def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
     ``y`` averaged over the rows of ``draws``, with mean intensities
     ``scale * |conj(x_S) @ draw|^2``.
 
-    Candidates run in super-chunks of at most ``_SCORE_ELEMENTS / m``. The
-    products ``conj(x[:, c]) * draws[s, j]`` of every column ``c`` a
-    super-chunk takes, slot ``j`` and draw ``s`` are formed once per block
-    of draws, and a chunk of candidates only gathers and adds them. The
-    projection is summed slot by slot and the squared residuals over the
-    contiguous row axis, never by a BLAS call whose rounding depends on the
-    array shape, so a score does not depend on its chunk, its super-chunk,
-    its draw block or what the thread's workspace held before.
+    Candidates run in super-chunks whose ``(candidates, draws)``
+    log-likelihoods fit in ``_SCORE_ELEMENTS``; the direct or the lifted
+    form fills them, as ``_lifted_pays`` picks for the decode's shape, and
+    one log-mean-exp runs over them in place. Neither form sums by a BLAS
+    call whose rounding depends on the array shape, so a score does not
+    depend on its super-chunk, chunk or draw block or on what the thread's
+    workspace held before.
     """
     ws = _thread_workspace()
     n, p = x.shape
     m, k = draws.shape
     cands = _candidates(p, k)
     xt = np.conjugate(x).T                     # row c: conj of column c
-    rows = max(n, 1)
-    scores = np.empty(cands.shape[0])
     span = max(1, _SCORE_ELEMENTS // m)        # candidates per super-chunk
+    lifted = _lifted_pays(k, n, m)
+    if lifted:
+        weights, floor = _lifted_draw_terms(x, y, draws, scale)
+        span = min(span, max(1, _CHUNK_ELEMENTS // len(weights)))
+    scores = np.empty(cands.shape[0])
     for c0 in range(0, cands.shape[0], span):
         sup = cands[c0:c0 + span]
-        lo, hi = int(sup.min()), int(sup.max()) + 1   # columns it takes
-        pos = sup - lo
-        # draws per block: the block's product table fits in one chunk budget
-        block = max(1, _CHUNK_ELEMENTS // (k * (hi - lo) * rows))
         loglik = ws.take("loglik", (len(sup), m), float)
-        for d0 in range(0, m, block):
-            d = draws[d0:d0 + block]
-            b = len(d)
-            step = max(1, _CHUNK_ELEMENTS // (rows * b))
-            # Operands are tiled to full shape by copyto: a ufunc that
-            # broadcasts, or reads a strided operand, over inner runs
-            # shorter than numpy's buffer size allocates buffers of up to
-            # 8192 elements per operand per call.
-            cells = (hi - lo, b, n)                 # (columns, b, n)
-            table = ws.take("table", (k,) + cells, complex)
-            for j in range(k):
-                np.copyto(table[j], xt[lo:hi, None, :])
-                if b == 1:      # a scalar; the table may pass the budget
-                    table[j] *= d[0, j]
-                else:
-                    ds = ws.take("draw_rows", cells, complex)
-                    np.copyto(ds, d[None, :, j, None])
-                    table[j] *= ds
-            ys = ws.take("y_rows", (min(step, len(sup)), b, n), float)
-            np.copyto(ys, y)
-            for c in range(0, len(sup), step):
-                idx = pos[c:c + step]
-                shape = (len(idx), b, n)
-                # mode="clip": with the default "raise", take copies via a
-                # fresh array before writing to out
-                proj = np.take(table[0], idx[:, 0], axis=0, mode="clip",
-                               out=ws.take("proj", shape, complex))
-                for j in range(1, k):
-                    proj += np.take(table[j], idx[:, j], axis=0, mode="clip",
-                                    out=ws.take("gather", shape, complex))
-                resid = np.square(proj.real,
-                                  out=ws.take("resid", shape, float))
-                resid += np.square(proj.imag,
-                                   out=ws.take("imag_sq", shape, float))
-                resid *= scale
-                np.subtract(ys[:len(idx)], resid, out=resid)
-                sum_sq = np.einsum("cbn,cbn->cb", resid, resid,
-                                   out=ws.take("sum_sq", shape[:2], float))
-                loglik[c:c + step, d0:d0 + b] = noise.joint_logpdf(sum_sq, n)
+        if lifted:
+            _lifted_loglik(xt, y, noise, draws, scale, weights, floor, sup,
+                           loglik, ws)
+        else:
+            _direct_loglik(xt, y, noise, draws, scale, sup, loglik, ws)
         top = loglik.max(axis=1, keepdims=True)
-        top[np.isneginf(top)] = 0.0   # no possible draw: -inf, not NaN
+        dead = np.isneginf(top[:, 0])   # no possible draw: -inf, not NaN
+        top[dead] = 0.0
         loglik -= top
+        # A term under exp(_EXP_FLOOR) moves a mean of at least 1/m by
+        # less than m 1e-304 relative; clipped, exp skips numpy's slow
+        # underflow path (6-125 ns against 1.3 ns an element).
+        np.maximum(loglik, _EXP_FLOOR, out=loglik)
         np.exp(loglik, out=loglik)
-        scores[c0:c0 + len(sup)] = top[:, 0] + np.log(loglik.mean(axis=1))
+        part = top[:, 0] + np.log(loglik.mean(axis=1))
+        part[dead] = -np.inf
+        scores[c0:c0 + len(sup)] = part
     return scores
+
+
+def _direct_loglik(xt, y, noise, draws, scale, sup, out, ws) -> None:
+    """Fill ``out[i, s]`` with the log-likelihood of candidate ``sup[i]``
+    under draw ``s``, from its residuals row by row.
+
+    The products ``conj(x[:, c]) * draws[s, j]`` of every column ``c`` the
+    candidates take, slot ``j`` and draw ``s`` are formed once per block of
+    draws, and a chunk of candidates only gathers and adds them. The
+    projection is summed slot by slot and the squared residuals over the
+    contiguous row axis.
+    """
+    n = len(y)
+    m, k = draws.shape
+    rows = max(n, 1)
+    lo, hi = int(sup.min()), int(sup.max()) + 1   # columns they take
+    pos = sup - lo
+    # draws per block: the block's product table fits in one chunk budget
+    block = max(1, _CHUNK_ELEMENTS // (k * (hi - lo) * rows))
+    for d0 in range(0, m, block):
+        d = draws[d0:d0 + block]
+        b = len(d)
+        step = max(1, _CHUNK_ELEMENTS // (rows * b))
+        # Operands are tiled to full shape by copyto: a ufunc that
+        # broadcasts, or reads a strided operand, over inner runs
+        # shorter than numpy's buffer size allocates buffers of up to
+        # 8192 elements per operand per call.
+        cells = (hi - lo, b, n)                 # (columns, b, n)
+        table = ws.take("table", (k,) + cells, complex)
+        for j in range(k):
+            np.copyto(table[j], xt[lo:hi, None, :])
+            if b == 1:      # a scalar; the table may pass the budget
+                table[j] *= d[0, j]
+            else:
+                ds = ws.take("draw_rows", cells, complex)
+                np.copyto(ds, d[None, :, j, None])
+                table[j] *= ds
+        ys = ws.take("y_rows", (min(step, len(sup)), b, n), float)
+        np.copyto(ys, y)
+        for c in range(0, len(sup), step):
+            idx = pos[c:c + step]
+            shape = (len(idx), b, n)
+            # mode="clip": with the default "raise", take copies via a
+            # fresh array before writing to out
+            proj = np.take(table[0], idx[:, 0], axis=0, mode="clip",
+                           out=ws.take("proj", shape, complex))
+            for j in range(1, k):
+                proj += np.take(table[j], idx[:, j], axis=0, mode="clip",
+                                out=ws.take("gather", shape, complex))
+            resid = np.square(proj.real, out=ws.take("resid", shape, float))
+            resid += np.square(proj.imag, out=ws.take("imag_sq", shape, float))
+            resid *= scale
+            np.subtract(ys[:len(idx)], resid, out=resid)
+            sum_sq = np.einsum("cbn,cbn->cb", resid, resid,
+                               out=ws.take("sum_sq", shape[:2], float))
+            out[c:c + step, d0:d0 + b] = noise.joint_logpdf(sum_sq, n)
+
+
+@functools.cache
+def _lift_index(k: int):
+    """Index tables of the lifted form with ``k`` slots.
+
+    ``pj`` and ``pl`` list the slot pairs ``j <= l``, the ``k`` diagonal
+    ones first. A row's ``k^2 + 1`` extended features are the observation,
+    the real parts of ``z_j conj(z_l)`` at these pairs and the imaginary
+    parts off the diagonal. The Gram entries ``(a, b)`` with ``a <= b`` are
+    kept in row-major order, row ``a`` from ``rows[a]``; ``a`` and ``b``
+    list them.
+    """
+    off_j, off_l = np.triu_indices(k, 1)
+    pj = np.concatenate([np.arange(k), off_j])
+    pl = np.concatenate([np.arange(k), off_l])
+    feats = k * k + 1
+    a, b = np.triu_indices(feats)
+    rows = np.concatenate([[0], np.cumsum(np.arange(feats, 0, -1))])
+    return pj, pl, a, b, rows
+
+
+def _lifted_draw_terms(x, y, draws, scale):
+    """Per draw ``s``: the weight of each kept Gram entry ``(a, b)`` in a
+    candidate's summed squared residual, ``V_a V_b`` (doubled off the
+    diagonal), one row per entry; and the floor under which that expanded
+    sum may have cancelled.
+
+    With ``e = d_j conj(d_l)`` at the slot pairs, the intensity
+    ``|z . d|^2`` is the sum of ``Re(z_j conj(z_l)) Re(e)`` on the
+    diagonal and of ``2 Re(z_j conj(z_l)) Re(e) - 2 Im(z_j conj(z_l))
+    Im(e)`` off it. So ``V`` is 1, then ``-scale Re(e)`` (doubled off the
+    diagonal), then ``2 scale Im(e)`` off the diagonal, and a row's
+    residual is ``H . V``. The expanded sum errs by a few ulps (times
+    ``n`` and the entry count) of ``sum_r (|y_r| + |z_r|^2 D_s)^2 <=
+    2 (sum y^2 + Z D_s^2)``, with ``D_s = scale |d_s|^2`` and ``Z`` the sum
+    over rows of the squared power of the row's ``k`` strongest entries,
+    which bounds every candidate's ``sum_r |z_r|^4``. The floor is
+    ``_LIFT_FLOOR`` times that.
+    """
+    k = draws.shape[1]
+    pj, pl, a, b, _ = _lift_index(k)
+    e = draws[:, pj] * np.conjugate(draws[:, pl])
+    v = np.ones((k * k + 1, len(draws)))
+    np.multiply(e.real.T, np.where(pj == pl, -scale, -2.0 * scale)[:, None],
+                out=v[1:len(pj) + 1])
+    np.multiply(e.imag[:, k:].T, 2.0 * scale, out=v[len(pj) + 1:])
+    weights = v[a]
+    weights *= v[b]
+    weights[a != b] *= 2.0
+    power = np.sort(np.square(np.abs(x)), axis=1)[:, x.shape[1] - k:]
+    strong = float(np.sum(np.square(power.sum(axis=1))))
+    d_pow = scale * np.square(np.abs(draws)).sum(axis=1)
+    floor = _LIFT_FLOOR * (float(np.dot(y, y)) + strong * np.square(d_pow))
+    return weights, floor
+
+
+def _lifted_loglik(xt, y, noise, draws, scale, weights, floor, sup, out,
+                   ws) -> None:
+    """Fill ``out[i, s]`` with the log-likelihood of candidate ``sup[i]``
+    under draw ``s``, in lifted form.
+
+    The intensity ``|z . d|^2`` of a row's conjugated sensing entries ``z``
+    and a draw ``d`` is linear in the ``k^2`` real features of ``z z^H``
+    (the lifting of PhaseLift, arXiv 1109.4499). With the observation
+    prepended, a row's residual is ``H . V``, and the summed squared
+    residual is ``V^T G V`` with ``G = sum_r H_r H_r^T``. The kept entries
+    of ``G`` are summed over the contiguous row axis once per candidate;
+    then each (candidate, draw) takes ``(k^2 + 1)(k^2 + 2) / 2``
+    multiply-adds whatever ``n``. ``np.einsum`` (which never calls BLAS)
+    runs them as ``out[c, :] += G_t[c] * weights[t, :]`` for the entries
+    ``t`` in order, so a sum does not depend on the candidates beside it.
+    Candidates with a sum under ``floor`` (it may have cancelled) or not
+    finite (overflow) are scored by ``_direct_loglik`` instead.
+    """
+    n = len(y)
+    k = sup.shape[1]
+    pj, pl, _, _, rows = _lift_index(k)
+    feats = k * k + 1
+    gram = ws.take("lift_gram", (len(sup), rows[-1]), float)
+    step = max(1, _CHUNK_ELEMENTS // (feats * max(n, 1)))
+    for c in range(0, len(sup), step):
+        part = sup[c:c + step]
+        shape = (len(part), len(pj), n)
+        zz = np.take(xt, part[:, pj], axis=0, mode="clip",
+                     out=ws.take("lift_pairs", shape, complex))
+        zl = np.take(xt, part[:, pl], axis=0, mode="clip",
+                     out=ws.take("lift_right", shape, complex))
+        zz *= np.conjugate(zl, out=zl)          # z_j conj(z_l)
+        # copyto, unlike a ufunc, reads the strided parts without buffers
+        h = ws.take("lift_feats", (len(part), feats, n), float)
+        np.copyto(h[:, 0], y)
+        np.copyto(h[:, 1:len(pj) + 1], zz.real)
+        np.copyto(h[:, len(pj) + 1:], zz.imag[:, k:])
+        for a in range(feats):
+            np.einsum("cn,cbn->cb", h[:, a], h[:, a:],
+                      out=gram[c:c + step, rows[a]:rows[a + 1]])
+    np.einsum("ct,ts->cs", gram, weights, out=out)
+    redo = None
+    if not (np.all(out.min(axis=0) >= floor) and out.max() < math.inf):
+        redo = np.flatnonzero(~((out >= floor) & (out < math.inf)).all(axis=1))
+        direct = np.empty((len(redo), out.shape[1]))
+        _direct_loglik(xt, y, noise, draws, scale, sup[redo], direct, ws)
+    noise.joint_logpdf(out, n, out=out)
+    if redo is not None:
+        out[redo] = direct
 
 
 def error_event(true_support: SupportSet, decoded: SupportSet,

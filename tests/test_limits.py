@@ -235,6 +235,15 @@ def test_threshold_query_validation():
     # floor mode with floor(alpha* k) = 0 cannot express the error event
     with pytest.raises(ValueError):
         ThresholdQuery(p=10, k=4, signal=sig, alpha_star=0.1, mode="floor")
+    # the floor search runs over the signal's entries and the budget
+    # k log(p/k) over the query's k: the two must agree
+    with pytest.raises(ValueError, match="must match"):
+        ThresholdQuery(p=40, k=10, signal=DiscreteGeneral((0.5, 1, 1.5, 2)),
+                       alpha_star=0.5)
+    for signal in (DiscreteFlat(c_beta=1.0, k=5),
+                   GaussianIID(c_beta=1.0, k=3)):
+        with pytest.raises(ValueError, match="must match"):
+            ThresholdQuery(p=10, k=4, signal=signal, alpha_star=0.5)
     # 1e-10 would ask for a 5e9-entry alpha grid (more than 1e7)
     for step in (0.0, -0.01, math.nan, math.inf, 1e-10):
         with pytest.raises(ValueError):

@@ -48,7 +48,7 @@ def test_demo_imports_exist():
 
 
 def test_demo_keywords_exist():
-    # no test runs the demos, so a dropped parameter would break one silently
+    # test_demos runs the demos; this names the call a dropped parameter breaks
     checked = 0
     for path in sorted((ROOT / "demos").glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from phaselim import simulate
@@ -187,50 +189,151 @@ def _reference_scores(x, y, noise, draws, scale):
     return np.array(out)
 
 
-def test_candidate_scores_match_reference_loop():
+def _force_form(monkeypatch, lifted):
+    """Score every decode in the lifted (or direct) form, whatever its
+    shape."""
+    monkeypatch.setattr(simulate, "_lifted_pays", lambda k, n, m: lifted)
+
+
+def test_candidate_scores_match_reference_loop(monkeypatch):
     rng = substream(19, 0)
     noise = GaussianNoise(0.6)
     n, p = 11, 6
     x = sample_circular_gaussian(rng, (n, p))
     y = np.abs(rng.normal(1.0, 1.0, size=n))
-    for k in (1, 2, 3):
-        for draws in (np.ones((1, k)),
-                      sample_circular_gaussian(rng, (16, k), power=0.7)):
-            for scale in (0.3, 1.0):
-                ours = simulate._candidate_scores(x, y, noise, draws, scale)
-                ref = _reference_scores(x, y, noise, draws, scale)
-                assert np.allclose(ours, ref, rtol=1e-12, atol=0), (k, scale)
+    for lifted in (False, True):
+        _force_form(monkeypatch, lifted)
+        for k in (1, 2, 3):
+            for draws in (np.ones((1, k)),
+                          sample_circular_gaussian(rng, (16, k), power=0.7)):
+                for scale in (0.3, 1.0):
+                    ours = simulate._candidate_scores(x, y, noise, draws,
+                                                      scale)
+                    ref = _reference_scores(x, y, noise, draws, scale)
+                    assert np.allclose(ours, ref, rtol=1e-12, atol=0), (
+                        lifted, k, scale)
+
+
+def test_form_choice_follows_shape():
+    # one draw (flat-ml) and fewer than 3 rows stay direct; otherwise the
+    # lifted form's k^2 (k^2 + 3) / 2 multiply-adds are set against twice
+    # the direct form's n (k + 6) passes
+    pays = simulate._lifted_pays
+    assert not pays(2, 40, 1)
+    assert not pays(1, 2, 256) and pays(1, 3, 256)
+    assert pays(2, 3, 256) and pays(2, 40, 256)
+    assert not pays(3, 3, 256) and pays(3, 4, 256)
+    assert not pays(4, 7, 256) and pays(4, 8, 256)
+
+
+# Lifted scores carry the rounding of an expanded square; the reference's
+# own rounding at sigma 1e-6 is about 1e-11 of 1 + |score|.
+_LIFT_TOL = 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), extra=st.integers(0, 3), n=st.integers(0, 60),
+       m=st.integers(1, 256), log_sigma=st.floats(-6.0, 3.0),
+       fit=st.booleans(), huge=st.booleans(), seed=st.integers(0, 2**16))
+@example(k=2, extra=2, n=40, m=64, log_sigma=-150.0, fit=False, huge=False,
+         seed=1)
+@example(k=3, extra=1, n=12, m=32, log_sigma=150.0, fit=False, huge=False,
+         seed=2)
+@example(k=2, extra=2, n=30, m=128, log_sigma=-6.0, fit=True, huge=False,
+         seed=3)
+@example(k=2, extra=2, n=2, m=8, log_sigma=0.0, fit=False, huge=True,
+         seed=4)
+def test_lifted_scores_match_reference_loop(k, extra, n, m, log_sigma, fit,
+                                            huge, seed):
+    # With ``fit``, y comes from one candidate and one draw plus noise, so
+    # that candidate's expanded square cancels down to n sigma^2 (the
+    # high-SNR case); with ``huge``, candidates on columns 0 and 1 overflow
+    # to a likelihood of 0, as in test_decode_ranks_impossible_candidates_last
+    rng = substream(41, seed)
+    p = k + extra
+    noise = GaussianNoise(10.0 ** log_sigma)
+    x = sample_circular_gaussian(rng, (n, p))
+    draws = sample_circular_gaussian(rng, (m, k), power=1.5)
+    if fit:
+        cand = sorted(rng.choice(p, size=k, replace=False))
+        truth = np.abs(np.conjugate(x[:, cand]) @ draws[rng.integers(m)])
+        y = truth ** 2 + noise.sample(rng, n)
+    else:
+        y = np.abs(rng.normal(1.0, 1.0, size=n))
+    if huge and p > k:
+        x[:, :min(2, k)] *= 1e200
+    with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+          pytest.MonkeyPatch.context() as mp):
+        _force_form(mp, True)
+        ref = _reference_scores(x, y, noise, draws, 1.0)
+        ours = simulate._candidate_scores(x, y, noise, draws, 1.0)
+        close = np.abs(ours - ref) <= _LIFT_TOL * (1.0 + np.abs(ref))
+    assert np.all(close | (np.isinf(ref) & (ours == ref))), (ours, ref)
+    best, second = np.sort(np.append(ref, -np.inf))[::-1][:2]
+    if np.isfinite(best) and best - second > _LIFT_TOL * (1.0 + abs(best)):
+        assert np.argmax(ours) == np.argmax(ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lifted_overflowing_gram_scores_directly(monkeypatch):
+    # columns of 1e80 overflow the Gram entries (|z|^4) while the draws of
+    # 1e-70 keep every intensity finite: the lifted sums come out infinite
+    # or NaN, and those candidates are scored directly, finite as the
+    # reference has them
+    rng = substream(43, 0)
+    noise = GaussianNoise(1.0)
+    x = sample_circular_gaussian(rng, (12, 5))
+    x[:, 1] *= 1e80
+    draws = 1e-70 * sample_circular_gaussian(rng, (32, 2))
+    y = np.abs(rng.normal(1.0, 1.0, size=12))
+    _force_form(monkeypatch, True)
+    ours = simulate._candidate_scores(x, y, noise, draws, 1.0)
+    ref = _reference_scores(x, y, noise, draws, 1.0)
+    assert np.all(np.isfinite(ref))
+    assert np.allclose(ours, ref, rtol=1e-12, atol=0)
 
 
 def test_chunked_scores_match_one_chunk(monkeypatch):
     # a budget of a few candidates per chunk, with a ragged last chunk, of a
     # few draws per product table, with a ragged last block, or of a few
     # candidates per super-chunk, whose table starts past column 0, scores
-    # every candidate exactly as one chunk, block and super-chunk do
+    # every candidate exactly as one chunk, block and super-chunk do; in
+    # the lifted form the chunk budget sets the candidates per Gram setup
+    # chunk and caps those per super-chunk, down to one at a budget of 1
     rng = substream(17, 0)
     noise = GaussianNoise(0.4)
     n, p = 9, 7
     x = sample_circular_gaussian(rng, (n, p))
     y = np.abs(rng.normal(size=n))
-    blocks = [(np.ones((1, 2)), 0.8), (np.ones((1, 3)), 0.3),
-              (sample_circular_gaussian(rng, (16, 2), power=0.5), 1.0)]
-    for draws, scale in blocks:
+    blocks = [(np.ones((1, 2)), 0.8, (False,)),
+              (np.ones((1, 3)), 0.3, (False,)),
+              (sample_circular_gaussian(rng, (16, 2), power=0.5), 1.0,
+               (False, True)),
+              (sample_circular_gaussian(rng, (16, 3), power=0.5), 1.0,
+               (True,))]
+    for draws, scale, forms in blocks:
         m, k = draws.shape
-        whole = simulate._candidate_scores(x, y, noise, draws, scale)
-        assert whole.shape == (math.comb(p, k),)
-        budgets = [(per_chunk * n * m, None) for per_chunk in (1, 4)]
-        if m > 1:   # tables of 3 or 5 of the 16 draws
-            budgets += [(per_block * k * p * n, None) for per_block in (3, 5)]
-        # super-chunks of 1, 4 or 8 candidates, alone and with 3-draw tables
-        budgets += [(None, per_super * m) for per_super in (1, 4, 8)]
-        budgets += [(3 * k * n, 4 * m)]
-        for chunk, score in budgets:
-            if chunk is not None:
-                monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", chunk)
-            if score is not None:
-                monkeypatch.setattr(simulate, "_SCORE_ELEMENTS", score)
-            chunked = simulate._candidate_scores(x, y, noise, draws, scale)
-            assert np.array_equal(chunked, whole), (chunk, score)
+        for lifted in forms:
+            _force_form(monkeypatch, lifted)
+            whole = simulate._candidate_scores(x, y, noise, draws, scale)
+            assert whole.shape == (math.comb(p, k),)
+            budgets = [(per_chunk * n * m, None) for per_chunk in (1, 4)]
+            if m > 1:   # tables of 3 or 5 of the 16 draws
+                budgets += [(per_block * k * p * n, None)
+                            for per_block in (3, 5)]
+            # super-chunks of 1, 4 or 8 candidates, alone and with 3-draw
+            # tables
+            budgets += [(None, per_super * m) for per_super in (1, 4, 8)]
+            budgets += [(3 * k * n, 4 * m), (1, None), (1, 1)]
+            for chunk, score in budgets:
+                with monkeypatch.context() as mp:
+                    if chunk is not None:
+                        mp.setattr(simulate, "_CHUNK_ELEMENTS", chunk)
+                    if score is not None:
+                        mp.setattr(simulate, "_SCORE_ELEMENTS", score)
+                    chunked = simulate._candidate_scores(x, y, noise, draws,
+                                                         scale)
+                assert np.array_equal(chunked, whole), (lifted, chunk, score)
             monkeypatch.undo()
     for decoder, signal, kw in (
             ("flat-ml", DiscreteFlat(c_beta=1.0, k=2), {}),
@@ -258,7 +361,9 @@ def test_workspace_reuse_is_bit_identical(monkeypatch):
         return x, y, sample_circular_gaussian(rng, (m, k), power=0.8), 1.0
 
     for k in (1, 2, 3):
-        for flat in (True, False):
+        # flat, then draws in the direct and in the lifted form
+        for flat, lifted in ((True, False), (False, False), (False, True)):
+            _force_form(monkeypatch, lifted)
             x, y, draws, scale = instance(9, k, 20, 64, flat)
             monkeypatch.setattr(simulate, "_local", threading.local())
             fresh = simulate._candidate_scores(x, y, noise, draws, scale)
@@ -267,7 +372,7 @@ def test_workspace_reuse_is_bit_identical(monkeypatch):
                 bx, by, bdraws, bscale = instance(p, k, n, m, flat)
                 simulate._candidate_scores(bx, by, noise, bdraws, bscale)
                 again = simulate._candidate_scores(x, y, noise, draws, scale)
-                assert np.array_equal(again, fresh), (k, flat, p)
+                assert np.array_equal(again, fresh), (k, flat, lifted, p)
 
 
 def test_workspace_keeps_only_budgeted_buffers(monkeypatch):
@@ -304,18 +409,21 @@ def test_repeated_decode_allocates_no_chunk_buffers():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_decode_ranks_impossible_candidates_last():
+def test_decode_ranks_impossible_candidates_last(monkeypatch):
     # columns 0 and 1 are so large that any candidate using them has a mean
     # intensity that overflows: its likelihood is 0 (score -inf), and it
-    # must lose to the one finite candidate (2, 3), not win as a NaN
+    # must lose to the one finite candidate (2, 3), not win as a NaN; the
+    # lifted form sends the overflowing candidates to the direct one
     x = np.array([[1e200, 1e200, 1.0, 1.0], [1e200, -1e200, 1.0, 1j]])
     noise = GaussianNoise(1.0)
     y = np.array([4.0, 2.0])
     decoded = decode(x, y, DiscreteFlat(c_beta=2.0, k=2), noise, "flat-ml")
     assert decoded.indices == (2, 3)
-    decoded = decode(x, y, GaussianIID(c_beta=2.0, k=2), noise,
-                     "mc-marginal", mc_samples=8, rng=substream(0, 0))
-    assert decoded.indices == (2, 3)
+    for lifted in (False, True):
+        _force_form(monkeypatch, lifted)
+        decoded = decode(x, y, GaussianIID(c_beta=2.0, k=2), noise,
+                         "mc-marginal", mc_samples=8, rng=substream(0, 0))
+        assert decoded.indices == (2, 3)
 
 
 def test_error_event_threshold():
@@ -369,13 +477,17 @@ def test_error_curve_zero_measurement_analytic():
 
 
 def test_error_curve_thread_invariance():
-    base = dict(p=7, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+    flat = dict(p=7, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
                 noise=GaussianNoise(0.5), alpha_star=0.5,
                 n_grid=(2, 6, 10), trials=60, master_seed=3)
-    one = error_curve(SimConfig(**base, threads=1))
-    two = error_curve(SimConfig(**base, threads=3))
-    assert np.array_equal(one.pe, two.pe)
-    assert np.array_equal(one.se, two.se)
+    # mc-marginal scores n = 2 in the direct form and n = 6, 10 lifted
+    mc = dict(flat, signal=GaussianIID(c_beta=2.0, k=2), trials=30,
+              decoder="mc-marginal", mc_samples=32)
+    for base in (flat, mc):
+        one = error_curve(SimConfig(**base, threads=1))
+        two = error_curve(SimConfig(**base, threads=3))
+        assert np.array_equal(one.pe, two.pe)
+        assert np.array_equal(one.se, two.se)
 
 
 def test_error_curve_decreases_and_hits_zero():
