@@ -211,14 +211,13 @@ def _run_figure(params: dict):
                          f"{MAX_SNR_GRID} points")
     grid = np.arange(lo, hi + step / 2.0, step)
     curves = figure_curves(alpha_star=params["alpha_star"],
-                           snr_db_values=grid, kinds=("flat", "gaussian"),
-                           sigma=params["sigma"],
+                           snr_db_values=grid, sigma=params["sigma"],
                            grid_step=params["grid_step"])
     os.makedirs(params["out_dir"], exist_ok=True)
     outputs = []
-    for kind in ("flat", "gaussian"):
+    for kind, rows in curves.items():
         path = os.path.join(params["out_dir"], f"{kind}_thresholds.csv")
-        write_figure_csv(curves[kind], path)
+        write_figure_csv(rows, path)
         outputs.append(path)
     text = "wrote " + ", ".join(outputs)
     return outputs, text, {}

@@ -195,50 +195,39 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _conv_logpdf_quadrature(y, lam, fresh_power, noise: GaussianNoise,
-                            nodes: int):
-    """Quadrature log densities at 1-d ``y`` with matched powers ``lam`` of
-    the same length."""
+def _quadrature_logpdf(ys, lams, v, noise: GaussianNoise, nodes: int = 80):
+    """Quadrature log densities at 1-d ``ys`` with matched powers ``lams``
+    of the same length and fresh power ``v``, ``nodes`` Gauss-Legendre
+    nodes per segment, at most ``_QUAD_ELEMENT_BUDGET`` grid elements at a
+    time: the series' fallback and the tests' oracle."""
     from scipy.special import logsumexp
-    v = float(fresh_power)
-    hw = _NOISE_BULK * noise.sigma
-    sl = np.sqrt(lam)
-    sv = math.sqrt(v)
-    top = np.clip(y, 0.0, None) + hw
-    edges = np.stack(
-        [
-            np.zeros_like(y),
-            np.clip(sl - _SQRT_BULK * sv, 0.0, None) ** 2,
-            (sl + _SQRT_BULK * sv) ** 2,
-            np.clip(y - hw, 0.0, None),
-            top,
-        ],
-        axis=-1,
-    )
-    edges = np.minimum(edges, top[..., None])
-    edges.sort(axis=-1)
-
     gx, gw = _gl_nodes(nodes)
-    a = np.sqrt(edges[..., :-1])  # (..., 4) segment edges in sqrt space
-    b = np.sqrt(edges[..., 1:])
-    half = 0.5 * (b - a)
-    s = a[..., None] + half[..., None] * (gx + 1.0)  # (..., 4, nodes)
-    u = s * s
-    log_fu = noncentral_chi2_scaled_logpdf(u, lam[..., None, None], v)
-    log_fz = noise.logpdf(y[..., None, None] - u)
-    with np.errstate(divide="ignore"):
-        log_w = (np.where(half > 0, np.log(np.clip(half, 1e-300, None)), -np.inf)[..., None]
-                 + np.log(gw) + np.log(np.clip(2.0 * s, 1e-300, None)))
-    return logsumexp(log_fu + log_fz + log_w, axis=(-1, -2))
-
-
-def _quadrature_logpdf(ys, lams, v, noise: GaussianNoise, nodes: int):
-    """Chunked :func:`_conv_logpdf_quadrature` over 1-d ``ys``/``lams``."""
+    hw = _NOISE_BULK * noise.sigma
+    sv = math.sqrt(v)
     step = max(1, _QUAD_ELEMENT_BUDGET // (4 * nodes))
     out = np.empty_like(ys)
     for lo in range(0, ys.size, step):
-        sl = slice(lo, lo + step)
-        out[sl] = _conv_logpdf_quadrature(ys[sl], lams[sl], v, noise, nodes)
+        y, lam = ys[lo:lo + step], lams[lo:lo + step]
+        sl = np.sqrt(lam)
+        top = np.clip(y, 0.0, None) + hw
+        edges = np.stack([np.zeros_like(y),
+                          np.clip(sl - _SQRT_BULK * sv, 0.0, None) ** 2,
+                          (sl + _SQRT_BULK * sv) ** 2,
+                          np.clip(y - hw, 0.0, None), top], axis=-1)
+        edges = np.minimum(edges, top[:, None])
+        edges.sort(axis=-1)
+        a = np.sqrt(edges[:, :-1])  # (samples, 4) segment edges in sqrt space
+        b = np.sqrt(edges[:, 1:])
+        half = 0.5 * (b - a)
+        s = a[..., None] + half[..., None] * (gx + 1.0)  # (samples, 4, nodes)
+        u = s * s
+        log_fu = noncentral_chi2_scaled_logpdf(u, lam[:, None, None], v)
+        log_fz = noise.logpdf(y[:, None, None] - u)
+        with np.errstate(divide="ignore"):
+            log_w = (np.where(half > 0, np.log(np.clip(half, 1e-300, None)),
+                              -np.inf)[..., None]
+                     + np.log(gw) + np.log(np.clip(2.0 * s, 1e-300, None)))
+        out[lo:lo + step] = logsumexp(log_fu + log_fz + log_w, axis=(-1, -2))
     return out
 
 
@@ -372,21 +361,18 @@ def _conv_logpdf_series(ys, lams, v, sigma):
     return out
 
 
-def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise,
-                              nodes: int = 80, force_quadrature: bool = False):
+def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise):
     """Log density of one observation given the matched projection power.
 
     Sums the Poisson mixture series of the convolution, whose zero-power
     term is the exponentially-modified-Gaussian closed form; a sample whose
-    series is too long or not finite is integrated numerically, at most
-    ``_QUAD_ELEMENT_BUDGET`` grid elements at a time, as is every sample
-    under ``force_quadrature`` (``nodes`` is the quadrature order). A value
-    does not depend on the batch it is computed in. Raises on non-finite
-    ``y``, on a negative or non-finite ``known_sq``, and on a
-    ``fresh_power`` below ``1e-16 * known_sq`` or with an overflowing
-    ``sigma^2 / fresh_power``, which no form here resolves. May return
-    values below ``LOG_FLOOR`` or ``-inf``; flooring is the caller's choice
-    (see :func:`info_density`).
+    series is too long or not finite is integrated numerically by
+    :func:`_quadrature_logpdf`. A value does not depend on the batch it is
+    computed in. Raises on non-finite ``y``, on a negative or non-finite
+    ``known_sq``, and on a ``fresh_power`` below ``1e-16 * known_sq`` or
+    with an overflowing ``sigma^2 / fresh_power``, which no form here
+    resolves. May return values below ``LOG_FLOOR`` or ``-inf``; flooring
+    is the caller's choice (see :func:`info_density`).
     """
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr)):
@@ -409,14 +395,10 @@ def conditional_output_logpdf(y, known_sq, fresh_power, noise: GaussianNoise,
     ys = y_arr.ravel()
     lams = np.broadcast_to(lam, y_arr.shape).ravel()
     v = float(fresh_power)
-    if force_quadrature:
-        out = _quadrature_logpdf(ys, lams, v, noise, nodes)
-    else:
-        out = _conv_logpdf_series(ys, lams, v, noise.sigma)
-        redo = np.flatnonzero(np.isnan(out))
-        if redo.size:
-            out[redo] = _quadrature_logpdf(ys[redo], lams[redo], v, noise,
-                                           nodes)
+    out = _conv_logpdf_series(ys, lams, v, noise.sigma)
+    redo = np.flatnonzero(np.isnan(out))
+    if redo.size:
+        out[redo] = _quadrature_logpdf(ys[redo], lams[redo], v, noise)
     out = out.reshape(y_arr.shape)
     return float(out[0]) if scalar else out
 

@@ -364,13 +364,14 @@ _CURVE_MODELS = {"flat": DiscreteFlat, "gaussian": GaussianIID}
 
 
 def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
-                  kinds=("flat", "gaussian"), sigma: float = 1.0,
+                  sigma: float = 1.0,
                   grid_step: float = 1e-3) -> dict[str, np.ndarray]:
     """Normalized threshold curves versus SNR.
 
-    Returns, per model kind, rows ``(snr_db, n_ach_norm, n_con_norm)``
-    where the normalization divides out ``k * log(p/k)``. Curves use the
-    limiting (asymptotic) forms, so they are size-free.
+    Returns, for ``"flat"`` and for ``"gaussian"``, rows ``(snr_db,
+    n_ach_norm, n_con_norm)`` where the normalization divides out
+    ``k * log(p/k)``. Curves use the limiting (asymptotic) forms, so they
+    are size-free.
     """
     if snr_db_values is None:
         snr_db_values = np.arange(-10.0, 41.0, 1.0)
@@ -383,16 +384,11 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
     _check_alpha_search(alpha_star, grid_step)
     noise = GaussianNoise(sigma)
     c_values = [c_beta_from_snr_db(float(db), sigma) for db in snr_db_values]
-    signals = {}
-    for kind in kinds:
-        if kind not in _CURVE_MODELS:
-            raise ValueError(f"unknown curve kind {kind!r}")
-        # the limiting forms do not depend on k
-        signals[kind] = [_CURVE_MODELS[kind](c_beta=c, k=1) for c in c_values]
     out: dict[str, np.ndarray] = {}
-    for kind, models in signals.items():
+    for kind, model in _CURVE_MODELS.items():
         rows = np.empty((snr_db_values.size, 3))
-        for i, (db, signal) in enumerate(zip(snr_db_values, models)):
+        for i, (db, c) in enumerate(zip(snr_db_values, c_values)):
+            signal = model(c_beta=c, k=1)   # the limiting forms ignore k
             v_ach, v_con, _, _ = _normalized_thresholds(
                 signal, "asymptotic", noise, alpha_star, grid_step)
             rows[i] = (db, v_ach, v_con)

@@ -102,6 +102,13 @@ class DiscreteGeneral:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("need at least one coefficient value")
+        try:
+            power = self.total_power
+        except OverflowError:   # a square past the float range
+            power = math.inf
+        if not power < math.inf:    # NaN or infinite values fail too
+            raise ValueError("coefficient values and their total power "
+                             "must be finite")
 
     @property
     def k(self) -> int:

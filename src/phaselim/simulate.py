@@ -109,6 +109,12 @@ _SCORE_ELEMENTS = 1 << 18
 _LIFT_FLOOR = 2.0 ** -16
 # Log-mean-exp terms below exp(_EXP_FLOOR) are raised to it before exp.
 _EXP_FLOOR = -700.0
+# Largest signal power, and power over noise sigma, a simulation takes (the
+# bound GaussianNoise puts on sigma). Past about 1e155 every candidate's
+# summed squared residual overflows, all scores tie at -inf, and the first
+# candidate wins: mc-marginal read pe near 1 from c_beta 1e155 (p 6, k 2,
+# sigma 1), flat-ml from 1e170.
+_POWER_MAX = 1e150
 
 
 class _Workspace:
@@ -223,6 +229,9 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
                       universe=p)
 
 
+# Overflowing intensities or Gram entries are handled: their candidates
+# score -inf or are rescored directly, so numpy's warnings are silenced.
+@np.errstate(over="ignore", invalid="ignore")
 def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
                       draws: np.ndarray, scale: float) -> np.ndarray:
     """Per candidate, in lexicographic order: the log of the likelihood of
@@ -477,6 +486,11 @@ class SimConfig:
             raise ValueError("mc_samples must be at least 1")
         if getattr(self.signal, "k") != self.k:
             raise ValueError("signal model k must match config k")
+        power = self.signal.total_power
+        if not (power <= _POWER_MAX and power / self.noise.sigma <= _POWER_MAX):
+            raise ValueError(f"signal power {power!r} must not pass "
+                             f"{_POWER_MAX:g}, nor {_POWER_MAX:g} times "
+                             f"sigma {self.noise.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -528,20 +542,16 @@ def error_curve(config: SimConfig) -> ErrorCurve:
                       pe=pe, se=se, trials=config.trials)
 
 
-def pava_nonincreasing(values, weights=None) -> np.ndarray:
+def pava_nonincreasing(values) -> np.ndarray:
     """Best nonincreasing fit (least squares) by pool-adjacent-violators."""
-    v = np.asarray(values, dtype=float)
-    w = np.ones_like(v) if weights is None else np.asarray(weights, dtype=float)
-    means, wsum, sizes = [], [], []
-    for val, wt in zip(v, w):
-        means.append(val); wsum.append(wt); sizes.append(1)
+    means, sizes = [], []
+    for val in np.asarray(values, dtype=float):
+        means.append(val); sizes.append(1)
         # merge while the tail violates the nonincreasing constraint
         while len(means) > 1 and means[-2] < means[-1]:
-            m2, w2, s2 = means.pop(), wsum.pop(), sizes.pop()
-            m1, w1, s1 = means.pop(), wsum.pop(), sizes.pop()
-            wt_tot = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / wt_tot)
-            wsum.append(wt_tot)
+            m2, s2 = means.pop(), sizes.pop()
+            m1, s1 = means.pop(), sizes.pop()
+            means.append((m1 * s1 + m2 * s2) / (s1 + s2))
             sizes.append(s1 + s2)
     return np.repeat(means, sizes)
 

@@ -137,6 +137,12 @@ def test_bad_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
         ["figure", "--sigma", "1e160", "--out-dir", "figs"],
         ["simulate", "--p", "6", "--k", "2", "--sigma", "1e-160"],
         ["simulate", "--p", "6", "--k", "2", "--sigma", "1e160"],
+        # signal powers past 1e150, or past 1e150 times sigma: every
+        # candidate's residual overflowed and pe read about 1 at every n
+        ["simulate", "--model", "gaussian", "--p", "6", "--k", "2",
+         "--c-beta", "1e200"],
+        ["simulate", "--model", "flat", "--p", "6", "--k", "2",
+         "--c-beta", "1e120", "--sigma", "1e-40"],
         # an SNR point whose power overflows: refused before any curve
         ["figure", "--snr-min=40", "--snr-max=1e300", "--snr-step=1e300",
          "--out-dir", "figs"],

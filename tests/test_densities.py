@@ -191,8 +191,7 @@ def test_emg_is_quadrature_fast_path():
     noise = GaussianNoise(0.8)
     ys = np.concatenate([np.linspace(-10, -3.2, 18), np.linspace(-3, 12, 80)])
     fast = conditional_output_logpdf(ys, 0.0, 1.3, noise)
-    slow = conditional_output_logpdf(ys, 0.0, 1.3, noise,
-                                     force_quadrature=True)
+    slow = densities._quadrature_logpdf(ys, np.zeros_like(ys), 1.3, noise)
     assert np.allclose(fast, slow, atol=5e-13)
 
 
@@ -343,8 +342,8 @@ def test_series_matches_quadrature_across_switch_and_cap(monkeypatch):
         calls = _spy_quadrature(monkeypatch)
         series = conditional_output_logpdf(ys, lam, v, noise)
         assert calls == []
-        quad = conditional_output_logpdf(ys, lam, v, noise,
-                                         force_quadrature=True)
+        quad = densities._quadrature_logpdf(ys, np.full_like(ys, lam), v,
+                                            noise)
         assert np.max(np.abs(series - quad)) <= 1e-12, (lam, v, sigma)
         for i in np.flatnonzero(forward[1:] != forward[:-1]):
             for j in (i, i + 1):
@@ -365,8 +364,8 @@ def test_series_matches_quadrature_across_switch_and_cap(monkeypatch):
         calls = _spy_quadrature(monkeypatch)
         ours = conditional_output_logpdf(y, lam, v, noise)
         assert bool(calls) == expect_quadrature
-        quad = conditional_output_logpdf(y, lam, v, noise,
-                                         force_quadrature=True)
+        [quad] = densities._quadrature_logpdf(np.array([y]), np.array([lam]),
+                                              v, noise)
         assert abs(ours - quad) <= 1e-9, lam
 
 
@@ -463,30 +462,25 @@ def test_conditional_logpdf_chunked_batch_identical(monkeypatch):
     rng = substream(23, 0)
     ys = rng.normal(3.0, 2.0, size=2000)
     lams = rng.uniform(0.0, 4.0, size=2000)
+    quadrature = densities._quadrature_logpdf
     monkeypatch.setattr(densities, "_QUAD_ELEMENT_BUDGET", 2000 * 4 * 40)
-    one_chunk = conditional_output_logpdf(ys, lams, 1.0, noise, nodes=40,
-                                          force_quadrature=True)
+    one_chunk = quadrature(ys, lams, 1.0, noise, 40)
     monkeypatch.setattr(densities, "_QUAD_ELEMENT_BUDGET", 37 * 4 * 40)
+    # the quadrature evaluates the chi-square kernel once per chunk, on
+    # its (samples, 4, nodes) grid
     chunks = []
-    quadrature = densities._conv_logpdf_quadrature
-    monkeypatch.setattr(densities, "_conv_logpdf_quadrature",
-                        lambda y, *rest: chunks.append(y.size)
-                        or quadrature(y, *rest))
-    whole = conditional_output_logpdf(ys, lams, 1.0, noise, nodes=40,
-                                      force_quadrature=True)
+    kernel = densities.noncentral_chi2_scaled_logpdf
+    monkeypatch.setattr(densities, "noncentral_chi2_scaled_logpdf",
+                        lambda u, *rest: chunks.append(len(u))
+                        or kernel(u, *rest))
+    whole = quadrature(ys, lams, 1.0, noise, 40)
     parts = np.concatenate([
-        conditional_output_logpdf(ys[i:i + 100], lams[i:i + 100], 1.0,
-                                  noise, nodes=40, force_quadrature=True)
+        quadrature(ys[i:i + 100], lams[i:i + 100], 1.0, noise, 40)
         for i in range(0, 2000, 100)])
     assert chunks[:55] == [37] * 54 + [2000 - 54 * 37]
     assert chunks[55:58] == [37, 37, 26]
     assert np.array_equal(whole, one_chunk)
     assert np.array_equal(parts, one_chunk)
-    # a grid that is not 1-d is chunked the same way
-    grid = conditional_output_logpdf(ys.reshape(40, 50), lams.reshape(40, 50),
-                                     1.0, noise, nodes=40,
-                                     force_quadrature=True)
-    assert np.array_equal(grid.ravel(), one_chunk)
 
     # the series: each sample's term count, direction and start are its
     # own, so a sample gives the same bits alone, in a batch, in any slice
@@ -527,6 +521,14 @@ def test_conditional_logpdf_chunked_batch_identical(monkeypatch):
     grid = conditional_output_logpdf(ys[:1900].reshape(38, 50),
                                      lams[:1900].reshape(38, 50), v, noise)
     assert np.array_equal(grid.ravel(), batch[:1900])
+    # a grid that is not 1-d of samples past the term cap: all of them take
+    # the quadrature, chunked (18 samples of 80 nodes) as a 1-d batch is
+    chunks.clear()
+    big = np.linspace(1e4, 3e4, 60)
+    grid = conditional_output_logpdf(big.reshape(6, 10) + 1.0,
+                                     big.reshape(6, 10), v, noise)
+    assert chunks == [18, 18, 18, 6]
+    assert np.array_equal(grid.ravel(), quadrature(big + 1.0, big, v, noise))
 
 
 def test_conditional_logpdf_narrow_noise():
@@ -534,8 +536,8 @@ def test_conditional_logpdf_narrow_noise():
     # squared-magnitude density itself
     noise = GaussianNoise(1e-3)
     for u in [0.5, 1.0, 3.0]:
-        ours = conditional_output_logpdf(u, 1.0, 1.0, noise,
-                                         force_quadrature=True)
+        [ours] = densities._quadrature_logpdf(np.array([u]), np.array([1.0]),
+                                              1.0, noise)
         ref = noncentral_chi2_scaled_logpdf(u, 1.0, 1.0)
         assert ours == pytest.approx(ref, abs=1e-5)
 

@@ -500,7 +500,7 @@ def test_figure_curves_shape():
 
 def test_figure_curves_reject_bad_input():
     for kwargs in ({"grid_step": 0.0}, {"grid_step": math.nan},
-                   {"alpha_star": 1.0}, {"kinds": ("flat", "bogus")},
+                   {"alpha_star": 1.0},
                    {"snr_db_values": []}, {"snr_db_values": [0.0, math.nan]},
                    {"snr_db_values": [math.inf]},
                    {"snr_db_values": np.zeros(MAX_SNR_GRID + 1)},

@@ -74,6 +74,16 @@ def test_signal_validation():
         for c_beta in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 model(c_beta=c_beta, k=3)
+    # non-finite values, and values whose total power leaves the float
+    # range (a square that raises OverflowError, or a sum that reaches inf)
+    for values in ((math.nan,), (math.nan, 1.0), (math.inf,),
+                   (complex(1.0, -math.inf),), (complex(math.nan, 0.0),),
+                   (1e200, 1e200), (1e154,) * 3):
+        with pytest.raises(ValueError):
+            DiscreteGeneral(values=values)
+    # all-zero values are a valid signal; the threshold search refuses them
+    assert DiscreteGeneral(values=(0.0, 0.0)).total_power == 0.0
+    assert DiscreteGeneral(values=(1e150j,)).total_power == pytest.approx(1e300)
 
 
 def test_flat_vector_deterministic():

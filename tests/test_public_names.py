@@ -1,7 +1,8 @@
 """Names that code outside the package reaches into must keep existing:
 the functions the benchmark tracer wraps, the names the demos import (and
 the keyword arguments the demos pass to them) and the names each module's
-``__all__`` lists."""
+``__all__`` lists. Public functions take no parameter that no caller
+sets."""
 import ast
 import importlib
 import inspect
@@ -81,3 +82,18 @@ def test_all_names_exist():
         mod = importlib.import_module(module)
         for name in mod.__all__:
             assert hasattr(mod, name), f"{module}.{name}"
+
+
+def test_public_signatures_pinned():
+    # the quadrature order and forcing switch, the curve kinds and the PAVA
+    # weights were set only by tests, or by nothing
+    from phaselim.densities import conditional_output_logpdf
+    from phaselim.limits import figure_curves
+    from phaselim.simulate import pava_nonincreasing
+    for fn, params in (
+            (conditional_output_logpdf,
+             ["y", "known_sq", "fresh_power", "noise"]),
+            (figure_curves,
+             ["alpha_star", "snr_db_values", "sigma", "grid_step"]),
+            (pava_nonincreasing, ["values"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__

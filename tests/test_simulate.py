@@ -274,7 +274,6 @@ def test_lifted_scores_match_reference_loop(k, extra, n, m, log_sigma, fit,
         assert np.argmax(ours) == np.argmax(ref)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lifted_overflowing_gram_scores_directly(monkeypatch):
     # columns of 1e80 overflow the Gram entries (|z|^4) while the draws of
     # 1e-70 keep every intensity finite: the lifted sums come out infinite
@@ -408,7 +407,6 @@ def test_repeated_decode_allocates_no_chunk_buffers():
     assert peak < 16 * simulate._CHUNK_ELEMENTS, peak
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_decode_ranks_impossible_candidates_last(monkeypatch):
     # columns 0 and 1 are so large that any candidate using them has a mean
     # intensity that overflows: its likelihood is 0 (score -inf), and it
@@ -462,6 +460,35 @@ def test_sim_config_guards():
             SimConfig(p=10, k=2, signal=GaussianIID(1.0, 2),
                       decoder="mc-marginal", mc_samples=mc_samples)
     SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2), alpha_star=1.0)
+    # powers past 1e150, or past 1e150 sigma: every candidate's residual
+    # overflowed, all scores tied at -inf and pe read about 1
+    for signal, sigma in ((GaussianIID(1e200, 2), 1.0),
+                          (DiscreteFlat(1e151, 2), 1.0),
+                          (DiscreteGeneral((1e76, 1e76)), 1.0),
+                          (GaussianIID(1e100, 2), 1e-56),
+                          (DiscreteFlat(1.0, 2), 1e-151)):
+        with pytest.raises(ValueError):
+            SimConfig(p=10, k=2, signal=signal, noise=GaussianNoise(sigma))
+    SimConfig(p=10, k=2, signal=DiscreteFlat(1e150, 2))
+    SimConfig(p=10, k=2, signal=DiscreteFlat(1e120, 2),
+              noise=GaussianNoise(1e-30))
+
+
+def test_error_curve_at_power_bound_matches_moderate_power():
+    # at the largest accepted power, and power over sigma, both decoders
+    # read the curve they read at a moderate power: the noise is negligible
+    # in both, and no score overflows
+    for decoder, model in (("flat-ml", DiscreteFlat),
+                           ("mc-marginal", GaussianIID)):
+        curves = []
+        for c_beta, sigma in ((1e20, 1.0), (1e150, 1.0), (1e140, 1e-10),
+                              (1e120, 1e-30)):
+            config = SimConfig(p=6, k=2, signal=model(c_beta, 2),
+                               noise=GaussianNoise(sigma), n_grid=(10, 40),
+                               trials=40, decoder=decoder, mc_samples=64,
+                               master_seed=7)
+            curves.append(error_curve(config).pe.tolist())
+        assert curves[1:] == curves[:1] * 3, (decoder, curves)
 
 
 def test_error_curve_zero_measurement_analytic():
