@@ -21,7 +21,8 @@ Cost and memory of one decode: candidates run in super-chunks whose
 ``candidates x mc_samples`` log-likelihoods fit in ``_SCORE_ELEMENTS``
 doubles (2 MB), and one log-mean-exp per super-chunk runs in place. One of
 two forms fills them, picked per decode from ``(k, n)`` by
-``_lifted_pays``:
+``_lifted_pays``; a simulation cell scores its flat-ml trials in blocks
+(trial blocks, below):
 
 direct
     Per super-chunk, the products ``conj(x[:, c]) * draw[j]`` of every
@@ -47,6 +48,25 @@ lifted
     fits a candidate's rows to within the rounding of the expansion) or
     overflowed, the candidate is scored directly instead.
 
+trial blocks
+    Every trial of a cell has the same ``n``, ``p`` and ``k``, and
+    flat-ml's one known draw is the same in all of them. So ``_run_cell``
+    draws a block of trials, each from its own substream in the order one
+    trial at a time used (support, coefficients, ``x``, noise), stages
+    their sensing matrices and observations in the workspace, and scores
+    the whole block in one direct-form pass with a leading trial axis: a
+    pass's fixed numpy call cost (about 20 ufunc calls and 8 workspace
+    requests) is paid once per block, not once per trial. A block holds
+    ``max(1, _CHUNK_ELEMENTS // (max(C(p, k), k p) * max(n, 1)))`` trials
+    (``_trial_block``), so that its projections and its product table
+    each fit one chunk budget: 7 trials at ``p = 10``, ``k = 2``, ``n =
+    50``, 72 at ``n = 5`` and one at 9,880 candidates. Each (candidate,
+    trial) sum runs over the contiguous rows of that trial alone, so a
+    block scores every trial bit for bit as its own decode does. A block
+    of one trial goes through ``decode``, and so does every mc-marginal
+    trial, which draws its coefficients from the trial's rng and keeps
+    its per-decode choice of form.
+
 Every pass writes into a buffer of a per-thread workspace that is grown on
 demand and reused by later decodes, so a chunk allocates nothing of its
 own size; fresh arrays of that size were mapped from the system and
@@ -54,17 +74,20 @@ faulted in again on every chunk. The workspace holds at most
 ``_SCORE_ELEMENTS`` doubles of log-likelihoods, the direct form's eight
 buffers of at most ``_CHUNK_ELEMENTS`` elements (the product table, the
 tiled draws of one slot, the tiled observations, two complex and two
-float chunk buffers and the residual sums) and the lifted form's four
-(the super-chunk's Gram coefficients, which bound it to ``_CHUNK_ELEMENTS``
+float chunk buffers and the residual sums), the lifted form's four (the
+super-chunk's Gram coefficients, which bound it to ``_CHUNK_ELEMENTS``
 coefficients, and the slot-pair products, their right-hand factors and the
-features of one setup chunk). A pass needs more only when ``mc_samples``
-passes ``_SCORE_ELEMENTS``, or ``k p n``, ``n``, the lifted form's
-``(k^2 + 1) n`` or its coefficient count passes ``_CHUNK_ELEMENTS``; it
-then gets a fresh array that is not kept. So a thread holds at most 4.25
-MiB for as long as it lives, whatever ``C(p, k)``. A decode still
-allocates arrays the size of ``x`` (its conjugate), of the candidate list
-(column offsets, scores) and, in the lifted form, of the draws'
-``(k^2 + 1)(k^2 + 2) / 2`` weights each.
+features of one setup chunk) and a cell's staged trial block (sensing
+matrices and observations, two more). A pass needs more only when
+``mc_samples`` passes ``_SCORE_ELEMENTS``, or ``k p n``, ``n p``, ``n``,
+the lifted form's ``(k^2 + 1) n`` or its coefficient count passes
+``_CHUNK_ELEMENTS``; it then gets a fresh array that is not kept. So a
+thread holds at most 4.625 MiB for as long as it lives, whatever
+``C(p, k)`` or the number of trials. A decode, or a block, still
+allocates arrays the size of its ``x`` (the conjugate), of the candidate
+list (column offsets, scores) and, in the lifted form, of the draws'
+``(k^2 + 1)(k^2 + 2) / 2`` weights each; each trial's draws (its ``x``,
+coefficients and noise) are fresh arrays too.
 """
 from __future__ import annotations
 
@@ -196,6 +219,22 @@ def _flat_value(signal: SignalModel) -> float:
     return abs(signal.values[0]) ** 2
 
 
+def _check_power(signal: SignalModel, noise: GaussianNoise) -> None:
+    """Refuse a signal power, or power over sigma, past ``_POWER_MAX``."""
+    power = signal.total_power
+    if not (power <= _POWER_MAX and power / noise.sigma <= _POWER_MAX):
+        raise ValueError(f"signal power {power!r} must not pass "
+                         f"{_POWER_MAX:g}, nor {_POWER_MAX:g} times "
+                         f"sigma {noise.sigma!r}")
+
+
+def _trial_block(p: int, k: int, n: int) -> int:
+    """Flat-ml trials of ``n`` rows that one direct-form pass scores: their
+    ``C(p, k)`` projections of every row, and their ``k p`` product-table
+    columns of every row, fit in one chunk budget (at least one trial)."""
+    return max(1, _CHUNK_ELEMENTS // (max(math.comb(p, k), k * p) * max(n, 1)))
+
+
 def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
            noise: GaussianNoise, decoder: str = "flat-ml",
            mc_samples: int = 256,
@@ -206,6 +245,7 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
     count = math.comb(p, k)
     if count > MAX_CANDIDATES:
         raise ValueError(f"C(p,k) = {count} exceeds {MAX_CANDIDATES}")
+    _check_power(signal, noise)
 
     if decoder == "flat-ml":
         scale = _flat_value(signal)
@@ -223,8 +263,8 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
 
-    # first max: lexicographic tie-break
-    best = int(np.argmax(_candidate_scores(x, y, noise, draws, scale)))
+    scores = _candidate_scores(x[None], y[None], noise, draws, scale)[0]
+    best = int(np.argmax(scores))       # first max: lexicographic tie-break
     return SupportSet(indices=tuple(int(i) for i in _candidates(p, k)[best]),
                       universe=p)
 
@@ -234,39 +274,43 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
 @np.errstate(over="ignore", invalid="ignore")
 def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
                       draws: np.ndarray, scale: float) -> np.ndarray:
-    """Per candidate, in lexicographic order: the log of the likelihood of
-    ``y`` averaged over the rows of ``draws``, with mean intensities
-    ``scale * |conj(x_S) @ draw|^2``.
+    """Per trial ``t`` and candidate, in lexicographic order: the log of the
+    likelihood of ``y[t]`` averaged over the rows of ``draws``, with mean
+    intensities ``scale * |conj(x[t][:, S]) @ draw|^2``. ``x`` holds a
+    block of trials ``(trials, n, p)`` and ``y`` their ``(trials, n)``
+    observations; the scores come back as ``(trials, candidates)``.
 
-    Candidates run in super-chunks whose ``(candidates, draws)``
+    Candidates run in super-chunks whose ``(candidates, trials, draws)``
     log-likelihoods fit in ``_SCORE_ELEMENTS``; the direct or the lifted
-    form fills them, as ``_lifted_pays`` picks for the decode's shape, and
-    one log-mean-exp runs over them in place. Neither form sums by a BLAS
-    call whose rounding depends on the array shape, so a score does not
-    depend on its super-chunk, chunk or draw block or on what the thread's
+    form fills them, and one log-mean-exp runs over them in place. One
+    trial takes the form ``_lifted_pays`` picks for its shape; a block of
+    trials takes the direct form. Neither form sums by a BLAS call whose
+    rounding depends on the array shape, so a score does not depend on its
+    super-chunk, chunk, draw block or trial block or on what the thread's
     workspace held before.
     """
     ws = _thread_workspace()
-    n, p = x.shape
+    trials, n, p = x.shape
     m, k = draws.shape
     cands = _candidates(p, k)
-    xt = np.conjugate(x).T                     # row c: conj of column c
-    span = max(1, _SCORE_ELEMENTS // m)        # candidates per super-chunk
-    lifted = _lifted_pays(k, n, m)
+    # row c, trial t: conj of column c of trial t
+    xt = np.conjugate(x).transpose(2, 0, 1)
+    span = max(1, _SCORE_ELEMENTS // (trials * m))  # candidates a super-chunk
+    lifted = trials == 1 and _lifted_pays(k, n, m)
     if lifted:
-        weights, floor = _lifted_draw_terms(x, y, draws, scale)
+        weights, floor = _lifted_draw_terms(x[0], y[0], draws, scale)
         span = min(span, max(1, _CHUNK_ELEMENTS // len(weights)))
-    scores = np.empty(cands.shape[0])
+    scores = np.empty((cands.shape[0], trials))
     for c0 in range(0, cands.shape[0], span):
         sup = cands[c0:c0 + span]
-        loglik = ws.take("loglik", (len(sup), m), float)
+        loglik = ws.take("loglik", (len(sup), trials, m), float)
         if lifted:
-            _lifted_loglik(xt, y, noise, draws, scale, weights, floor, sup,
-                           loglik, ws)
+            _lifted_loglik(xt[:, 0], y[0], noise, draws, scale, weights,
+                           floor, sup, loglik[:, 0], ws)
         else:
             _direct_loglik(xt, y, noise, draws, scale, sup, loglik, ws)
-        top = loglik.max(axis=1, keepdims=True)
-        dead = np.isneginf(top[:, 0])   # no possible draw: -inf, not NaN
+        top = loglik.max(axis=2, keepdims=True)
+        dead = np.isneginf(top[..., 0])  # no possible draw: -inf, not NaN
         top[dead] = 0.0
         loglik -= top
         # A term under exp(_EXP_FLOOR) moves a mean of at least 1/m by
@@ -274,52 +318,56 @@ def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
         # underflow path (6-125 ns against 1.3 ns an element).
         np.maximum(loglik, _EXP_FLOOR, out=loglik)
         np.exp(loglik, out=loglik)
-        part = top[:, 0] + np.log(loglik.mean(axis=1))
+        part = top[..., 0] + np.log(loglik.mean(axis=2))
         part[dead] = -np.inf
         scores[c0:c0 + len(sup)] = part
-    return scores
+    return scores.T
 
 
 def _direct_loglik(xt, y, noise, draws, scale, sup, out, ws) -> None:
-    """Fill ``out[i, s]`` with the log-likelihood of candidate ``sup[i]``
-    under draw ``s``, from its residuals row by row.
+    """Fill ``out[i, t, s]`` with the log-likelihood of candidate
+    ``sup[i]`` in trial ``t`` under draw ``s``, from its residuals row by
+    row.
 
-    The products ``conj(x[:, c]) * draws[s, j]`` of every column ``c`` the
-    candidates take, slot ``j`` and draw ``s`` are formed once per block of
-    draws, and a chunk of candidates only gathers and adds them. The
-    projection is summed slot by slot and the squared residuals over the
-    contiguous row axis.
+    The products ``conj(x[t][:, c]) * draws[s, j]`` of every column ``c``
+    the candidates take, trial ``t``, slot ``j`` and draw ``s`` are formed
+    once per block of draws, and a chunk of candidates only gathers and
+    adds them. The projection is summed slot by slot and the squared
+    residuals over the contiguous row axis, one (candidate, trial, draw)
+    at a time, so a sum is the same whatever trials or draws share its
+    pass.
     """
-    n = len(y)
+    trials, n = y.shape
     m, k = draws.shape
     rows = max(n, 1)
     lo, hi = int(sup.min()), int(sup.max()) + 1   # columns they take
     pos = sup - lo
     # draws per block: the block's product table fits in one chunk budget
-    block = max(1, _CHUNK_ELEMENTS // (k * (hi - lo) * rows))
+    block = max(1, _CHUNK_ELEMENTS // (k * (hi - lo) * trials * rows))
     for d0 in range(0, m, block):
         d = draws[d0:d0 + block]
         b = len(d)
-        step = max(1, _CHUNK_ELEMENTS // (rows * b))
+        lanes = trials * b                  # (trial, draw) pairs
+        step = max(1, _CHUNK_ELEMENTS // (rows * lanes))
         # Operands are tiled to full shape by copyto: a ufunc that
         # broadcasts, or reads a strided operand, over inner runs
         # shorter than numpy's buffer size allocates buffers of up to
         # 8192 elements per operand per call.
-        cells = (hi - lo, b, n)                 # (columns, b, n)
+        cells = (hi - lo, trials, b, n)
         table = ws.take("table", (k,) + cells, complex)
         for j in range(k):
-            np.copyto(table[j], xt[lo:hi, None, :])
+            np.copyto(table[j], xt[lo:hi, :, None, :])
             if b == 1:      # a scalar; the table may pass the budget
                 table[j] *= d[0, j]
             else:
                 ds = ws.take("draw_rows", cells, complex)
-                np.copyto(ds, d[None, :, j, None])
+                np.copyto(ds, d[None, None, :, j, None])
                 table[j] *= ds
-        ys = ws.take("y_rows", (min(step, len(sup)), b, n), float)
-        np.copyto(ys, y)
+        ys = ws.take("y_rows", (min(step, len(sup)), trials, b, n), float)
+        np.copyto(ys, y[:, None, :])
         for c in range(0, len(sup), step):
             idx = pos[c:c + step]
-            shape = (len(idx), b, n)
+            shape = (len(idx), trials, b, n)
             # mode="clip": with the default "raise", take copies via a
             # fresh array before writing to out
             proj = np.take(table[0], idx[:, 0], axis=0, mode="clip",
@@ -331,9 +379,12 @@ def _direct_loglik(xt, y, noise, draws, scale, sup, out, ws) -> None:
             resid += np.square(proj.imag, out=ws.take("imag_sq", shape, float))
             resid *= scale
             np.subtract(ys[:len(idx)], resid, out=resid)
-            sum_sq = np.einsum("cbn,cbn->cb", resid, resid,
-                               out=ws.take("sum_sq", shape[:2], float))
-            out[c:c + step, d0:d0 + b] = noise.joint_logpdf(sum_sq, n)
+            # one (candidate, lane) per row of n, as a one-trial decode sums
+            flat = resid.reshape(len(idx), lanes, n)
+            sum_sq = np.einsum("cln,cln->cl", flat, flat,
+                               out=ws.take("sum_sq", (len(idx), lanes), float))
+            out[c:c + step, :, d0:d0 + b] = noise.joint_logpdf(
+                sum_sq, n).reshape(shape[:3])
 
 
 @functools.cache
@@ -394,7 +445,7 @@ def _lifted_draw_terms(x, y, draws, scale):
 def _lifted_loglik(xt, y, noise, draws, scale, weights, floor, sup, out,
                    ws) -> None:
     """Fill ``out[i, s]`` with the log-likelihood of candidate ``sup[i]``
-    under draw ``s``, in lifted form.
+    under draw ``s``, in lifted form, for one trial.
 
     The intensity ``|z . d|^2`` of a row's conjugated sensing entries ``z``
     and a draw ``d`` is linear in the ``k^2`` real features of ``z z^H``
@@ -436,7 +487,8 @@ def _lifted_loglik(xt, y, noise, draws, scale, weights, floor, sup, out,
     if not (np.all(out.min(axis=0) >= floor) and out.max() < math.inf):
         redo = np.flatnonzero(~((out >= floor) & (out < math.inf)).all(axis=1))
         direct = np.empty((len(redo), out.shape[1]))
-        _direct_loglik(xt, y, noise, draws, scale, sup[redo], direct, ws)
+        _direct_loglik(xt[:, None], y[None], noise, draws, scale, sup[redo],
+                       direct[:, None], ws)
     noise.joint_logpdf(out, n, out=out)
     if redo is not None:
         out[redo] = direct
@@ -486,11 +538,7 @@ class SimConfig:
             raise ValueError("mc_samples must be at least 1")
         if getattr(self.signal, "k") != self.k:
             raise ValueError("signal model k must match config k")
-        power = self.signal.total_power
-        if not (power <= _POWER_MAX and power / self.noise.sigma <= _POWER_MAX):
-            raise ValueError(f"signal power {power!r} must not pass "
-                             f"{_POWER_MAX:g}, nor {_POWER_MAX:g} times "
-                             f"sigma {self.noise.sigma!r}")
+        _check_power(self.signal, self.noise)
 
 
 @dataclass(frozen=True)
@@ -516,16 +564,38 @@ class ErrorCurve:
 
 def _run_cell(args) -> float:
     config, n_idx, n = args
+    p, k = config.p, config.k
+    # flat-ml's one known draw lets a block of trials score in one pass;
+    # mc-marginal draws its coefficients per trial, from the trial's rng
+    # once its data are drawn, so it decodes blocks of one trial
+    block = _trial_block(p, k, n) if config.decoder == "flat-ml" else 1
+    ws = _thread_workspace()
     errors = 0
-    for j in range(config.trials):
-        rng = substream(config.master_seed, n_idx, j)
-        support = sample_support(config.p, config.k, rng)
-        beta = sample_signal_vector(config.signal, rng)
-        x = sample_circular_gaussian(rng, (n, config.p))
-        y = observe(x[:, support.indices], beta, config.noise, rng)
-        decoded = decode(x, y, config.signal, config.noise, config.decoder,
-                         mc_samples=config.mc_samples, rng=rng)
-        errors += error_event(support, decoded, config.alpha_star, config.k)
+    for t0 in range(0, config.trials, block):
+        size = min(block, config.trials - t0)
+        x = ws.take("trial_x", (size, n, p), complex)
+        y = ws.take("trial_y", (size, n), float)
+        truth = []
+        for t in range(size):
+            rng = substream(config.master_seed, n_idx, t0 + t)
+            support = sample_support(p, k, rng)
+            beta = sample_signal_vector(config.signal, rng)
+            x[t] = sample_circular_gaussian(rng, (n, p))
+            y[t] = observe(x[t][:, support.indices], beta, config.noise, rng)
+            truth.append(support)
+        if size == 1:
+            decoded = [decode(x[0], y[0], config.signal, config.noise,
+                              config.decoder, mc_samples=config.mc_samples,
+                              rng=rng)]
+        else:
+            scores = _candidate_scores(x, y, config.noise, np.ones((1, k)),
+                                       _flat_value(config.signal))
+            # first max per trial: lexicographic tie-break, as in decode
+            best = _candidates(p, k)[np.argmax(scores, axis=1)]
+            decoded = [SupportSet(indices=tuple(int(i) for i in cand),
+                                  universe=p) for cand in best]
+        errors += sum(error_event(s, d, config.alpha_star, k)
+                      for s, d in zip(truth, decoded))
     return errors / config.trials
 
 
@@ -534,6 +604,12 @@ def error_curve(config: SimConfig) -> ErrorCurve:
 
     Cell ``(n_idx, trial)`` draws from its own substream, so the curve is
     byte-reproducible for a fixed master seed regardless of thread count.
+    Each measurement count runs on one worker thread. Flat-ml scores its
+    trials in blocks of ``_trial_block(p, k, n)``, one direct-form pass a
+    block, with every score bit for bit that of one decode per trial;
+    mc-marginal decodes one trial at a time. A thread holds one block and
+    its workspace (at most 4.625 MiB, see the module docstring) whatever
+    ``trials`` is.
     """
     cells = [(config, i, n) for i, n in enumerate(config.n_grid)]
     pe = np.array(parallel_map(_run_cell, cells, config.threads))

@@ -377,6 +377,33 @@ def test_replay_matches_under_other_thread_count(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "re" / "c.csv").read_bytes()
 
 
+# A simulate manifest written by the decoder that ran one decode per trial.
+# Its flat-ml cells now score blocks of trials: one partial block at n = 0
+# and 2, 130 and 121 trials at n = 6, and ten blocks of 25 and a last
+# trial alone at n = 31.
+_ONE_DECODE_PER_TRIAL_MANIFEST = {
+    "command": "simulate",
+    "master_seed": 5,
+    "outputs": {"c.csv": "8bfa51143e7668a824fb3b053031c841"
+                         "091a2c907bd882a13c019ebc1a2ebc49"},
+    "params": {"alpha_star": 0.5, "c_beta": 1.0, "decoder": "auto", "k": 2,
+               "mc_samples": 256, "model": "flat", "n_grid": [0, 2, 6, 31],
+               "out": "c.csv", "p": 7, "seed": 5, "sigma": 2.0,
+               "threads": 1, "trials": 251},
+    "version": "0.1.0",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_replay_of_per_trial_decode_manifest(tmp_path, capsys, threads):
+    mpath = tmp_path / "c.csv.manifest.json"
+    mpath.write_text(json.dumps(_ONE_DECODE_PER_TRIAL_MANIFEST))
+    code, stdout, _ = _run(["replay", str(mpath), "--threads", threads,
+                            "--scratch", str(tmp_path / "re")], capsys)
+    assert code == 0, stdout
+    assert "outputs identical" in stdout
+
+
 def test_replay_detects_corruption(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = _run(["simulate", "--p", "6", "--k", "2", "--n-grid", "3",

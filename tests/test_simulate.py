@@ -189,6 +189,12 @@ def _reference_scores(x, y, noise, draws, scale):
     return np.array(out)
 
 
+def _one_trial_scores(x, y, noise, draws, scale):
+    """The scorer's candidate scores for one trial's ``x`` and ``y``."""
+    return simulate._candidate_scores(x[None], y[None], noise, draws,
+                                      scale)[0]
+
+
 def _force_form(monkeypatch, lifted):
     """Score every decode in the lifted (or direct) form, whatever its
     shape."""
@@ -207,8 +213,7 @@ def test_candidate_scores_match_reference_loop(monkeypatch):
             for draws in (np.ones((1, k)),
                           sample_circular_gaussian(rng, (16, k), power=0.7)):
                 for scale in (0.3, 1.0):
-                    ours = simulate._candidate_scores(x, y, noise, draws,
-                                                      scale)
+                    ours = _one_trial_scores(x, y, noise, draws, scale)
                     ref = _reference_scores(x, y, noise, draws, scale)
                     assert np.allclose(ours, ref, rtol=1e-12, atol=0), (
                         lifted, k, scale)
@@ -266,7 +271,7 @@ def test_lifted_scores_match_reference_loop(k, extra, n, m, log_sigma, fit,
           pytest.MonkeyPatch.context() as mp):
         _force_form(mp, True)
         ref = _reference_scores(x, y, noise, draws, 1.0)
-        ours = simulate._candidate_scores(x, y, noise, draws, 1.0)
+        ours = _one_trial_scores(x, y, noise, draws, 1.0)
         close = np.abs(ours - ref) <= _LIFT_TOL * (1.0 + np.abs(ref))
     assert np.all(close | (np.isinf(ref) & (ours == ref))), (ours, ref)
     best, second = np.sort(np.append(ref, -np.inf))[::-1][:2]
@@ -286,10 +291,56 @@ def test_lifted_overflowing_gram_scores_directly(monkeypatch):
     draws = 1e-70 * sample_circular_gaussian(rng, (32, 2))
     y = np.abs(rng.normal(1.0, 1.0, size=12))
     _force_form(monkeypatch, True)
-    ours = simulate._candidate_scores(x, y, noise, draws, 1.0)
+    ours = _one_trial_scores(x, y, noise, draws, 1.0)
     ref = _reference_scores(x, y, noise, draws, 1.0)
     assert np.all(np.isfinite(ref))
     assert np.allclose(ours, ref, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), extra=st.integers(0, 4), n=st.integers(0, 60),
+       trials=st.integers(1, 80), log_sigma=st.floats(-6.0, 3.0),
+       at_bound=st.booleans(), drawn=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(k=2, extra=3, n=40, trials=80, log_sigma=-150.0, at_bound=True,
+         drawn=False, seed=1)
+@example(k=3, extra=2, n=60, trials=7, log_sigma=150.0, at_bound=True,
+         drawn=False, seed=2)
+@example(k=1, extra=4, n=0, trials=80, log_sigma=0.0, at_bound=True,
+         drawn=True, seed=3)
+@example(k=2, extra=0, n=1, trials=33, log_sigma=-150.0, at_bound=False,
+         drawn=True, seed=4)
+def test_trial_block_scores_match_one_trial_scores(k, extra, n, trials,
+                                                   log_sigma, at_bound,
+                                                   drawn, seed):
+    # a block of trials scores each trial bit for bit as the trial alone,
+    # across shapes, noise scales and signal powers up to the bound that
+    # SimConfig and decode accept (power, and power over sigma, 1e150);
+    # with ``drawn``, four draws take the direct form in both
+    rng = substream(47, seed)
+    p = k + extra
+    noise = GaussianNoise(10.0 ** log_sigma)
+    power = (min(simulate._POWER_MAX, simulate._POWER_MAX * noise.sigma)
+             if at_bound else 1.0)
+    signal = DiscreteFlat(c_beta=power, k=k)
+    x = sample_circular_gaussian(rng, (trials, n, p))
+    y = np.empty((trials, n))
+    for t in range(trials):
+        support = sample_support(p, k, rng)
+        y[t] = observe(x[t][:, support.indices],
+                       sample_signal_vector(signal, rng), noise, rng)
+    draws = (sample_circular_gaussian(rng, (4, k)) if drawn
+             else np.ones((1, k)))
+    scale = power / k
+    with pytest.MonkeyPatch.context() as mp:
+        _force_form(mp, False)
+        block = simulate._candidate_scores(x, y, noise, draws, scale)
+        alone = [_one_trial_scores(x[t], y[t], noise, draws, scale)
+                 for t in range(trials)]
+    assert block.shape == (trials, math.comb(p, k))
+    assert not np.isnan(block).any()
+    for t in range(trials):
+        assert np.array_equal(block[t], alone[t]), t
 
 
 def test_chunked_scores_match_one_chunk(monkeypatch):
@@ -314,7 +365,7 @@ def test_chunked_scores_match_one_chunk(monkeypatch):
         m, k = draws.shape
         for lifted in forms:
             _force_form(monkeypatch, lifted)
-            whole = simulate._candidate_scores(x, y, noise, draws, scale)
+            whole = _one_trial_scores(x, y, noise, draws, scale)
             assert whole.shape == (math.comb(p, k),)
             budgets = [(per_chunk * n * m, None) for per_chunk in (1, 4)]
             if m > 1:   # tables of 3 or 5 of the 16 draws
@@ -330,10 +381,32 @@ def test_chunked_scores_match_one_chunk(monkeypatch):
                         mp.setattr(simulate, "_CHUNK_ELEMENTS", chunk)
                     if score is not None:
                         mp.setattr(simulate, "_SCORE_ELEMENTS", score)
-                    chunked = simulate._candidate_scores(x, y, noise, draws,
-                                                         scale)
+                    chunked = _one_trial_scores(x, y, noise, draws, scale)
                 assert np.array_equal(chunked, whole), (lifted, chunk, score)
             monkeypatch.undo()
+    # a block of trials, in one pass or under budgets down to 1 element
+    # (one candidate per chunk and super-chunk, one draw per table), scores
+    # every trial exactly as the trial alone does: each sum runs over the
+    # rows of one (candidate, trial, draw), whatever else shares its pass
+    xs = sample_circular_gaussian(rng, (5, n, p))
+    ys = np.abs(rng.normal(size=(5, n)))
+    for draws, scale in ((np.ones((1, 2)), 0.8), (np.ones((1, 3)), 0.3),
+                         (sample_circular_gaussian(rng, (4, 2)), 1.0)):
+        _force_form(monkeypatch, False)
+        alone = np.array([_one_trial_scores(xt, yt, noise, draws, scale)
+                          for xt, yt in zip(xs, ys)])
+        m, k = draws.shape
+        for chunk, score in ((None, None), (1, None), (None, 1), (1, 1),
+                             (2 * n * m, None), (k * p * n, 3 * m)):
+            with monkeypatch.context() as mp:
+                if chunk is not None:
+                    mp.setattr(simulate, "_CHUNK_ELEMENTS", chunk)
+                if score is not None:
+                    mp.setattr(simulate, "_SCORE_ELEMENTS", score)
+                block = simulate._candidate_scores(xs, ys, noise, draws,
+                                                   scale)
+            assert np.array_equal(block, alone), (m, k, chunk, score)
+        monkeypatch.undo()
     for decoder, signal, kw in (
             ("flat-ml", DiscreteFlat(c_beta=1.0, k=2), {}),
             ("mc-marginal", GaussianIID(c_beta=1.0, k=2), {"mc_samples": 32})):
@@ -365,12 +438,12 @@ def test_workspace_reuse_is_bit_identical(monkeypatch):
             _force_form(monkeypatch, lifted)
             x, y, draws, scale = instance(9, k, 20, 64, flat)
             monkeypatch.setattr(simulate, "_local", threading.local())
-            fresh = simulate._candidate_scores(x, y, noise, draws, scale)
+            fresh = _one_trial_scores(x, y, noise, draws, scale)
             for p, n, m in ((14, 44, 256), (k + 1, 3, 4)):
                 monkeypatch.setattr(simulate, "_local", threading.local())
                 bx, by, bdraws, bscale = instance(p, k, n, m, flat)
-                simulate._candidate_scores(bx, by, noise, bdraws, bscale)
-                again = simulate._candidate_scores(x, y, noise, draws, scale)
+                _one_trial_scores(bx, by, noise, bdraws, bscale)
+                again = _one_trial_scores(x, y, noise, draws, scale)
                 assert np.array_equal(again, fresh), (k, flat, lifted, p)
 
 
@@ -384,9 +457,23 @@ def test_workspace_keeps_only_budgeted_buffers(monkeypatch):
     decode(x, y, DiscreteFlat(c_beta=1.0, k=1), noise, "flat-ml")
     bufs = simulate._thread_workspace()._bufs
     assert "proj" in bufs and "table" not in bufs
+    # a flat-ml cell stages blocks of trials (7 at n = 50, 72 at n = 5 in
+    # criterion 09) in buffers of the same budgets; a trial past them (n p
+    # = 2 * 10^4 > 2^14) gets arrays the thread does not keep
+    for p, k, n in ((10, 2, 50), (10, 2, 5), (200, 1, 100)):
+        config = SimConfig(p=p, k=k, signal=DiscreteFlat(c_beta=1.0, k=k),
+                           noise=noise, alpha_star=1.0, n_grid=(n,),
+                           trials=9)
+        simulate._run_cell((config, 0, n))
+    assert "trial_x" in bufs and "trial_y" in bufs
     assert all(buf.size <= simulate._SCORE_ELEMENTS if name == "loglik"
                else buf.size <= simulate._CHUNK_ELEMENTS
                for name, buf in bufs.items())
+    assert [simulate._trial_block(10, 2, n) for n in (50, 5, 0)] == [7, 72,
+                                                                     364]
+    assert simulate._trial_block(40, 3, 10) == 1    # 9880 candidates
+    # k p passes C(p, k): the product table bounds the block
+    assert simulate._trial_block(6, 6, 4) == 2**14 // (36 * 4)
 
 
 def test_repeated_decode_allocates_no_chunk_buffers():
@@ -405,6 +492,42 @@ def test_repeated_decode_allocates_no_chunk_buffers():
         tracemalloc.stop()
     assert again == first
     assert peak < 16 * simulate._CHUNK_ELEMENTS, peak
+    # the same holds for a repeated flat-ml cell of 7-trial blocks
+    config = SimConfig(p=10, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+                       noise=GaussianNoise(1e-3), n_grid=(50,), trials=40)
+    first = simulate._run_cell((config, 0, 50))
+    tracemalloc.start()
+    try:
+        again = simulate._run_cell((config, 0, 50))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < 16 * simulate._CHUNK_ELEMENTS, peak
+
+
+def test_cell_memory_does_not_grow_with_trials(monkeypatch):
+    # a criterion-09 cell holds one block of trials at a time, so ten times
+    # the trials peak no higher (within 4 kB of Python objects) from a
+    # fresh workspace; both peaks hold the workspace's budgeted buffers, 1
+    # MB at n = 50, and a first cell's caches are filled beforehand
+    def config(trials):
+        return SimConfig(p=10, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+                         noise=GaussianNoise(1e-3), n_grid=(50,),
+                         trials=trials)
+
+    simulate._run_cell((config(20), 9, 50))
+    peaks = []
+    for trials in (400, 4000):
+        monkeypatch.setattr(simulate, "_local", threading.local())
+        tracemalloc.start()
+        try:
+            simulate._run_cell((config(trials), 9, 50))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 def test_decode_ranks_impossible_candidates_last(monkeypatch):
@@ -474,6 +597,22 @@ def test_sim_config_guards():
               noise=GaussianNoise(1e-30))
 
 
+def test_decode_power_guard():
+    # decode shares SimConfig's power bound: at c_beta 1e200 every score
+    # tied at -inf and the first candidate, (0, 1), came back
+    rng = substream(37, 0)
+    signal = GaussianIID(c_beta=1.0, k=2)
+    noise = GaussianNoise(1.0)
+    _, x, y = _draw_instance(6, 2, 12, signal, noise, rng)
+    with pytest.raises(ValueError, match="must not pass"):
+        decode(x, y, GaussianIID(1e200, 2), noise, "mc-marginal", 64, rng)
+    for signal, sigma in ((DiscreteFlat(1e151, 2), 1.0),
+                          (DiscreteFlat(1e10, 2), 1e-141)):
+        with pytest.raises(ValueError, match="must not pass"):
+            decode(x, y, signal, GaussianNoise(sigma), "flat-ml")
+    decode(x, y, DiscreteFlat(1e150, 2), noise, "flat-ml")
+
+
 def test_error_curve_at_power_bound_matches_moderate_power():
     # at the largest accepted power, and power over sigma, both decoders
     # read the curve they read at a moderate power: the noise is negligible
@@ -503,18 +642,27 @@ def test_error_curve_zero_measurement_analytic():
     assert abs(curve.pe[0] - expect) <= 4 * se
 
 
-def test_error_curve_thread_invariance():
+def test_error_curve_thread_invariance(monkeypatch):
+    # flat-ml scores 60 trials in one partial block at n = 0 (780 a
+    # block), 2, 6 and 10, and in three blocks of 19 and a last of 3 at
+    # n = 40
     flat = dict(p=7, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
                 noise=GaussianNoise(0.5), alpha_star=0.5,
-                n_grid=(2, 6, 10), trials=60, master_seed=3)
+                n_grid=(0, 2, 6, 10, 40), trials=60, master_seed=3)
+    assert simulate._trial_block(7, 2, 40) == 19
     # mc-marginal scores n = 2 in the direct form and n = 6, 10 lifted
-    mc = dict(flat, signal=GaussianIID(c_beta=2.0, k=2), trials=30,
-              decoder="mc-marginal", mc_samples=32)
+    mc = dict(flat, signal=GaussianIID(c_beta=2.0, k=2), n_grid=(2, 6, 10),
+              trials=30, decoder="mc-marginal", mc_samples=32)
     for base in (flat, mc):
         one = error_curve(SimConfig(**base, threads=1))
         two = error_curve(SimConfig(**base, threads=3))
         assert np.array_equal(one.pe, two.pe)
         assert np.array_equal(one.se, two.se)
+        # under a 1-element budget every trial is its own block and decode
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "_CHUNK_ELEMENTS", 1)
+            alone = error_curve(SimConfig(**base, threads=1))
+        assert np.array_equal(one.pe, alone.pe)
 
 
 def test_error_curve_decreases_and_hits_zero():
