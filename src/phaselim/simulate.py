@@ -62,9 +62,9 @@ trial blocks
     each fit one chunk budget: 7 trials at ``p = 10``, ``k = 2``, ``n =
     50``, 72 at ``n = 5`` and one at 9,880 candidates. Each (candidate,
     trial) sum runs over the contiguous rows of that trial alone, so a
-    block scores every trial bit for bit as its own decode does. A block
-    of one trial goes through ``decode``, and so does every mc-marginal
-    trial, which draws its coefficients from the trial's rng and keeps
+    block scores every trial bit for bit as its own decode does, a block
+    of one trial included. Every mc-marginal trial goes through
+    ``decode``: it draws its coefficients from the trial's rng and keeps
     its per-decode choice of form.
 
 Every pass writes into a buffer of a per-thread workspace that is grown on
@@ -567,8 +567,9 @@ def _run_cell(args) -> float:
     p, k = config.p, config.k
     # flat-ml's one known draw lets a block of trials score in one pass;
     # mc-marginal draws its coefficients per trial, from the trial's rng
-    # once its data are drawn, so it decodes blocks of one trial
-    block = _trial_block(p, k, n) if config.decoder == "flat-ml" else 1
+    # once its data are drawn, so it decodes one trial at a time
+    mc = config.decoder == "mc-marginal"
+    block = 1 if mc else _trial_block(p, k, n)
     ws = _thread_workspace()
     errors = 0
     for t0 in range(0, config.trials, block):
@@ -583,7 +584,7 @@ def _run_cell(args) -> float:
             x[t] = sample_circular_gaussian(rng, (n, p))
             y[t] = observe(x[t][:, support.indices], beta, config.noise, rng)
             truth.append(support)
-        if size == 1:
+        if mc:
             decoded = [decode(x[0], y[0], config.signal, config.noise,
                               config.decoder, mc_samples=config.mc_samples,
                               rng=rng)]

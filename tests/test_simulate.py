@@ -658,7 +658,7 @@ def test_error_curve_thread_invariance(monkeypatch):
         two = error_curve(SimConfig(**base, threads=3))
         assert np.array_equal(one.pe, two.pe)
         assert np.array_equal(one.se, two.se)
-        # under a 1-element budget every trial is its own block and decode
+        # under a 1-element budget every trial is its own block
         with monkeypatch.context() as mp:
             mp.setattr(simulate, "_CHUNK_ELEMENTS", 1)
             alone = error_curve(SimConfig(**base, threads=1))
