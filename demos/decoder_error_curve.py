@@ -12,13 +12,12 @@ from phaselim import (DiscreteFlat, GaussianNoise, SimConfig, error_curve,
                       isotonic_residual)
 
 config = SimConfig(
-    p=10, k=2,
-    signal=DiscreteFlat(c_beta=1.0, k=2),
+    p=10,
+    signal=DiscreteFlat(c_beta=1.0, k=2),   # k = 2; flat-ml decodes it
     noise=GaussianNoise(0.5),
     alpha_star=0.5,                   # an error means missing >= 1 of 2
     n_grid=(0, 2, 4, 6, 8, 12, 16, 24),
     trials=300,
-    decoder="flat-ml",
     master_seed=1,
 )
 

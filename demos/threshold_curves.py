@@ -21,7 +21,7 @@ for c_beta in (1.0, 10.0, 100.0):
     gauss = GaussianIID(c_beta=c_beta, k=k)
     print(f"signal power {c_beta:g} (SNR {snr_db(flat, noise):+.1f} dB)")
     for name, sig in (("flat", flat), ("gaussian", gauss)):
-        q = ThresholdQuery(p=p, k=k, signal=sig, alpha_star=0.1,
+        q = ThresholdQuery(p=p, signal=sig, alpha_star=0.1,
                            mode="asymptotic")
         r = measurement_thresholds(q)
         print(f"  {name:9s} achievable above n ~ {r.n_ach:8.1f} "

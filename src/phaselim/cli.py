@@ -66,12 +66,8 @@ def _parse_n_grid(value) -> tuple[int, ...]:
         if len(parts) not in (2, 3):
             raise ValueError(f"bad range {s!r}, want lo:hi or lo:hi:step")
         step = parts[2] if len(parts) == 3 else 1
-        grid = tuple(range(parts[0], parts[1] + 1, step))
-    else:
-        grid = tuple(int(t) for t in s.split(",") if t.strip())
-    if not grid:
-        raise ValueError("empty measurement grid")
-    return grid
+        return tuple(range(parts[0], parts[1] + 1, step))
+    return tuple(int(t) for t in s.split(",") if t.strip())
 
 
 def _to_bool(value) -> bool:
@@ -174,7 +170,7 @@ def _signal_for(model: str, c_beta: float, k: int):
 def _run_thresholds(params: dict):
     signal = _signal_for(params["model"], params["c_beta"], params["k"])
     query = ThresholdQuery(
-        p=params["p"], k=params["k"], signal=signal,
+        p=params["p"], signal=signal,
         noise=GaussianNoise(params["sigma"]),
         alpha_star=params["alpha_star"], mode=params["mode"],
         grid_step=params["grid_step"])
@@ -246,21 +242,20 @@ def _run_verify(params: dict):
 
 def _run_simulate(params: dict):
     signal = _signal_for(params["model"], params["c_beta"], params["k"])
-    decoder = params["decoder"]
-    if decoder == "auto":
-        decoder = "mc-marginal" if params["model"] == "gaussian" else "flat-ml"
     config = SimConfig(
-        p=params["p"], k=params["k"], signal=signal,
-        noise=GaussianNoise(params["sigma"]),
+        p=params["p"], signal=signal, noise=GaussianNoise(params["sigma"]),
         alpha_star=params["alpha_star"],
-        n_grid=_parse_n_grid(params["n_grid"]),
-        trials=params["trials"], decoder=decoder,
+        n_grid=_parse_n_grid(params["n_grid"]), trials=params["trials"],
         mc_samples=params["mc_samples"], master_seed=params["seed"],
         threads=params["threads"])
+    if params["decoder"] not in ("auto", config.decoder):
+        raise ValueError(f"--decoder {params['decoder']} does not decode the "
+                         f"{params['model']} model, which takes "
+                         f"{config.decoder}")
     curve = error_curve(config)
     try:
         ref_query = ThresholdQuery(
-            p=params["p"], k=params["k"], signal=signal,
+            p=params["p"], signal=signal,
             noise=GaussianNoise(params["sigma"]),
             alpha_star=params["alpha_star"], mode="asymptotic")
         ref_result = measurement_thresholds(ref_query)
@@ -342,7 +337,9 @@ _COMMANDS = {
                    {"help": "comma list (5,10,15) or lo:hi:step range"}),
         "trials": (int, 400, {}),
         "decoder": (str, "auto",
-                    {"choices": ("auto", "flat-ml", "mc-marginal")}),
+                    {"choices": ("auto", "flat-ml", "mc-marginal"),
+                     "help": "the model fixes it: flat-ml for flat, "
+                             "mc-marginal for gaussian (auto)"}),
         "mc_samples": (int, 256, {}),
         "out": (str, "error_curve.csv", {}),
     }),

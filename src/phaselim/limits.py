@@ -174,7 +174,6 @@ def _check_alpha_search(alpha_star: float, grid_step: float) -> None:
 @dataclass(frozen=True)
 class ThresholdQuery:
     p: int
-    k: int
     signal: SignalModel
     noise: GaussianNoise = field(default_factory=GaussianNoise)
     alpha_star: float = 0.1
@@ -183,21 +182,19 @@ class ThresholdQuery:
 
     def __post_init__(self):
         _check_alpha_search(self.alpha_star, self.grid_step)
-        if self.k < 1 or self.p < self.k:
-            raise ValueError("need 1 <= k <= p")
-        if self.signal.k != self.k:
-            raise ValueError(f"signal model k = {self.signal.k} must match "
-                             f"query k = {self.k}")
+        k = self.signal.k
+        if self.p < k:
+            raise ValueError("need k <= p")
         if self.mode not in ("floor", "asymptotic"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "floor" and not isinstance(self.signal, GaussianIID):
             # the search evaluates alpha = l/k from l = alpha_star * k on
-            count = floor_count(self.alpha_star, self.k)
-            whole = abs(self.alpha_star * self.k - count) <= _FLOOR_SNAP
+            count = floor_count(self.alpha_star, k)
+            whole = abs(self.alpha_star * k - count) <= _FLOOR_SNAP
             if count < 1 or not whole:
                 raise ValueError(f"floor mode needs alpha_star * k to be a "
                                  f"whole count >= 1, got {self.alpha_star!r} "
-                                 f"* {self.k}")
+                                 f"* {k}")
 
 
 @dataclass(frozen=True)
@@ -323,7 +320,8 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     v_ach, v_con, a_ach, a_con = _normalized_thresholds(
         query.signal, query.mode, query.noise, query.alpha_star,
         query.grid_step)
-    budget = query.k * math.log(query.p / query.k)
+    k = query.signal.k
+    budget = k * math.log(query.p / k)
     n_ach, n_con = v_ach * budget, v_con * budget
     _check_finite(n_ach, n_con)
     return ThresholdResult(

@@ -233,8 +233,7 @@ def sample_support(p: int, k: int, rng: np.random.Generator) -> SupportSet:
     """Uniformly random size-``k`` subset of ``{0..p-1}``, stored sorted."""
     if k < 1 or k > p:
         raise ValueError("need 1 <= k <= p")
-    idx = np.sort(rng.choice(p, size=k, replace=False))
-    return SupportSet(indices=tuple(int(i) for i in idx), universe=p)
+    return SupportSet(indices=rng.choice(p, size=k, replace=False), universe=p)
 
 
 def sample_signal_vector(model: SignalModel, rng: np.random.Generator) -> np.ndarray:

@@ -21,8 +21,10 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     independent streams and the mapping is stable across platforms and
     process/thread counts.
     """
+    # a list: ``tuple`` of a generator over-allocates and then shrinks, so
+    # each call would add a pair to CPython's tuple free list
     ss = np.random.SeedSequence(
-        entropy=int(master_seed), spawn_key=tuple(int(p) for p in path)
+        entropy=int(master_seed), spawn_key=[int(p) for p in path]
     )
     return np.random.Generator(np.random.PCG64(ss))
 

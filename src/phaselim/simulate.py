@@ -2,8 +2,9 @@
 
 Intended for sanity-checking the threshold story at sizes where exact
 maximum-likelihood decoding over all ``C(p, k)`` candidate supports is
-affordable (the config guard caps it at 1e4 candidates). Both decoders
-score a candidate by its likelihood averaged over coefficient draws:
+affordable (the config guard caps it at 1e4 candidates). The signal model
+fixes the decoder (``_decoder_for``), and both decoders score a candidate
+by its likelihood averaged over coefficient draws:
 
 ``flat-ml``
     Exact ML when every support coefficient is the same known value, the
@@ -150,17 +151,9 @@ class _Workspace:
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
-        # Last view of each buffer: the scoring of 4000 flat-ml decodes of
-        # 45 candidates (the criterion-09 op) ran 10-12% faster with it
-        # than with a fresh view per request (16 of 20 alternating
-        # in-process pairs, in each of two runs).
-        self._views: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """An uninitialized contiguous ``shape`` view of buffer ``name``."""
-        view = self._views.get(name)
-        if view is not None and view.shape == shape:
-            return view     # the common case: a decode of the same shape
         size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
@@ -168,8 +161,7 @@ class _Workspace:
             if size > budget:
                 return np.empty(shape, dtype)
             buf = self._bufs[name] = np.empty(size, dtype)
-        view = self._views[name] = buf[:size].reshape(shape)
-        return view
+        return buf[:size].reshape(shape)
 
 
 _local = threading.local()
@@ -207,25 +199,45 @@ def _lifted_pays(k: int, n: int, m: int) -> bool:
     return m > 1 and n >= 3 and k * k * (k * k + 3) < 4 * n * (k + 6)
 
 
+def _decoder_for(signal: SignalModel) -> str:
+    """The decoder a signal model fixes: ``flat-ml`` for one known
+    coefficient value (``DiscreteFlat``, or ``DiscreteGeneral`` with a
+    single value), ``mc-marginal`` for ``GaussianIID``. Any other signal,
+    such as a multi-valued ``DiscreteGeneral``, is refused."""
+    if isinstance(signal, GaussianIID):
+        return "mc-marginal"
+    if isinstance(signal, DiscreteFlat) or (
+            isinstance(signal, DiscreteGeneral)
+            and len(set(signal.values)) == 1):
+        return "flat-ml"
+    raise ValueError(f"no decoder for {signal!r}: flat-ml needs one known "
+                     "coefficient value, mc-marginal the Gaussian iid model")
+
+
 def _flat_value(signal: SignalModel) -> float:
-    """Common coefficient magnitude squared of a flat-like signal."""
+    """Common coefficient magnitude squared of a flat-ml signal."""
     if isinstance(signal, DiscreteFlat):
         return signal.c_beta / signal.k
-    if not isinstance(signal, DiscreteGeneral):
-        raise ValueError("flat-ml requires a flat signal model")
-    if len(set(signal.values)) > 1:
-        raise ValueError("flat-ml needs a single coefficient value; "
-                         "multi-valued assignment search is unsupported")
     return abs(signal.values[0]) ** 2
 
 
-def _check_power(signal: SignalModel, noise: GaussianNoise) -> None:
-    """Refuse a signal power, or power over sigma, past ``_POWER_MAX``."""
+def _check_decode(p: int, signal: SignalModel, noise: GaussianNoise,
+                  mc_samples: int) -> str:
+    """The signal's decoder, once ``SimConfig``'s or ``decode``'s decodes
+    are affordable: 1 to ``MAX_CANDIDATES`` candidates, at least one draw,
+    and a power, and power over sigma, within ``_POWER_MAX``."""
+    decoder = _decoder_for(signal)
+    count = math.comb(p, signal.k)      # 0 when k > p
+    if not 1 <= count <= MAX_CANDIDATES:
+        raise ValueError(f"C(p,k) = {count} must lie in [1, {MAX_CANDIDATES}]")
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be at least 1")
     power = signal.total_power
     if not (power <= _POWER_MAX and power / noise.sigma <= _POWER_MAX):
         raise ValueError(f"signal power {power!r} must not pass "
                          f"{_POWER_MAX:g}, nor {_POWER_MAX:g} times "
                          f"sigma {noise.sigma!r}")
+    return decoder
 
 
 def _trial_block(p: int, k: int, n: int) -> int:
@@ -239,34 +251,30 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
            noise: GaussianNoise, decoder: str = "flat-ml",
            mc_samples: int = 256,
            rng: np.random.Generator | None = None) -> SupportSet:
-    """Pick the highest-scoring size-``k`` support for observations ``y``."""
+    """Pick the highest-scoring size-``k`` support for observations ``y``.
+    ``decoder`` must be the one the signal model fixes."""
     x, y = np.asarray(x), np.asarray(y, dtype=float)
     p, k = x.shape[1], signal.k
-    count = math.comb(p, k)
-    if count > MAX_CANDIDATES:
-        raise ValueError(f"C(p,k) = {count} exceeds {MAX_CANDIDATES}")
-    _check_power(signal, noise)
-
+    fixed = _check_decode(p, signal, noise, mc_samples)
+    if decoder != fixed:
+        raise ValueError(f"decoder {decoder!r} does not decode "
+                         f"{type(signal).__name__}, which takes {fixed!r}")
     if decoder == "flat-ml":
-        scale = _flat_value(signal)
-        draws = np.ones((1, k))
-    elif decoder == "mc-marginal":
-        if not isinstance(signal, GaussianIID):
-            raise ValueError("mc-marginal requires the Gaussian iid model")
-        if rng is None:
-            raise ValueError("mc-marginal needs an rng for its draws")
-        if mc_samples < 1:
-            raise ValueError("mc_samples must be at least 1")
-        draws = sample_circular_gaussian(rng, (mc_samples, k),
-                                         power=signal.sigma_beta_sq)
-        scale = 1.0
+        draws, scale = np.ones((1, k)), _flat_value(signal)
+    elif rng is None:
+        raise ValueError("mc-marginal needs an rng for its draws")
     else:
-        raise ValueError(f"unknown decoder {decoder!r}")
+        draws, scale = sample_circular_gaussian(
+            rng, (mc_samples, k), power=signal.sigma_beta_sq), 1.0
+    scores = _candidate_scores(x[None], y[None], noise, draws, scale)
+    return _best_supports(scores, p, k)[0]
 
-    scores = _candidate_scores(x[None], y[None], noise, draws, scale)[0]
-    best = int(np.argmax(scores))       # first max: lexicographic tie-break
-    return SupportSet(indices=tuple(int(i) for i in _candidates(p, k)[best]),
-                      universe=p)
+
+def _best_supports(scores: np.ndarray, p: int, k: int) -> list[SupportSet]:
+    """Per trial, the support of the first highest score in ``(trials,
+    candidates)`` scores: ties go to the lexicographically smallest."""
+    return [SupportSet(indices=cand, universe=p)
+            for cand in _candidates(p, k)[np.argmax(scores, axis=1)]]
 
 
 # Overflowing intensities or Gram entries are handled: their candidates
@@ -508,37 +516,31 @@ def error_event(true_support: SupportSet, decoded: SupportSet,
 @dataclass(frozen=True)
 class SimConfig:
     p: int
-    k: int
     signal: SignalModel
     noise: GaussianNoise = field(default_factory=GaussianNoise)
     alpha_star: float = 0.5
     n_grid: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
     trials: int = 400
-    decoder: str = "flat-ml"
     mc_samples: int = 256
     master_seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
-        if self.k < 1 or self.k > self.p:
-            raise ValueError("need 1 <= k <= p")
-        if math.comb(self.p, self.k) > MAX_CANDIDATES:
-            raise ValueError(f"C(p,k) exceeds {MAX_CANDIDATES}")
+        _check_decode(self.p, self.signal, self.noise, self.mc_samples)
         if not 0.0 < self.alpha_star <= 1.0:
             raise ValueError("alpha_star must lie in (0, 1]")
-        if floor_count(self.alpha_star, self.k) < 1:
+        if floor_count(self.alpha_star, self.signal.k) < 1:
             raise ValueError("need floor(alpha_star * k) >= 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not self.n_grid:
+            raise ValueError("empty measurement grid")
         if any(n < 0 for n in self.n_grid):
             raise ValueError("measurement counts must be nonnegative")
-        if self.decoder not in ("flat-ml", "mc-marginal"):
-            raise ValueError(f"unknown decoder {self.decoder!r}")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be at least 1")
-        if getattr(self.signal, "k") != self.k:
-            raise ValueError("signal model k must match config k")
-        _check_power(self.signal, self.noise)
+
+    @property
+    def decoder(self) -> str:
+        return _decoder_for(self.signal)
 
 
 @dataclass(frozen=True)
@@ -564,7 +566,7 @@ class ErrorCurve:
 
 def _run_cell(args) -> float:
     config, n_idx, n = args
-    p, k = config.p, config.k
+    p, k = config.p, config.signal.k
     # flat-ml's one known draw lets a block of trials score in one pass;
     # mc-marginal draws its coefficients per trial, from the trial's rng
     # once its data are drawn, so it decodes one trial at a time
@@ -586,15 +588,12 @@ def _run_cell(args) -> float:
             truth.append(support)
         if mc:
             decoded = [decode(x[0], y[0], config.signal, config.noise,
-                              config.decoder, mc_samples=config.mc_samples,
+                              "mc-marginal", mc_samples=config.mc_samples,
                               rng=rng)]
         else:
-            scores = _candidate_scores(x, y, config.noise, np.ones((1, k)),
-                                       _flat_value(config.signal))
-            # first max per trial: lexicographic tie-break, as in decode
-            best = _candidates(p, k)[np.argmax(scores, axis=1)]
-            decoded = [SupportSet(indices=tuple(int(i) for i in cand),
-                                  universe=p) for cand in best]
+            decoded = _best_supports(
+                _candidate_scores(x, y, config.noise, np.ones((1, k)),
+                                  _flat_value(config.signal)), p, k)
         errors += sum(error_event(s, d, config.alpha_star, k)
                       for s, d in zip(truth, decoded))
     return errors / config.trials

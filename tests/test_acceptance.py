@@ -99,7 +99,7 @@ def test_criterion_03_high_snr_factor():
     gap = math.log(math.pi * math.e / 2.0)
 
     def measured(c_beta):
-        q = ThresholdQuery(p=1000, k=10, signal=GaussianIID(c_beta=c_beta, k=10),
+        q = ThresholdQuery(p=1000, signal=GaussianIID(c_beta=c_beta, k=10),
                            noise=GaussianNoise(sigma), alpha_star=alpha_star)
         r = measurement_thresholds(q)
         return r.n_ach / r.n_con, r.alpha_ach, r.alpha_con
@@ -270,10 +270,10 @@ def test_criterion_08_sorted_prefix_convergence():
 
 def test_criterion_09_simulator_sanity():
     start = time.monotonic()
-    config = SimConfig(p=10, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+    config = SimConfig(p=10, signal=DiscreteFlat(c_beta=1.0, k=2),
                        noise=GaussianNoise(1e-3), alpha_star=0.5,
                        n_grid=(5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
-                       trials=400, decoder="flat-ml", master_seed=0)
+                       trials=400, master_seed=0)
     curve = error_curve(config)
     elapsed = time.monotonic() - start
     pe40 = float(curve.pe[list(curve.n_values).index(40)])

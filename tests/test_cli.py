@@ -332,6 +332,32 @@ def test_simulate_guard_exit_two(tmp_path, capsys, monkeypatch):
     assert "10000" in err
 
 
+def test_simulate_refuses_config_before_any_trial(tmp_path, capsys,
+                                                 monkeypatch):
+    # an empty grid from a config file wrote a CSV of only its header and
+    # reference lines, with exit 0; a decoder the model does not take
+    # failed only inside a worker. Both are refused when SimConfig is built
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"n_grid": []}))
+
+    def no_trials(config):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("phaselim.cli.error_curve", no_trials)
+    for argv, message in (
+            (["--p", "6", "--k", "2", "--config", "c.json"], "empty"),
+            (["--p", "6", "--k", "2", "--n-grid", "5:3"], "empty"),
+            (["--p", "6", "--k", "2", "--model", "flat", "--decoder",
+              "mc-marginal"], "takes flat-ml"),
+            (["--p", "6", "--k", "2", "--model", "gaussian", "--decoder",
+              "flat-ml"], "takes mc-marginal")):
+        code, stdout, err = _run(["simulate", "--out", "e.csv"] + argv,
+                                 capsys)
+        assert code == 2, argv
+        assert message in err and stdout == "", (argv, err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_simulate_deterministic_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["simulate", "--p", "7", "--k", "2", "--sigma", "0.5",

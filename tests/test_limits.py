@@ -225,34 +225,25 @@ def test_sorted_rates_match_per_alpha_partition():
 def test_threshold_query_validation():
     sig = DiscreteFlat(c_beta=1.0, k=4)
     with pytest.raises(ValueError):
-        ThresholdQuery(p=10, k=4, signal=sig, alpha_star=0.0)
+        ThresholdQuery(p=10, signal=sig, alpha_star=0.0)
     with pytest.raises(ValueError):
-        ThresholdQuery(p=10, k=4, signal=sig, alpha_star=1.0)
+        ThresholdQuery(p=10, signal=sig, alpha_star=1.0)
     with pytest.raises(ValueError):
-        ThresholdQuery(p=3, k=4, signal=sig)
+        ThresholdQuery(p=3, signal=sig)
     with pytest.raises(ValueError):
-        ThresholdQuery(p=10, k=4, signal=sig, mode="bogus")
+        ThresholdQuery(p=10, signal=sig, mode="bogus")
     # floor mode with floor(alpha* k) = 0 cannot express the error event
     with pytest.raises(ValueError):
-        ThresholdQuery(p=10, k=4, signal=sig, alpha_star=0.1, mode="floor")
-    # the floor search runs over the signal's entries and the budget
-    # k log(p/k) over the query's k: the two must agree
-    with pytest.raises(ValueError, match="must match"):
-        ThresholdQuery(p=40, k=10, signal=DiscreteGeneral((0.5, 1, 1.5, 2)),
-                       alpha_star=0.5)
-    for signal in (DiscreteFlat(c_beta=1.0, k=5),
-                   GaussianIID(c_beta=1.0, k=3)):
-        with pytest.raises(ValueError, match="must match"):
-            ThresholdQuery(p=10, k=4, signal=signal, alpha_star=0.5)
+        ThresholdQuery(p=10, signal=sig, alpha_star=0.1, mode="floor")
     # 1e-10 would ask for a 5e9-entry alpha grid (more than 1e7)
     for step in (0.0, -0.01, math.nan, math.inf, 1e-10):
         with pytest.raises(ValueError):
-            ThresholdQuery(p=10, k=4, signal=sig, alpha_star=0.5,
+            ThresholdQuery(p=10, signal=sig, alpha_star=0.5,
                            grid_step=step)
 
 
 def test_threshold_example_value():
-    q = ThresholdQuery(p=1000, k=10, signal=GaussianIID(c_beta=1.0, k=10),
+    q = ThresholdQuery(p=1000, signal=GaussianIID(c_beta=1.0, k=10),
                        noise=GaussianNoise(1.0), alpha_star=0.999999999)
     r = measurement_thresholds(q)
     assert r.n_ach == pytest.approx(437.707, rel=1e-4)
@@ -262,7 +253,7 @@ def test_threshold_example_value():
 
 
 def test_threshold_determinism():
-    q = ThresholdQuery(p=500, k=5, signal=DiscreteFlat(c_beta=2.0, k=5),
+    q = ThresholdQuery(p=500, signal=DiscreteFlat(c_beta=2.0, k=5),
                        alpha_star=0.3, mode="asymptotic")
     a = measurement_thresholds(q)
     b = measurement_thresholds(q)
@@ -274,7 +265,7 @@ def test_threshold_ach_above_converse_needs_margin():
     # achievability numerator at equal denominator quality; check the
     # ordering on a few concrete queries
     for c in (0.5, 1.0, 4.0):
-        q = ThresholdQuery(p=200, k=8, signal=DiscreteFlat(c_beta=c, k=8),
+        q = ThresholdQuery(p=200, signal=DiscreteFlat(c_beta=c, k=8),
                            alpha_star=0.25, mode="asymptotic")
         r = measurement_thresholds(q)
         assert r.n_con <= r.n_ach
@@ -284,7 +275,7 @@ def test_threshold_ach_above_converse_needs_margin():
 def test_threshold_infeasible_zero_mass():
     # bottom coefficient carries no power: nothing to miss at small alpha
     sig = DiscreteGeneral(values=(0.0, 0.0, 1.0, 1.0))
-    q = ThresholdQuery(p=50, k=4, signal=sig, alpha_star=0.5, mode="floor")
+    q = ThresholdQuery(p=50, signal=sig, alpha_star=0.5, mode="floor")
     with pytest.raises(ThresholdInfeasibleError):
         measurement_thresholds(q)
 
@@ -298,7 +289,7 @@ def test_threshold_underflow_is_numeric_failure():
                    GaussianIID(c_beta=1e-170, k=10),
                    DiscreteFlat(c_beta=1e-170, k=10),
                    DiscreteGeneral(values=(1e-160, 1e-160, 1.0, 1.0))):
-        q = ThresholdQuery(p=1000, k=signal.k, signal=signal,
+        q = ThresholdQuery(p=1000, signal=signal,
                            alpha_star=0.5, mode="asymptotic")
         with pytest.raises(FloatingPointError):
             measurement_thresholds(q)
@@ -309,7 +300,7 @@ def test_threshold_underflow_is_numeric_failure():
 def test_threshold_monotone_in_snr():
     prev = None
     for c in (0.25, 1.0, 4.0, 16.0):
-        q = ThresholdQuery(p=100, k=4, signal=DiscreteFlat(c_beta=c, k=4),
+        q = ThresholdQuery(p=100, signal=DiscreteFlat(c_beta=c, k=4),
                            alpha_star=0.1, mode="asymptotic")
         r = measurement_thresholds(q)
         if prev is not None:
@@ -323,7 +314,7 @@ def test_thresholds_finite_at_extreme_power():
     # n_ach / n_con = U(1) / ((1 - alpha_star) L(1)); the plain forms
     # overflowed here (n_ach 0, n_con nan)
     for c_beta in (1e200, 1e300):
-        q = ThresholdQuery(p=1000, k=10, signal=GaussianIID(c_beta=c_beta, k=10),
+        q = ThresholdQuery(p=1000, signal=GaussianIID(c_beta=c_beta, k=10),
                            alpha_star=0.1)
         r = measurement_thresholds(q)
         assert math.isfinite(r.n_ach) and math.isfinite(r.n_con)
@@ -342,7 +333,7 @@ def test_threshold_grid_never_passes_one():
     # np.arange(0.1, 1.0, 1e-6) ends at 1.0000000000009 > 1, which the rate
     # forms reject as an alpha outside [0, 1]
     for signal in (GaussianIID(c_beta=1.0, k=10), DiscreteFlat(c_beta=1.0, k=10)):
-        q = ThresholdQuery(p=1000, k=10, signal=signal, alpha_star=0.1,
+        q = ThresholdQuery(p=1000, signal=signal, alpha_star=0.1,
                            mode="asymptotic", grid_step=1e-6)
         r = measurement_thresholds(q)
         assert 0.1 <= r.alpha_ach <= 1.0 and 0.1 <= r.alpha_con <= 1.0
@@ -351,7 +342,7 @@ def test_threshold_grid_never_passes_one():
 
 def test_general_signal_floor_thresholds():
     sig = DiscreteGeneral(values=(0.5, 1.0, 1.5, 2.0))
-    q = ThresholdQuery(p=40, k=4, signal=sig, alpha_star=0.25, mode="floor")
+    q = ThresholdQuery(p=40, signal=sig, alpha_star=0.25, mode="floor")
     r = measurement_thresholds(q)
     assert r.n_ach > 0 and r.n_con >= 0
     assert math.isfinite(r.n_ach)
@@ -361,19 +352,20 @@ def _floor_brute_force(q):
     # n_ach, n_con, alpha_ach, alpha_con as the max over l missed entries
     # of l/k over the rate of those same l entries (alpha_star itself for
     # the first l), one scalar l at a time
-    sig = (SortedSignal.flat(q.signal.c_beta, q.k)
+    k = q.signal.k
+    sig = (SortedSignal.flat(q.signal.c_beta, k)
            if isinstance(q.signal, DiscreteFlat)
            else SortedSignal(np.asarray(q.signal.values, dtype=complex)))
-    first = floor_count(q.alpha_star, q.k)
-    points = [(q.alpha_star if l == first else l / q.k, l)
-              for l in range(first, q.k + 1)]
+    first = floor_count(q.alpha_star, k)
+    points = [(q.alpha_star if l == first else l / k, l)
+              for l in range(first, k + 1)]
     ach = [(a / mi_pair_lower(sig.prefix[l], q.noise), a) for a, l in points]
     con = [((a - q.alpha_star) / mi_pair_upper(
         sig.prefix[l], sig.total_power - sig.prefix[l], q.noise), a)
         for a, l in points]
     (v_ach, a_ach), (v_con, a_con) = (max(ach, key=lambda t: t[0]),
                                       max(con, key=lambda t: t[0]))
-    budget = q.k * math.log(q.p / q.k)
+    budget = k * math.log(q.p / k)
     return v_ach * budget, v_con * budget, a_ach, a_con
 
 
@@ -393,7 +385,7 @@ def test_floor_thresholds_are_the_max_over_missed_counts():
     for signal, alpha_star in cases:
         results = []
         for step in (1e-3, 1e-2, 0.05):
-            q = ThresholdQuery(p=1000, k=signal.k, signal=signal,
+            q = ThresholdQuery(p=1000, signal=signal,
                                noise=GaussianNoise(1.0),
                                alpha_star=alpha_star, mode="floor",
                                grid_step=step)
@@ -406,10 +398,10 @@ def test_floor_thresholds_are_the_max_over_missed_counts():
         assert results[0] == results[1] == results[2]
     # 0.3 * 4 = 1.2 missed entries is no whole count
     with pytest.raises(ValueError, match="whole count"):
-        ThresholdQuery(p=40, k=4, signal=DiscreteGeneral(
+        ThresholdQuery(p=40, signal=DiscreteGeneral(
             values=(0.5, 1.0, 1.5, 2.0)), alpha_star=0.3, mode="floor")
     # the Gaussian model has no floor mode, so any alpha_star is accepted
-    ThresholdQuery(p=40, k=4, signal=GaussianIID(c_beta=1.0, k=4),
+    ThresholdQuery(p=40, signal=GaussianIID(c_beta=1.0, k=4),
                    alpha_star=0.3, mode="floor")
 
 
@@ -465,7 +457,7 @@ def test_refine_searches_last_cell():
     assert best >= np.max(con(cell)) * (1.0 - 1e-12)
     assert a < 1.0
     r = measurement_thresholds(ThresholdQuery(
-        p=1000, k=10, signal=GaussianIID(c_beta=1.0, k=10), alpha_star=0.5))
+        p=1000, signal=GaussianIID(c_beta=1.0, k=10), alpha_star=0.5))
     assert r.n_con_norm >= 0.4662797 and r.alpha_con < 1.0
 
 

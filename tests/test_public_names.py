@@ -2,8 +2,10 @@
 the functions the benchmark tracer wraps, the names the demos import (and
 the keyword arguments the demos pass to them) and the names each module's
 ``__all__`` lists. Public functions take no parameter that no caller
-sets."""
+sets, and the query and simulation configs no field their signal model
+already fixes."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -86,10 +88,21 @@ def test_all_names_exist():
 
 def test_public_signatures_pinned():
     # the quadrature order and forcing switch, the curve kinds and the PAVA
-    # weights were set only by tests, or by nothing
+    # weights were set only by tests, or by nothing; a config's k and
+    # decoder could only repeat or contradict its signal model
     from phaselim.densities import conditional_output_logpdf
-    from phaselim.limits import figure_curves
-    from phaselim.simulate import pava_nonincreasing
+    from phaselim.limits import ThresholdQuery, figure_curves
+    from phaselim.simulate import SimConfig, decode, pava_nonincreasing
+    for cls, names in (
+            (ThresholdQuery,
+             ["p", "signal", "noise", "alpha_star", "mode", "grid_step"]),
+            (SimConfig,
+             ["p", "signal", "noise", "alpha_star", "n_grid", "trials",
+              "mc_samples", "master_seed", "threads"])):
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls
+    # the benchmark tracer reads decode's decoder as positional argument 4
+    assert list(inspect.signature(decode).parameters) == [
+        "x", "y", "signal", "noise", "decoder", "mc_samples", "rng"]
     for fn, params in (
             (conditional_output_logpdf,
              ["y", "known_sq", "fresh_power", "noise"]),

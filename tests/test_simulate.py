@@ -157,17 +157,17 @@ def test_decode_candidate_guard_runs_first():
 # pe values recorded with the decoder that kept one scoring branch per
 # decoder; the single scorer must reproduce them exactly
 _PINNED_CURVES = [
-    (dict(p=10, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+    (dict(p=10, signal=DiscreteFlat(c_beta=1.0, k=2),
           noise=GaussianNoise(0.5), alpha_star=0.5, n_grid=(2, 4, 8, 16),
           trials=50, master_seed=3),
      [0.84, 0.54, 0.24, 0.02]),
-    (dict(p=7, k=3, signal=DiscreteGeneral(values=(0.6 + 0.3j,) * 3),
+    (dict(p=7, signal=DiscreteGeneral(values=(0.6 + 0.3j,) * 3),
           noise=GaussianNoise(0.3), alpha_star=0.34, n_grid=(3, 6, 12),
           trials=40, master_seed=4),
      [0.35, 0.05, 0.0]),
-    (dict(p=6, k=2, signal=GaussianIID(c_beta=2.0, k=2),
+    (dict(p=6, signal=GaussianIID(c_beta=2.0, k=2),
           noise=GaussianNoise(0.2), alpha_star=0.5, n_grid=(2, 5, 10),
-          trials=40, decoder="mc-marginal", mc_samples=16, master_seed=5),
+          trials=40, mc_samples=16, master_seed=5),
      [0.925, 0.8, 0.6]),
 ]
 
@@ -461,7 +461,7 @@ def test_workspace_keeps_only_budgeted_buffers(monkeypatch):
     # criterion 09) in buffers of the same budgets; a trial past them (n p
     # = 2 * 10^4 > 2^14) gets arrays the thread does not keep
     for p, k, n in ((10, 2, 50), (10, 2, 5), (200, 1, 100)):
-        config = SimConfig(p=p, k=k, signal=DiscreteFlat(c_beta=1.0, k=k),
+        config = SimConfig(p=p, signal=DiscreteFlat(c_beta=1.0, k=k),
                            noise=noise, alpha_star=1.0, n_grid=(n,),
                            trials=9)
         simulate._run_cell((config, 0, n))
@@ -493,7 +493,7 @@ def test_repeated_decode_allocates_no_chunk_buffers():
     assert again == first
     assert peak < 16 * simulate._CHUNK_ELEMENTS, peak
     # the same holds for a repeated flat-ml cell of 7-trial blocks
-    config = SimConfig(p=10, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+    config = SimConfig(p=10, signal=DiscreteFlat(c_beta=1.0, k=2),
                        noise=GaussianNoise(1e-3), n_grid=(50,), trials=40)
     first = simulate._run_cell((config, 0, 50))
     tracemalloc.start()
@@ -512,7 +512,7 @@ def test_cell_memory_does_not_grow_with_trials(monkeypatch):
     # fresh workspace; both peaks hold the workspace's budgeted buffers, 1
     # MB at n = 50, and a first cell's caches are filled beforehand
     def config(trials):
-        return SimConfig(p=10, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+        return SimConfig(p=10, signal=DiscreteFlat(c_beta=1.0, k=2),
                          noise=GaussianNoise(1e-3), n_grid=(50,),
                          trials=trials)
 
@@ -562,27 +562,33 @@ def test_error_event_threshold():
 def test_sim_config_guards():
     sig = DiscreteFlat(c_beta=1.0, k=5)
     with pytest.raises(ValueError):
-        SimConfig(p=30, k=5, signal=sig)          # C(30,5) = 142506
+        SimConfig(p=30, signal=sig)          # C(30,5) = 142506
     with pytest.raises(ValueError):
-        SimConfig(p=10, k=4, signal=DiscreteFlat(1.0, 4), alpha_star=0.1)
+        SimConfig(p=10, signal=DiscreteFlat(1.0, 4), alpha_star=0.1)
     with pytest.raises(ValueError):
-        SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 3))
+        SimConfig(p=1, signal=DiscreteFlat(1.0, 2))     # k > p
+    # the signal fixes the decoder; no decoder takes several known values,
+    # so the config is refused here, not at a worker's first block
+    with pytest.raises(ValueError, match="no decoder"):
+        SimConfig(p=10, signal=DiscreteGeneral((1.0, 2.0)))
+    assert [SimConfig(p=10, signal=signal).decoder for signal in (
+        DiscreteFlat(1.0, 2), DiscreteGeneral((0.5j, 0.5j)),
+        GaussianIID(1.0, 2))] == ["flat-ml", "flat-ml", "mc-marginal"]
     with pytest.raises(ValueError):
-        SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2), trials=0)
-    with pytest.raises(ValueError):
-        SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2), decoder="nope")
-    with pytest.raises(ValueError):
-        SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2), n_grid=(5, -1))
+        SimConfig(p=10, signal=DiscreteFlat(1.0, 2), trials=0)
+    for n_grid in ((5, -1), ()):
+        with pytest.raises(ValueError):
+            SimConfig(p=10, signal=DiscreteFlat(1.0, 2), n_grid=n_grid)
     # alpha_star past 1 made every trial a success (threshold above k)
     for alpha_star in (5.0, 1.5, 0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
-            SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2),
+            SimConfig(p=10, signal=DiscreteFlat(1.0, 2),
                       alpha_star=alpha_star)
     for mc_samples in (0, -1):
         with pytest.raises(ValueError):
-            SimConfig(p=10, k=2, signal=GaussianIID(1.0, 2),
-                      decoder="mc-marginal", mc_samples=mc_samples)
-    SimConfig(p=10, k=2, signal=DiscreteFlat(1.0, 2), alpha_star=1.0)
+            SimConfig(p=10, signal=GaussianIID(1.0, 2),
+                      mc_samples=mc_samples)
+    SimConfig(p=10, signal=DiscreteFlat(1.0, 2), alpha_star=1.0)
     # powers past 1e150, or past 1e150 sigma: every candidate's residual
     # overflowed, all scores tied at -inf and pe read about 1
     for signal, sigma in ((GaussianIID(1e200, 2), 1.0),
@@ -591,9 +597,9 @@ def test_sim_config_guards():
                           (GaussianIID(1e100, 2), 1e-56),
                           (DiscreteFlat(1.0, 2), 1e-151)):
         with pytest.raises(ValueError):
-            SimConfig(p=10, k=2, signal=signal, noise=GaussianNoise(sigma))
-    SimConfig(p=10, k=2, signal=DiscreteFlat(1e150, 2))
-    SimConfig(p=10, k=2, signal=DiscreteFlat(1e120, 2),
+            SimConfig(p=10, signal=signal, noise=GaussianNoise(sigma))
+    SimConfig(p=10, signal=DiscreteFlat(1e150, 2))
+    SimConfig(p=10, signal=DiscreteFlat(1e120, 2),
               noise=GaussianNoise(1e-30))
 
 
@@ -622,10 +628,10 @@ def test_error_curve_at_power_bound_matches_moderate_power():
         curves = []
         for c_beta, sigma in ((1e20, 1.0), (1e150, 1.0), (1e140, 1e-10),
                               (1e120, 1e-30)):
-            config = SimConfig(p=6, k=2, signal=model(c_beta, 2),
+            config = SimConfig(p=6, signal=model(c_beta, 2),
                                noise=GaussianNoise(sigma), n_grid=(10, 40),
-                               trials=40, decoder=decoder, mc_samples=64,
-                               master_seed=7)
+                               trials=40, mc_samples=64, master_seed=7)
+            assert config.decoder == decoder
             curves.append(error_curve(config).pe.tolist())
         assert curves[1:] == curves[:1] * 3, (decoder, curves)
 
@@ -633,7 +639,7 @@ def test_error_curve_at_power_bound_matches_moderate_power():
 def test_error_curve_zero_measurement_analytic():
     # with no data the decoder always answers {0, 1}; the error rate is
     # 1 - 1/C(p, k) exactly, up to binomial noise
-    config = SimConfig(p=8, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+    config = SimConfig(p=8, signal=DiscreteFlat(c_beta=1.0, k=2),
                        noise=GaussianNoise(0.5), alpha_star=0.5,
                        n_grid=(0,), trials=400, master_seed=1)
     curve = error_curve(config)
@@ -646,13 +652,13 @@ def test_error_curve_thread_invariance(monkeypatch):
     # flat-ml scores 60 trials in one partial block at n = 0 (780 a
     # block), 2, 6 and 10, and in three blocks of 19 and a last of 3 at
     # n = 40
-    flat = dict(p=7, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+    flat = dict(p=7, signal=DiscreteFlat(c_beta=1.0, k=2),
                 noise=GaussianNoise(0.5), alpha_star=0.5,
                 n_grid=(0, 2, 6, 10, 40), trials=60, master_seed=3)
     assert simulate._trial_block(7, 2, 40) == 19
     # mc-marginal scores n = 2 in the direct form and n = 6, 10 lifted
     mc = dict(flat, signal=GaussianIID(c_beta=2.0, k=2), n_grid=(2, 6, 10),
-              trials=30, decoder="mc-marginal", mc_samples=32)
+              trials=30, mc_samples=32)
     for base in (flat, mc):
         one = error_curve(SimConfig(**base, threads=1))
         two = error_curve(SimConfig(**base, threads=3))
@@ -666,7 +672,7 @@ def test_error_curve_thread_invariance(monkeypatch):
 
 
 def test_error_curve_decreases_and_hits_zero():
-    config = SimConfig(p=8, k=2, signal=DiscreteFlat(c_beta=1.0, k=2),
+    config = SimConfig(p=8, signal=DiscreteFlat(c_beta=1.0, k=2),
                        noise=GaussianNoise(1e-3), alpha_star=0.5,
                        n_grid=(0, 4, 12, 24), trials=120, master_seed=5)
     curve = error_curve(config)
