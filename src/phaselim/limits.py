@@ -58,6 +58,10 @@ _TAIL_SERIES = tuple(1.0 / (n * (n - 1)) for n in range(8, 1, -1))
 # for sigma above about 1e49).
 _SCALED_RATIO = 1e100
 _SCALED_POWER = 1e150
+# Missed power whose square is no longer a normal float: below it the rate
+# forms square v / sqrt(exp(2h)) instead, which keeps every digit down to
+# the same SNR at any noise scale.
+_TINY_POWER = math.sqrt(np.finfo(float).tiny)
 
 # Most alpha grid entries a threshold search may use. Several float arrays
 # of the grid's length are live at once, so this bounds the search memory.
@@ -108,32 +112,41 @@ def tail_power_fraction(alpha):
     return float(out[0]) if scalar else out
 
 
-def _half_log1p_sq(coef: float, v: np.ndarray, e2h: float, big: np.ndarray):
-    """``0.5 log1p(coef v^2 / e2h)``; entries flagged ``big`` use the equal
+def _power_classes(v: np.ndarray, e2h: float):
+    """``None`` when every missed power takes the plain rate forms, else the
+    masks ``(big, tiny)``: past ``_SCALED_RATIO`` noise scales or past
+    ``_SCALED_POWER``, and below ``_TINY_POWER``."""
+    cut = min(_SCALED_RATIO * math.sqrt(e2h), _SCALED_POWER)
+    if v.size and v.min() >= _TINY_POWER and v.max() <= cut:
+        return None
+    return v > cut, v < _TINY_POWER
+
+
+def _half_log1p_sq(coef: float, v: np.ndarray, e2h: float, classes):
+    """``0.5 log1p(coef v^2 / e2h)``. Entries flagged ``big`` use the equal
     form ``log v + 0.5 log(coef / e2h) + 0.5 log1p(e2h / (coef v^2))``,
-    which never squares ``v``."""
-    if not np.any(big):
+    which never squares ``v``; entries flagged ``tiny`` square ``v /
+    sqrt(e2h)``, which stays normal where ``v^2`` would not."""
+    if classes is None:
         return 0.5 * np.log1p(coef * v * v / e2h)
+    big, tiny = classes
     out = np.empty(v.shape)
-    s = v[~big]
-    out[~big] = 0.5 * np.log1p(coef * s * s / e2h)
+    mid = ~(big | tiny)
+    s = v[mid]
+    out[mid] = 0.5 * np.log1p(coef * s * s / e2h)
     b = v[big]
     out[big] = (np.log(b) + 0.5 * math.log(coef / e2h)
                 + 0.5 * np.log1p(e2h / coef / b / b))
+    r = v[tiny] / math.sqrt(e2h)
+    out[tiny] = 0.5 * np.log1p(coef * r * r)
     return out
-
-
-def _scaled(v: np.ndarray, e2h: float) -> np.ndarray:
-    """Entries whose missed power is past ``_SCALED_RATIO`` noise scales or
-    past ``_SCALED_POWER``."""
-    return v > min(_SCALED_RATIO * math.sqrt(e2h), _SCALED_POWER)
 
 
 def mi_pair_lower(miss_power, noise: GaussianNoise):
     """Entropy-power lower form ``0.5 log(1 + 4 v^2 / exp(2h))``."""
     v = np.asarray(miss_power, dtype=float)
     e2h = noise.exp_2h()
-    out = _half_log1p_sq(4.0, v, e2h, _scaled(v, e2h))
+    out = _half_log1p_sq(4.0, v, e2h, _power_classes(v, e2h))
     return float(out) if out.ndim == 0 else out
 
 
@@ -143,19 +156,26 @@ def mi_pair_upper(miss_power, keep_power, noise: GaussianNoise):
     v, w = np.broadcast_arrays(np.asarray(miss_power, dtype=float),
                                np.asarray(keep_power, dtype=float))
     e2h = noise.exp_2h()
-    big = _scaled(v, e2h)
+    classes = _power_classes(v, e2h)
     offset = e2h / (2.0 * math.pi * math.e)
-    if np.any(big):
-        # v w / (v^2 + offset) with numerator and denominator divided by v^2
+    if classes is None:
+        cross = v * w / (v * v + offset)
+    else:
+        big, tiny = classes
         cross = np.empty(v.shape)
-        s, t = v[~big], w[~big]
-        cross[~big] = s * t / (s * s + offset)
+        mid = ~(big | tiny)
+        s, t = v[mid], w[mid]
+        cross[mid] = s * t / (s * s + offset)
+        # numerator and denominator divided by v^2
         b = v[big]
         cross[big] = (w[big] / b) / (1.0 + offset / b / b)
-    else:
-        cross = v * w / (v * v + offset)
+        # ... and by exp(2h), of which offset is 1 / (2 pi e)
+        q = math.sqrt(e2h)
+        r = v[tiny] / q
+        cross[tiny] = (r * (w[tiny] / q)
+                       / (r * r + 1.0 / (2.0 * math.pi * math.e)))
     out = (_HALF_LOG_PI_E_2
-           + _half_log1p_sq(2.0 * math.pi * math.e, v, e2h, big)
+           + _half_log1p_sq(2.0 * math.pi * math.e, v, e2h, classes)
            + 0.5 * np.log1p(cross))
     return float(out) if out.ndim == 0 else out
 
@@ -279,7 +299,8 @@ def _normalized_thresholds(signal: SignalModel, mode: str,
             "lower rate underflows to 0 at positive missed power")
 
     def ach(a):
-        return np.asarray(a) / mi_pair_lower(split(a)[0], noise)
+        with np.errstate(over="ignore"):    # _check_finite refuses an inf
+            return np.asarray(a) / mi_pair_lower(split(a)[0], noise)
 
     def con(a):
         return (np.asarray(a) - alpha_star) / mi_pair_upper(*split(a), noise)

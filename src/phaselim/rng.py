@@ -36,7 +36,10 @@ def sample_circular_gaussian(rng: np.random.Generator, size, power: float = 1.0)
     (``power/2`` each).
     """
     scale = np.sqrt(power / 2.0)
-    return rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale, size)
+    out = np.empty(size, dtype=complex)
+    out.real = rng.normal(0.0, scale, size)
+    out.imag = rng.normal(0.0, scale, size)
+    return out
 
 
 def parallel_map(fn, args_list, threads: int = 1) -> list:

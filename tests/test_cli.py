@@ -20,9 +20,8 @@ from phaselim.verify import VerificationReport
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Run in a fresh interpreter: the limits and simulate commands, and the
-# closed-form gconv suite, must not load scipy, and verify must still find
-# it when its density kernels need it.
+# Run in a fresh interpreter: no command, verify suites included, loads
+# scipy, and the density kernels that use scipy.special still find it.
 _SCIPY_GUARD_SCRIPT = """
 import contextlib, io, sys
 from phaselim.cli import main
@@ -33,21 +32,28 @@ def run(argv):
         return main(argv)
 
 common = ["--p", "8", "--k", "2", "--n-grid", "4,8", "--trials", "10"]
-for argv in (
-        ["thresholds", "--model", "gaussian", "--p", "1000", "--k", "10",
-         "--c-beta", "1", "--json"],
-        ["thresholds", "--model", "flat", "--p", "1000", "--k", "10",
-         "--c-beta", "1", "--json"],
-        ["figure", "--out-dir", "figs"],
-        ["simulate", "--model", "flat", "--decoder", "flat-ml",
-         "--out", "flat.csv"] + common,
-        ["simulate", "--model", "gaussian", "--decoder", "mc-marginal",
-         "--mc-samples", "16", "--out", "mc.csv"] + common,
-        ["replay", "mc.csv.manifest.json", "--scratch", "re"],
-        ["verify", "--suite", "gconv", "--out", "gconv.jsonl"]):
-    assert run(argv) == 0, argv
+for argv, code in (
+        (["thresholds", "--model", "gaussian", "--p", "1000", "--k", "10",
+          "--c-beta", "1", "--json"], 0),
+        (["thresholds", "--model", "flat", "--p", "1000", "--k", "10",
+          "--c-beta", "1", "--json"], 0),
+        (["figure", "--out-dir", "figs"], 0),
+        (["simulate", "--model", "flat", "--decoder", "flat-ml",
+          "--out", "flat.csv"] + common, 0),
+        (["simulate", "--model", "gaussian", "--decoder", "mc-marginal",
+          "--mc-samples", "16", "--out", "mc.csv"] + common, 0),
+        (["replay", "mc.csv.manifest.json", "--scratch", "re"], 0),
+        (["verify", "--suite", "gconv", "--out", "gconv.jsonl"], 0),
+        (["verify", "--suite", "logconcavity", "--out", "lc.jsonl"], 0),
+        (["verify", "--suite", "negative-control", "--out", "nc.jsonl"], 1),
+        (["verify", "--suite", "sandwich", "--trials", "200",
+          "--out", "sw.jsonl"], 0),
+        (["verify", "--suite", "concentration", "--trials", "200",
+          "--out", "cc.jsonl"], 0)):
+    assert run(argv) == code, argv
     assert "scipy" not in sys.modules, argv
-assert run(["verify", "--suite", "logconcavity", "--out", "lc.jsonl"]) == 0
+from phaselim.densities import noncentral_chi2_scaled_logpdf
+noncentral_chi2_scaled_logpdf(1.0, 1.0, 1.0)
 assert "scipy.special" in sys.modules
 """
 
@@ -188,7 +194,6 @@ def test_noise_scale_range_edges(tmp_path, capsys, monkeypatch):
             tmp_path / f"c{sigma}.csv").read_text()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
 def test_thresholds_tiny_power_is_numeric_failure(tmp_path, capsys,
                                                   monkeypatch):
     # the counts leave the float range; the power itself is positive
@@ -199,6 +204,24 @@ def test_thresholds_tiny_power_is_numeric_failure(tmp_path, capsys,
                                   "--c-beta", c_beta, "--json"], capsys)
         assert code == 4, c_beta
         assert stdout == "" and "numeric failure" in err, c_beta
+
+
+def test_thresholds_equal_at_equal_snr(tmp_path, capsys, monkeypatch):
+    # the two pairs have the same c_beta / sigma; at the first, squares of
+    # the missed power were subnormal, which put the flat n_ach 2.8e-3 too
+    # high and ended the gaussian query in exit 4
+    monkeypatch.chdir(tmp_path)
+    for model in ("flat", "gaussian"):
+        recs = []
+        for c_beta, sigma in (("1e-160", "1e-150"), ("1e-10", "1")):
+            code, stdout, _ = _run(["thresholds", "--model", model,
+                                    "--p", "1000", "--k", "10",
+                                    "--c-beta", c_beta, "--sigma", sigma,
+                                    "--json"], capsys)
+            assert code == 0, (model, c_beta)
+            recs.append(json.loads(stdout))
+        for key in ("n_ach", "n_con"):
+            assert recs[0][key] == pytest.approx(recs[1][key], rel=1e-12)
 
 
 def test_unusable_output_fails_before_work(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
 from phaselim import densities
 from phaselim.densities import (LOG_FLOOR, GaussianNoise,
@@ -696,3 +696,121 @@ def test_concentration_tail_bound_shape():
 def test_log_floor_is_representable():
     assert math.exp(LOG_FLOOR) > 0.0
     assert math.exp(LOG_FLOOR - 1.0) == 0.0 or math.exp(LOG_FLOOR - 1.0) < 1e-320
+
+
+# ---------------------------------------------------------------- erfcx
+
+def _erfcx_chebyshev_table(nodes=32):
+    """The generator of ``densities._ERFCX_COEF``: polynomial ``i`` is the
+    degree-6 truncated Chebyshev series of ``erfcx(400/y - 4)`` on ``y`` in
+    ``[i, i + 1]``, in ``t = 2y - (2i + 1)``, its coefficients taken by
+    ``nodes``-point Chebyshev-Gauss quadrature at 40 digits and expanded
+    into powers of ``t`` before rounding; row ``d`` holds the ``t^d``
+    coefficients."""
+    with mp.workdps(40):
+        theta = [mp.pi * (j + mp.mpf(0.5)) / nodes for j in range(nodes)]
+        cheb = [[mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]]   # T_k in powers of t
+        for _ in range(5):
+            up = [mp.mpf(0)] + [2 * c for c in cheb[-1]]
+            down = cheb[-2] + [mp.mpf(0)] * 2
+            cheb.append([a - b for a, b in zip(up, down)])
+        table = np.empty((7, 100))
+        for i in range(100):
+            xs = [400 / ((mp.cos(th) + 2 * i + 1) / 2) - 4 for th in theta]
+            fs = [mp.exp(x * x) * mp.erfc(x) for x in xs]
+            powers = [mp.mpf(0)] * 7
+            for k in range(7):
+                c = 2 * mp.fsum(f * mp.cos(k * th)
+                                for f, th in zip(fs, theta)) / nodes
+                if k == 0:
+                    c /= 2
+                for d, m in enumerate(cheb[k]):
+                    powers[d] += c * m
+            table[:, i] = [float(p) for p in powers]
+    return table
+
+
+def test_erfcx_table_is_its_generator_output():
+    table = _erfcx_chebyshev_table()
+    assert densities._ERFCX_COEF.shape == (7, 100)
+    assert densities._ERFCX_COEF.tobytes() == table.tobytes()
+
+
+def _ulps(ours, ref):
+    """Distance in units of ``ref``'s last place; equal infinities are 0."""
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    same = ours == ref
+    diff = np.abs(np.where(same, 0.0, ours) - np.where(same, 0.0, ref))
+    return np.where(same, 0.0, diff / np.spacing(np.abs(ref)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=64),
+       st.lists(st.floats(-26.7, 0.0, exclude_max=True), max_size=64))
+def test_erfcx_against_scipy(pos, neg):
+    x = np.array(pos)
+    assert _ulps(densities._erfcx(x), erfcx(x)).max() <= 1.0
+    if neg:
+        x = np.array(neg)
+        assert _ulps(densities._erfcx(x), erfcx(x)).max() <= 2.0
+
+
+def test_erfcx_against_scipy_across_blocks():
+    # 3e5 draws span 19 blocks; the range-[0, 50] polynomials agree with
+    # scipy's to the bit but for rare single-ulp roundings
+    rng = np.random.default_rng(16)
+    x = np.concatenate([rng.uniform(0.0, 50.0, 100000),
+                        50.0 * rng.random(100000) ** 3,
+                        rng.standard_cauchy(100000) * 10.0])
+    rng.shuffle(x)
+    ours, ref = densities._erfcx(x), erfcx(x)
+    assert np.count_nonzero(ours[x >= 0] != ref[x >= 0]) <= 3
+    assert _ulps(ours[x >= 0], ref[x >= 0]).max() <= 1.0
+    assert _ulps(ours[x < 0], ref[x < 0]).max() <= 2.0
+
+
+def test_erfcx_against_mpmath_no_worse_than_scipy():
+    rng = np.random.default_rng(6)
+    bands = [(0.0, 1.0), (1.0, 10.0), (10.0, 50.0), (50.0, 1e8),
+             (-1.1, 0.0), (-6.1, -1.1)]
+    for lo, hi in bands:
+        if lo == 50.0:
+            x = np.exp(rng.uniform(math.log(lo), math.log(hi), 300))
+        else:
+            x = rng.uniform(lo, hi, 300)
+        with mp.workdps(50):
+            ref = [mp.exp(mp.mpf(xi) ** 2) * mp.erfc(xi) for xi in x]
+            ulp = [float(np.spacing(float(r))) for r in ref]
+
+            def worst(vals):
+                return max(float(abs(v - r)) / u
+                           for v, r, u in zip(vals, ref, ulp))
+
+            ours, theirs = worst(densities._erfcx(x)), worst(erfcx(x))
+        assert ours <= max(theirs, 1.0), (lo, hi, ours, theirs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_erfcx_special_values_and_edges():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    out = densities._erfcx(x)
+    assert out[:2].tolist() == [1.0, 1.0]
+    assert out[2] == 0.0 and out[3] == np.inf and np.isnan(out[4])
+    # branch edges evaluate without a warning: the last polynomial point,
+    # the continued fraction's two ends, the reflection's overflow
+    edges = np.array([50.0, 5e7, 1e300, -26.7, -26.63, -6.1, -1e300])
+    assert _ulps(densities._erfcx(edges), erfcx(edges)).max() <= 2.0
+    assert densities._erfcx(edges[3:4])[0] == np.inf
+    assert densities._erfcx(np.empty(0)).shape == (0,)
+
+
+def test_erfcx_out_aliases_input_and_batches_agree():
+    rng = np.random.default_rng(2)
+    x = np.concatenate([rng.uniform(-30.0, 60.0, 40000), [np.nan, 1e9]])
+    ref = densities._erfcx(x.copy())
+    alone = np.array([densities._erfcx(x[i:i + 1])[0]
+                      for i in range(0, x.size, 997)])
+    assert np.array_equal(ref[::997], alone, equal_nan=True)
+    y = x.copy()
+    assert densities._erfcx(y, out=y) is y
+    assert np.array_equal(y, ref, equal_nan=True)

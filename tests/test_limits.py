@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phaselim.densities import GaussianNoise
@@ -163,7 +163,10 @@ def test_pair_rates_against_mpmath_over_all_powers():
     for sigma in (1e-150, 1e-3, 1.0, 1e3, 1e150):
         noise = GaussianNoise(sigma)
         e2h = noise.exp_2h()
-        v = np.logspace(-3, 300, 102)
+        # from 1e-12 noise scales: at sigma 1e-150 the square of v is
+        # subnormal up to 1.5e-154, and was off by 1e-3 relative at 1e-160
+        v = np.concatenate([sigma * np.logspace(-12, -4, 9),
+                            np.logspace(-3, 300, 102)])
         for ratio in (0.0, 0.5, 3.0):
             w = ratio * v
             lo = mi_pair_lower(v, noise)
@@ -272,6 +275,54 @@ def test_threshold_ach_above_converse_needs_margin():
         assert r.n_con > 0
 
 
+def _threshold_outcome(signal, sigma, alpha_star, mode):
+    """Result of a query, or the name of the error that ends it."""
+    try:
+        return measurement_thresholds(ThresholdQuery(
+            p=1000, signal=signal, noise=GaussianNoise(sigma),
+            alpha_star=alpha_star, mode=mode))
+    except (FloatingPointError, ThresholdInfeasibleError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(["flat", "gaussian", "general"]),
+       mode=st.sampled_from(["floor", "asymptotic"]),
+       log_c=st.floats(-290.0, 300.0), log_sigma=st.floats(-150.0, 150.0),
+       half_j=st.integers(-500, 500), alpha_star=st.sampled_from([0.25, 0.5]))
+def test_thresholds_invariant_under_joint_scaling(model, mode, log_c,
+                                                  log_sigma, half_j,
+                                                  alpha_star):
+    # the rates see the powers only through v^2 / exp(2h), so scaling the
+    # signal power and sigma by one power of two leaves every count (and
+    # every refusal) as it was; amplitudes scale by 2^half_j
+    c, sigma, j = 10.0 ** log_c, 10.0 ** log_sigma, 2 * half_j
+    assume(1e-150 <= sigma * 2.0 ** j <= 1e150)
+    # a power of two scales a float exactly only while it stays normal: at
+    # 1e-290 and up every missed share of the power does
+    assume(c * 2.0 ** j >= 1e-290)
+    shape = (0.25, 0.5, 1.0, 2.0)
+
+    def signal(scale):
+        if model == "general":
+            amp = math.sqrt(c) * 2.0 ** (half_j if scale else 0)
+            return DiscreteGeneral(tuple(amp * a for a in shape))
+        power = c * 2.0 ** (j if scale else 0)
+        return (DiscreteFlat if model == "flat" else GaussianIID)(power, 4)
+
+    try:
+        scaled = signal(True)
+    except (ValueError, OverflowError):     # the scaled power leaves the
+        assume(False)                       # float range
+    base = _threshold_outcome(signal(False), sigma, alpha_star, mode)
+    other = _threshold_outcome(scaled, sigma * 2.0 ** j, alpha_star, mode)
+    if isinstance(base, str) or isinstance(other, str):
+        assert base == other
+    else:
+        assert other.n_ach == pytest.approx(base.n_ach, rel=1e-12)
+        assert other.n_con == pytest.approx(base.n_con, rel=1e-12)
+
+
 def test_threshold_infeasible_zero_mass():
     # bottom coefficient carries no power: nothing to miss at small alpha
     sig = DiscreteGeneral(values=(0.0, 0.0, 1.0, 1.0))
@@ -280,11 +331,10 @@ def test_threshold_infeasible_zero_mass():
         measurement_thresholds(q)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
 def test_threshold_underflow_is_numeric_failure():
-    # the missed power is positive but its square leaves the float range:
-    # at 1e-155 the lower rate is subnormal and the count overflows, at
-    # 1e-170 and below the rate underflows to 0
+    # the missed power is positive but v^2 / exp(2h) leaves the float range
+    # (sigma 1): at 1e-155 the lower rate is subnormal and the count
+    # overflows, at 1e-170 and below the rate underflows to 0
     for signal in (GaussianIID(c_beta=1e-155, k=10),
                    GaussianIID(c_beta=1e-170, k=10),
                    DiscreteFlat(c_beta=1e-170, k=10),

@@ -27,6 +27,20 @@ def test_circular_gaussian_shape_and_dtype():
     assert z.dtype == np.complex128
 
 
+def test_circular_gaussian_bytes_match_sum_of_draws():
+    # filling one complex array in place keeps the draws of the form
+    # real + 1j * imag, in the same order, bit for bit
+    for size in ((30, 10), 7, (3, 4, 5), 0, 1000):
+        for power in (1.0, 2.5, 1e-300, 1e300):
+            rng = substream(5, 1)
+            scale = np.sqrt(power / 2.0)
+            ref = rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale,
+                                                                 size)
+            z = sample_circular_gaussian(substream(5, 1), size, power)
+            assert z.shape == ref.shape and z.dtype == ref.dtype
+            assert z.tobytes() == ref.tobytes(), (size, power)
+
+
 def test_parallel_map_preserves_order():
     args = list(range(20))
     seq = parallel_map(lambda i: i * i, args, threads=1)
