@@ -21,8 +21,8 @@ import numpy as np
 
 from .densities import GaussianNoise
 from .model import (_FLOOR_SNAP, DiscreteFlat, DiscreteGeneral, GaussianIID,
-                    SignalModel, SortedSignal, floor_count,
-                    partition_power_arrays)
+                    SignalModel, SortedSignal, _check_power_and_size,
+                    floor_count, partition_power_arrays)
 
 __all__ = [
     "tail_power_fraction",
@@ -72,9 +72,16 @@ _MAX_ALPHA_GRID = 1e7
 # bracket is 1/16 as wide, until it is narrower than _ZOOM_WIDTH.
 _ZOOM_POINTS = 33
 _ZOOM_WIDTH = 1e-12
+_ZOOM_RAMP = np.arange(_ZOOM_POINTS, dtype=float)
+_NEIGHBOURS = np.array([-1, 0, 1])
 
-# Most SNR points figure_curves takes; each costs one threshold search per
-# curve kind (about 1 ms), so this bounds a figure at tens of seconds.
+# Most grid entries the threshold search hands the objective in one call:
+# a round evaluates its rows in chunks of at most this many alphas (one
+# row at least), which bounds the search's temporaries near 1 MB.
+_ROW_CHUNK = 2 ** 14
+
+# Most SNR points figure_curves takes; each adds four rows to its one
+# search, so this bounds a figure at a few seconds.
 MAX_SNR_GRID = 10000
 
 
@@ -153,30 +160,45 @@ def mi_pair_lower(miss_power, noise: GaussianNoise):
 def mi_pair_upper(miss_power, keep_power, noise: GaussianNoise):
     """Reverse-entropy-power upper form: max-entropy term, cross-power
     term, and the additive ``0.5 log(pi e / 2)`` gap."""
-    v, w = np.broadcast_arrays(np.asarray(miss_power, dtype=float),
-                               np.asarray(keep_power, dtype=float))
+    v = np.asarray(miss_power, dtype=float)
+    w = np.asarray(keep_power, dtype=float)
+    if v.shape != w.shape:
+        v, w = np.broadcast_arrays(v, w)
     e2h = noise.exp_2h()
     classes = _power_classes(v, e2h)
     offset = e2h / (2.0 * math.pi * math.e)
-    if classes is None:
-        cross = v * w / (v * v + offset)
-    else:
-        big, tiny = classes
-        cross = np.empty(v.shape)
-        mid = ~(big | tiny)
-        s, t = v[mid], w[mid]
-        cross[mid] = s * t / (s * s + offset)
-        # numerator and denominator divided by v^2
-        b = v[big]
-        cross[big] = (w[big] / b) / (1.0 + offset / b / b)
-        # ... and by exp(2h), of which offset is 1 / (2 pi e)
-        q = math.sqrt(e2h)
-        r = v[tiny] / q
-        cross[tiny] = (r * (w[tiny] / q)
-                       / (r * r + 1.0 / (2.0 * math.pi * math.e)))
+    q = math.sqrt(e2h)
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below
+        if classes is None:
+            cross = v * w / (v * v + offset)
+        else:
+            big, tiny = classes
+            cross = np.empty(v.shape)
+            mid = ~(big | tiny)
+            s, t = v[mid], w[mid]
+            cross[mid] = s * t / (s * s + offset)
+            # numerator and denominator divided by v^2
+            b = v[big]
+            cross[big] = (w[big] / b) / (1.0 + offset / b / b)
+            # ... and by exp(2h), of which offset is 1 / (2 pi e)
+            r = v[tiny] / q
+            cross[tiny] = (r * (w[tiny] / q)
+                           / (r * r + 1.0 / (2.0 * math.pi * math.e)))
+    half_log_cross = np.asarray(0.5 * np.log1p(cross))
+    if not np.isfinite(cross).all():
+        redo = ~np.isfinite(cross)
+        # v w (or w / sqrt(exp(2h))) passed the float range, so the cross
+        # term came out inf (or nan, at v = 0 where it is 0): take its log
+        # from logs of the parts, in units of the noise scale, and log1p(x)
+        # as logaddexp(0, log x)
+        r = v[redo] / q
+        with np.errstate(divide="ignore"):      # log 0 = -inf at v = 0
+            log_cross = (np.log(r) + (np.log(w[redo]) - math.log(q))
+                         - np.log(r * r + 1.0 / (2.0 * math.pi * math.e)))
+        half_log_cross[redo] = 0.5 * np.logaddexp(0.0, log_cross)
     out = (_HALF_LOG_PI_E_2
            + _half_log1p_sq(2.0 * math.pi * math.e, v, e2h, classes)
-           + 0.5 * np.log1p(cross))
+           + half_log_cross)
     return float(out) if out.ndim == 0 else out
 
 
@@ -252,26 +274,151 @@ def _power_split(signal: SignalModel, mode: str):
     return lambda a: partition_power_arrays(sorted_sig, a, mode)
 
 
-def _search_max(objective, alphas: np.ndarray, zoom: bool):
-    """Largest value of ``objective`` at ``alphas`` and where it is. With
-    ``zoom``, rounds of ``_ZOOM_POINTS`` alphas then search between the
-    round's best point's neighbours (the first and last cells included)
-    until they are ``_ZOOM_WIDTH`` apart; the best value seen is kept."""
-    best_a, best_v = math.nan, -math.inf
+def _smooth_grid(alpha_star: float, grid_step: float) -> np.ndarray:
+    """The ``grid_step`` grid from ``alpha_star`` that the zoom starts on,
+    with 1 as its last point."""
+    alphas = np.arange(alpha_star, 1.0, grid_step)
+    # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
+    return np.append(alphas[alphas < 1.0], 1.0)
+
+
+def _zoom_grids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo[r], hi[r], _ZOOM_POINTS)`` for every row ``r``, in
+    numpy's own arithmetic: ``arange * step + lo`` with ``hi`` as the last
+    point, and divide-then-multiply only in a row whose step is 0."""
+    div = _ZOOM_POINTS - 1
+    delta = (hi - lo)[:, None]
+    step = delta / div
+    grids = _ZOOM_RAMP * step
+    if not step.all():
+        flat = step[:, 0] == 0.0
+        grids[flat] = _ZOOM_RAMP / div * delta[flat]
+    grids += lo[:, None]
+    grids[:, -1] = hi
+    return grids
+
+
+def _search_max(objective, alphas: np.ndarray, rows: int, zoom: bool):
+    """Largest value of each of ``rows`` objectives on the grid ``alphas``
+    and where it is, as arrays ``(best_a, best_v)``.
+
+    ``objective(r, a)`` returns the values, shape ``(r.size, m)``, of the
+    rows ``r`` (an index array) at ``a``: the shared grid ``alphas`` (1-d)
+    in the first round, the rows' own grids (shape ``(r.size, m)``) after
+    it. With ``zoom``, each row then searches rounds of ``_ZOOM_POINTS``
+    alphas between its round's best point's neighbours (the first and last
+    cells included) until they are ``_ZOOM_WIDTH`` apart, and keeps the
+    best value it saw; a row whose bracket is that narrow leaves. Each
+    round calls ``objective`` on as many rows as keep ``r.size * m``
+    within ``_ROW_CHUNK`` (one row at least), and builds the zoom grids
+    chunk by chunk too.
+    """
+    best_a = np.full(rows, math.nan)
+    best_v = np.full(rows, -math.inf)
+    # the rows still zooming (ascending), the best they have seen, and
+    # their brackets (None: the shared grid)
+    active, act_a, act_v = np.arange(rows), best_a.copy(), best_v.copy()
+    lo = hi = None
     while True:
-        values = objective(alphas)
-        i = int(np.argmax(values))
-        if values[i] > best_v:
-            best_a, best_v = float(alphas[i]), float(values[i])
-        lo, hi = alphas[max(i - 1, 0)], alphas[min(i + 1, alphas.size - 1)]
-        if not zoom or hi - lo <= _ZOOM_WIDTH:
-            return best_a, best_v
-        alphas = np.linspace(lo, hi, _ZOOM_POINTS)
+        chunk = max(1, _ROW_CHUNK // (alphas.size if lo is None
+                                      else _ZOOM_POINTS))
+        found = [_round_best(objective, active[s:s + chunk], alphas
+                             if lo is None else _zoom_grids(lo[s:s + chunk],
+                                                            hi[s:s + chunk]))
+                 for s in range(0, active.size, chunk)]
+        a, v, lo, hi = (found[0] if len(found) == 1
+                        else (np.concatenate(x) for x in zip(*found)))
+        better = v > act_v
+        act_a, act_v = np.where(better, a, act_a), np.where(better, v, act_v)
+        if not zoom:
+            return act_a, act_v
+        wide = hi - lo > _ZOOM_WIDTH
+        left = active.size - np.count_nonzero(wide)
+        if left:
+            done = active[~wide]
+            best_a[done], best_v[done] = act_a[~wide], act_v[~wide]
+            if left == active.size:
+                return best_a, best_v
+            active, act_a, act_v, lo, hi = (x[wide] for x in
+                                            (active, act_a, act_v, lo, hi))
+
+
+def _round_best(objective, r: np.ndarray, grids: np.ndarray):
+    """One round of rows ``r`` on ``grids`` (1-d: every row's): each row's
+    first argmax, the value there, and the alphas beside it (clipped to
+    the grid), as ``(alpha, value, lo, hi)``."""
+    values = objective(r, grids)
+    i = values.argmax(axis=1)
+    at = np.minimum(np.maximum(i[:, None] + _NEIGHBOURS, 0),
+                    values.shape[1] - 1)
+    lo, a, hi = (grids[at] if grids.ndim == 1
+                 else grids[np.arange(r.size)[:, None], at]).T
+    return a, values[np.arange(r.size), i], lo, hi
+
+
+_NOT_FINITE = "measurement count is not a finite float"
 
 
 def _check_finite(*counts: float) -> None:
     if not all(math.isfinite(c) for c in counts):
-        raise FloatingPointError("measurement count is not a finite float")
+        raise FloatingPointError(_NOT_FINITE)
+
+
+def _threshold_rows(split, points: int, noise: GaussianNoise,
+                    alpha_star: float, alphas: np.ndarray, zoom: bool):
+    """Normalized thresholds of ``points`` signals in one row search.
+
+    Point ``q`` owns row ``q``, which maximizes the achievability
+    objective ``alpha / L``, and row ``points + q``, which maximizes the
+    converse objective ``(alpha - alpha_star) / U``; ``split(r, a)`` gives
+    the missed and kept power of rows ``r`` at ``a`` (shapes broadcasting
+    to ``(r.size, m)``). Returns ``(v_ach, v_con, a_ach, a_con, errors)``,
+    arrays over the points and, per point, the error that ends its query
+    (``None`` if none): a lower rate of 0 on the grid, or a value that is
+    not a finite float.
+    """
+    zero = np.zeros(points, dtype=bool)
+
+    def rows(x, part):
+        # a 1-d x (the shared grid, or a split that ignores the rows) is
+        # every row's
+        return x[part] if x.ndim == 2 else x
+
+    def objective(r, a):
+        miss, keep = split(r, a)
+        out = np.empty((r.size, a.shape[-1]))
+        k = int(np.searchsorted(r, points))     # r ascends: ach rows first
+        ach, con = slice(None, k), slice(k, None)
+        if k:
+            lower = mi_pair_lower(rows(miss, ach), noise)
+            if a.ndim == 1:
+                zero[r[ach]] = np.any(lower == 0.0, axis=-1)
+            out[ach] = rows(a, ach) / lower
+        if k < r.size:
+            out[con] = ((rows(a, con) - alpha_star)
+                        / mi_pair_upper(rows(miss, con), rows(keep, con),
+                                        noise))
+        return out
+
+    # a lower rate of 0, or a value past the float range, is one of the
+    # errors below
+    with np.errstate(divide="ignore", over="ignore"):
+        best_a, best_v = _search_max(objective, alphas, 2 * points, zoom)
+    v_ach, v_con = best_v[:points], best_v[points:]
+    errors = [None] * points
+    for q in range(points):
+        if zero[q]:
+            # the missed power grows with alpha, so it is least at
+            # alpha_star
+            if split(np.array([q]), np.array([alpha_star]))[0] == 0.0:
+                errors[q] = ThresholdInfeasibleError(
+                    "missable power vanishes on the optimization range")
+            else:
+                errors[q] = FloatingPointError(
+                    "lower rate underflows to 0 at positive missed power")
+        elif not (math.isfinite(v_ach[q]) and math.isfinite(v_con[q])):
+            errors[q] = FloatingPointError(_NOT_FINITE)
+    return v_ach, v_con, best_a[:points], best_a[points:], errors
 
 
 def _normalized_thresholds(signal: SignalModel, mode: str,
@@ -280,9 +427,7 @@ def _normalized_thresholds(signal: SignalModel, mode: str,
     split = _power_split(signal, mode)
     zoom = mode != "floor" or isinstance(signal, GaussianIID)
     if zoom:
-        alphas = np.arange(alpha_star, 1.0, grid_step)
-        # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
-        alphas = np.append(alphas[alphas < 1.0], 1.0)
+        alphas = _smooth_grid(alpha_star, grid_step)
     else:
         # the missed power is a step function of alpha, so only alpha = l/k
         # for l = alpha_star k, ..., k can be a maximizer; alpha_star itself
@@ -290,25 +435,11 @@ def _normalized_thresholds(signal: SignalModel, mode: str,
         k = signal.k
         alphas = np.append(alpha_star, np.arange(
             floor_count(alpha_star, k) + 1, k + 1) / k)
-    if np.any(mi_pair_lower(split(alphas)[0], noise) == 0.0):
-        # the missed power grows with alpha, so it is least at alpha_star
-        if split(alpha_star)[0] == 0.0:
-            raise ThresholdInfeasibleError(
-                "missable power vanishes on the optimization range")
-        raise FloatingPointError(
-            "lower rate underflows to 0 at positive missed power")
-
-    def ach(a):
-        with np.errstate(over="ignore"):    # _check_finite refuses an inf
-            return np.asarray(a) / mi_pair_lower(split(a)[0], noise)
-
-    def con(a):
-        return (np.asarray(a) - alpha_star) / mi_pair_upper(*split(a), noise)
-
-    a_ach, v_ach = _search_max(ach, alphas, zoom)
-    a_con, v_con = _search_max(con, alphas, zoom)
-    _check_finite(v_ach, v_con)
-    return v_ach, v_con, a_ach, a_con
+    v_ach, v_con, a_ach, a_con, errors = _threshold_rows(
+        lambda r, a: split(a), 1, noise, alpha_star, alphas, zoom)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(v_ach[0]), float(v_con[0]), float(a_ach[0]), float(a_con[0])
 
 
 def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
@@ -327,7 +458,9 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     the counting term and the mutual information of the same ``l``. So
     the search evaluates exactly ``alpha = l/k``, for ``l = alpha_star k,
     ..., k``, and does not use ``grid_step``. The smooth objectives zoom in
-    on the best ``grid_step`` grid point (see ``_search_max``).
+    on the best ``grid_step`` grid point. Both objectives are two rows of
+    one search (see ``_search_max``), whose first round also supplies the
+    lower rates the zero-rate check reads.
 
     At high power (i.i.d. Gaussian model) both maximizers tend to
     ``alpha = 1``; the achievability one sits about ``exp(-L(1))`` below
@@ -379,9 +512,6 @@ def c_beta_from_snr_db(db: float, sigma: float = 1.0) -> float:
     return c
 
 
-_CURVE_MODELS = {"flat": DiscreteFlat, "gaussian": GaussianIID}
-
-
 def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
                   sigma: float = 1.0,
                   grid_step: float = 1e-3) -> dict[str, np.ndarray]:
@@ -390,7 +520,10 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
     Returns, for ``"flat"`` and for ``"gaussian"``, rows ``(snr_db,
     n_ach_norm, n_con_norm)`` where the normalization divides out
     ``k * log(p/k)``. Curves use the limiting (asymptotic) forms, so they
-    are size-free.
+    are size-free. Every SNR point of both curves is searched in one row
+    search (four rows a point), with the values of one query per point;
+    a grid with several bad points raises the error of the first, flat
+    curve first, as one query after another would.
     """
     if snr_db_values is None:
         snr_db_values = np.arange(-10.0, 41.0, 1.0)
@@ -402,17 +535,30 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
         raise ValueError(f"more than {MAX_SNR_GRID} SNR points")
     _check_alpha_search(alpha_star, grid_step)
     noise = GaussianNoise(sigma)
-    c_values = [c_beta_from_snr_db(float(db), sigma) for db in snr_db_values]
-    out: dict[str, np.ndarray] = {}
-    for kind, model in _CURVE_MODELS.items():
-        rows = np.empty((snr_db_values.size, 3))
-        for i, (db, c) in enumerate(zip(snr_db_values, c_values)):
-            signal = model(c_beta=c, k=1)   # the limiting forms ignore k
-            v_ach, v_con, _, _ = _normalized_thresholds(
-                signal, "asymptotic", noise, alpha_star, grid_step)
-            rows[i] = (db, v_ach, v_con)
-        out[kind] = rows
-    return out
+    powers = np.array([c_beta_from_snr_db(float(db), sigma)
+                       for db in snr_db_values])
+    # point q is SNR point q % n of the flat curve, then of the Gaussian
+    # one; rows q and 2n + q are its two objectives
+    n = snr_db_values.size
+    row_power = np.tile(powers, 4)
+    row_tail = np.tile(np.repeat([False, True], n), 2)
+
+    def split(r, a):
+        # the limiting forms ignore k: the flat model misses alpha of the
+        # power, the Gaussian one tail_power_fraction(alpha)
+        f = np.where(row_tail[r, None], tail_power_fraction(a), a)
+        return _split_total(row_power[r, None], f)
+
+    v_ach, v_con, _, _, errors = _threshold_rows(
+        split, 2 * n, noise, alpha_star, _smooth_grid(alpha_star, grid_step),
+        True)
+    for q, error in enumerate(errors):
+        _check_power_and_size(powers[q % n], 1)     # as the signal models do
+        if error is not None:
+            raise error
+    return {kind: np.column_stack((snr_db_values, v_ach[i * n:(i + 1) * n],
+                                   v_con[i * n:(i + 1) * n]))
+            for i, kind in enumerate(("flat", "gaussian"))}
 
 
 def write_figure_csv(rows: np.ndarray, path) -> None:

@@ -13,6 +13,7 @@ with the inner product conjugating the first argument.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,19 @@ class SupportSet:
         return len(set(self.indices) - set(other.indices))
 
 
+def _check_normal_power(power: float) -> None:
+    """Refuse a positive power below the normal float range: its missed
+    shares lose digits or round to 0, so a query would end in whichever
+    error the rounding picks."""
+    if 0.0 < power < sys.float_info.min:
+        raise ValueError(f"signal power below the normal float range "
+                         f"({sys.float_info.min!r})")
+
+
 def _check_power_and_size(c_beta: float, k: int) -> None:
     if not (math.isfinite(c_beta) and c_beta > 0) or k < 1:
         raise ValueError("need finite c_beta > 0 and k >= 1")
+    _check_normal_power(c_beta)
 
 
 @dataclass(frozen=True)
@@ -109,6 +120,7 @@ class DiscreteGeneral:
         if not power < math.inf:    # NaN or infinite values fail too
             raise ValueError("coefficient values and their total power "
                              "must be finite")
+        _check_normal_power(power)  # an all-zero signal stays valid
 
     @property
     def k(self) -> int:

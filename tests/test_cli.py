@@ -206,6 +206,27 @@ def test_thresholds_tiny_power_is_numeric_failure(tmp_path, capsys,
         assert stdout == "" and "numeric failure" in err, c_beta
 
 
+def test_subnormal_power_is_bad_input(tmp_path, capsys, monkeypatch):
+    # a positive power below the normal float range ended as infeasible
+    # (5e-323, whose missed share rounds to 0) or as a numeric failure
+    # (1e-320); now both are refused as bad input, with one message, and
+    # the normal powers 1e-300 and 1e-155 keep their numeric failures
+    monkeypatch.chdir(tmp_path)
+    base = ["thresholds", "--model", "gaussian", "--p", "1000", "--k", "10",
+            "--json", "--c-beta"]
+    for c_beta in ("5e-323", "1e-320"):
+        code, stdout, err = _run(base + [c_beta], capsys)
+        assert (code, stdout) == (2, ""), c_beta
+        assert err == ("phaselim: signal power below the normal float "
+                       "range (2.2250738585072014e-308)\n"), c_beta
+    for c_beta, message in (
+            ("1e-300", "lower rate underflows to 0 at positive missed power"),
+            ("1e-155", "measurement count is not a finite float")):
+        code, stdout, err = _run(base + [c_beta], capsys)
+        assert (code, stdout) == (4, ""), c_beta
+        assert err == f"phaselim: numeric failure: {message}\n", c_beta
+
+
 def test_thresholds_equal_at_equal_snr(tmp_path, capsys, monkeypatch):
     # the two pairs have the same c_beta / sigma; at the first, squares of
     # the missed power were subnormal, which put the flat n_ach 2.8e-3 too

@@ -1,10 +1,12 @@
 """Rate forms, the tail power fraction, and threshold optimization."""
+import hashlib
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phaselim.densities import GaussianNoise
@@ -13,7 +15,10 @@ from phaselim.limits import (MAX_SNR_GRID, ThresholdInfeasibleError,
                              figure_curves, measurement_thresholds,
                              mi_pair_lower, mi_pair_upper, snr_db,
                              tail_power_fraction, write_figure_csv)
-from phaselim.limits import _power_split, _search_max
+from phaselim import limits
+from phaselim.cli import main
+from phaselim.limits import (_ROW_CHUNK, _ZOOM_POINTS, _ZOOM_WIDTH,
+                             _power_split, _search_max, _threshold_rows)
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
                             SortedSignal, floor_count, partition_power_arrays,
                             partition_powers)
@@ -184,6 +189,31 @@ def test_pair_rates_against_mpmath_over_all_powers():
     noise = GaussianNoise(1.0)
     assert math.isfinite(mi_pair_lower(1e200, noise))
     assert math.isfinite(mi_pair_upper(1e200, 1e200, noise))
+
+
+def test_upper_rate_cross_term_past_float_range():
+    # v w (or w / sqrt(exp(2h))) past the float range made the cross term
+    # inf, so U was inf and a converse value 0, with an overflow warning
+    # (a kept power of 1.2e275 beside a missed one of 1.5e33, at sigma 1)
+    pe2 = 2 * mpmath.pi * mpmath.e
+    for sigma in (1e-150, 1.0, 1e150):
+        noise = GaussianNoise(sigma)
+        v = np.array([1e-170, 1e-160, 1e-100, 1.0, 1.5e33, 1e100, 1e150,
+                      1e200])
+        for keep in (1e250, 1.2e275, 1e300, 1.7e308):
+            hi = mi_pair_upper(v, np.full(v.shape, keep), noise)
+            with mpmath.workdps(60):
+                em, wm = mpmath.mpf(noise.exp_2h()), mpmath.mpf(keep)
+                for vi, h in zip(v, hi):
+                    vm = mpmath.mpf(float(vi))
+                    ref = (0.5 * mpmath.log(mpmath.pi * mpmath.e / 2)
+                           + 0.5 * mpmath.log1p(pe2 * vm**2 / em)
+                           + 0.5 * mpmath.log1p(vm * wm / (vm**2 + em / pe2)))
+                    assert abs(h - ref) <= 1e-13 * ref, (sigma, vi, keep)
+            assert mi_pair_upper(float(v[4]), keep, noise) == hi[4]
+            # no missed power: the cross term is 0, not 0 * inf
+            assert mi_pair_upper(0.0, keep, noise) == pytest.approx(
+                0.5 * math.log(math.pi * math.e / 2.0), rel=1e-15)
 
 
 def test_sorted_rates_match_per_alpha_partition():
@@ -455,16 +485,68 @@ def test_floor_thresholds_are_the_max_over_missed_counts():
                    alpha_star=0.3, mode="floor")
 
 
+def _search_max_one_row(objective, alphas, zoom):
+    # the threshold search before it ran rows together: one objective,
+    # one call per round, the zoom grid from np.linspace
+    best_a, best_v = math.nan, -math.inf
+    while True:
+        values = objective(alphas)
+        i = int(np.argmax(values))
+        if values[i] > best_v:
+            best_a, best_v = float(alphas[i]), float(values[i])
+        lo, hi = alphas[max(i - 1, 0)], alphas[min(i + 1, alphas.size - 1)]
+        if not zoom or hi - lo <= _ZOOM_WIDTH:
+            return best_a, best_v
+        alphas = np.linspace(lo, hi, _ZOOM_POINTS)
+
+
 def _smooth_objectives(signal, noise, alpha_star):
     split = _power_split(signal, "asymptotic")
 
     def ach(a):
-        return np.asarray(a) / mi_pair_lower(split(a)[0], noise)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.asarray(a) / mi_pair_lower(split(a)[0], noise)
 
     def con(a):
         return (np.asarray(a) - alpha_star) / mi_pair_upper(*split(a), noise)
 
     return ach, con
+
+
+def _one_by_one(objectives):
+    # row objective of _search_max that evaluates row q by objectives[q]
+    def objective(r, a):
+        return np.array([objectives[q](a if a.ndim == 1 else a[t])
+                         for t, q in enumerate(r)])
+    return objective
+
+
+def _smooth_grid_of(alpha_star, step):
+    grid = np.arange(alpha_star, 1.0, step)
+    return np.append(grid[grid < 1.0], 1.0)
+
+
+def _oracle_thresholds(signal, noise, alpha_star, grid_step):
+    """``(v_ach, v_con, a_ach, a_con)`` of the asymptotic-mode query by the
+    one-row search, or the error that ends it, as the search before rows
+    found them: the zero-rate check first, then the two searches."""
+    try:
+        ach, con = _smooth_objectives(signal, noise, alpha_star)
+        split = _power_split(signal, "asymptotic")
+        grid = _smooth_grid_of(alpha_star, grid_step)
+        if np.any(mi_pair_lower(split(grid)[0], noise) == 0.0):
+            if split(alpha_star)[0] == 0.0:
+                raise ThresholdInfeasibleError(
+                    "missable power vanishes on the optimization range")
+            raise FloatingPointError(
+                "lower rate underflows to 0 at positive missed power")
+        a_ach, v_ach = _search_max_one_row(ach, grid, True)
+        a_con, v_con = _search_max_one_row(con, grid, True)
+        if not (math.isfinite(v_ach) and math.isfinite(v_con)):
+            raise FloatingPointError("measurement count is not a finite float")
+    except (ValueError, FloatingPointError) as exc:
+        return exc
+    return v_ach, v_con, a_ach, a_con
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,18 +556,18 @@ def _smooth_objectives(signal, noise, alpha_star):
 def test_refine_step_beats_dense_grid(gaussian, log_c, log_sigma, alpha_star,
                                       step):
     # the zoom of _search_max on the smooth objectives of the threshold
-    # search (Gaussian model, and flat power split in asymptotic mode): its
-    # value is at least every grid value and within 1e-12 relative of the
-    # largest on a dense grid over the cells beside the best grid point,
-    # and over the first and the last cell
+    # search (Gaussian model, and flat power split in asymptotic mode), as
+    # two rows of one search: each value is at least every grid value and
+    # within 1e-12 relative of the largest on a dense grid over the cells
+    # beside the best grid point, and over the first and the last cell
     c_beta, noise = 10.0 ** log_c, GaussianNoise(10.0 ** log_sigma)
     signal = (GaussianIID(c_beta=c_beta, k=10) if gaussian
               else DiscreteFlat(c_beta=c_beta, k=10))
-    grid = np.arange(alpha_star, 1.0, step)
-    grid = np.append(grid[grid < 1.0], 1.0)
-    for objective in _smooth_objectives(signal, noise, alpha_star):
+    grid = _smooth_grid_of(alpha_star, step)
+    objectives = _smooth_objectives(signal, noise, alpha_star)
+    found_a, found_v = _search_max(_one_by_one(objectives), grid, 2, True)
+    for objective, a, best in zip(objectives, found_a, found_v):
         values = objective(grid)
-        a, best = _search_max(objective, grid, zoom=True)
         assert alpha_star <= a <= 1.0
         assert best >= np.max(values)
         i = int(np.argmax(values))
@@ -500,15 +582,107 @@ def test_refine_searches_last_cell():
     # objective is 0.4662592 at alpha = 1 but 0.4662797 near 0.9998
     _, con = _smooth_objectives(GaussianIID(c_beta=1.0, k=10),
                                 GaussianNoise(1.0), 0.5)
-    grid = np.arange(0.5, 1.0, 1e-3)
-    grid = np.append(grid[grid < 1.0], 1.0)
-    a, best = _search_max(con, grid, zoom=True)
+    grid = _smooth_grid_of(0.5, 1e-3)
+    (a,), (best,) = _search_max(_one_by_one([con]), grid, 1, True)
     cell = np.linspace(grid[-2], 1.0, 4001)
     assert best >= np.max(con(cell)) * (1.0 - 1e-12)
     assert a < 1.0
     r = measurement_thresholds(ThresholdQuery(
         p=1000, signal=GaussianIID(c_beta=1.0, k=10), alpha_star=0.5))
     assert r.n_con_norm >= 0.4662797 and r.alpha_con < 1.0
+
+
+def test_zoom_grids_are_numpy_linspace():
+    # every row bit for bit as np.linspace builds it, also where the step
+    # is 0 (a subnormal or no width), and numpy divides before it multiplies
+    rng = np.random.default_rng(17)
+    lo = np.concatenate((rng.uniform(0.0, 1.0, 200), [0.0, 0.3, 0.5, 0.0]))
+    hi = np.concatenate((lo[:200] + rng.uniform(0.0, 1.0, 200) ** 9,
+                         [5e-323, 0.3, np.nextafter(0.5, 1.0), 1e-310]))
+    grids = limits._zoom_grids(lo, hi)
+    for row, a, b in zip(grids, lo, hi):
+        assert row.tobytes() == np.linspace(a, b, _ZOOM_POINTS).tobytes()
+
+
+def _row_batch(signals, noise, alpha_star, grid_step):
+    """``_threshold_rows`` over the signals' asymptotic splits, and the
+    number of rows in each objective call."""
+    splits = [_power_split(signal, "asymptotic") for signal in signals]
+    calls = []
+
+    def split(r, a):
+        if a.shape[-1] > 1:     # not the zero-rate check at alpha_star
+            calls.append(r.size)
+        parts = [splits[q % len(signals)](a if a.ndim == 1 else a[t])
+                 for t, q in enumerate(r)]
+        return np.array([m for m, _ in parts]), np.array([k for _, k in parts])
+
+    out = _threshold_rows(split, len(signals), noise, alpha_star,
+                          _smooth_grid_of(alpha_star, grid_step), True)
+    return out, calls
+
+
+def _same_outcome(got, expected):
+    if isinstance(expected, Exception):
+        return (type(got) is type(expected)
+                and str(got) == str(expected))
+    return got == expected      # bit for bit
+
+
+def _batch_matches_oracle(signals, noise, alpha_star, grid_step):
+    (v_ach, v_con, a_ach, a_con, errors), calls = _row_batch(
+        signals, noise, alpha_star, grid_step)
+    for q, signal in enumerate(signals):
+        expected = _oracle_thresholds(signal, noise, alpha_star, grid_step)
+        got = errors[q]
+        if got is None:
+            got = (v_ach[q], v_con[q], a_ach[q], a_con[q])
+        assert _same_outcome(got, expected), (signal, got, expected)
+    return calls
+
+
+_SIGNAL_KINDS = st.sampled_from(["flat", "gaussian", "general"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_SIGNAL_KINDS, st.floats(-300.0, 300.0)),
+                     min_size=1, max_size=6),
+       log_sigma=st.floats(-150.0, 150.0),
+       alpha_star=st.floats(0.01, 0.95),
+       grid_step=st.sampled_from([1e-3, 3e-3, 0.02, 0.1, 0.5]))
+@example(rows=[("gaussian", 0.0), ("flat", 0.0), ("general", 200.0),
+               ("flat", -160.0), ("gaussian", -310.0)],
+         log_sigma=0.0, alpha_star=0.1, grid_step=1e-3)
+def test_row_search_matches_one_row_oracle(rows, log_sigma, alpha_star,
+                                           grid_step):
+    # every row of a mixed batch (models, powers in the tiny, plain and
+    # log-scaled classes of the rate forms, rows that leave at different
+    # rounds) returns the one-row search's (alpha, value) bit for bit, or
+    # its error
+    noise = GaussianNoise(10.0 ** log_sigma)
+    signals = []
+    for kind, log_power in rows:
+        power = 10.0 ** log_power
+        if kind == "general":
+            amp = math.sqrt(power)
+            signals.append(DiscreteGeneral(tuple(amp * a for a in
+                                                 (0.3, 1.0, 0.5j, 1.7))))
+        elif power >= sys.float_info.min:
+            model = DiscreteFlat if kind == "flat" else GaussianIID
+            signals.append(model(power, 4))
+    assume(signals)
+    _batch_matches_oracle(signals, noise, alpha_star, grid_step)
+
+
+def test_row_search_rows_leave_at_different_rounds():
+    # the mixed example above: a row whose best point is an end of its
+    # grid leaves rounds before an interior one, and the rest go on
+    signals = [GaussianIID(1.0, 4), DiscreteFlat(1.0, 4),
+               DiscreteGeneral((0.3e100, 1e100, 0.5e100j, 1.7e100)),
+               DiscreteFlat(1e-160, 4), GaussianIID(1e-300, 4)]
+    sizes = _batch_matches_oracle(signals, GaussianNoise(1.0), 0.1, 1e-3)
+    assert sizes[0] == 2 * len(signals)
+    assert 0 < sizes[-1] < sizes[0], sizes
 
 
 # ----------------------------------------------------- SNR and curves
@@ -565,3 +739,234 @@ def test_write_figure_csv_roundtrip(tmp_path):
     parsed = np.array([[float(v) for v in line.split(",")]
                        for line in text[1:]])
     assert np.allclose(parsed, curves["flat"], rtol=0, atol=0)
+
+
+def _figure_one_by_one(alpha_star=0.1, snr_db_values=(), sigma=1.0,
+                       grid_step=1e-3):
+    # the figure as one query after another, flat curve first, through the
+    # signal models and the one-row search: the curves, or the first error
+    noise = GaussianNoise(sigma)
+    try:
+        powers = [c_beta_from_snr_db(float(db), sigma) for db in snr_db_values]
+        out = {}
+        for kind, model in (("flat", DiscreteFlat), ("gaussian", GaussianIID)):
+            rows = []
+            for db, c in zip(snr_db_values, powers):
+                found = _oracle_thresholds(model(c_beta=c, k=1), noise,
+                                           alpha_star, grid_step)
+                if isinstance(found, Exception):
+                    raise found
+                rows.append((db, found[0], found[1]))
+            out[kind] = np.array(rows)
+    except (ValueError, FloatingPointError) as exc:
+        return exc
+    return out
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"snr_db_values": [0.0, -3100.0, 3000.0]},
+    # the Gaussian curve fails first in SNR order (-3050 dB), the flat one
+    # first in query order, and with another message (-3220 dB)
+    {"snr_db_values": [-3050.0, -3220.0, -3100.0]},
+    {"snr_db_values": [-3220.0, -3050.0]},
+    # a power that is 0 as a float is refused before any query
+    {"snr_db_values": [-3100.0, -3300.0]},
+    # a power below the normal range is refused where its query would be
+    {"snr_db_values": [-3100.0, -3200.0], "sigma": 1e-150},
+    {"snr_db_values": [-3200.0, -3100.0], "sigma": 1e-150},
+    # at alpha_star 1e-310 the missed power is subnormal (0 dB) or 0
+    # (-300 dB)
+    {"snr_db_values": [0.0, -300.0], "alpha_star": 1e-310},
+    {"snr_db_values": [-300.0, 0.0], "alpha_star": 1e-310},
+    {"snr_db_values": [-2.0, 1.5, 7.0], "alpha_star": 0.3,
+     "grid_step": 7e-3},
+])
+def test_figure_matches_one_query_after_another(kwargs):
+    # values bit for bit, and on a grid bad at several points the error
+    # type and message of the first bad query
+    expected = _figure_one_by_one(**kwargs)
+    try:
+        got = figure_curves(**kwargs)
+    except (ValueError, FloatingPointError) as exc:
+        got = exc
+    if isinstance(expected, Exception):
+        assert _same_outcome(got, expected)
+    else:
+        for kind in ("flat", "gaussian"):
+            assert got[kind].tobytes() == expected[kind].tobytes()
+
+
+def test_figure_cli_error_is_the_first_bad_query(tmp_path, capsys,
+                                                 monkeypatch):
+    # -3220 and -3050 dB: the flat query at -3220 fails first (a lower
+    # rate of 0), before the Gaussian one at -3050 (a count past the
+    # float range)
+    monkeypatch.chdir(tmp_path)
+    expected = _figure_one_by_one(snr_db_values=[-3220.0, -3050.0])
+    assert isinstance(expected, FloatingPointError)
+    code = main(["figure", "--snr-min", "-3220", "--snr-max", "-3050",
+                 "--snr-step", "170", "--out-dir", "figs"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"phaselim: numeric failure: {expected}\n"
+
+
+@pytest.mark.parametrize("grid_step", [1e-3, 1e-5])
+def test_figure_objective_calls_stay_in_the_chunk_budget(grid_step,
+                                                         monkeypatch):
+    # no objective call takes more than _ROW_CHUNK alphas, but for a single
+    # row whose grid alone is larger (90001 alphas at grid_step 1e-5)
+    calls = []
+
+    def spy(objective, alphas, rows, zoom):
+        def counted(r, a):
+            calls.append((r.size, a.shape[-1]))
+            return objective(r, a)
+        return search(counted, alphas, rows, zoom)
+
+    search = limits._search_max
+    monkeypatch.setattr(limits, "_search_max", spy)
+    figure_curves(grid_step=grid_step)
+    assert calls
+    for size, width in calls:
+        assert size * width <= _ROW_CHUNK or size == 1, (size, width)
+    grid = _smooth_grid_of(0.1, grid_step).size
+    assert calls[0] == ((max(1, _ROW_CHUNK // grid)), grid)
+
+
+# ------------------------------------------------------------- byte pins
+# sha256 of outputs as the one-row search wrote them: thresholds --json
+# stdout for the benchmark's four query shapes at three (c_beta,
+# alpha_star), and the default figure CSVs
+
+_THRESHOLD_PINS = {
+    ("gaussian", 1000, 10, None, "0.05", "0.1"):
+        "1fccbea1bd33dda8e73f538ce5cc473378f387c520dc41c8ee13650c20fa9a07",
+    ("gaussian", 1000, 10, None, "3.0", "0.3"):
+        "db4558a6b36fc9806b746a84c7a6023d28f7253b03093d417d6b016e4330e12c",
+    ("gaussian", 1000, 10, None, "20000.0", "0.5"):
+        "49053d7c60c30350cae7e979cb83658c184b0924152b4d666b53d5e2b6f4f641",
+    ("flat", 1000, 10, "floor", "0.05", "0.1"):
+        "b33af24f5ccfb29e296c2a486bc9e9b3aded10c8fb99f44a06f73508968b8328",
+    ("flat", 1000, 10, "floor", "3.0", "0.3"):
+        "df93bb7936809ed890dc4388f60fa243324b16d54a28da98cc378fbeec19b40d",
+    ("flat", 1000, 10, "floor", "20000.0", "0.5"):
+        "acc677a183840c7f1e5fbf6c89f03bc7e91febc4c44ed1449a9a06d535a223be",
+    ("flat", 1000, 10, "asymptotic", "0.05", "0.1"):
+        "1bdf5addc732b79864f7f5cbbb4c04bf59806a85305aa7957b91cfedc12c6303",
+    ("flat", 1000, 10, "asymptotic", "3.0", "0.3"):
+        "882debd94cf0f807507f81c1bcd8299111a8ae0c6daaa2a1c85944b63f01449f",
+    ("flat", 1000, 10, "asymptotic", "20000.0", "0.5"):
+        "045d1b8df78c8897250cbbf66ee477027e3e795e310c54495eb6f575a5eaf6eb",
+    ("flat", 100000, 1000, "floor", "0.05", "0.1"):
+        "4b222dc158d0827781d8ee97e484e84d7fd387f83f4b42dc8da493e2d96262ad",
+    ("flat", 100000, 1000, "floor", "3.0", "0.3"):
+        "bf7220cc846b96f30419ea456ba56faec390a4c485edbcf6ea9f9fa957033d40",
+    ("flat", 100000, 1000, "floor", "20000.0", "0.5"):
+        "ad869fce1ac94719dbd7ac3332fa25a2d321b2ae2d77ba078143fd9dc1ec15a9",
+}
+
+_FIGURE_PINS = {
+    "flat": "1661b860b116d91b1d297ac54b2fb664cddd69165f94ebee3916d09807a0fe04",
+    "gaussian":
+        "20c69cf6d6fbdae15cb1062ea7cd932c12b3229ca4a9f656deb6aa3db8ca537f",
+}
+
+
+def test_threshold_json_bytes_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for (model, p, k, mode, c_beta, alpha_star), pin in \
+            _THRESHOLD_PINS.items():
+        argv = ["thresholds", "--model", model, "--p", str(p), "--k", str(k),
+                "--c-beta", c_beta, "--alpha-star", alpha_star, "--json"]
+        if mode is not None:
+            argv += ["--mode", mode]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == pin, argv
+
+
+def test_figure_csv_bytes_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", "--out-dir", "figs"]) == 0
+    for kind, pin in _FIGURE_PINS.items():
+        data = (tmp_path / "figs" / f"{kind}_thresholds.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == pin, kind
+
+
+# ------------------------------------------ relations over the whole range
+
+_LOG_POWER = st.floats(math.log10(sys.float_info.min), 308.0)
+
+
+def _power(log_power):
+    # 10 ** log10(min) rounds below the least normal float
+    return max(10.0 ** log_power, sys.float_info.min)
+_LOG_SIGMA = st.floats(-150.0, 150.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_c=_LOG_POWER, log_sigma=_LOG_SIGMA,
+       k=st.integers(1, 60), data=st.data())
+def test_flat_floor_counts_within_asymptotic_counts(log_c, log_sigma, k,
+                                                    data):
+    # floor mode maximizes over alpha = l/k, where its missed power is
+    # asymptotic mode's up to rounding; asymptotic mode maximizes over all
+    # of [alpha_star, 1], so its counts are the larger
+    count = data.draw(st.integers(1, k))
+    signal = DiscreteFlat(_power(log_c), k)
+    alpha_star = count / k
+    assume(alpha_star < 1.0)
+    sigma = 10.0 ** log_sigma
+    floor = _threshold_outcome(signal, sigma, alpha_star, "floor")
+    asym = _threshold_outcome(signal, sigma, alpha_star, "asymptotic")
+    assume(not isinstance(floor, str) and not isinstance(asym, str))
+    assert floor.n_ach <= asym.n_ach * (1.0 + 1e-12)
+    assert floor.n_con <= asym.n_con * (1.0 + 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.sampled_from(["flat", "gaussian", "general"]),
+       mode=st.sampled_from(["floor", "asymptotic"]),
+       log_c=_LOG_POWER, log_sigma=_LOG_SIGMA,
+       alpha_star=st.sampled_from([0.25, 0.5, 0.75]))
+def test_converse_count_below_achievability(model, mode, log_c, log_sigma,
+                                            alpha_star):
+    # (alpha - alpha_star) / U < alpha / L at every alpha, as U >= L
+    c = _power(log_c)
+    try:
+        if model == "general":
+            amp = math.sqrt(c / 4.5)
+            signal = DiscreteGeneral(tuple(amp * a
+                                           for a in (0.5, 1.0, 1.0, 1.5)))
+        else:
+            signal = (DiscreteFlat if model == "flat" else GaussianIID)(c, 4)
+    except ValueError:      # the power rounds out of the normal range
+        assume(False)
+    r = _threshold_outcome(signal, 10.0 ** log_sigma, alpha_star, mode)
+    assume(not isinstance(r, str))
+    assert 0.0 <= r.n_con <= r.n_ach
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.complex_numbers(max_magnitude=1e150,
+                                          allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=2, max_size=8),
+       log_sigma=_LOG_SIGMA, mode=st.sampled_from(["floor", "asymptotic"]),
+       data=st.data())
+def test_general_thresholds_ignore_value_order(values, log_sigma, mode,
+                                               data):
+    # the model assigns the values to the support at random, so only their
+    # multiset, sorted by power, enters the thresholds
+    order = data.draw(st.permutations(values))
+    alpha_star = data.draw(st.integers(1, len(values) - 1)) / len(values)
+    try:
+        signals = (DiscreteGeneral(tuple(values)),
+                   DiscreteGeneral(tuple(order)))
+    except ValueError:      # the total power leaves the normal range
+        assume(False)
+    sigma = 10.0 ** log_sigma
+    first, second = (_threshold_outcome(s, sigma, alpha_star, mode)
+                     for s in signals)
+    assert first == second

@@ -1,5 +1,6 @@
 """Signal models, supports, sorted prefixes, and power splits."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ def test_signal_validation():
     # all-zero values are a valid signal; the threshold search refuses them
     assert DiscreteGeneral(values=(0.0, 0.0)).total_power == 0.0
     assert DiscreteGeneral(values=(1e150j,)).total_power == pytest.approx(1e300)
+
+
+def test_subnormal_power_refused():
+    # a positive power below the normal float range loses digits in its
+    # missed shares; an all-zero signal and the least normal power pass
+    for model in (DiscreteFlat, GaussianIID):
+        for c_beta in (5e-323, 1e-320, sys.float_info.min / 2):
+            with pytest.raises(ValueError, match="normal float range"):
+                model(c_beta=c_beta, k=3)
+        assert model(c_beta=sys.float_info.min, k=3).total_power > 0.0
+    with pytest.raises(ValueError, match="normal float range"):
+        DiscreteGeneral(values=(1e-160, 1e-160j))
+    assert DiscreteGeneral(values=(0.0, 0.0)).total_power == 0.0
+    assert DiscreteGeneral(values=(1e-153,)).total_power >= sys.float_info.min
 
 
 def test_flat_vector_deterministic():
