@@ -546,7 +546,8 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
     def split(r, a):
         # the limiting forms ignore k: the flat model misses alpha of the
         # power, the Gaussian one tail_power_fraction(alpha)
-        f = np.where(row_tail[r, None], tail_power_fraction(a), a)
+        tail = row_tail[r, None]
+        f = np.where(tail, tail_power_fraction(a), a) if tail.any() else a
         return _split_total(row_power[r, None], f)
 
     v_ach, v_con, _, _, errors = _threshold_rows(
