@@ -150,8 +150,8 @@ def _emg_logpdf(y, v, sigma):
     ``tau >= 0``, ``log Phi(tau) = log1p(-exp(-tau^2/2) e/2)``. Where
     ``sigma/v`` is so large that ``sigma^2/(2v^2)`` overflows, the right
     branch's exponent is taken as ``-(y - sigma^2/(2v))/v`` instead, which
-    is finite or ``-inf``. Computed in place, three arrays at a time: the
-    concentration suite passes a million samples per call.
+    is finite or ``-inf``. Computed in place: a call holds three float
+    arrays of ``y``'s size, the result among them, and one mask.
     """
     s2 = sigma * sigma
     tau = (y - s2 / v) / sigma

@@ -77,6 +77,7 @@ _SCAN_POINTS = 2001            # grid points, and the largest second
 _SCAN_TOL = 1e-6               # difference that still counts as concave
 _NEG_SIGMA = 1.0               # negative control: two Gaussians of this
 _NEG_SEPARATION = 8.0          # scale, this many scales apart
+_INFO_BLOCK = 2**15            # information density samples per block
 
 # A report writes a non-finite float as a string of its JSON spelling,
 # which float() reads back, so the report stays strict JSON.
@@ -167,16 +168,32 @@ def _finalize(check: str, params: dict, estimate: float, se: float,
 def _draw_info_samples(miss_power: float, keep_power: float,
                        noise: GaussianNoise, trials: int,
                        rng: np.random.Generator):
-    """Sample per-observation information densities under the pair model."""
+    """Sample per-observation information densities under the pair model.
+
+    The draws are taken whole, in one order: numpy's normal sampler uses a
+    variable number of words per value, so drawing block by block would
+    change the stream. The densities are then computed ``_INFO_BLOCK``
+    samples at a time into one array. Every step is elementwise and a
+    density does not depend on its batch, so the values are those of one
+    whole-array pass, and a run holds its draws (40 bytes a sample), the
+    values (8 bytes a sample) and one block's temporaries.
+    """
     w_keep = sample_circular_gaussian(rng, trials)
     w_miss = sample_circular_gaussian(rng, trials)
     z = noise.sample(rng, trials)
-    proj_keep = math.sqrt(keep_power) * w_keep
-    proj_full = proj_keep + math.sqrt(miss_power) * w_miss
-    full_sq = np.abs(proj_full) ** 2
-    y = full_sq + z
-    vals, n_clamped = info_density(y, full_sq, np.abs(proj_keep) ** 2,
-                                   miss_power, noise)
+    keep_scale, miss_scale = math.sqrt(keep_power), math.sqrt(miss_power)
+    vals = np.empty(trials)
+    n_clamped = 0
+    for lo in range(0, trials, _INFO_BLOCK):
+        block = slice(lo, lo + _INFO_BLOCK)
+        proj_keep = keep_scale * w_keep[block]
+        proj_full = proj_keep + miss_scale * w_miss[block]
+        full_sq = np.abs(proj_full) ** 2
+        y = full_sq + z[block]
+        vals[block], clamped = info_density(y, full_sq,
+                                            np.abs(proj_keep) ** 2,
+                                            miss_power, noise)
+        n_clamped += clamped
     return vals, n_clamped
 
 

@@ -386,6 +386,40 @@ def test_conditional_density_normalized(lam, v, sigma):
     assert mean == pytest.approx(lam + v, abs=1e-8 * (1.0 + lam + v))
 
 
+@settings(max_examples=200, deadline=None)
+@given(log_sigma=st.floats(-150.0, 150.0), log_v=st.floats(-3.0, 3.0),
+       log_a=st.one_of(st.none(), st.floats(-3.0, 3.0)),
+       u=st.floats(-10.0, 10.0), w=st.floats(-2.0, 10.0),
+       j=st.integers(-1000, 1000))
+@example(log_sigma=0.0, log_v=0.0, log_a=0.0, u=0.0, w=0.0, j=400)
+@example(log_sigma=0.0, log_v=0.0, log_a=None, u=-3.0, w=0.0, j=-400)
+@example(log_sigma=-140.0, log_v=2.0, log_a=3.0, u=5.0, w=-1.0, j=900)
+@example(log_sigma=140.0, log_v=-2.0, log_a=-3.0, u=-8.0, w=4.0, j=-900)
+def test_conditional_logpdf_shifts_by_log_scale(log_sigma, log_v, log_a, u,
+                                                w, j):
+    # Y = |W|^2 + Z scales by s = 2^j when known_sq, fresh_power and sigma
+    # do, so log f shifts by exactly -log s, up to the series' rounding;
+    # drawn over the whole sigma range, fresh power within three decades
+    # of sigma, matched power within three decades of it (or 0), and y
+    # within ten noise widths and a few fresh powers of the mean. Not
+    # beyond: where the series hands a sample to the quadrature fallback
+    # (matched power past about 3000 fresh powers) the fallback's error
+    # moves with the scale, and far below the mean y * y overflows at one
+    # scale and not at the other
+    sigma = 10.0 ** log_sigma
+    v = sigma * 10.0 ** log_v
+    lam = 0.0 if log_a is None else v * 10.0 ** log_a
+    y = lam + v + sigma * u + v * w
+    point, scale = (y, lam, v, sigma), 2.0 ** j
+    assume(1e-150 <= sigma * scale <= 1e150)
+    # exact only while every scaled value stays normal (or 0)
+    assume(all(x * scale * 2.0 ** -j == x for x in point))
+    base = conditional_output_logpdf(y, lam, v, GaussianNoise(sigma))
+    ys, lams, vs, sigmas = (x * scale for x in point)
+    scaled = conditional_output_logpdf(ys, lams, vs, GaussianNoise(sigmas))
+    assert abs(scaled + j * math.log(2.0) - base) <= 1e-11 * (1.0 + abs(base))
+
+
 def test_conditional_logpdf_validation():
     noise = GaussianNoise(1.0)
     with pytest.raises(ValueError):

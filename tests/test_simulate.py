@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -634,6 +634,38 @@ def test_error_curve_at_power_bound_matches_moderate_power():
             assert config.decoder == decoder
             curves.append(error_curve(config).pe.tolist())
         assert curves[1:] == curves[:1] * 3, (decoder, curves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat=st.booleans(), log_sigma=st.floats(-150.0, 150.0),
+       log_snr=st.one_of(st.floats(-3.0, 3.0), st.floats(-460.0, 300.0)),
+       half_j=st.integers(-500, 500))
+@example(flat=True, log_sigma=0.0, log_snr=0.0, half_j=200)
+@example(flat=False, log_sigma=0.0, log_snr=0.0, half_j=-200)
+@example(flat=True, log_sigma=-3.0, log_snr=0.5, half_j=30)
+@example(flat=False, log_sigma=2.0, log_snr=-0.5, half_j=-30)
+def test_error_curve_invariant_under_joint_scaling(flat, log_sigma, log_snr,
+                                                   half_j):
+    # y = |<x, b>|^2 + z scales by 2^j when the signal power and sigma do
+    # (amplitudes by 2^half_j), and every score with it, so pe keeps its
+    # bytes over every power and sigma SimConfig accepts; a power of two
+    # scales a float exactly while it stays normal, which the signal
+    # models require of the power
+    sigma, j = 10.0 ** log_sigma, 2 * half_j
+    c_beta = sigma * 10.0 ** log_snr
+
+    def curve(scale):
+        model = DiscreteFlat if flat else GaussianIID
+        config = SimConfig(p=6, signal=model(c_beta * scale, 2),
+                           noise=GaussianNoise(sigma * scale), n_grid=(3, 8),
+                           trials=12, mc_samples=16, master_seed=5)
+        return error_curve(config).pe
+
+    try:
+        base, scaled = curve(1.0), curve(2.0 ** j)
+    except ValueError:      # a power or sigma outside the accepted range
+        assume(False)
+    assert scaled.tobytes() == base.tobytes()
 
 
 def test_error_curve_zero_measurement_analytic():

@@ -2,11 +2,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from phaselim.densities import GaussianNoise
+from phaselim import verify
+from phaselim.densities import GaussianNoise, info_density
+from phaselim.rng import sample_circular_gaussian, substream
 from phaselim.verify import (DEFAULT_LOGCONCAVITY_BATTERY,
                              DEFAULT_SANDWICH_BATTERY, SUITE_NAMES,
                              VerificationReport, concentration_check,
@@ -14,7 +17,6 @@ from phaselim.verify import (DEFAULT_LOGCONCAVITY_BATTERY,
                              logconcavity_negative_control, mi_estimate,
                              run_suite, sandwich_check,
                              tail_fraction_convergence_check)
-from phaselim.rng import substream
 
 
 def test_decide_truth_table():
@@ -189,3 +191,69 @@ def test_report_bytes_pinned(suite):
     data = "".join(r.to_json_line() + "\n"
                    for r in run_suite(suite, trials=2000, master_seed=1))
     assert hashlib.sha256(data.encode()).hexdigest() == REPORT_DIGESTS[suite]
+
+
+# The same digests at budgets that span several blocks of the information
+# density samples: 31 centering blocks for the concentration run, 4 blocks
+# of the series path for each keep-power sandwich combo. Recorded on the
+# whole-array sampler, so they hold the blocked one to its bytes.
+LARGE_REPORT_DIGESTS = {
+    ("concentration", 100000, 1):
+        "2789262c2a4afd53e225090ced238c47e71ee03490f7e31e9c03b861c0efb477",
+    ("sandwich", 100003, 2):
+        "ecbbff5fab0c24fe7deffcd64b6ffdfc1d705e901cdb3b12fb9f78cf79fac92a",
+}
+
+
+@pytest.mark.parametrize("suite,trials,seed", sorted(LARGE_REPORT_DIGESTS))
+def test_report_bytes_pinned_across_blocks(suite, trials, seed):
+    data = "".join(r.to_json_line() + "\n"
+                   for r in run_suite(suite, trials=trials, master_seed=seed))
+    assert (hashlib.sha256(data.encode()).hexdigest()
+            == LARGE_REPORT_DIGESTS[suite, trials, seed])
+
+
+def _whole_array_info_samples(miss_power, keep_power, noise, trials, rng):
+    """The sampler before it ran in blocks: every derived array at full
+    length, one info_density call."""
+    w_keep = sample_circular_gaussian(rng, trials)
+    w_miss = sample_circular_gaussian(rng, trials)
+    z = noise.sample(rng, trials)
+    proj_keep = math.sqrt(keep_power) * w_keep
+    proj_full = proj_keep + math.sqrt(miss_power) * w_miss
+    full_sq = np.abs(proj_full) ** 2
+    y = full_sq + z
+    return info_density(y, full_sq, np.abs(proj_keep) ** 2, miss_power,
+                        noise)
+
+
+@pytest.mark.parametrize("keep", [0.0, 1.0])
+@pytest.mark.parametrize("miss", [0.5, 2.0])
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_blocked_info_samples_match_whole_array(keep, miss, sigma):
+    # budgets on both sides of each block boundary, and a ragged last block
+    b = verify._INFO_BLOCK
+    noise = GaussianNoise(sigma)
+    for idx, trials in enumerate((1, b - 1, b, b + 1, 3 * b + 17)):
+        vals, n_clamped = verify._draw_info_samples(
+            miss, keep, noise, trials, substream(31, idx))
+        ref, ref_clamped = _whole_array_info_samples(
+            miss, keep, noise, trials, substream(31, idx))
+        assert vals.shape == (trials,)
+        assert vals.tobytes() == ref.tobytes()
+        assert n_clamped == ref_clamped
+
+
+def test_concentration_memory_is_draws_plus_one_block():
+    # a centering run holds its draws (40 bytes a sample) and values (8)
+    # plus one block's temporaries, not every derived array at full length
+    # (about 128 bytes a sample)
+    info_samples = 10**6
+    tracemalloc.start()
+    try:
+        concentration_check(trials=10000, info_samples=info_samples,
+                            master_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * info_samples + 256 * verify._INFO_BLOCK, peak
