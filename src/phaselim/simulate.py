@@ -52,21 +52,34 @@ lifted
 trial blocks
     Every trial of a cell has the same ``n``, ``p`` and ``k``, and
     flat-ml's one known draw is the same in all of them. So ``_run_cell``
-    draws a block of trials, each from its own substream in the order one
-    trial at a time used (support, coefficients, ``x``, noise), stages
-    their sensing matrices and observations in the workspace, and scores
-    the whole block in one direct-form pass with a leading trial axis: a
-    pass's fixed numpy call cost (about 20 ufunc calls and 8 workspace
-    requests) is paid once per block, not once per trial. A block holds
+    draws a block of trials, each from its own stream, and stages their
+    sensing matrices and observations in the workspace. Trial ``t`` of
+    cell ``n_idx`` draws from the stream that ``substream(master_seed,
+    n_idx, t)`` gives, bit for bit: ``rng._trial_streams`` derives the PCG64
+    states of 256 trials at a time by ``SeedSequence``'s own hashing,
+    written as array arithmetic, and reseeds one generator per cell in
+    place. Each trial draws what ``sample_support``,
+    ``sample_signal_vector``, ``sample_circular_gaussian`` and ``observe``
+    draw, in that order (support, coefficients, ``x``, noise), straight
+    into the block: its support is ``rng.choice`` sorted in place, the flat
+    coefficient vector, which draws nothing, is built once per cell, and
+    ``y`` is formed as ``observe`` forms it. The cell then scores the whole
+    block in one direct-form pass with a leading trial axis: a pass's fixed
+    numpy call cost (about 20 ufunc calls and 8 workspace requests) is paid
+    once per block, not once per trial. Errors are counted from the true
+    and decoded index arrays (``error_event``'s rule), with no
+    ``SupportSet`` per trial. A block holds
     ``max(1, _CHUNK_ELEMENTS // (max(C(p, k), k p) * max(n, 1)))`` trials
     (``_trial_block``), so that its projections and its product table
     each fit one chunk budget: 7 trials at ``p = 10``, ``k = 2``, ``n =
     50``, 72 at ``n = 5`` and one at 9,880 candidates. Each (candidate,
     trial) sum runs over the contiguous rows of that trial alone, so a
     block scores every trial bit for bit as its own decode does, a block
-    of one trial included. Every mc-marginal trial goes through
-    ``decode``: it draws its coefficients from the trial's rng and keeps
-    its per-decode choice of form.
+    of one trial included. An mc-marginal block is one trial: it takes
+    its Monte Carlo coefficient draws from the trial's stream after its
+    data and scores them as ``decode`` does (in the form ``_lifted_pays``
+    picks), without ``decode``'s config checks, which ``SimConfig`` has
+    made once.
 
 Every pass writes into a buffer of a per-thread workspace that is grown on
 demand and reused by later decodes, so a chunk allocates nothing of its
@@ -88,7 +101,8 @@ thread holds at most 4.625 MiB for as long as it lives, whatever
 allocates arrays the size of its ``x`` (the conjugate), of the candidate
 list (column offsets, scores) and, in the lifted form, of the draws'
 ``(k^2 + 1)(k^2 + 2) / 2`` weights each; each trial's draws (its ``x``,
-coefficients and noise) are fresh arrays too.
+coefficients and noise) are fresh arrays too, and a cell's streams hold
+one chunk of 256 trials' key words (8 kB).
 """
 from __future__ import annotations
 
@@ -102,9 +116,8 @@ import numpy as np
 
 from .densities import GaussianNoise
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
-                    SupportSet, floor_count, observe, sample_signal_vector,
-                    sample_support)
-from .rng import parallel_map, sample_circular_gaussian, substream
+                    SupportSet, floor_count, sample_signal_vector)
+from .rng import _trial_streams, parallel_map, sample_circular_gaussian
 
 __all__ = [
     "SimConfig",
@@ -533,6 +546,10 @@ class SimConfig:
             raise ValueError("need floor(alpha_star * k) >= 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"master_seed must be a non-negative int, "
+                             f"got {seed!r}")
         if not self.n_grid:
             raise ValueError("empty measurement grid")
         if any(n < 0 for n in self.n_grid):
@@ -564,52 +581,73 @@ class ErrorCurve:
                                  "(asymptotic, not a finite-size prediction)\n")
 
 
+def _coefficient_draw(signal: SignalModel):
+    """``sample_signal_vector(signal, rng)`` as a function of ``rng``; the
+    flat vector, which draws nothing, is built once."""
+    if isinstance(signal, DiscreteFlat):
+        beta = sample_signal_vector(signal, None)
+        return lambda rng: beta
+    return functools.partial(sample_signal_vector, signal)
+
+
 def _run_cell(args) -> float:
     config, n_idx, n = args
-    p, k = config.p, config.signal.k
+    p, signal, noise = config.p, config.signal, config.noise
+    k = signal.k
     # flat-ml's one known draw lets a block of trials score in one pass;
     # mc-marginal draws its coefficients per trial, from the trial's rng
-    # once its data are drawn, so it decodes one trial at a time
+    # once its data are drawn, so it scores one trial at a time
     mc = config.decoder == "mc-marginal"
     block = 1 if mc else _trial_block(p, k, n)
+    draws = np.ones((1, k))
+    scale = 1.0 if mc else _flat_value(signal)
+    coefficients = _coefficient_draw(signal)
+    unit = np.sqrt(0.5)     # sample_circular_gaussian's scale at power 1
+    # error_event: a decoded support that shares at most this many indices
+    # with the true one misses, and adds, floor(alpha_star k) of them
+    most_shared = k - floor_count(config.alpha_star, k)
     ws = _thread_workspace()
+    streams = _trial_streams(config.master_seed, n_idx, 0, config.trials)
     errors = 0
     for t0 in range(0, config.trials, block):
         size = min(block, config.trials - t0)
         x = ws.take("trial_x", (size, n, p), complex)
         y = ws.take("trial_y", (size, n), float)
-        truth = []
-        for t in range(size):
-            rng = substream(config.master_seed, n_idx, t0 + t)
-            support = sample_support(p, k, rng)
-            beta = sample_signal_vector(config.signal, rng)
-            x[t] = sample_circular_gaussian(rng, (n, p))
-            y[t] = observe(x[t][:, support.indices], beta, config.noise, rng)
-            truth.append(support)
-        if mc:
-            decoded = [decode(x[0], y[0], config.signal, config.noise,
-                              "mc-marginal", mc_samples=config.mc_samples,
-                              rng=rng)]
-        else:
-            decoded = _best_supports(
-                _candidate_scores(x, y, config.noise, np.ones((1, k)),
-                                  _flat_value(config.signal)), p, k)
-        errors += sum(error_event(s, d, config.alpha_star, k)
-                      for s, d in zip(truth, decoded))
+        truth = np.empty((size, k), dtype=np.intp)
+        # each trial draws what sample_support, sample_signal_vector,
+        # sample_circular_gaussian and observe draw, in that order
+        for t, rng in zip(range(size), streams):
+            support = rng.choice(p, size=k, replace=False)
+            support.sort()
+            truth[t] = support
+            beta = coefficients(rng)
+            parts = rng.normal(0.0, unit, (2, n, p))    # real, then imag
+            x[t].real = parts[0]
+            x[t].imag = parts[1]
+            y[t] = (np.abs(np.conjugate(x[t][:, support]) @ beta) ** 2
+                    + noise.sample(rng, n))
+        if mc:      # the block's one trial draws them after its data
+            draws = sample_circular_gaussian(
+                rng, (config.mc_samples, k), power=signal.sigma_beta_sq)
+        scores = _candidate_scores(x, y, noise, draws, scale)
+        decoded = _candidates(p, k)[np.argmax(scores, axis=1)]
+        shared = (truth[:, :, None] == decoded[:, None, :]).sum(axis=(1, 2))
+        errors += int(np.count_nonzero(shared <= most_shared))
     return errors / config.trials
 
 
 def error_curve(config: SimConfig) -> ErrorCurve:
     """Empirical error probability per measurement count.
 
-    Cell ``(n_idx, trial)`` draws from its own substream, so the curve is
+    Cell ``(n_idx, trial)`` draws from the stream of
+    ``substream(master_seed, n_idx, trial)``, so the curve is
     byte-reproducible for a fixed master seed regardless of thread count.
     Each measurement count runs on one worker thread. Flat-ml scores its
     trials in blocks of ``_trial_block(p, k, n)``, one direct-form pass a
     block, with every score bit for bit that of one decode per trial;
-    mc-marginal decodes one trial at a time. A thread holds one block and
-    its workspace (at most 4.625 MiB, see the module docstring) whatever
-    ``trials`` is.
+    mc-marginal scores one trial at a time. A thread holds one block, one
+    chunk of trial keys and its workspace (at most 4.625 MiB, see the
+    module docstring) whatever ``trials`` is.
     """
     cells = [(config, i, n) for i, n in enumerate(config.n_grid)]
     pe = np.array(parallel_map(_run_cell, cells, config.threads))

@@ -379,8 +379,9 @@ def test_simulate_guard_exit_two(tmp_path, capsys, monkeypatch):
 def test_simulate_refuses_config_before_any_trial(tmp_path, capsys,
                                                  monkeypatch):
     # an empty grid from a config file wrote a CSV of only its header and
-    # reference lines, with exit 0; a decoder the model does not take
-    # failed only inside a worker. Both are refused when SimConfig is built
+    # reference lines, with exit 0; a decoder the model does not take, and
+    # a negative seed, failed only inside a worker. All are refused when
+    # SimConfig is built
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.json").write_text(json.dumps({"n_grid": []}))
 
@@ -394,7 +395,8 @@ def test_simulate_refuses_config_before_any_trial(tmp_path, capsys,
             (["--p", "6", "--k", "2", "--model", "flat", "--decoder",
               "mc-marginal"], "takes flat-ml"),
             (["--p", "6", "--k", "2", "--model", "gaussian", "--decoder",
-              "flat-ml"], "takes mc-marginal")):
+              "flat-ml"], "takes mc-marginal"),
+            (["--p", "6", "--k", "2", "--seed", "-1"], "master_seed")):
         code, stdout, err = _run(["simulate", "--out", "e.csv"] + argv,
                                  capsys)
         assert code == 2, argv

@@ -1,7 +1,11 @@
 """Seeded substreams and order-preserving parallel evaluation."""
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from phaselim.rng import parallel_map, sample_circular_gaussian, substream
+from phaselim.rng import (_trial_streams, parallel_map,
+                          sample_circular_gaussian, substream)
 
 
 def test_substream_reproducible_and_distinct():
@@ -47,3 +51,41 @@ def test_parallel_map_preserves_order():
     par = parallel_map(lambda i: i * i, args, threads=5)
     assert seq == [i * i for i in args]
     assert par == seq
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=st.one_of(st.integers(0, 2**33), st.integers(0, 2**140)),
+       n_idx=st.one_of(st.integers(0, 40), st.integers(0, 2**40)),
+       start=st.one_of(st.integers(0, 600), st.integers(0, 2**32 - 1)),
+       length=st.integers(0, 600))
+@example(master=0, n_idx=0, start=0, length=256)
+@example(master=2**32 - 1, n_idx=9, start=100, length=300)
+@example(master=2**96, n_idx=2**32, start=255, length=258)
+@example(master=2**128 + 1, n_idx=3, start=2**32 - 300, length=300)
+@example(master=2**130 + 12345, n_idx=2**32 - 1, start=2**32 - 1,
+         length=1)
+def test_trial_streams_match_substream(master, n_idx, start, length):
+    # master seeds past 2^128 hash words past SeedSequence's 4-word pool;
+    # runs start and end inside key chunks, up to the last one-word index
+    stop = min(start + length, 2**32)
+    seen = 0
+    for t, rng in zip(range(start, stop),
+                      _trial_streams(master, n_idx, start, stop)):
+        ref = substream(master, n_idx, t)
+        assert rng.bit_generator.state == ref.bit_generator.state, t
+        assert rng.choice(10, size=2, replace=False).tolist() == \
+            ref.choice(10, size=2, replace=False).tolist(), t
+        assert rng.normal(size=3).tobytes() == ref.normal(size=3).tobytes()
+        seen += 1
+    assert seen == stop - start
+
+
+def test_trial_streams_refuse_keys_they_cannot_take():
+    # a trial index of two key words, a negative or non-int key part and a
+    # reversed range are refused, not hashed into some other stream
+    for args in ((0, 0, 2**32, 2**32 + 1), (0, 0, 0, 2**32 + 1),
+                 (0, 0, 5, 4), (-1, 0, 0, 1), (0, -2, 0, 1),
+                 (1.5, 0, 0, 1), (True, 0, 0, 1), (0, np.int64(1), 0, 1)):
+        with pytest.raises(ValueError):
+            next(_trial_streams(*args))
+    assert list(_trial_streams(3, 1, 7, 7)) == []

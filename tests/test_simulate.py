@@ -1,4 +1,5 @@
 """Exhaustive decoder, error curves, and the monotone-fit helper."""
+import dataclasses
 import itertools
 import math
 import threading
@@ -530,6 +531,78 @@ def test_cell_memory_does_not_grow_with_trials(monkeypatch):
     assert peaks[1] <= peaks[0] + 4096, peaks
 
 
+def _cell_peaks(monkeypatch, config, n, trial_counts):
+    """Traced peak of one cell at each trial count, from a fresh workspace,
+    once a first cell has filled the caches."""
+    simulate._run_cell((dataclasses.replace(config, trials=20), 9, n))
+    peaks = []
+    for trials in trial_counts:
+        monkeypatch.setattr(simulate, "_local", threading.local())
+        tracemalloc.start()
+        try:
+            simulate._run_cell((dataclasses.replace(config, trials=trials),
+                                9, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    return peaks
+
+
+def test_mc_and_wide_cell_memory_does_not_grow_with_trials(monkeypatch):
+    # an mc-marginal cell and a 9,880-candidate flat-ml cell (one trial a
+    # block each) hold one trial's data and one chunk of trial keys at a
+    # time, so more trials peak no higher, within the same 4 kB of Python
+    # objects. At n = 2 mc-marginal takes the direct form: a lifted trial
+    # rescores directly the candidates it may have cancelled, whose
+    # number, and so the workspace's size, depends on the data
+    mc = SimConfig(p=12, signal=GaussianIID(c_beta=4.0, k=2),
+                   noise=GaussianNoise(0.1), n_grid=(2,), mc_samples=16)
+    assert not simulate._lifted_pays(2, 2, 16)
+    peaks = _cell_peaks(monkeypatch, mc, 2, (300, 3000))
+    assert peaks[1] <= peaks[0] + 4096, peaks
+    wide = SimConfig(p=40, signal=DiscreteFlat(c_beta=1.0, k=3),
+                     alpha_star=0.34, n_grid=(1,))
+    assert math.comb(40, 3) == 9880 and simulate._trial_block(40, 3, 1) == 1
+    peaks = _cell_peaks(monkeypatch, wide, 1, (300, 1200))
+    assert peaks[1] <= peaks[0] + 4096, peaks
+
+
+def _reference_error_rate(config, n_idx, n):
+    """One trial at a time through the public draws, ``decode`` and
+    ``error_event``."""
+    k = config.signal.k
+    errors = 0
+    for t in range(config.trials):
+        rng = substream(config.master_seed, n_idx, t)
+        support, x, y = _draw_instance(config.p, k, n, config.signal,
+                                       config.noise, rng)
+        decoded = decode(x, y, config.signal, config.noise, config.decoder,
+                         mc_samples=config.mc_samples, rng=rng)
+        errors += error_event(support, decoded, config.alpha_star, k)
+    return errors / config.trials
+
+
+@pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
+def test_cell_error_rate_matches_reference_loop(trials):
+    # the cell's in-place draws, reseeded trial streams and index-array
+    # error count give the error rate of the plain loop, across key chunks
+    # (256 trials) and trial blocks; a single-valued DiscreteGeneral
+    # draws a permutation, GaussianIID its coefficients and mc draws
+    noise = GaussianNoise(0.4)
+    for signal, alpha_star in ((DiscreteFlat(c_beta=2.0, k=2), 0.5),
+                               (DiscreteGeneral((0.6j, 0.6j, 0.6j)), 1.0),
+                               (GaussianIID(c_beta=3.0, k=2), 0.5),
+                               (GaussianIID(c_beta=3.0, k=3), 1.0)):
+        config = SimConfig(p=6, signal=signal, noise=noise,
+                           alpha_star=alpha_star, trials=trials,
+                           mc_samples=8, master_seed=2**70 + trials)
+        for n_idx, n in ((0, 0), (3, 2), (1, 5)):
+            rate = simulate._run_cell((config, n_idx, n))
+            assert rate == _reference_error_rate(config, n_idx, n), (
+                signal, n)
+
+
 def test_decode_ranks_impossible_candidates_last(monkeypatch):
     # columns 0 and 1 are so large that any candidate using them has a mean
     # intensity that overflows: its likelihood is 0 (score -inf), and it
@@ -589,6 +662,13 @@ def test_sim_config_guards():
             SimConfig(p=10, signal=GaussianIID(1.0, 2),
                       mc_samples=mc_samples)
     SimConfig(p=10, signal=DiscreteFlat(1.0, 2), alpha_star=1.0)
+    # a float seed ran seed 1 (1.5) and a negative one failed inside a
+    # worker with numpy's bare "expected non-negative integer"
+    for seed in (1.5, -3, -1, True, "1", None, np.int64(2)):
+        with pytest.raises(ValueError, match="master_seed"):
+            SimConfig(p=10, signal=DiscreteFlat(1.0, 2), master_seed=seed)
+    for seed in (0, 2**32, 2**140):
+        SimConfig(p=10, signal=DiscreteFlat(1.0, 2), master_seed=seed)
     # powers past 1e150, or past 1e150 sigma: every candidate's residual
     # overflowed, all scores tied at -inf and pe read about 1
     for signal, sigma in ((GaussianIID(1e200, 2), 1.0),
