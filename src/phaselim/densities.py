@@ -28,12 +28,11 @@ everything outside is smaller than the noise peak by at least exp(-36).
 All log densities are exact logs, floored at ``LOG_FLOOR`` (the smallest
 exponent a float64 exponential survives) with the clamp count reported.
 
-The EMG term and the series take ``erfcx`` from ``_erfcx``, a numpy
-version in the layout of the Faddeeva package. Only
-:func:`noncentral_chi2_scaled_logpdf` and the quadrature (the series'
-fallback and the tests' oracle) use ``scipy.special``, which they import
-inside the function, so the command line loads scipy only when a sample
-takes the quadrature.
+Every kernel here runs on numpy alone. The EMG term and the series take
+``erfcx`` from ``_erfcx``, a numpy version in the layout of the Faddeeva
+package; :func:`noncentral_chi2_scaled_logpdf` takes ``I0e`` from
+``_i0e``, which wraps numpy's ``i0``; and the quadrature sums its grid by
+``_logsumexp``.
 """
 from __future__ import annotations
 
@@ -79,6 +78,7 @@ _SIGMA_MIN, _SIGMA_MAX = 1e-150, 1e150
 _FRESH_MIN_RATIO = 1e-16
 
 _SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,17 @@ class GaussianNoise:
                              f"{_SIGMA_MAX:g}], got {self.sigma!r}")
 
     def logpdf(self, z):
+        """Log density at ``z``. Where ``z * z`` overflows, the exponent is
+        formed as ``(z / sigma)^2 / 2`` instead, which stays finite while
+        the true value does."""
         z = np.asarray(z, dtype=float)
-        return self.joint_logpdf(z * z, 1)
-
-    def joint_logpdf(self, sum_sq, count: int, out=None):
-        """Log density of ``count`` independent noise values whose squares
-        sum to ``sum_sq``; with ``out`` (a float array of its shape, which
-        may be ``sum_sq`` itself), written there without temporaries."""
-        res = np.negative(sum_sq, out=out, dtype=float)
-        res /= 2.0 * self.sigma**2
-        res -= count * (0.5 * math.log(2.0 * math.pi * self.sigma**2))
+        with np.errstate(over="ignore"):
+            res = np.negative(z * z)
+            res /= 2.0 * self.sigma**2
+            if not res.min(initial=0.0) > -math.inf:    # NaN too
+                res = np.where(np.isneginf(res),
+                               -0.5 * np.square(z / self.sigma), res)
+        res -= 0.5 * math.log(2.0 * math.pi * self.sigma**2)
         return res
 
     def sample(self, rng: np.random.Generator, size):
@@ -124,7 +125,6 @@ class GaussianNoise:
 def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
     """Log density of ``|W|^2`` for complex Gaussian ``W`` with mean power
     ``known_sq`` and fluctuation power ``fresh_power``."""
-    from scipy.special import i0e
     if not 0 < fresh_power < math.inf:
         raise ValueError("fresh_power must be positive and finite")
     u = np.asarray(u, dtype=float)
@@ -135,8 +135,31 @@ def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
     sl = np.sqrt(lam)
     out = (-math.log(fresh_power)
            - (su - sl) ** 2 / fresh_power
-           + np.log(i0e(2.0 * su * sl / fresh_power)))
+           + np.log(_i0e(2.0 * su * sl / fresh_power)))
     return np.where(u < 0, -np.inf, out)
+
+
+def _i0e(x):
+    """``exp(-x) I0(x)`` of a nonnegative float array: numpy's ``i0``
+    (Cephes' Chebyshev series, S. L. Moshier 1989) times ``exp(-x)`` up to
+    ``x = 700``, where ``I0`` is still far from overflow, and above it the
+    first 7 terms of the asymptotic series (DLMF 10.40.1), whose term
+    ratios are ``(2k - 1)^2 / (8k x)``."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = x <= 700.0
+    xn = x[near]
+    out[near] = np.i0(xn) * np.exp(-xn)
+    far = ~near     # NaN too
+    if far.any():
+        xf = x[far]
+        r = 1.0 / xf
+        s = np.ones_like(xf)
+        for k in range(6, 0, -1):   # Horner in 1/x
+            s *= (2 * k - 1) ** 2 / (8.0 * k) * r
+            s += 1.0
+        out[far] = s * _INV_SQRT_2PI / np.sqrt(xf)
+    return out
 
 
 def _emg_logpdf(y, v, sigma):
@@ -150,8 +173,10 @@ def _emg_logpdf(y, v, sigma):
     ``tau >= 0``, ``log Phi(tau) = log1p(-exp(-tau^2/2) e/2)``. Where
     ``sigma/v`` is so large that ``sigma^2/(2v^2)`` overflows, the right
     branch's exponent is taken as ``-(y - sigma^2/(2v))/v`` instead, which
-    is finite or ``-inf``. Computed in place: a call holds three float
-    arrays of ``y``'s size, the result among them, and one mask.
+    is finite or ``-inf``; where ``y * y`` overflows, ``y^2/(2 sigma^2)``
+    is formed as ``(y / sigma)^2 / 2``. Computed in place: a call holds
+    three float arrays of ``y``'s size, the result among them, and one
+    mask.
     """
     s2 = sigma * sigma
     tau = (y - s2 / v) / sigma
@@ -169,6 +194,9 @@ def _emg_logpdf(y, v, sigma):
         out = np.log(e, out=e)                  # tau < 0
         scratch = np.multiply(y, y)
         scratch *= 1.0 / (2.0 * s2)
+        if not scratch.max(initial=0.0) < math.inf:     # NaN too
+            far = np.isinf(scratch)     # y * y overflowed
+            scratch[far] = 0.5 * np.square(y[far] / sigma)
         out -= scratch
         out += -math.log(2.0 * v)
         half_sq = 0.5 * (sigma / v) * (sigma / v)
@@ -203,7 +231,6 @@ def _quadrature_logpdf(ys, lams, v, noise: GaussianNoise, nodes: int = 80):
     of the same length and fresh power ``v``, ``nodes`` Gauss-Legendre
     nodes per segment, at most ``_QUAD_ELEMENT_BUDGET`` grid elements at a
     time: the series' fallback and the tests' oracle."""
-    from scipy.special import logsumexp
     gx, gw = _gl_nodes(nodes)
     hw = _NOISE_BULK * noise.sigma
     sv = math.sqrt(v)
@@ -230,8 +257,18 @@ def _quadrature_logpdf(ys, lams, v, noise: GaussianNoise, nodes: int = 80):
             log_w = (np.where(half > 0, np.log(np.clip(half, 1e-300, None)),
                               -np.inf)[..., None]
                      + np.log(gw) + np.log(np.clip(2.0 * s, 1e-300, None)))
-        out[lo:lo + step] = logsumexp(log_fu + log_fz + log_w, axis=(-1, -2))
+        terms = log_fu + log_fz + log_w
+        out[lo:lo + step] = _logsumexp(terms.reshape(len(y), -1))
     return out
+
+
+def _logsumexp(a):
+    """``log(sum(exp(a)))`` over the last axis of a float array, each row
+    shifted by its maximum; a row of ``-inf`` gives ``-inf``."""
+    top = a.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=-1)) + top[..., 0]
 
 
 # Series form. With a = lam/v and mu = y - sigma^2/v the density is

@@ -41,11 +41,14 @@ _FLOOR_SNAP = 1e-9
 
 def floor_count(alpha: float, k: int) -> int:
     """``floor(alpha * k)`` with a snap-up guard against float artifacts."""
-    ak = float(alpha) * int(k)
-    m = math.floor(ak)
-    if ak - m > 1.0 - _FLOOR_SNAP:
-        m += 1
-    return m
+    return int(_snapped_floor(float(alpha) * int(k)))
+
+
+def _snapped_floor(ak):
+    """``floor(ak)`` of a float or float array, one more where ``ak`` lies
+    within ``_FLOOR_SNAP`` below the next integer."""
+    m = np.floor(ak)
+    return m + (ak - m > 1.0 - _FLOOR_SNAP)
 
 
 @dataclass(frozen=True)
@@ -231,8 +234,7 @@ def partition_power_arrays(signal: SortedSignal, alpha, mode: str = "floor"):
         raise ValueError(f"unknown mode {mode!r}")
     k = signal.k
     ak = a * k
-    m = np.floor(ak)
-    m = (m + (ak - m > 1.0 - _FLOOR_SNAP)).astype(np.intp)
+    m = _snapped_floor(ak).astype(np.intp)
     miss = signal.prefix[m]
     if mode == "asymptotic":
         frac = ak - m

@@ -31,9 +31,10 @@ direct
     a table of at most ``_CHUNK_ELEMENTS`` products (one draw's ``k p n``
     if that is more). Per (candidate, draw, row) element a chunk then makes
     ``k`` gathers and six arithmetic passes, and the Gaussian
-    log-likelihood is taken once per (candidate, draw) from the sum of
-    squared residuals: ``O(C m n k)`` for ``C`` candidates and ``m``
-    draws. flat-ml, with its one draw, always takes this form.
+    log-likelihood, without its normalizing term, is taken once per
+    (candidate, draw) from the sum of squared residuals: ``O(C m n k)``
+    for ``C`` candidates and ``m`` draws. flat-ml, with its one draw,
+    always takes this form.
 
 lifted
     The lifting of PhaseLift (Candes, Strohmer and Voroninski, arXiv
@@ -301,6 +302,12 @@ def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
     block of trials ``(trials, n, p)`` and ``y`` their ``(trials, n)``
     observations; the scores come back as ``(trials, candidates)``.
 
+    The scores omit the noise density's normalizing term ``-n log(2 pi
+    sigma^2) / 2``, which every candidate shares: each log-likelihood is
+    ``sum_sq / (-2 sigma^2)``, which scales exactly with the units, where
+    that term does not. Adding it could round two close scores into a tie,
+    or move the argmax with the units.
+
     Candidates run in super-chunks whose ``(candidates, trials, draws)``
     log-likelihoods fit in ``_SCORE_ELEMENTS``; the direct or the lifted
     form fills them, and one log-mean-exp runs over them in place. One
@@ -346,9 +353,9 @@ def _candidate_scores(x: np.ndarray, y: np.ndarray, noise: GaussianNoise,
 
 
 def _direct_loglik(xt, y, noise, draws, scale, sup, out, ws) -> None:
-    """Fill ``out[i, t, s]`` with the log-likelihood of candidate
-    ``sup[i]`` in trial ``t`` under draw ``s``, from its residuals row by
-    row.
+    """Fill ``out[i, t, s]`` with the log-likelihood, without its
+    normalizing term, of candidate ``sup[i]`` in trial ``t`` under draw
+    ``s``, from its residuals row by row.
 
     The products ``conj(x[t][:, c]) * draws[s, j]`` of every column ``c``
     the candidates take, trial ``t``, slot ``j`` and draw ``s`` are formed
@@ -404,8 +411,8 @@ def _direct_loglik(xt, y, noise, draws, scale, sup, out, ws) -> None:
             flat = resid.reshape(len(idx), lanes, n)
             sum_sq = np.einsum("cln,cln->cl", flat, flat,
                                out=ws.take("sum_sq", (len(idx), lanes), float))
-            out[c:c + step, :, d0:d0 + b] = noise.joint_logpdf(
-                sum_sq, n).reshape(shape[:3])
+            sum_sq /= -2.0 * noise.sigma**2
+            out[c:c + step, :, d0:d0 + b] = sum_sq.reshape(shape[:3])
 
 
 @functools.cache
@@ -465,8 +472,9 @@ def _lifted_draw_terms(x, y, draws, scale):
 
 def _lifted_loglik(xt, y, noise, draws, scale, weights, floor, sup, out,
                    ws) -> None:
-    """Fill ``out[i, s]`` with the log-likelihood of candidate ``sup[i]``
-    under draw ``s``, in lifted form, for one trial.
+    """Fill ``out[i, s]`` with the log-likelihood, without its normalizing
+    term, of candidate ``sup[i]`` under draw ``s``, in lifted form, for one
+    trial.
 
     The intensity ``|z . d|^2`` of a row's conjugated sensing entries ``z``
     and a draw ``d`` is linear in the ``k^2`` real features of ``z z^H``
@@ -510,7 +518,7 @@ def _lifted_loglik(xt, y, noise, draws, scale, weights, floor, sup, out,
         direct = np.empty((len(redo), out.shape[1]))
         _direct_loglik(xt[:, None], y[None], noise, draws, scale, sup[redo],
                        direct[:, None], ws)
-    noise.joint_logpdf(out, n, out=out)
+    out /= -2.0 * noise.sigma**2
     if redo is not None:
         out[redo] = direct
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 from scipy.special import erfc, erfcx
 
 from phaselim import densities
@@ -31,11 +31,6 @@ def test_gaussian_noise_against_norm():
         0.5 * math.log(2 * math.pi * math.e * 0.49), abs=1e-14)
     assert noise.exp_2h() == pytest.approx(2 * math.pi * math.e * 0.49)
     assert noise.peak() == pytest.approx(1.0 / (0.7 * math.sqrt(2 * math.pi)))
-    # the decoder's form: one noise value is the count-1 case, bit for bit,
-    # and independent values add
-    assert np.array_equal(noise.logpdf(ys), noise.joint_logpdf(ys * ys, 1))
-    assert noise.joint_logpdf(np.sum(ys * ys), ys.size) == pytest.approx(
-        np.sum(noise.logpdf(ys)), rel=1e-14)
     for bad in (0.0, math.nan, math.inf, 1e-155, 1e160, 1e300, -1.0):
         with pytest.raises(ValueError):
             GaussianNoise(bad)
@@ -116,6 +111,40 @@ def test_magnitude_sq_against_mpmath(log_x, log_v, log_ratio):
                     + _mp_log_ive(0, x))
     assert abs(ours - ref) <= 1e-14 * (1.0 + abs(ref) + abs(u - lam) / v), \
         (u, lam, v, ours, ref)
+
+
+# Relative errors in units of float64's epsilon 2^-52.
+_EPS = 2.0 ** -52
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 1000.0),
+                   st.floats(1e3, 1e8)))
+@example(x=0.0)
+@example(x=8.0)
+@example(x=700.0)
+@example(x=math.nextafter(700.0, math.inf))
+@example(x=1e300)
+def test_i0e_against_mpmath(x):
+    # numpy's i0 times exp(-x) up to 700, the asymptotic series above;
+    # scipy's Cephes i0e reaches 3.0 of these units on the same kind of
+    # points
+    [ours] = densities._i0e(np.array([x]))
+    with mp.workdps(50):
+        ref = mp.exp(_mp_log_ive(0, mp.mpf(x)))
+        err = float(abs(mp.mpf(float(ours)) - ref) / ref) / _EPS
+    assert err <= 4.0, (x, ours, err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_i0e_edges():
+    x = np.array([0.0, 5e-324, 700.0, 1e300, 1.7e308, np.inf, np.nan])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        out = densities._i0e(x)
+    assert out[0] == pytest.approx(1.0, rel=4 * _EPS)
+    assert np.all(out[1:5] > 0.0) and out[5] == 0.0 and np.isnan(out[6])
+    assert densities._i0e(np.empty(0)).shape == (0,)
+    assert np.array_equal(densities._i0e(x[:5].reshape(5, 1))[:, 0], out[:5])
 
 
 # ----------------------------------------------- closed form vs quadrature
@@ -324,6 +353,49 @@ def test_conditional_logpdf_against_mpmath(monkeypatch):
     assert n_series >= 20 and n_quadrature >= 5
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(st.floats(-800.0, 50.0),
+                                        st.just(-math.inf)),
+                              min_size=4, max_size=4),
+                     min_size=1, max_size=30),
+       dead=st.integers(0, 30))
+def test_logsumexp_against_scipy(rows, dead):
+    # a row of -inf gives -inf, without a warning
+    a = np.array(rows)
+    a[:dead] = -np.inf
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        ours = densities._logsumexp(a)
+    ref = special.logsumexp(a, axis=-1)
+    assert np.array_equal(np.isneginf(ours), np.isneginf(ref))
+    live = np.isfinite(ref)
+    assert np.all(np.abs(ours[live] - ref[live])
+                  <= 4 * _EPS * np.maximum(1.0, np.abs(ref[live])))
+
+
+def test_quadrature_matches_its_scipy_form(monkeypatch):
+    # the quadrature's own numpy I0e and log-sum-exp against scipy's, over
+    # matched powers from 0 to 1e5 fresh powers (the fallback's region
+    # included) and y within six standard deviations of the mean; values
+    # near 0 are held to an absolute 1e-15
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(20):
+        v, sigma = 10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-2, 1)
+        lams = np.where(rng.random(100) < 0.1, 0.0,
+                        v * 10 ** rng.uniform(-3, 5, 100))
+        sd = np.sqrt(sigma ** 2 + v * v + 2 * v * lams)
+        ys = lams + v + rng.uniform(-6.0, 6.0, 100) * sd
+        cases.append((ys, lams, v, GaussianNoise(sigma)))
+    ours = [densities._quadrature_logpdf(*case) for case in cases]
+    monkeypatch.setattr(densities, "_i0e", special.i0e)
+    monkeypatch.setattr(densities, "_logsumexp",
+                        lambda a: special.logsumexp(a, axis=-1))
+    for case, got in zip(cases, ours):
+        ref = densities._quadrature_logpdf(*case)
+        assert np.all(np.abs(got - ref)
+                      <= 1e-15 * np.maximum(1.0, np.abs(ref))), case[2:]
+
+
 def test_series_matches_quadrature_across_switch_and_cap(monkeypatch):
     # both sides of tau = mu/sigma = _FORWARD_MIN_TAU, of the growth edge
     # |tau| sqrt(c) = _FORWARD_GROWTH and of the term cap, with
@@ -418,6 +490,26 @@ def test_conditional_logpdf_shifts_by_log_scale(log_sigma, log_v, log_a, u,
     ys, lams, vs, sigmas = (x * scale for x in point)
     scaled = conditional_output_logpdf(ys, lams, vs, GaussianNoise(sigmas))
     assert abs(scaled + j * math.log(2.0) - base) <= 1e-11 * (1.0 + abs(base))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("y, lam, v, sigma", [
+    (-2e154, 0.0, 1e149, 1e149),             # EMG term: y * y overflows
+    (1.00000001e156, 1e156, 1e148, 1e148),   # the fallback's noise factor
+])
+def test_far_observations_do_not_overflow(y, lam, v, sigma):
+    # where y * y overflows, the noise exponent is formed from y / sigma;
+    # the value then shifts by -log s under an even power-of-two scaling s,
+    # at which the fallback's nodes in sqrt space scale exactly too
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        base = conditional_output_logpdf(y, lam, v, GaussianNoise(sigma))
+        assert math.isfinite(base)
+        for j in (-900, -600, -2, 2):
+            s = 2.0 ** j
+            scaled = conditional_output_logpdf(y * s, lam * s, v * s,
+                                               GaussianNoise(sigma * s))
+            assert abs(scaled + j * math.log(2.0) - base) <= \
+                1e-15 * (1.0 + abs(base)), j
 
 
 def test_conditional_logpdf_validation():

@@ -3,12 +3,13 @@ the functions the benchmark tracer wraps, the names the demos import (and
 the keyword arguments the demos pass to them) and the names each module's
 ``__all__`` lists. Public functions take no parameter that no caller
 sets, and the query and simulation configs no field their signal model
-already fixes."""
+already fixes. numpy is the one runtime dependency."""
 import ast
 import dataclasses
 import importlib
 import inspect
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -110,3 +111,30 @@ def test_public_signatures_pinned():
              ["alpha_star", "snr_db_values", "sigma", "grid_step"]),
             (pava_nonincreasing, ["values"])):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
+
+
+def _runtime_dependencies():
+    text = (ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:     # Python 3.10: the list is a literal
+        block = re.search(r"^dependencies = (\[.*?\])", text, re.M | re.S)
+        return ast.literal_eval(block.group(1))
+    return tomllib.loads(text)["project"]["dependencies"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy is a test oracle only (the `test` extra), and no module of the
+    # package imports it
+    assert [re.split(r"[<>=!~ ]", dep)[0]
+            for dep in _runtime_dependencies()] == ["numpy"]
+    for path in sorted((ROOT / "src" / "phaselim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not [m for m in modules
+                        if m.split(".")[0] == "scipy"], path.name

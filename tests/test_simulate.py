@@ -180,14 +180,17 @@ def test_error_curves_pinned():
 
 def _reference_scores(x, y, noise, draws, scale):
     """Plain per-candidate loop: log mean over draws ``s`` of the
-    likelihood ``prod_i f_Z(y_i - scale |conj(x_S) @ d_s|^2)``."""
+    likelihood ``prod_i f_Z(y_i - scale |conj(x_S) @ d_s|^2)``, without
+    the noise density's normalizing term ``-n log(2 pi sigma^2) / 2``,
+    which the decoder's scores omit."""
     m, k = draws.shape
     out = []
     for cand in itertools.combinations(range(x.shape[1]), k):
         proj = np.conjugate(x[:, cand]) @ draws.T          # (rows, draws)
         loglik = noise.logpdf(y[:, None] - scale * np.abs(proj) ** 2)
         out.append(logsumexp(loglik.sum(axis=0)) - math.log(m))
-    return np.array(out)
+    return (np.array(out)
+            + len(y) * 0.5 * math.log(2.0 * math.pi * noise.sigma ** 2))
 
 
 def _one_trial_scores(x, y, noise, draws, scale):
@@ -724,6 +727,8 @@ def test_error_curve_at_power_bound_matches_moderate_power():
 @example(flat=False, log_sigma=0.0, log_snr=0.0, half_j=-200)
 @example(flat=True, log_sigma=-3.0, log_snr=0.5, half_j=30)
 @example(flat=False, log_sigma=2.0, log_snr=-0.5, half_j=-30)
+@example(flat=False, log_sigma=0.0, log_snr=-14.0, half_j=2)
+@example(flat=False, log_sigma=0.0, log_snr=-15.0, half_j=1)
 def test_error_curve_invariant_under_joint_scaling(flat, log_sigma, log_snr,
                                                    half_j):
     # y = |<x, b>|^2 + z scales by 2^j when the signal power and sigma do

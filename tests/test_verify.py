@@ -175,8 +175,9 @@ def test_suite_names_frozen():
 
 
 # sha256 of the report lines (each ending in a newline) of
-# run_suite(suite, trials=2000, master_seed=1), recorded with numpy 2.4 and
-# scipy 1.17; a library upgrade that moves a rounding moves them too.
+# run_suite(suite, trials=2000, master_seed=1), recorded with numpy 2.4; no
+# report depends on scipy. A numpy upgrade that moves a rounding moves them
+# too.
 REPORT_DIGESTS = {
     "sandwich": "713d47b6e8e476fc3457d590a9df35115e9375ff4406b9db53b217a5869fb99c",
     "concentration": "23f2b1b02ed277b81cd15b6fcf6e0e60014dff3564e775b7f9f892c4b9d9b393",
