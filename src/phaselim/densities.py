@@ -15,8 +15,9 @@ mixture of Gamma(``j+1``, ``v``) laws (Johnson, Kotz & Balakrishnan, vol. 2,
 ch. 29), so the convolution is a series whose ``j = 0`` term is the
 exponentially-modified-Gaussian closed form and whose other terms are
 truncated-normal partial moments (parabolic cylinder functions, DLMF 12.8),
-summed by a three-term recurrence run upward or downward (Miller's
-algorithm, DLMF 3.6), whichever is stable for the sample.
+given by a three-term recurrence run upward or downward (Miller's
+algorithm, DLMF 3.6), whichever is stable for the sample, and summed as
+plain floats rescaled by powers of two, with one log per sample.
 
 Composite Gauss-Legendre quadrature in sqrt(u) space (the substitution
 removes the square-root cusp of the exponent at u = 0) is the test oracle
@@ -288,6 +289,14 @@ def _logsumexp(a):
 # _FORWARD_GROWTH, c being the index of its largest term (error growth up
 # to there at most e^8), and downward otherwise, from a start far enough
 # above c that the damping down to c reaches about e^-25.
+#
+# Both directions sum in scaled linear space: each sample's terms and sum
+# are plain floats, each step one ratio a t_j / (j^2 v) and one add, and
+# every _RESCALE_STEPS-th j (the same j for every sample, so a value does
+# not depend on its batch) the sum and what it carries are divided by the
+# sum's power of two, whose exponent adds to the sample's offset; one log
+# at the end. A ratio is at most about c^2 <= 4096^2, so the sum grows by
+# less than 2^192 between rescales.
 _FORWARD_MIN_TAU = -1.5
 _FORWARD_GROWTH = 4.0
 _BACKWARD_DAMPING = 12.5
@@ -296,7 +305,9 @@ _BACKWARD_DAMPING = 12.5
 # this length, where its rounding error (about eps * known_sq/v) stays
 # near 1e-11.
 _SERIES_MAX_TERMS = 4096
+_RESCALE_STEPS = 8
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_LN2 = math.log(2.0)
 
 
 def _term_counts(mu, a, v, sigma):
@@ -318,54 +329,94 @@ def _term_counts(mu, a, v, sigma):
 def _forward_log_sums(mu, tau, a, terms, v, sigma):
     """``log sum_{j <= J} e^-a a^j/j! R_j`` by the upward recurrence.
 
-    Samples are visited in order of their term count, so the ones still
-    running are a suffix and each sample stops at its own ``J``.
+    Each sample carries its term ``a^j/j! R_j`` and the running sum as
+    plain floats from 1 at ``j = 0``: step ``j`` multiplies the term by
+    ``(t_j / v) a / j^2`` and adds it. Every ``_RESCALE_STEPS``-th step
+    divides both by the power of two of the sum and adds its exponent to
+    the sample's offset, so the sum is ``tot 2^off`` and one log at the end
+    gives the result. Samples are visited in order of their term count, so
+    the ones still running are a suffix and each sample stops at its own
+    ``J``.
     """
     order = np.argsort(terms, kind="stable")
     mu, a, terms = mu[order], a[order], terms[order]
-    log_a = np.log(a)
     s2 = sigma * sigma
     t = mu + sigma * _SQRT_2_OVER_PI / _erfcx(tau[order] * -_SQRT_HALF)
-    log_term = np.zeros_like(mu)    # log(a^j/j! R_j)
-    acc = np.zeros_like(mu)         # running log-sum-exp, from j = 0
-    for j in range(1, int(terms[-1]) + 1):
-        lo = np.searchsorted(terms, j)
-        tt = t[lo:]
+    term = np.ones_like(mu)         # a^j/j! R_j, divided by 2^off
+    tot = np.ones_like(mu)          # running sum from j = 0, divided by 2^off
+    off = np.zeros_like(mu)
+    ratio = np.empty_like(mu)
+    top = int(terms[-1])
+    starts = np.searchsorted(terms, np.arange(1, top + 1)).tolist()
+    for j, lo in enumerate(starts, 1):
+        tt, r, tm = t[lo:], ratio[lo:], term[lo:]
         if j > 1:
             np.divide((j - 1) * s2, tt, out=tt)
             tt += mu[lo:]
-        log_term[lo:] += np.log(tt) + (log_a[lo:] - math.log(j * j * v))
-        np.logaddexp(acc[lo:], log_term[lo:], out=acc[lo:])
-    out = np.empty_like(acc)
-    out[order] = acc - a
-    return out
+        np.divide(tt, v, out=r)
+        r *= a[lo:]
+        r /= j * j
+        tm *= r
+        tot[lo:] += tm
+        if j % _RESCALE_STEPS == 0:
+            frac, exp2 = np.frexp(tot[lo:])
+            tot[lo:] = frac
+            np.ldexp(tm, -exp2, out=tm)
+            off[lo:] += exp2
+    return _unscaled_log(tot, off, a, order)
 
 
 def _backward_log_sums(mu, a, start, v, sigma):
     """The same sums by the downward recurrence from ``t_start``, estimated
     by the fixed point of ``t^2 = mu t + (start - 1/2) sigma^2``, summed by
-    Horner's rule in log space (``H_{j-1} = 1 + q_j H_j``)."""
+    Horner's rule ``H_{j-1} = 1 + q_j H_j`` with ``q_j = (t_j / v) a / j^2``.
+
+    Each sample carries ``H`` divided by ``2^off`` and the scale
+    ``s = 2^-off`` that stands for the 1, as plain floats: a step is
+    ``H = s + q_j H``, and every ``_RESCALE_STEPS``-th ``j`` divides ``H``
+    and ``s`` by the power of two of ``H``, as in the upward sums.
+    """
     order = np.argsort(start, kind="stable")
     mu, a, start = mu[order], a[order], start[order]
-    log_a = np.log(a)
     s2 = sigma * sigma
     t = np.empty_like(mu)
-    h = np.zeros_like(mu)           # log H_j
-    for j in range(int(start[-1]), 0, -1):
-        lo = np.searchsorted(start, j)
-        hi = np.searchsorted(start, j, side="right")
+    h = np.ones_like(mu)            # H_j, divided by 2^off
+    scale = np.ones_like(mu)        # 2^-off
+    off = np.zeros_like(mu)
+    q = np.empty_like(mu)
+    top = int(start[-1])
+    # bounds[j - 1] is the first sample whose run starts at j or above
+    bounds = np.searchsorted(start, np.arange(1, top + 2)).tolist()
+    for j in range(top, 0, -1):
+        lo, hi = bounds[j - 1], bounds[j]
         if hi > lo:     # samples whose run starts here
             m = mu[lo:hi]
             e = (j - 0.5) * s2
             t[lo:hi] = 2.0 * e / (np.sqrt(m * m + 4.0 * e) - m)
-        tt = t[lo:]
-        q = np.log(tt) + (log_a[lo:] - math.log(j * j * v))
-        np.logaddexp(0.0, q + h[lo:], out=h[lo:])
+        tt, qq, hh = t[lo:], q[lo:], h[lo:]
+        np.divide(tt, v, out=qq)
+        qq *= a[lo:]
+        qq /= j * j
+        qq *= hh
+        np.add(qq, scale[lo:], out=hh)
+        if j % _RESCALE_STEPS == 0:
+            frac, exp2 = np.frexp(hh)
+            hh[:] = frac
+            np.ldexp(scale[lo:], -exp2, out=scale[lo:])
+            off[lo:] += exp2
         if j > 1:
             np.subtract(tt, mu[lo:], out=tt)
             np.divide((j - 1) * s2, tt, out=tt)
-    out = np.empty_like(h)
-    out[order] = h - a
+    return _unscaled_log(h, off, a, order)
+
+
+def _unscaled_log(tot, off, a, order):
+    """``log(tot 2^off) - a`` in the samples' original order."""
+    log_sums = np.log(tot)
+    log_sums += off * _LN2
+    log_sums -= a
+    out = np.empty_like(log_sums)
+    out[order] = log_sums
     return out
 
 
@@ -388,6 +439,12 @@ def _conv_logpdf_series(ys, lams, v, sigma):
         start = np.where(forward, terms, np.maximum(terms + 20.0, reach))
         run = start <= _SERIES_MAX_TERMS
         log_sums = np.full_like(mu, np.nan)
+        # a sum within the cap stays below about e^(2c), so it cannot lift
+        # an EMG term of -inf (y/v past the float range, where t_j/v may
+        # overflow too): such a sample stays -inf
+        dead = run & np.isneginf(out[idx])
+        log_sums[dead] = 0.0
+        run &= ~dead
         sel = forward & run
         if sel.any():
             log_sums[sel] = _forward_log_sums(mu[sel], tau[sel], a[sel],

@@ -40,8 +40,18 @@ _FLOOR_SNAP = 1e-9
 
 
 def floor_count(alpha: float, k: int) -> int:
-    """``floor(alpha * k)`` with a snap-up guard against float artifacts."""
-    return int(_snapped_floor(float(alpha) * int(k)))
+    """``floor(alpha * k)`` with a snap-up guard against float artifacts.
+
+    Raises ``OverflowError`` for an infinite and ``ValueError`` for a NaN
+    ``alpha * k``, as ``math.floor`` does.
+    """
+    ak = float(alpha) * int(k)
+    if math.isnan(ak):
+        raise ValueError(f"alpha * k is NaN (alpha {alpha!r}, k {k!r})")
+    if math.isinf(ak):
+        raise OverflowError(f"alpha * k is infinite (alpha {alpha!r}, "
+                            f"k {k!r})")
+    return int(_snapped_floor(ak))
 
 
 def _snapped_floor(ak):

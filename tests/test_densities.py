@@ -442,6 +442,96 @@ def test_series_matches_quadrature_across_switch_and_cap(monkeypatch):
         assert abs(ours - quad) <= 1e-9, lam
 
 
+def _spy_strict_sums(monkeypatch):
+    """Record each series sum's direction and its term counts or starts,
+    and run it with overflow and invalid operations raised, which the
+    series' own error state would otherwise ignore."""
+    calls = []
+    for name in ("_forward_log_sums", "_backward_log_sums"):
+        sums = getattr(densities, name)
+
+        def strict(*args, _sums=sums, _name=name):
+            counts = args[3] if _name == "_forward_log_sums" else args[2]
+            calls.append((_name, counts.tolist()))
+            with np.errstate(over="raise", invalid="raise"):
+                return _sums(*args)
+        monkeypatch.setattr(densities, name, strict)
+    return calls
+
+
+@pytest.mark.parametrize("y, lam, v, sigma, direction, count", [
+    # tau = _FORWARD_MIN_TAU exactly, runs upward
+    (-0.5, 2.0, 1.0, 1.0, "_forward_log_sums", None),
+    (85.0, 1.0, 1.0, 10.0, "_forward_log_sums", None),
+    # large positive tau (1e7, 1e12) with ratios up to about c^2
+    (1000.0, 1000.0, 1.0, 1e-4, "_forward_log_sums", None),
+    (100.0, 100.0, 1.0, 1e-10, "_forward_log_sums", None),
+    # a = 1e-300: every term past the first underflows
+    (1.0, 1e-300, 1.0, 1.0, "_forward_log_sums", None),
+    (1e5, 1e-300, 1.0, 1.0, "_forward_log_sums", None),
+    (-3.0, 1e-300, 1.0, 1.0, "_backward_log_sums", None),
+    # J at the cap: the first ratio is about c^2 = 3240^2
+    (3241.5, 3240.5, 1.0, 0.5, "_forward_log_sums", 4096),
+    # a downward run that starts at the cap, in the bulk (tau = -0.5)
+    (1501.5, 1520.5, 1.0, 39.0, "_backward_log_sums", 4096),
+])
+def test_series_rescale_at_its_extremes(monkeypatch, y, lam, v, sigma,
+                                        direction, count):
+    # the scaled sums neither overflow nor lose accuracy where their terms
+    # grow fastest, underflow, or run longest; mpmath settles each value
+    quadrature = _spy_quadrature(monkeypatch)
+    sums = _spy_strict_sums(monkeypatch)
+    with np.errstate(over="raise", invalid="raise"):
+        ours = conditional_output_logpdf(y, lam, v, GaussianNoise(sigma))
+    assert quadrature == []
+    assert [name for name, _ in sums] == [direction]
+    if count is not None:
+        assert sums[0][1] == [count]
+    ref = _mp_conditional_logpdf(y, lam, v, sigma)
+    assert abs(ours - ref) <= 5e-14 * (1.0 + lam / v + abs(ref)), (ours, ref)
+
+
+@pytest.mark.filterwarnings("error")
+def test_series_leaves_minus_inf_emg_terms_alone(monkeypatch):
+    # y/v = 1e309 puts the EMG term at -inf with a = 1e-302 and c near 3162
+    # inside the cap; no sum within the cap lifts it, so the sample stays
+    # -inf without a sum (whose t_j / v would overflow) or the quadrature,
+    # while a finite neighbour in the same batch runs its sum
+    quadrature = _spy_quadrature(monkeypatch)
+    sums = _spy_strict_sums(monkeypatch)
+    with np.errstate(over="raise", invalid="raise"):
+        out = conditional_output_logpdf([1e300, 1.0], [1e-311, 1e-311], 1e-9,
+                                        GaussianNoise(1.0))
+    assert out[0] == -math.inf and math.isfinite(out[1])
+    assert quadrature == []
+    assert sums == [("_backward_log_sums", [40.0])]
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_a=st.floats(-3.0, 2.5), u=st.floats(-4.0, 4.0),
+       log_sigma=st.floats(-1.0, 1.0), log_v=st.floats(-1.0, 1.0),
+       at=st.integers(0, 600))
+def test_series_bits_do_not_depend_on_rescale_neighbours(log_a, u, log_sigma,
+                                                         log_v, at):
+    # the rescale schedule is fixed by j alone: a sample keeps its bits when
+    # batched with samples whose term counts fall on every side of the
+    # multiples of _RESCALE_STEPS, in both directions
+    sigma, v = 10.0 ** log_sigma, 10.0 ** log_v
+    lam = v * 10.0 ** log_a
+    noise = GaussianNoise(sigma)
+    y = lam + v + u * math.sqrt(sigma ** 2 + v * v + 2.0 * v * lam)
+    alone = conditional_output_logpdf(y, lam, v, noise)
+    lams = v * np.geomspace(1e-2, 1e3, 600)
+    sds = np.sqrt(sigma ** 2 + v * v + 2.0 * v * lams)
+    ys = lams + v + np.resize([-3.0, -1.0, 0.0, 1.0, 3.0], lams.size) * sds
+    _, terms = densities._term_counts(ys - sigma ** 2 / v, lams / v, v, sigma)
+    step = densities._RESCALE_STEPS
+    assert {step - 1, 0, 1} <= set((terms % step).tolist())
+    batch = conditional_output_logpdf(np.insert(ys, at, y),
+                                      np.insert(lams, at, lam), v, noise)
+    assert np.array_equal(batch[at], alone)
+
+
 @settings(max_examples=25, deadline=None)
 @given(lam=st.one_of(st.just(0.0), st.floats(1e-6, 30.0)),
        v=st.floats(0.05, 5.0), sigma=st.floats(0.05, 3.0))

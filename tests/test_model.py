@@ -43,6 +43,21 @@ def test_floor_count_table():
     assert floor_count(0.5, 2) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, k", [
+    (math.inf, 3), (-math.inf, 3), (1e308, 10),     # alpha * k infinite
+    (math.nan, 3), (math.inf, 0),                   # alpha * k NaN
+])
+def test_floor_count_refuses_non_finite_product(alpha, k):
+    # the error math.floor gives, raised before the snap forms inf - inf
+    with np.errstate(all="raise"):
+        ak = alpha * k
+        with pytest.raises(ValueError if math.isnan(ak) else OverflowError):
+            math.floor(ak)
+        with pytest.raises(ValueError if math.isnan(ak) else OverflowError):
+            floor_count(alpha, k)
+
+
 def test_floor_count_range_random():
     rng = np.random.default_rng(7)
     for _ in range(300):

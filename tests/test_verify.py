@@ -177,12 +177,13 @@ def test_suite_names_frozen():
 # sha256 of the report lines (each ending in a newline) of
 # run_suite(suite, trials=2000, master_seed=1), recorded with numpy 2.4; no
 # report depends on scipy. A numpy upgrade that moves a rounding moves them
-# too.
+# too. The sandwich and logconcavity digests were last recorded when the
+# density's series moved to scaled linear sums.
 REPORT_DIGESTS = {
-    "sandwich": "713d47b6e8e476fc3457d590a9df35115e9375ff4406b9db53b217a5869fb99c",
+    "sandwich": "cb0905540c6c6e67f0ddfd149f56ecd30744971ac7ad85587ccb5a2b83868501",
     "concentration": "23f2b1b02ed277b81cd15b6fcf6e0e60014dff3564e775b7f9f892c4b9d9b393",
     "gconv": "51c516c72c36b041fd12abfdb347d3db0b4865d4682a2b5faa57bc440d108313",
-    "logconcavity": "c001653cfe28d877dd1ac2798f0347be07e8127feb79c979cab36fb7b674ce28",
+    "logconcavity": "3879419f7ec9e245e4d3f795c6e3420e0fb4c6a22ca0e32fa20b2f8945e7bdd6",
     "negative-control": "81b7806300a939a0086331be614714a4cf7df3bdb2e2027066be3cb1fc4bf980",
 }
 
@@ -202,7 +203,7 @@ LARGE_REPORT_DIGESTS = {
     ("concentration", 100000, 1):
         "2789262c2a4afd53e225090ced238c47e71ee03490f7e31e9c03b861c0efb477",
     ("sandwich", 100003, 2):
-        "ecbbff5fab0c24fe7deffcd64b6ffdfc1d705e901cdb3b12fb9f78cf79fac92a",
+        "4b25fd1194efd15c2d25fc617f0b5dee404955393d878fbbe1619ec3b30f0d58",
 }
 
 
