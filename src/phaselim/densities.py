@@ -134,9 +134,20 @@ def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
         raise ValueError("known_sq must be nonnegative")
     su = np.sqrt(np.clip(u, 0.0, None))
     sl = np.sqrt(lam)
-    out = (-math.log(fresh_power)
-           - (su - sl) ** 2 / fresh_power
-           + np.log(_i0e(2.0 * su * sl / fresh_power)))
+    with np.errstate(over="ignore"):    # inf past the float range
+        gap = (su - sl) ** 2 / fresh_power
+        x = 2.0 * su * sl / fresh_power
+    past = np.isinf(x)
+    if past.any():
+        # there exp(-x) I0(x) is 1/sqrt(2 pi x) to the last bit, so its log
+        # comes from a finite log x; an infinite gap still gives -inf
+        with np.errstate(divide="ignore"):
+            log_x = np.log(2.0 * su) + np.log(sl) - math.log(fresh_power)
+        log_i0e = np.where(past, math.log(_INV_SQRT_2PI) - 0.5 * log_x,
+                           np.log(_i0e(np.where(past, 0.0, x))))
+    else:
+        log_i0e = np.log(_i0e(x))
+    out = -math.log(fresh_power) - gap + log_i0e
     return np.where(u < 0, -np.inf, out)
 
 

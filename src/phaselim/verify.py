@@ -27,7 +27,7 @@ from .densities import (GaussianNoise, concentration_constant,
 from .limits import mi_pair_lower, mi_pair_upper, tail_power_fraction
 from .model import (GaussianIID, SortedSignal, partition_power_arrays,
                     sample_signal_vector)
-from .rng import parallel_map, sample_circular_gaussian, substream
+from .rng import parallel_map, substream
 
 __all__ = [
     "VerificationReport",
@@ -165,34 +165,67 @@ def _finalize(check: str, params: dict, estimate: float, se: float,
                               verdict=verdict)
 
 
+def _require_budget(name: str, value: int, least: int) -> None:
+    """Refuse a Monte Carlo budget below ``least``, whose mean or standard
+    error would be NaN."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def _draw_info_samples(miss_power: float, keep_power: float,
                        noise: GaussianNoise, trials: int,
                        rng: np.random.Generator):
     """Sample per-observation information densities under the pair model.
 
-    The draws are taken whole, in one order: numpy's normal sampler uses a
-    variable number of words per value, so drawing block by block would
-    change the stream. The densities are then computed ``_INFO_BLOCK``
-    samples at a time into one array. Every step is elementwise and a
-    density does not depend on its batch, so the values are those of one
-    whole-array pass, and a run holds its draws (40 bytes a sample), the
-    values (8 bytes a sample) and one block's temporaries.
+    The stream is that of drawing the matched and missed projections with
+    :func:`~phaselim.rng.sample_circular_gaussian` and then the noise, each
+    at full length: five parts in the order keep-real, keep-imaginary,
+    miss-real, miss-imaginary, noise, each made by ``rng.normal`` calls.
+    numpy's normal sampler uses a variable number of words per value, so
+    interleaving the parts block by block would change every value, but one
+    part drawn in consecutive blocks equals one whole call.
+
+    So both keep planes are drawn whole, and ``known_sq`` must outlive
+    them: three float arrays of the run's length is the floor for these
+    values. ``re`` and ``im`` take the keep planes, then add the missed
+    planes block by block; ``re`` is then overwritten with ``full_sq``
+    and ``im`` with the densities. The squared magnitudes go through a
+    complex block buffer because numpy's complex ``abs`` is not
+    ``np.hypot`` bit for bit. Every step is elementwise and a density does
+    not depend on its batch, so the values are those of one whole-array
+    pass, and a run holds 24 bytes a sample plus one ``_INFO_BLOCK`` of
+    temporaries.
     """
-    w_keep = sample_circular_gaussian(rng, trials)
-    w_miss = sample_circular_gaussian(rng, trials)
-    z = noise.sample(rng, trials)
     keep_scale, miss_scale = math.sqrt(keep_power), math.sqrt(miss_power)
-    vals = np.empty(trials)
+    unit = np.sqrt(0.5)     # sample_circular_gaussian's scale at power 1
+    blocks = [slice(lo, min(lo + _INFO_BLOCK, trials))
+              for lo in range(0, trials, _INFO_BLOCK)]
+    re = rng.normal(0.0, unit, trials)
+    re *= keep_scale
+    im = rng.normal(0.0, unit, trials)
+    im *= keep_scale
+    buf = np.empty(min(trials, _INFO_BLOCK), dtype=complex)
+
+    def abs_sq(s):
+        n = s.stop - s.start
+        buf.real[:n] = re[s]
+        buf.imag[:n] = im[s]
+        return np.abs(buf[:n]) ** 2
+
+    known_sq = np.empty(trials)
+    for s in blocks:
+        known_sq[s] = abs_sq(s)
+    for plane in (re, im):
+        for s in blocks:
+            plane[s] += miss_scale * rng.normal(0.0, unit, s.stop - s.start)
+    for s in blocks:
+        re[s] = abs_sq(s)
+    full_sq, vals = re, im
     n_clamped = 0
-    for lo in range(0, trials, _INFO_BLOCK):
-        block = slice(lo, lo + _INFO_BLOCK)
-        proj_keep = keep_scale * w_keep[block]
-        proj_full = proj_keep + miss_scale * w_miss[block]
-        full_sq = np.abs(proj_full) ** 2
-        y = full_sq + z[block]
-        vals[block], clamped = info_density(y, full_sq,
-                                            np.abs(proj_keep) ** 2,
-                                            miss_power, noise)
+    for s in blocks:
+        y = full_sq[s] + noise.sample(rng, s.stop - s.start)
+        vals[s], clamped = info_density(y, full_sq[s], known_sq[s],
+                                        miss_power, noise)
         n_clamped += clamped
     return vals, n_clamped
 
@@ -200,7 +233,8 @@ def _draw_info_samples(miss_power: float, keep_power: float,
 def mi_estimate(miss_power: float, keep_power: float, noise: GaussianNoise,
                 trials: int, rng: np.random.Generator) -> VerificationReport:
     """Monte Carlo mutual-information estimate checked against the
-    analytic sandwich for the same power split."""
+    analytic sandwich for the same power split; ``trials`` is at least 1."""
+    _require_budget("trials", trials, 1)
     vals, n_clamped = _draw_info_samples(miss_power, keep_power, noise,
                                          trials, rng)
     estimate = float(np.mean(vals))
@@ -213,7 +247,7 @@ def mi_estimate(miss_power: float, keep_power: float, noise: GaussianNoise,
         "sigma": noise.sigma,
         "n_clamped": n_clamped,
     }
-    forced = (n_clamped / max(trials, 1)) > _MAX_CLAMP_FRACTION
+    forced = (n_clamped / trials) > _MAX_CLAMP_FRACTION
     return _finalize("mi_sandwich", params, estimate, se, lower, upper,
                      trials, resolution=_MI_RESOLUTION,
                      forced_inconclusive=forced)
@@ -226,6 +260,8 @@ def sandwich_check(trials: int = 100000, master_seed: int = 0,
     Combo ``i`` draws from substream ``(master_seed, i)``, so results do
     not depend on the thread count or completion order.
     """
+    _require_budget("trials", trials, 1)
+
     def one(idx_combo):
         idx, (miss, keep, sigma) = idx_combo
         return mi_estimate(miss, keep, GaussianNoise(sigma), trials,
@@ -245,8 +281,11 @@ def concentration_check(trials: int = 10000, info_samples: int = 1000000,
     Monte Carlo run of ``info_samples`` draws whose standard error must stay
     below 3e-3 of the estimate, else every report is marked inconclusive.
     The bound's scale constant is deliberately conservative, so large slack
-    is the expected outcome.
+    is the expected outcome. ``trials`` is at least 1 and ``info_samples``
+    at least 2.
     """
+    _require_budget("trials", trials, 1)
+    _require_budget("info_samples", info_samples, 2)
     miss, keep, sigma, n = (_CONC_MISS_POWER, _CONC_KEEP_POWER, _CONC_SIGMA,
                             _CONC_N)
     noise = GaussianNoise(sigma)
@@ -377,8 +416,7 @@ def run_suite(suite: str, trials: int = 100000, master_seed: int = 0,
     uses a tenth of it for tail trials and ten times it for the centering
     run.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _require_budget("trials", trials, 1)
     if suite == "sandwich":
         return sandwich_check(trials=trials, master_seed=master_seed,
                               threads=threads)

@@ -80,6 +80,33 @@ def test_magnitude_sq_support_and_moments():
         assert mean == pytest.approx(lam + v, abs=1e-8)
 
 
+def test_magnitude_sq_past_float_range():
+    # an exponent (su - sl)^2 / v past the float range gives the -inf that
+    # the value rounds to, without numpy's overflow warning (an error under
+    # the test filter); the first point reaches it through the quadrature
+    # fallback of a sample far above its matched power
+    assert noncentral_chi2_scaled_logpdf(1e306, 1e-300, 1e-200) == -np.inf
+    assert conditional_output_logpdf(
+        1e10, 1e-290, 1e-300, GaussianNoise(1e-150)) == -np.inf
+    # a Bessel argument 2 su sl / v past it, beside a finite exponent,
+    # leaves a finite value
+    for u, lam, v in [(1e300, 1e300, 1e-10), (1.7e308, 1.7e308, 1e-300),
+                      (1e300, 1.0000001e300, 1e-10)]:
+        ours = float(noncentral_chi2_scaled_logpdf(u, lam, v))
+        with mp.workdps(40):
+            mu, mlam, mv = mp.mpf(u), mp.mpf(lam), mp.mpf(v)
+            x = 2 * mp.sqrt(mu * mlam) / mv
+            ref = float(-mp.log(mv) - (mp.sqrt(mu) - mp.sqrt(mlam)) ** 2 / mv
+                        + _mp_log_ive(0, x))
+        assert abs(ours - ref) <= 1e-14 * (1.0 + abs(ref) + abs(u - lam) / v), \
+            (u, lam, v, ours, ref)
+    # in one array, beside values inside the range, which keep theirs
+    both = noncentral_chi2_scaled_logpdf(np.array([1e300, 4.0, 1e306]),
+                                         np.array([1e300, 1.0, 1e-300]), 1e-10)
+    assert both[1] == noncentral_chi2_scaled_logpdf(4.0, 1.0, 1e-10)
+    assert np.isfinite(both[0]) and both[2] == -np.inf
+
+
 def test_magnitude_sq_monte_carlo():
     rng = substream(17, 0)
     lam, v = 2.0, 0.5

@@ -160,6 +160,26 @@ def test_run_suite_counts():
             mi_estimate(1.0, 0.0, GaussianNoise(sigma), 10, substream(0, 0))
 
 
+@pytest.mark.parametrize("name,call", [
+    ("trials", lambda: mi_estimate(1.0, 0.0, GaussianNoise(1.0), 0,
+                                   substream(0, 0))),
+    ("trials", lambda: sandwich_check(trials=0)),
+    ("trials", lambda: concentration_check(trials=0, info_samples=10)),
+    ("info_samples", lambda: concentration_check(trials=1, info_samples=1)),
+])
+def test_empty_budgets_are_refused(name, call):
+    # these used to end in numpy's empty-slice and ddof warnings and NaN
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_smallest_budgets_run():
+    rep = mi_estimate(1.0, 0.0, GaussianNoise(1.0), 1, substream(0, 0))
+    assert rep.se == math.inf and rep.verdict == "inconclusive"
+    reports = concentration_check(trials=1, info_samples=2)
+    assert all(math.isfinite(r.params["info_se"]) for r in reports)
+
+
 def test_run_suite_all_excludes_negative_control():
     reports = run_suite("all", trials=2000, master_seed=1)
     checks = {r.check for r in reports}
@@ -247,9 +267,10 @@ def test_blocked_info_samples_match_whole_array(keep, miss, sigma):
 
 
 def test_concentration_memory_is_draws_plus_one_block():
-    # a centering run holds its draws (40 bytes a sample) and values (8)
-    # plus one block's temporaries, not every derived array at full length
-    # (about 128 bytes a sample)
+    # a centering run holds three float arrays of its length (the keep
+    # planes, turned into full_sq and the values, and known_sq: 24 bytes a
+    # sample) plus one block's temporaries, not its draws whole (48 bytes)
+    # or every derived array at full length (about 128 bytes a sample)
     info_samples = 10**6
     tracemalloc.start()
     try:
@@ -258,4 +279,4 @@ def test_concentration_memory_is_draws_plus_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * info_samples + 256 * verify._INFO_BLOCK, peak
+    assert peak <= 24 * info_samples + 256 * verify._INFO_BLOCK, peak
