@@ -173,9 +173,7 @@ def test_empty_budgets_are_refused(name, call):
         call()
 
 
-def test_smallest_budgets_run():
-    rep = mi_estimate(1.0, 0.0, GaussianNoise(1.0), 1, substream(0, 0))
-    assert rep.se == math.inf and rep.verdict == "inconclusive"
+def test_smallest_concentration_budgets_run():
     reports = concentration_check(trials=1, info_samples=2)
     assert all(math.isfinite(r.params["info_se"]) for r in reports)
 
@@ -269,8 +267,8 @@ def test_blocked_info_samples_match_whole_array(keep, miss, sigma):
 def test_concentration_memory_is_draws_plus_one_block():
     # a centering run holds three float arrays of its length (the keep
     # planes, turned into full_sq and the values, and known_sq: 24 bytes a
-    # sample) plus one block's temporaries, not its draws whole (48 bytes)
-    # or every derived array at full length (about 128 bytes a sample)
+    # sample) plus one block's temporaries, not whole draws and values
+    # (48 bytes) or every derived array at full length (about 128 bytes)
     info_samples = 10**6
     tracemalloc.start()
     try:
