@@ -168,8 +168,10 @@ def parallel_map(fn, args_list, threads: int = 1) -> list:
     """Map ``fn`` over ``args_list`` with results in argument order.
 
     Results are collected by index, so the output (and anything reduced from
-    it in order) is independent of the thread count. ``threads <= 1`` runs
-    sequentially.
+    it in order) is independent of the thread count. ``threads`` is a
+    worker cap of at least 1, which :class:`~phaselim.simulate.SimConfig`
+    and :func:`~phaselim.verify.run_suite` check; a cap of 1, or a single
+    argument, runs sequentially in the calling thread.
     """
     if threads is None or threads <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]

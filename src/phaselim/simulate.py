@@ -558,6 +558,11 @@ class SimConfig:
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValueError(f"master_seed must be a non-negative int, "
                              f"got {seed!r}")
+        threads = self.threads
+        if isinstance(threads, bool) or not isinstance(threads, int) \
+                or threads < 1:
+            raise ValueError(f"threads must be an int of at least 1, "
+                             f"got {threads!r}")
         if not self.n_grid:
             raise ValueError("empty measurement grid")
         if any(n < 0 for n in self.n_grid):

@@ -185,42 +185,67 @@ def _draw_info_samples(miss_power: float, keep_power: float,
     interleaving the parts block by block would change every value, but one
     part drawn in consecutive blocks equals one whole call.
 
-    So both keep planes are drawn whole, and ``known_sq`` must outlive
-    them: three float arrays of the run's length is the floor for these
-    values. ``re`` and ``im`` take the keep planes, then add the missed
-    planes block by block; ``re`` is then overwritten with ``full_sq``
-    and ``im`` with the densities. The squared magnitudes go through a
-    complex block buffer because numpy's complex ``abs`` is not
-    ``np.hypot`` bit for bit. Every step is elementwise and a density does
-    not depend on its batch, so the values are those of one whole-array
-    pass, and a run holds 24 bytes a sample plus one ``_INFO_BLOCK`` of
+    At positive ``keep_power`` both keep planes are drawn whole, and
+    ``known_sq`` must outlive them: three float arrays of the run's length
+    is the floor for these values. ``re`` and ``im`` take the keep planes,
+    then add the missed planes block by block; ``re`` is then overwritten
+    with ``full_sq`` and ``im`` with the densities (24 bytes a sample).
+
+    At zero ``keep_power`` the keep planes are ``0 * draw`` and ``known_sq``
+    is zero, so no value of theirs reaches a density. They are still drawn,
+    since skipping them would shift every later value, but into the one
+    array of the run's length, which ``standard_normal(out=...)`` fills
+    with the words of ``rng.normal(0.0, unit, n)``. That array then takes
+    the missed-real plane, becomes ``full_sq`` block by block and then the
+    densities (8 bytes a sample). The sign of a zero plane value may differ
+    from the general path, which no squared magnitude sees.
+
+    The squared magnitudes go through a complex block buffer because
+    numpy's complex ``abs`` is not ``np.hypot`` bit for bit. Every step is
+    elementwise and a density does not depend on its batch, so the values
+    are those of one whole-array pass, plus one ``_INFO_BLOCK`` of
     temporaries.
     """
-    keep_scale, miss_scale = math.sqrt(keep_power), math.sqrt(miss_power)
+    miss_scale = math.sqrt(miss_power)
     unit = np.sqrt(0.5)     # sample_circular_gaussian's scale at power 1
     blocks = [slice(lo, min(lo + _INFO_BLOCK, trials))
               for lo in range(0, trials, _INFO_BLOCK)]
-    re = rng.normal(0.0, unit, trials)
-    re *= keep_scale
-    im = rng.normal(0.0, unit, trials)
-    im *= keep_scale
     buf = np.empty(min(trials, _INFO_BLOCK), dtype=complex)
 
-    def abs_sq(s):
-        n = s.stop - s.start
-        buf.real[:n] = re[s]
-        buf.imag[:n] = im[s]
+    def abs_sq(re, im):
+        n = len(re)
+        buf.real[:n] = re
+        buf.imag[:n] = im
         return np.abs(buf[:n]) ** 2
 
-    known_sq = np.empty(trials)
-    for s in blocks:
-        known_sq[s] = abs_sq(s)
-    for plane in (re, im):
+    def miss_block(s):
+        return miss_scale * rng.normal(0.0, unit, s.stop - s.start)
+
+    if keep_power == 0.0:
+        vals = np.empty(trials)
+        rng.standard_normal(out=vals)   # keep-real, dropped
+        rng.standard_normal(out=vals)   # keep-imaginary, dropped
+        rng.standard_normal(out=vals)   # miss-real
+        vals *= unit            # rng.normal's rounding, then miss_block's
+        vals *= miss_scale
         for s in blocks:
-            plane[s] += miss_scale * rng.normal(0.0, unit, s.stop - s.start)
-    for s in blocks:
-        re[s] = abs_sq(s)
-    full_sq, vals = re, im
+            vals[s] = abs_sq(vals[s], miss_block(s))
+        full_sq, known_sq = vals, np.broadcast_to(0.0, trials)
+    else:
+        keep_scale = math.sqrt(keep_power)
+        re = rng.normal(0.0, unit, trials)
+        re *= keep_scale
+        im = rng.normal(0.0, unit, trials)
+        im *= keep_scale
+        known_sq = np.empty(trials)
+        for s in blocks:
+            known_sq[s] = abs_sq(re[s], im[s])
+        for plane in (re, im):
+            for s in blocks:
+                plane[s] += miss_block(s)
+        for s in blocks:
+            re[s] = abs_sq(re[s], im[s])
+        full_sq, vals = re, im
     n_clamped = 0
     for s in blocks:
         y = full_sq[s] + noise.sample(rng, s.stop - s.start)
@@ -230,15 +255,41 @@ def _draw_info_samples(miss_power: float, keep_power: float,
     return vals, n_clamped
 
 
+def _mean_and_se(vals: np.ndarray) -> tuple[float, float]:
+    """``np.mean(vals)`` and ``np.std(vals, ddof=1) / sqrt(n)``, bit for
+    bit, with ``se = inf`` at ``n == 1``.
+
+    The steps are numpy's own (a kept-dimension mean, the deviations
+    squared, one add reduction, ``/ (n - 1)``, ``sqrt``), but the
+    deviations are formed in ``vals``, which this consumes, rather than in
+    a second array of its length.
+    """
+    n = vals.size
+    mean = np.mean(vals, keepdims=True)
+    if n == 1:
+        return float(mean[0]), math.inf
+    vals -= mean
+    np.square(vals, out=vals)
+    var = np.add.reduce(vals) / (n - 1)
+    return float(mean[0]), float(np.sqrt(var) / math.sqrt(n))
+
+
 def mi_estimate(miss_power: float, keep_power: float, noise: GaussianNoise,
                 trials: int, rng: np.random.Generator) -> VerificationReport:
     """Monte Carlo mutual-information estimate checked against the
-    analytic sandwich for the same power split; ``trials`` is at least 1."""
+    analytic sandwich for the same power split; ``trials`` is at least 1,
+    ``miss_power`` positive and finite, ``keep_power`` non-negative and
+    finite."""
     _require_budget("trials", trials, 1)
+    if not 0.0 < miss_power < math.inf:     # NaN fails
+        raise ValueError(f"miss_power must be positive and finite, "
+                         f"got {miss_power!r}")
+    if not 0.0 <= keep_power < math.inf:
+        raise ValueError(f"keep_power must be non-negative and finite, "
+                         f"got {keep_power!r}")
     vals, n_clamped = _draw_info_samples(miss_power, keep_power, noise,
                                          trials, rng)
-    estimate = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
+    estimate, se = _mean_and_se(vals)
     lower = float(mi_pair_lower(miss_power, noise))
     upper = float(mi_pair_upper(miss_power, keep_power, noise))
     params = {
@@ -293,8 +344,8 @@ def concentration_check(trials: int = 10000, info_samples: int = 1000000,
 
     vals, _ = _draw_info_samples(miss, keep, noise, info_samples,
                                  substream(master_seed, 0))
-    info_mean = float(np.mean(vals))
-    info_se = float(np.std(vals, ddof=1) / math.sqrt(info_samples))
+    info_mean, info_se = _mean_and_se(vals)
+    del vals    # freed before the tail run draws
     centering_bad = not (info_se <= _CONC_REL_SE_LIMIT * abs(info_mean))
 
     block, _ = _draw_info_samples(miss, keep, noise, trials * n,
@@ -414,9 +465,14 @@ def run_suite(suite: str, trials: int = 100000, master_seed: int = 0,
 
     ``trials`` is the sandwich budget, at least 1; the concentration suite
     uses a tenth of it for tail trials and ten times it for the centering
-    run.
+    run. ``threads`` is an int of at least 1, checked before any suite
+    runs.
     """
     _require_budget("trials", trials, 1)
+    if isinstance(threads, bool) or not isinstance(threads, int) \
+            or threads < 1:
+        raise ValueError(f"threads must be an int of at least 1, "
+                         f"got {threads!r}")
     if suite == "sandwich":
         return sandwich_check(trials=trials, master_seed=master_seed,
                               threads=threads)

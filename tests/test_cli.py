@@ -747,7 +747,8 @@ def _strict_lines(path):
        flags=_flags({"p": ["4", "8"], "k": ["1", "2"],
                      "c_beta": ["0.5", "4"], "sigma": ["0.1", "1"],
                      "alpha_star": ["0.5", "1"], "trials": ["1", "5"],
-                     "mc_samples": ["1", "16"], "n_grid": ["0,3", "4"]}))
+                     "mc_samples": ["1", "16"], "n_grid": ["0,3", "4"],
+                     "threads": ["1", "2"]}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fuzz_simulate_argv(model, decoder, flags):
     # integer flags refuse the float edges, so every run stays at p <= 8,
@@ -758,6 +759,9 @@ def test_fuzz_simulate_argv(model, decoder, flags):
                 f"--out={out}"] + flags
         code, _ = _fuzz_run(argv)
         assert os.path.exists(out) == (code == 0), argv
+        # every edge is below 1 or not an int, and is refused as usage
+        if not {"--threads=1", "--threads=2"} & set(flags):
+            assert code == 2, argv
         if code == 0:
             with open(out + ".manifest.json", encoding="utf-8") as fh:
                 json.load(fh, parse_constant=_reject_constant)
@@ -767,14 +771,17 @@ def test_fuzz_simulate_argv(model, decoder, flags):
 @given(suite=st.sampled_from(["sandwich", "concentration", "gconv",
                               "logconcavity", "negative-control"]),
        trials=st.sampled_from(["1", "2", "3", "10", "50", "0", "-1", "nan"]),
-       seed=st.integers(0, 3))
-def test_fuzz_verify_argv(suite, trials, seed):
+       seed=st.integers(0, 3),
+       threads=st.sampled_from(["1", "2", "0", "-3", "nan", "1.5"]))
+def test_fuzz_verify_argv(suite, trials, seed, threads):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "r.jsonl")
         code, _ = _fuzz_run(["verify", f"--suite={suite}",
                              f"--trials={trials}", f"--seed={seed}",
-                             "--threads=1", f"--out={out}"])
-        assert os.path.exists(out) == (code != 2), (suite, trials)
+                             f"--threads={threads}", f"--out={out}"])
+        assert os.path.exists(out) == (code != 2), (suite, trials, threads)
+        if threads not in ("1", "2"):
+            assert code == 2, (suite, trials, threads)
         if os.path.exists(out):
             for rec in _strict_lines(out):
                 rep = VerificationReport.from_json_line(json.dumps(rec))

@@ -672,6 +672,11 @@ def test_sim_config_guards():
             SimConfig(p=10, signal=DiscreteFlat(1.0, 2), master_seed=seed)
     for seed in (0, 2**32, 2**140):
         SimConfig(p=10, signal=DiscreteFlat(1.0, 2), master_seed=seed)
+    # a cap below 1 ran sequentially and the manifest kept the bad value
+    for threads in (0, -3, True, 1.0, "2", None):
+        with pytest.raises(ValueError, match="threads"):
+            SimConfig(p=10, signal=DiscreteFlat(1.0, 2), threads=threads)
+    SimConfig(p=10, signal=DiscreteFlat(1.0, 2), threads=2)
     # powers past 1e150, or past 1e150 sigma: every candidate's residual
     # overflowed, all scores tied at -inf and pe read about 1
     for signal, sigma in ((GaussianIID(1e200, 2), 1.0),

@@ -2,10 +2,13 @@
 import hashlib
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselim import verify
 from phaselim.densities import GaussianNoise, info_density
@@ -173,6 +176,56 @@ def test_empty_budgets_are_refused(name, call):
         call()
 
 
+@pytest.mark.parametrize("name,miss,keep", [
+    ("keep_power", 1.0, -1.0),      # was "math domain error"
+    ("keep_power", 1.0, math.nan),
+    ("keep_power", 1.0, math.inf),
+    ("miss_power", math.nan, 0.0),  # was "observations must be finite"
+    ("miss_power", 0.0, 0.0),       # was "fresh_power must be positive"
+    ("miss_power", -1.0, 1.0),
+    ("miss_power", math.inf, 0.0),  # was numpy's invalid-subtract warning
+])
+def test_mi_estimate_refuses_bad_powers(name, miss, keep):
+    rng = substream(0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=name):
+        mi_estimate(miss, keep, GaussianNoise(1.0), 100, rng)
+    assert rng.bit_generator.state == state     # refused before any draw
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 1.0, 2.5, "2", None])
+def test_run_suite_refuses_bad_thread_caps(threads):
+    # these used to run, sequentially, and the manifest kept the bad value
+    for suite in ("logconcavity", "sandwich"):
+        with pytest.raises(ValueError, match="threads"):
+            run_suite(suite, trials=10, threads=threads)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3, verify._INFO_BLOCK - 1,
+                          verify._INFO_BLOCK + 1, 10**6 + 3]),
+       exponent=st.integers(-300, 300),
+       center=st.floats(-4.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_mean_and_se_is_numpys(n, exponent, center, seed):
+    scale = 10.0 ** exponent
+    v = np.random.default_rng(seed).normal(center * scale, scale, n)
+    # squared deviations past 1e308 overflow in numpy's std too
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(v))
+        se = float(np.std(v, ddof=1) / math.sqrt(n))
+        got = verify._mean_and_se(v)
+    assert (_bits(got[0]), _bits(got[1])) == (_bits(mean), _bits(se))
+
+
+def test_mean_and_se_of_one_value():
+    assert verify._mean_and_se(np.array([2.5])) == (2.5, math.inf)
+
+
 def test_smallest_concentration_budgets_run():
     reports = concentration_check(trials=1, info_samples=2)
     assert all(math.isfinite(r.params["info_se"]) for r in reports)
@@ -265,10 +318,12 @@ def test_blocked_info_samples_match_whole_array(keep, miss, sigma):
 
 
 def test_concentration_memory_is_draws_plus_one_block():
-    # a centering run holds three float arrays of its length (the keep
-    # planes, turned into full_sq and the values, and known_sq: 24 bytes a
-    # sample) plus one block's temporaries, not whole draws and values
-    # (48 bytes) or every derived array at full length (about 128 bytes)
+    # at zero matched power a centering run holds one float array of its
+    # length (the missed-real plane, turned into full_sq and the values: 8
+    # bytes a sample) plus one block's temporaries, and its values are
+    # freed before the tail run; not three arrays (24 bytes), whole draws
+    # and values (48 bytes) or every derived array at full length (about
+    # 128 bytes)
     info_samples = 10**6
     tracemalloc.start()
     try:
@@ -277,4 +332,19 @@ def test_concentration_memory_is_draws_plus_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * info_samples + 256 * verify._INFO_BLOCK, peak
+    assert peak <= 8 * info_samples + 256 * verify._INFO_BLOCK, peak
+
+
+def test_zero_keep_draws_hold_one_array():
+    # the dropped matched planes are drawn into the run's one array, across
+    # a ragged last block
+    trials = 4 * verify._INFO_BLOCK + 17
+    tracemalloc.start()
+    try:
+        vals, _ = verify._draw_info_samples(1.0, 0.0, GaussianNoise(1.0),
+                                            trials, substream(3, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (trials,)
+    assert peak <= 8 * trials + 256 * verify._INFO_BLOCK, peak
