@@ -15,13 +15,16 @@ Exit codes: 0 success, 1 verification failure / replay mismatch,
 
 Each parameter is an explicit flag, else the ``--config`` value (a JSON
 object or flat ``key = value`` lines whose keys mirror the flag names;
-keys the subcommand does not have are ignored), else its default. The
-master seed falls back to the ``PHASELIM_SEED`` environment variable,
-then 0.
+keys the subcommand does not have are ignored), else its default. An
+integer option takes an int or its text, not a float or a bool. Only
+``verify`` and ``simulate`` draw at random and take ``--seed`` and
+``--threads``; their seed falls back to ``PHASELIM_SEED``, then 0. The
+other commands record ``master_seed`` as ``null``.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -38,6 +41,7 @@ from .densities import GaussianNoise
 from .limits import (MAX_SNR_GRID, ThresholdQuery, figure_curves,
                      measurement_thresholds, write_figure_csv)
 from .model import DiscreteFlat, GaussianIID
+from .rng import _check_threads
 from .simulate import SimConfig, error_curve
 from .verify import SUITE_NAMES, run_suite
 
@@ -48,31 +52,47 @@ _NUMERIC_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError)
 
 # ---------------------------------------------------------------- helpers
 
+def _to_int(value) -> int:
+    """An int, or the text of one: a flag's text and a config value alike.
+    A float, whose fraction ``int`` would drop, and a bool are refused."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _default_seed() -> int:
     raw = os.environ.get("PHASELIM_SEED", "0")
     try:
-        return int(raw)
+        return _to_int(raw)
     except ValueError:
         raise ValueError(f"PHASELIM_SEED must be an integer, got {raw!r}")
+
+
+def _thread_cap(text: str) -> int:
+    """``replay --threads``: refused as usage before the manifest is read."""
+    try:
+        threads = _to_int(text)
+        _check_threads(threads)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return threads
 
 
 def _parse_n_grid(value) -> tuple[int, ...]:
     """Accept ``5,10,15`` lists or ``lo:hi:step`` ranges (hi inclusive)."""
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+        return tuple(_to_int(v) for v in value)
     s = str(value).strip()
     if ":" in s:
-        parts = [int(t) for t in s.split(":")]
+        parts = [_to_int(t) for t in s.split(":")]
         if len(parts) not in (2, 3):
             raise ValueError(f"bad range {s!r}, want lo:hi or lo:hi:step")
         step = parts[2] if len(parts) == 3 else 1
         return tuple(range(parts[0], parts[1] + 1, step))
-    return tuple(int(t) for t in s.split(",") if t.strip())
+    return tuple(_to_int(t) for t in s.split(",") if t.strip())
 
 
 def _to_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
     s = str(value).strip().lower()
     if s in ("1", "true", "yes", "on"):
         return True
@@ -85,8 +105,7 @@ def _load_config(path: str) -> dict:
     """JSON object, or flat ``key = value`` lines with ``#`` comments."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("config JSON must be an object")
@@ -120,7 +139,7 @@ def _write_manifest(path: str, command: str, params: dict,
     doc = {
         "command": command,
         "params": params,
-        "master_seed": params.get("seed", 0),
+        "master_seed": params.get("seed"),
         "version": __version__,
         "started": started,
         "finished": finished,
@@ -163,18 +182,17 @@ def _signal_for(model: str, c_beta: float, k: int):
 
 
 # ---------------------------------------------------------------- runners
-# Each runner takes the resolved JSON-serializable parameter dict and
-# returns (output paths, stdout text, metadata). Keeping them argv-free
-# lets the replay command re-execute a manifest directly.
+# Each runner takes the resolved JSON-serializable parameter dict, reads
+# the keys it needs (an older manifest's ``seed`` stays unread), and
+# returns (output paths, stdout text, exit status, stderr summary). Being
+# argv-free lets the replay command re-execute a manifest directly.
 
 def _run_thresholds(params: dict):
     signal = _signal_for(params["model"], params["c_beta"], params["k"])
-    query = ThresholdQuery(
-        p=params["p"], signal=signal,
-        noise=GaussianNoise(params["sigma"]),
+    result = measurement_thresholds(ThresholdQuery(
+        p=params["p"], signal=signal, noise=GaussianNoise(params["sigma"]),
         alpha_star=params["alpha_star"], mode=params["mode"],
-        grid_step=params["grid_step"])
-    result = measurement_thresholds(query)
+        grid_step=params["grid_step"]))
     record = {key: params[key] for key in
               ("model", "p", "k", "c_beta", "sigma", "alpha_star", "mode")}
     record.update(result.to_dict())
@@ -194,7 +212,7 @@ def _run_thresholds(params: dict):
             json.dump(record, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
         outputs.append(params["out"])
-    return outputs, text, {}
+    return outputs, text, 0, ""
 
 
 def _run_figure(params: dict):
@@ -215,29 +233,31 @@ def _run_figure(params: dict):
         path = os.path.join(params["out_dir"], f"{kind}_thresholds.csv")
         write_figure_csv(rows, path)
         outputs.append(path)
-    text = "wrote " + ", ".join(outputs)
-    return outputs, text, {}
+    return outputs, "wrote " + ", ".join(outputs), 0, ""
 
 
 def _run_verify(params: dict):
     reports = run_suite(params["suite"], trials=params["trials"],
                         master_seed=params["seed"],
                         threads=params["threads"])
-    lines = [r.to_json_line() for r in reports]
-    text = "\n".join(lines)
+    text = "\n".join(r.to_json_line() for r in reports)
     outputs = []
     if params.get("out"):
         with open(params["out"], "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         outputs.append(params["out"])
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    bad_numerics = 0
-    for r in reports:
-        counts[r.verdict] += 1
-        if not math.isfinite(r.estimate):
-            bad_numerics += 1
-    meta = {"counts": counts, "bad_numerics": bad_numerics}
-    return outputs, text, meta
+    bad_numerics = sum(not math.isfinite(r.estimate) for r in reports)
+    if bad_numerics:
+        return (outputs, text, 4,
+                f"numeric failure: {bad_numerics} non-finite estimates")
+    counts = {v: sum(r.verdict == v for r in reports)
+              for v in ("pass", "fail", "inconclusive")}
+    summary = (f"{sum(counts.values())} checks: {counts['pass']} pass, "
+               f"{counts['fail']} fail, {counts['inconclusive']} inconclusive")
+    if counts["inconclusive"]:
+        summary = (f"warning: {counts['inconclusive']} inconclusive verdicts "
+                   f"(underpowered run)\n{summary}")
+    return outputs, text, 1 if counts["fail"] else 0, summary
 
 
 def _run_simulate(params: dict):
@@ -254,56 +274,46 @@ def _run_simulate(params: dict):
                          f"{config.decoder}")
     curve = error_curve(config)
     try:
-        ref_query = ThresholdQuery(
-            p=params["p"], signal=signal,
-            noise=GaussianNoise(params["sigma"]),
-            alpha_star=params["alpha_star"], mode="asymptotic")
-        ref_result = measurement_thresholds(ref_query)
-        reference = {"n_ach": ref_result.n_ach, "n_con": ref_result.n_con}
+        ref = measurement_thresholds(ThresholdQuery(
+            p=config.p, signal=signal, noise=config.noise,
+            alpha_star=config.alpha_star, mode="asymptotic"))
+        reference = {"n_ach": ref.n_ach, "n_con": ref.n_con}
     except (ValueError, *_NUMERIC_ERRORS):
         # the curve stands without its asymptotic reference lines
         reference = None
     curve.to_csv(params["out"], reference=reference)
-    text = "wrote " + params["out"]
-    return [params["out"]], text, {}
-
-
-_RUNNERS = {
-    "thresholds": _run_thresholds,
-    "figure": _run_figure,
-    "verify": _run_verify,
-    "simulate": _run_simulate,
-}
-
-# which parameters name output locations: checked before the work runs,
-# redirected by replay
-_OUTPUT_KEYS = {
-    "thresholds": {"out": "file"},
-    "figure": {"out_dir": "dir"},
-    "verify": {"out": "file"},
-    "simulate": {"out": "file"},
-}
+    return [params["out"]], "wrote " + params["out"], 0, ""
 
 
 # ----------------------------------------------------------------- parser
-# Each subcommand option is ``name: (convert, default, add_argument
+# One entry per subcommand: its help text, its runner, the parameters that
+# name output locations (checked before the work runs, redirected by
+# replay) and its options, each ``name: (convert, default, add_argument
 # keywords)``. ``convert`` reads the flag's text and the config value
-# alike; ``_REQUIRED`` marks an option that a flag or the config must set.
+# alike. ``_REQUIRED`` marks an option that a flag or the config must set;
+# a callable default is called when neither sets it.
+
+_Command = collections.namedtuple("_Command", "help run outputs options")
 
 _REQUIRED = object()
 
-_COMMON_OPTIONS = {
-    "seed": (int, None, {"help": "master seed (env PHASELIM_SEED, default 0)"}),
-    "threads": (int, 1, {"help": "worker cap; results do not depend on it"}),
-    "manifest": (str, None,
-                 {"help": "run manifest path (default next to outputs)"}),
+_COMMON_OPTIONS = {"manifest": (str, None, {
+    "help": "run manifest path (default next to outputs)"})}
+
+# the two commands that draw at random
+_RANDOM_OPTIONS = {
+    "seed": (_to_int, _default_seed,
+             {"help": "master seed (env PHASELIM_SEED, default 0)"}),
+    "threads": (_to_int, 1,
+                {"help": "worker cap; results do not depend on it"}),
 }
 
 _COMMANDS = {
-    "thresholds": ("achievability and converse measurement counts", {
+    "thresholds": _Command("achievability and converse measurement counts",
+                           _run_thresholds, {"out": "file"}, {
         "model": (str, _REQUIRED, {"choices": ("gaussian", "flat")}),
-        "p": (int, _REQUIRED, {}),
-        "k": (int, _REQUIRED, {}),
+        "p": (_to_int, _REQUIRED, {}),
+        "k": (_to_int, _REQUIRED, {}),
         "c_beta": (float, 1.0, {}),
         "sigma": (float, 1.0, {}),
         "alpha_star": (float, 0.1, {}),
@@ -312,7 +322,8 @@ _COMMANDS = {
         "json": (_to_bool, False, {"action": "store_true"}),
         "out": (str, None, {"help": "also write the JSON record here"}),
     }),
-    "figure": ("threshold-vs-SNR curve CSVs for both models", {
+    "figure": _Command("threshold-vs-SNR curve CSVs for both models",
+                       _run_figure, {"out_dir": "dir"}, {
         "alpha_star": (float, 0.1, {}),
         "snr_min": (float, -10.0, {}),
         "snr_max": (float, 40.0, {}),
@@ -321,27 +332,31 @@ _COMMANDS = {
         "grid_step": (float, 1e-3, {}),
         "out_dir": (str, "figures", {}),
     }),
-    "verify": ("statistical check suites, JSON-lines reports", {
+    "verify": _Command("statistical check suites, JSON-lines reports",
+                       _run_verify, {"out": "file"}, {
         "suite": (str, _REQUIRED, {"choices": SUITE_NAMES}),
-        "trials": (int, 100000, {}),
+        "trials": (_to_int, 100000, {}),
         "out": (str, None, {"help": "also write the JSON lines here"}),
+        **_RANDOM_OPTIONS,
     }),
-    "simulate": ("exhaustive-decoder error curve at tiny sizes", {
-        "p": (int, _REQUIRED, {}),
-        "k": (int, _REQUIRED, {}),
+    "simulate": _Command("exhaustive-decoder error curve at tiny sizes",
+                         _run_simulate, {"out": "file"}, {
+        "p": (_to_int, _REQUIRED, {}),
+        "k": (_to_int, _REQUIRED, {}),
         "model": (str, "flat", {"choices": ("flat", "gaussian")}),
         "c_beta": (float, 1.0, {}),
         "sigma": (float, 1.0, {}),
         "alpha_star": (float, 0.5, {}),
         "n_grid": (_parse_n_grid, (5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
                    {"help": "comma list (5,10,15) or lo:hi:step range"}),
-        "trials": (int, 400, {}),
+        "trials": (_to_int, 400, {}),
         "decoder": (str, "auto",
                     {"choices": ("auto", "flat-ml", "mc-marginal"),
                      "help": "the model fixes it: flat-ml for flat, "
                              "mc-marginal for gaussian (auto)"}),
-        "mc_samples": (int, 256, {}),
+        "mc_samples": (_to_int, 256, {}),
         "out": (str, "error_curve.csv", {}),
+        **_RANDOM_OPTIONS,
     }),
 }
 
@@ -358,7 +373,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--version", action="version",
                         version=f"phaselim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _COMMANDS.items():
+    for command, (help_text, _, _, options) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         for name, (convert, _, keywords) in {**options,
                                              **_COMMON_OPTIONS}.items():
@@ -373,7 +388,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     rep.add_argument("manifest", help="manifest JSON written by a prior run")
     rep.add_argument("--scratch", default=None,
                      help="directory for regenerated outputs (default temp)")
-    rep.add_argument("--threads", type=int, default=None,
+    rep.add_argument("--threads", type=_thread_cap, default=None,
                      help="override the recorded thread count")
     return parser, sub.choices
 
@@ -383,7 +398,7 @@ def _resolve(args, config: dict) -> dict:
     value read by the flag's converter, else the default. A required option
     that neither sets is a usage error (``SystemExit(2)``)."""
     values, missing = {}, []
-    options = {**_COMMANDS[args.command][1], **_COMMON_OPTIONS}
+    options = {**_COMMANDS[args.command].options, **_COMMON_OPTIONS}
     for name, (convert, default, _) in options.items():
         flag = getattr(args, name)
         if flag is not None:
@@ -396,59 +411,44 @@ def _resolve(args, config: dict) -> dict:
         elif default is _REQUIRED:
             missing.append("--" + name.replace("_", "-"))
         else:
-            values[name] = default
+            values[name] = default() if callable(default) else default
     if missing:
         _parser()[1][args.command].error(
             "the following arguments are required: " + ", ".join(missing))
-    if values["seed"] is None:
-        values["seed"] = _default_seed()
     return values
 
 
 # --------------------------------------------------------------- commands
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    params = _resolve(args, config)
+    command = _COMMANDS[args.command]
+    params = _resolve(args, _load_config(args.config) if args.config else {})
     manifest = params.pop("manifest")
     # a default manifest sits beside an output checked here or in the
     # working directory
-    for key, kind in _OUTPUT_KEYS[args.command].items():
+    for key, kind in command.outputs.items():
         if params[key]:
             _check_location(params[key], kind == "dir")
     if manifest:
         _check_location(manifest, False)
 
     started = _utc_now()
-    outputs, text, meta = _RUNNERS[args.command](params)
+    outputs, text, status, summary = command.run(params)
     finished = _utc_now()
     if text:
         print(text)
     _write_manifest(manifest or _manifest_path(params, args.command),
                     args.command, params, outputs, started, finished)
-
-    if args.command == "verify":
-        counts = meta["counts"]
-        if meta["bad_numerics"]:
-            print(f"numeric failure: {meta['bad_numerics']} non-finite "
-                  "estimates", file=sys.stderr)
-            return 4
-        if counts["inconclusive"]:
-            print(f"warning: {counts['inconclusive']} inconclusive "
-                  "verdicts (underpowered run)", file=sys.stderr)
-        print(f"{sum(counts.values())} checks: {counts['pass']} pass, "
-              f"{counts['fail']} fail, {counts['inconclusive']} "
-              "inconclusive", file=sys.stderr)
-        if counts["fail"]:
-            return 1
-    return 0
+    if summary:
+        print(summary, file=sys.stderr)
+    return status
 
 
 def _cmd_replay(args) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     command = doc.get("command")
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         print(f"manifest names unknown command {command!r}", file=sys.stderr)
         return 2
     params = dict(doc["params"])
@@ -456,12 +456,11 @@ def _cmd_replay(args) -> int:
         params["threads"] = args.threads
     scratch = args.scratch or tempfile.mkdtemp(prefix="phaselim-replay-")
     os.makedirs(scratch, exist_ok=True)
-    for key, kind in _OUTPUT_KEYS[command].items():
+    for key, kind in _COMMANDS[command].outputs.items():
         if params.get(key):
-            params[key] = (scratch if kind == "dir"
-                           else os.path.join(scratch,
-                                             os.path.basename(params[key])))
-    outputs, _text, _meta = _RUNNERS[command](params)
+            params[key] = scratch if kind == "dir" else os.path.join(
+                scratch, os.path.basename(params[key]))
+    outputs = _COMMANDS[command].run(params)[0]
     produced = {os.path.basename(path): path for path in outputs}
     all_match = True
     for orig, digest in sorted(doc.get("outputs", {}).items()):

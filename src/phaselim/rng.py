@@ -164,14 +164,23 @@ def sample_circular_gaussian(rng: np.random.Generator, size, power: float = 1.0)
     return out
 
 
+def _check_threads(threads) -> None:
+    """Refuse a worker cap that is not an int of at least 1."""
+    if isinstance(threads, bool) or not isinstance(threads, int) \
+            or threads < 1:
+        raise ValueError(f"threads must be an int of at least 1, "
+                         f"got {threads!r}")
+
+
 def parallel_map(fn, args_list, threads: int = 1) -> list:
     """Map ``fn`` over ``args_list`` with results in argument order.
 
     Results are collected by index, so the output (and anything reduced from
     it in order) is independent of the thread count. ``threads`` is a
     worker cap of at least 1, which :class:`~phaselim.simulate.SimConfig`
-    and :func:`~phaselim.verify.run_suite` check; a cap of 1, or a single
-    argument, runs sequentially in the calling thread.
+    and :func:`~phaselim.verify.run_suite` check with
+    :func:`_check_threads`; a cap of 1, or a single argument, runs
+    sequentially in the calling thread.
     """
     if threads is None or threads <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]

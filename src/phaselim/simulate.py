@@ -118,7 +118,8 @@ import numpy as np
 from .densities import GaussianNoise
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
                     SupportSet, floor_count, sample_signal_vector)
-from .rng import _trial_streams, parallel_map, sample_circular_gaussian
+from .rng import (_check_threads, _trial_streams, parallel_map,
+                  sample_circular_gaussian)
 
 __all__ = [
     "SimConfig",
@@ -558,11 +559,7 @@ class SimConfig:
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValueError(f"master_seed must be a non-negative int, "
                              f"got {seed!r}")
-        threads = self.threads
-        if isinstance(threads, bool) or not isinstance(threads, int) \
-                or threads < 1:
-            raise ValueError(f"threads must be an int of at least 1, "
-                             f"got {threads!r}")
+        _check_threads(self.threads)
         if not self.n_grid:
             raise ValueError("empty measurement grid")
         if any(n < 0 for n in self.n_grid):

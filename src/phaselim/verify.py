@@ -27,7 +27,7 @@ from .densities import (GaussianNoise, concentration_constant,
 from .limits import mi_pair_lower, mi_pair_upper, tail_power_fraction
 from .model import (GaussianIID, SortedSignal, partition_power_arrays,
                     sample_signal_vector)
-from .rng import parallel_map, substream
+from .rng import _check_threads, parallel_map, substream
 
 __all__ = [
     "VerificationReport",
@@ -469,10 +469,7 @@ def run_suite(suite: str, trials: int = 100000, master_seed: int = 0,
     runs.
     """
     _require_budget("trials", trials, 1)
-    if isinstance(threads, bool) or not isinstance(threads, int) \
-            or threads < 1:
-        raise ValueError(f"threads must be an int of at least 1, "
-                         f"got {threads!r}")
+    _check_threads(threads)
     if suite == "sandwich":
         return sandwich_check(trials=trials, master_seed=master_seed,
                               threads=threads)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselim import cli
 from phaselim.cli import main
 from phaselim.verify import VerificationReport
 
@@ -577,13 +578,15 @@ def test_config_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
                                   "out": "b.json"}))
     common = {"c_beta": 1.0, "grid_step": 0.001, "json": False,
               "mode": "asymptotic"}
+    # thresholds has no seed or thread cap: the configs' seed and threads
+    # keys are ignored
     expected = {
         "a.json": dict(common, model="flat", p=80, k=4, alpha_star=0.2,
-                       sigma=1.0, seed=5, threads=1, out="a.json"),
+                       sigma=1.0, out="a.json"),
         "b.json": dict(common, model="gaussian", p=90, k=3, alpha_star=0.1,
-                       sigma=0.5, seed=0, threads=2, out="b.json"),
+                       sigma=0.5, out="b.json"),
         "c.json": dict(common, model="flat", p=70, k=2, alpha_star=0.1,
-                       sigma=1.0, seed=0, threads=1, out="c.json"),
+                       sigma=1.0, out="c.json"),
     }
     for argv in (["--config", str(conf_a)], ["--config", str(conf_b)],
                  ["--model", "flat", "--p", "70", "--k", "2",
@@ -601,7 +604,8 @@ def test_config_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
 
 
 # Manifest params of one call per subcommand, with and without --config,
-# recorded from the CLI that rebuilt its parser on every call.
+# recorded from the CLI that rebuilt its parser on every call; thresholds
+# and figure have since lost their unused seed and threads.
 _CONFIGS = {
     "th.conf": "model = gaussian\np = 200\nk = 5\nc_beta = 2.5\nseed = 9\n"
                "json = true\nsnr_min = 3\nbogus = 1\n",
@@ -619,22 +623,20 @@ _PINNED_PARAMS = [
       "--out", "th.json"], 0, "th.json.manifest.json",
      {"alpha_star": 0.1, "c_beta": 1.0, "grid_step": 0.001, "json": False,
       "k": 4, "mode": "asymptotic", "model": "flat", "out": "th.json",
-      "p": 100, "seed": 0, "sigma": 1.0, "threads": 1}),
+      "p": 100, "sigma": 1.0}),
     (["thresholds", "--config", "th.conf", "--alpha-star", "0.2"], 0,
      "thresholds_manifest.json",
      {"alpha_star": 0.2, "c_beta": 2.5, "grid_step": 0.001, "json": True,
       "k": 5, "mode": "asymptotic", "model": "gaussian", "out": None,
-      "p": 200, "seed": 9, "sigma": 1.0, "threads": 1}),
+      "p": 200, "sigma": 1.0}),
     (["figure", "--snr-min", "0", "--snr-max", "4", "--snr-step", "2",
       "--grid-step", "0.01", "--out-dir", "figs"], 0, "figs/manifest.json",
-     {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "figs", "seed": 0,
-      "sigma": 1.0, "snr_max": 4.0, "snr_min": 0.0, "snr_step": 2.0,
-      "threads": 1}),
+     {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "figs",
+      "sigma": 1.0, "snr_max": 4.0, "snr_min": 0.0, "snr_step": 2.0}),
     (["figure", "--config", "fig.json", "--snr-step", "1"], 0,
      "f2/manifest.json",
-     {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "f2", "seed": 0,
-      "sigma": 0.5, "snr_max": 2.0, "snr_min": -2.0, "snr_step": 1.0,
-      "threads": 2}),
+     {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "f2",
+      "sigma": 0.5, "snr_max": 2.0, "snr_min": -2.0, "snr_step": 1.0}),
     (["verify", "--suite", "logconcavity", "--out", "lc.jsonl"], 0,
      "lc.jsonl.manifest.json",
      {"out": "lc.jsonl", "seed": 0, "suite": "logconcavity", "threads": 1,
@@ -665,8 +667,170 @@ def test_manifest_params_pinned(tmp_path, capsys, monkeypatch):
         assert main(argv) == code, argv
         doc = json.loads((tmp_path / manifest).read_text())
         assert doc["params"] == params, argv
-        assert doc["master_seed"] == params["seed"], argv
+        assert doc["master_seed"] == params.get("seed"), argv
     capsys.readouterr()
+
+
+def test_deterministic_commands_take_no_seed(tmp_path, capsys, monkeypatch):
+    # thresholds and figure draw nothing: they refuse --seed and --threads,
+    # never read PHASELIM_SEED and record master_seed as null
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PHASELIM_SEED", "abc")
+    for argv, manifest in (
+            (["thresholds", "--model", "gaussian", "--p", "100", "--k", "5"],
+             "thresholds_manifest.json"),
+            (["figure", "--snr-step", "10", "--out-dir", "figs"],
+             "figs/manifest.json")):
+        code, _, _ = _run(argv, capsys)
+        assert code == 0, argv
+        doc = json.loads((tmp_path / manifest).read_text())
+        assert doc["master_seed"] is None, argv
+        assert "seed" not in doc["params"] and "threads" not in doc["params"]
+        for flag in (["--seed", "1"], ["--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flag)
+            assert exc.value.code == 2, argv + flag
+            assert "unrecognized arguments" in capsys.readouterr().err
+    # a command that draws still reads it
+    code, stdout, err = _run(["verify", "--suite", "logconcavity"], capsys)
+    assert (code, stdout) == (2, "") and "PHASELIM_SEED" in err
+
+
+def test_integer_options_refuse_non_integer_config(tmp_path, capsys,
+                                                   monkeypatch):
+    # a JSON float was truncated and a bool read as 0 or 1: threads 2.7 and
+    # trials 20.9 ran at 2 threads and 20 trials with exit 0
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PHASELIM_SEED", raising=False)
+    for argv, doc, key in (
+            (["verify"], {"suite": "logconcavity", "threads": 2.7}, "threads"),
+            (["verify"], {"suite": "logconcavity", "trials": 20.9}, "trials"),
+            (["verify"], {"suite": "logconcavity", "seed": 1.0}, "seed"),
+            (["verify"], {"suite": "logconcavity", "threads": True},
+             "threads"),
+            (["thresholds"], {"model": "flat", "p": True, "k": 2}, "p"),
+            (["thresholds"], {"model": "flat", "p": 100, "k": 4.0}, "k"),
+            (["simulate"], {"p": 6, "k": 2, "n_grid": [2, 4.5]}, "n_grid"),
+            (["simulate"], {"p": 6, "k": 2, "n_grid": [2, False]}, "n_grid"),
+            (["simulate"], {"p": 6, "k": 2, "n_grid": "2,4.5"}, "n_grid"),
+            (["simulate"], {"p": 6, "k": 2, "mc_samples": 16.5},
+             "mc_samples")):
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        code, stdout, err = _run(argv + ["--config", "c.json"], capsys)
+        assert (code, stdout) == (2, ""), doc
+        assert f"bad config value for {key}: " in err, doc
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    # a JSON int and the text of one are both accepted
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"suite": "logconcavity", "threads": 2, "trials": 3, "seed": 4}))
+    (tmp_path / "c.conf").write_text("suite = logconcavity\nthreads = 2\n"
+                                     "trials = 3\nseed = 4\n")
+    for conf in ("c.json", "c.conf"):
+        assert main(["verify", "--config", conf, "--manifest", "m.json"]) == 0
+        params = json.loads((tmp_path / "m.json").read_text())["params"]
+        assert (params["threads"], params["trials"], params["seed"]) == (2, 3, 4)
+    capsys.readouterr()
+
+
+def test_replay_refuses_bad_thread_override(tmp_path, capsys, monkeypatch):
+    # the override was reported as a bad manifest, after the manifest was
+    # read; argv parsing now refuses it, so the missing manifest is not
+    # reached (that would exit 3)
+    monkeypatch.chdir(tmp_path)
+    for threads in ("0", "-2", "1.5", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "missing.json", "--threads", threads])
+        assert exc.value.code == 2, threads
+        err = capsys.readouterr().err
+        assert "argument --threads" in err, threads
+        assert "bad manifest" not in err, threads
+
+
+class _ReadRecorder(dict):
+    """A params mapping that records which keys a runner reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+_RUNNER_ARGV = {
+    "thresholds": ["--model", "flat", "--p", "100", "--k", "4",
+                   "--out", "th.json"],
+    "figure": ["--snr-step", "10", "--out-dir", "figs"],
+    "verify": ["--suite", "logconcavity", "--out", "lc.jsonl"],
+    "simulate": ["--p", "6", "--k", "2", "--n-grid", "2", "--trials", "2",
+                 "--out", "s.csv"],
+}
+
+
+def test_runners_read_every_declared_option(tmp_path, monkeypatch):
+    # an option that its runner never reads is a flag that does nothing,
+    # as --seed and --threads were for thresholds and figure
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PHASELIM_SEED", raising=False)
+    assert set(_RUNNER_ARGV) == set(cli._COMMANDS)
+    for command, argv in _RUNNER_ARGV.items():
+        params = cli._resolve(cli._parser()[0].parse_args([command] + argv),
+                              {})
+        params.pop("manifest")      # the command loop's, not the runner's
+        recorder = _ReadRecorder(params)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._COMMANDS[command].run(recorder)
+        unread = set(cli._COMMANDS[command].options) - recorder.read
+        assert not unread, (command, sorted(unread))
+
+
+# thresholds and figure manifests written while both commands still took
+# --seed and --threads: the replay ignores the two keys
+_SEEDED_MANIFESTS = {
+    "thresholds": ("th.json.manifest.json", {
+        "command": "thresholds",
+        "master_seed": 9,
+        "outputs": {"th.json": "09746a41ed7ec7e6b64be4a13c7e72c6"
+                               "1b6e32f1e4de498cd9c22c4ef47f7ec3"},
+        "params": {"alpha_star": 0.1, "c_beta": 2.5, "grid_step": 0.001,
+                   "json": True, "k": 5, "mode": "asymptotic",
+                   "model": "gaussian", "out": "th.json", "p": 200,
+                   "seed": 9, "sigma": 1.0, "threads": 2},
+        "version": "0.1.0",
+    }),
+    "figure": ("manifest.json", {
+        "command": "figure",
+        "master_seed": 3,
+        "outputs": {
+            "figs/flat_thresholds.csv": "33206a289a4772ff5b61862dc9fecb80"
+                                        "bf7c6cef9a5939511de3c255ce2048e6",
+            "figs/gaussian_thresholds.csv": "74befebaa81d7e702a9b4f496e06e77f"
+                                            "9ba908a11e9de05b00cf2facf71a85f5"},
+        "params": {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "figs",
+                   "seed": 3, "sigma": 1.0, "snr_max": 2.0, "snr_min": -2.0,
+                   "snr_step": 2.0, "threads": 1},
+        "version": "0.1.0",
+    }),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(_SEEDED_MANIFESTS))
+def test_replay_of_seeded_deterministic_manifest(tmp_path, capsys, command,
+                                                 threads):
+    name, doc = _SEEDED_MANIFESTS[command]
+    mpath = tmp_path / name
+    mpath.write_text(json.dumps(doc))
+    code, stdout, _ = _run(["replay", str(mpath), "--threads", threads,
+                            "--scratch", str(tmp_path / "re")], capsys)
+    assert code == 0, stdout
+    assert stdout.count("match   ") == len(doc["outputs"])
+    assert "outputs identical" in stdout
 
 
 # Fuzz argv: every numeric flag takes an ordinary value, then up to two
