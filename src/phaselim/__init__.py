@@ -24,7 +24,7 @@ from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SortedSignal,
                     partition_powers, sample_signal_vector, sample_support)
 from .rng import parallel_map, sample_circular_gaussian, substream
 from .simulate import (ErrorCurve, SimConfig, decode, error_curve,
-                       error_event, isotonic_residual, pava_nonincreasing)
+                       isotonic_residual, pava_nonincreasing)
 from .verify import (SUITE_NAMES, VerificationReport, concentration_check,
                      logconcavity_check, logconcavity_negative_control,
                      mi_estimate, run_suite, sandwich_check,
@@ -54,7 +54,7 @@ __all__ = [
     "concentration_check", "tail_fraction_convergence_check",
     "logconcavity_check", "logconcavity_negative_control", "run_suite",
     # simulate
-    "SimConfig", "ErrorCurve", "decode", "error_event", "error_curve",
+    "SimConfig", "ErrorCurve", "decode", "error_curve",
     "pava_nonincreasing", "isotonic_residual",
     # rng
     "substream", "sample_circular_gaussian", "parallel_map",

@@ -41,7 +41,7 @@ from .densities import GaussianNoise
 from .limits import (MAX_SNR_GRID, ThresholdQuery, figure_curves,
                      measurement_thresholds, write_figure_csv)
 from .model import DiscreteFlat, GaussianIID
-from .rng import _check_threads
+from .rng import _check_int
 from .simulate import SimConfig, error_curve
 from .verify import SUITE_NAMES, run_suite
 
@@ -72,7 +72,7 @@ def _thread_cap(text: str) -> int:
     """``replay --threads``: refused as usage before the manifest is read."""
     try:
         threads = _to_int(text)
-        _check_threads(threads)
+        _check_int("threads", threads, 1)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return threads

@@ -231,6 +231,8 @@ def _emg_logpdf(y, v, sigma):
 # (32 MB temporaries at 4e6 elements) spend about a fifth of the run in
 # page faults, a cost that varies from one process to the next.
 _QUAD_ELEMENT_BUDGET = 2**16
+# Gauss-Legendre nodes per quadrature segment.
+_QUAD_NODES = 80
 
 
 @functools.cache   # per order; orders stay single-digit counts
@@ -238,15 +240,15 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _quadrature_logpdf(ys, lams, v, noise: GaussianNoise, nodes: int = 80):
+def _quadrature_logpdf(ys, lams, v, noise: GaussianNoise):
     """Quadrature log densities at 1-d ``ys`` with matched powers ``lams``
-    of the same length and fresh power ``v``, ``nodes`` Gauss-Legendre
-    nodes per segment, at most ``_QUAD_ELEMENT_BUDGET`` grid elements at a
-    time: the series' fallback and the tests' oracle."""
-    gx, gw = _gl_nodes(nodes)
+    of the same length and fresh power ``v``, ``_QUAD_NODES``
+    Gauss-Legendre nodes per segment, at most ``_QUAD_ELEMENT_BUDGET`` grid
+    elements at a time: the series' fallback and the tests' oracle."""
+    gx, gw = _gl_nodes(_QUAD_NODES)
     hw = _NOISE_BULK * noise.sigma
     sv = math.sqrt(v)
-    step = max(1, _QUAD_ELEMENT_BUDGET // (4 * nodes))
+    step = max(1, _QUAD_ELEMENT_BUDGET // (4 * _QUAD_NODES))
     out = np.empty_like(ys)
     for lo in range(0, ys.size, step):
         y, lam = ys[lo:lo + step], lams[lo:lo + step]
@@ -628,8 +630,12 @@ def concentration_constant(total_power: float,
     ``moment`` is the sup over ``t in [1e-3, 1e3]`` of the moment objective
     (linear scale), found by golden-section search on ``ln t``; valid
     because the objective is log-concave in ``t``, hence unimodal. The scale
-    is ``150 * max(2 * moment * (noise_peak + 1), 1)``.
+    is ``150 * max(2 * moment * (noise_peak + 1), 1)``. ``total_power`` must
+    be positive and finite.
     """
+    if not 0.0 < total_power < math.inf:    # NaN fails
+        raise ValueError(f"total_power must be positive and finite, "
+                         f"got {total_power!r}")
     law_peak = output_law_peak(total_power, noise)
     obj = lambda lt: _log_moment_objective(math.exp(lt), total_power, noise,
                                            law_peak)
@@ -646,9 +652,14 @@ def concentration_constant(total_power: float,
 
 
 def concentration_tail_bound(n: int, scale: float, mu: float) -> float:
-    """Two-sided tail bound ``exp(-n*scale*rate(mu)) + exp(-n*scale*rate(-mu))``."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    """Two-sided tail bound ``exp(-n*scale*rate(mu)) + exp(-n*scale*rate(-mu))``
+    for ``n`` of at least 1, a finite ``scale`` and a finite ``mu >= 0``."""
+    if not n >= 1:      # NaN fails
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be nonnegative and finite, got {mu!r}")
     lo = math.exp(-n * scale * float(concentration_rate(mu)))
     rm = float(concentration_rate(-mu))
     hi = 0.0 if math.isinf(rm) else math.exp(-n * scale * rm)

@@ -79,10 +79,6 @@ class SupportSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def missed_by(self, other: "SupportSet") -> int:
-        """Number of own indices absent from ``other``."""
-        return len(set(self.indices) - set(other.indices))
-
 
 def _check_normal_power(power: float) -> None:
     """Refuse a positive power below the normal float range: its missed
@@ -196,9 +192,6 @@ class SortedSignal:
     def total_power(self) -> float:
         return float(self.prefix[-1])
 
-    def prefix_power(self, count: int) -> float:
-        return float(self.prefix[count])
-
 
 def partition_powers(signal: SortedSignal, alpha: float,
                      mode: str = "floor") -> tuple[float, float]:
@@ -216,12 +209,12 @@ def partition_powers(signal: SortedSignal, alpha: float,
     k = signal.k
     m = floor_count(alpha, k)
     if mode == "floor":
-        miss = signal.prefix_power(m)
+        miss = float(signal.prefix[m])
     elif mode == "asymptotic":
         ak = alpha * k
         m = min(m, k)
         frac = ak - m
-        miss = signal.prefix_power(m)
+        miss = float(signal.prefix[m])
         if frac > 0 and m < k:
             miss += frac * float(signal.sq_magnitudes[m])
     else:

@@ -46,14 +46,26 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
     Built on ``SeedSequence`` spawn keys: distinct paths give statistically
     independent streams and the mapping is stable across platforms and
-    process/thread counts.
+    process/thread counts. The seed and every path key must be
+    non-negative ints, not bools.
     """
+    _check_int("master_seed", master_seed, 0)
+    for key in path:
+        _check_int("path key", key, 0)
     # a list: ``tuple`` of a generator over-allocates and then shrinks, so
     # each call would add a pair to CPython's tuple free list
-    ss = np.random.SeedSequence(
-        entropy=int(master_seed), spawn_key=[int(p) for p in path]
-    )
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=list(path))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """Refuse a ``value`` that is not an int, or is a bool, or is below
+    ``least``: the one rule for seeds and stream keys (``least`` 0), thread
+    caps and Monte Carlo budgets (an empty budget's mean is NaN)."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}, "
+                         f"got {value!r}")
 
 
 # ``_hashmix`` and ``_mix`` take Python ints, which they mask to 32 bits,
@@ -76,8 +88,7 @@ def _mix(x, y):
 def _key_words(value: int) -> list[int]:
     """The uint32 words ``SeedSequence`` makes of a key value, least
     significant first; 0 is one word."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"stream key {value!r} is not a non-negative int")
+    _check_int("stream key", value, 0)
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -164,25 +175,17 @@ def sample_circular_gaussian(rng: np.random.Generator, size, power: float = 1.0)
     return out
 
 
-def _check_threads(threads) -> None:
-    """Refuse a worker cap that is not an int of at least 1."""
-    if isinstance(threads, bool) or not isinstance(threads, int) \
-            or threads < 1:
-        raise ValueError(f"threads must be an int of at least 1, "
-                         f"got {threads!r}")
-
-
 def parallel_map(fn, args_list, threads: int = 1) -> list:
     """Map ``fn`` over ``args_list`` with results in argument order.
 
     Results are collected by index, so the output (and anything reduced from
     it in order) is independent of the thread count. ``threads`` is a
     worker cap of at least 1, which :class:`~phaselim.simulate.SimConfig`
-    and :func:`~phaselim.verify.run_suite` check with
-    :func:`_check_threads`; a cap of 1, or a single argument, runs
-    sequentially in the calling thread.
+    and :func:`~phaselim.verify.run_suite` check with :func:`_check_int`;
+    a cap of 1, or a single argument, runs sequentially in the calling
+    thread.
     """
-    if threads is None or threads <= 1 or len(args_list) <= 1:
+    if threads <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=int(threads)) as ex:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, args_list))

@@ -67,9 +67,10 @@ trial blocks
     ``y`` is formed as ``observe`` forms it. The cell then scores the whole
     block in one direct-form pass with a leading trial axis: a pass's fixed
     numpy call cost (about 20 ufunc calls and 8 workspace requests) is paid
-    once per block, not once per trial. Errors are counted from the true
-    and decoded index arrays (``error_event``'s rule), with no
-    ``SupportSet`` per trial. A block holds
+    once per block, not once per trial. A trial errs when its decoded
+    support misses at least ``floor(alpha_star k)`` of the ``k`` true
+    indices, and so adds as many; the errors are counted from the true and
+    decoded index arrays, with no ``SupportSet`` per trial. A block holds
     ``max(1, _CHUNK_ELEMENTS // (max(C(p, k), k p) * max(n, 1)))`` trials
     (``_trial_block``), so that its projections and its product table
     each fit one chunk budget: 7 trials at ``p = 10``, ``k = 2``, ``n =
@@ -118,14 +119,13 @@ import numpy as np
 from .densities import GaussianNoise
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
                     SupportSet, floor_count, sample_signal_vector)
-from .rng import (_check_threads, _trial_streams, parallel_map,
+from .rng import (_check_int, _trial_streams, parallel_map,
                   sample_circular_gaussian)
 
 __all__ = [
     "SimConfig",
     "ErrorCurve",
     "decode",
-    "error_event",
     "error_curve",
     "pava_nonincreasing",
     "isotonic_residual",
@@ -214,26 +214,35 @@ def _lifted_pays(k: int, n: int, m: int) -> bool:
     return m > 1 and n >= 3 and k * k * (k * k + 3) < 4 * n * (k + 6)
 
 
-def _decoder_for(signal: SignalModel) -> str:
-    """The decoder a signal model fixes: ``flat-ml`` for one known
-    coefficient value (``DiscreteFlat``, or ``DiscreteGeneral`` with a
-    single value), ``mc-marginal`` for ``GaussianIID``. Any other signal,
-    such as a multi-valued ``DiscreteGeneral``, is refused."""
+def _decoder_for(signal: SignalModel) -> tuple[str, float]:
+    """The decoder a signal model fixes, and the scale of its draws:
+    ``flat-ml`` for one known coefficient value (``DiscreteFlat``, or
+    ``DiscreteGeneral`` with a single value), scaled by that value's
+    squared magnitude; ``mc-marginal`` for ``GaussianIID``, whose draws
+    carry their power, scaled by 1. Any other signal, such as a
+    multi-valued ``DiscreteGeneral``, is refused."""
     if isinstance(signal, GaussianIID):
-        return "mc-marginal"
-    if isinstance(signal, DiscreteFlat) or (
-            isinstance(signal, DiscreteGeneral)
-            and len(set(signal.values)) == 1):
-        return "flat-ml"
+        return "mc-marginal", 1.0
+    if isinstance(signal, DiscreteFlat):
+        return "flat-ml", signal.c_beta / signal.k
+    if isinstance(signal, DiscreteGeneral) and len(set(signal.values)) == 1:
+        return "flat-ml", abs(signal.values[0]) ** 2
     raise ValueError(f"no decoder for {signal!r}: flat-ml needs one known "
                      "coefficient value, mc-marginal the Gaussian iid model")
 
 
-def _flat_value(signal: SignalModel) -> float:
-    """Common coefficient magnitude squared of a flat-ml signal."""
-    if isinstance(signal, DiscreteFlat):
-        return signal.c_beta / signal.k
-    return abs(signal.values[0]) ** 2
+def _decoder_draws(signal: SignalModel, mc_samples: int,
+                   rng: np.random.Generator | None):
+    """The ``(draws, scale)`` a decode averages its likelihood over:
+    flat-ml's one unit draw, or ``mc_samples`` draws of mc-marginal's
+    coefficients from ``rng``."""
+    decoder, scale = _decoder_for(signal)
+    if decoder == "flat-ml":
+        return np.ones((1, signal.k)), scale
+    if rng is None:
+        raise ValueError("mc-marginal needs an rng for its draws")
+    return sample_circular_gaussian(rng, (mc_samples, signal.k),
+                                    power=signal.sigma_beta_sq), scale
 
 
 def _check_decode(p: int, signal: SignalModel, noise: GaussianNoise,
@@ -241,12 +250,11 @@ def _check_decode(p: int, signal: SignalModel, noise: GaussianNoise,
     """The signal's decoder, once ``SimConfig``'s or ``decode``'s decodes
     are affordable: 1 to ``MAX_CANDIDATES`` candidates, at least one draw,
     and a power, and power over sigma, within ``_POWER_MAX``."""
-    decoder = _decoder_for(signal)
+    decoder, _ = _decoder_for(signal)
     count = math.comb(p, signal.k)      # 0 when k > p
     if not 1 <= count <= MAX_CANDIDATES:
         raise ValueError(f"C(p,k) = {count} must lie in [1, {MAX_CANDIDATES}]")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be at least 1")
+    _check_int("mc_samples", mc_samples, 1)
     power = signal.total_power
     if not (power <= _POWER_MAX and power / noise.sigma <= _POWER_MAX):
         raise ValueError(f"signal power {power!r} must not pass "
@@ -269,27 +277,16 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
     """Pick the highest-scoring size-``k`` support for observations ``y``.
     ``decoder`` must be the one the signal model fixes."""
     x, y = np.asarray(x), np.asarray(y, dtype=float)
-    p, k = x.shape[1], signal.k
+    p = x.shape[1]
     fixed = _check_decode(p, signal, noise, mc_samples)
     if decoder != fixed:
         raise ValueError(f"decoder {decoder!r} does not decode "
                          f"{type(signal).__name__}, which takes {fixed!r}")
-    if decoder == "flat-ml":
-        draws, scale = np.ones((1, k)), _flat_value(signal)
-    elif rng is None:
-        raise ValueError("mc-marginal needs an rng for its draws")
-    else:
-        draws, scale = sample_circular_gaussian(
-            rng, (mc_samples, k), power=signal.sigma_beta_sq), 1.0
-    scores = _candidate_scores(x[None], y[None], noise, draws, scale)
-    return _best_supports(scores, p, k)[0]
-
-
-def _best_supports(scores: np.ndarray, p: int, k: int) -> list[SupportSet]:
-    """Per trial, the support of the first highest score in ``(trials,
-    candidates)`` scores: ties go to the lexicographically smallest."""
-    return [SupportSet(indices=cand, universe=p)
-            for cand in _candidates(p, k)[np.argmax(scores, axis=1)]]
+    draws, scale = _decoder_draws(signal, mc_samples, rng)
+    [scores] = _candidate_scores(x[None], y[None], noise, draws, scale)
+    # the first highest score: ties go to the lexicographically smallest
+    return SupportSet(indices=_candidates(p, signal.k)[np.argmax(scores)],
+                      universe=p)
 
 
 # Overflowing intensities or Gram entries are handled: their candidates
@@ -524,17 +521,6 @@ def _lifted_loglik(xt, y, noise, draws, scale, weights, floor, sup, out,
         out[redo] = direct
 
 
-def error_event(true_support: SupportSet, decoded: SupportSet,
-                alpha_star: float, k: int) -> bool:
-    """Approximate-recovery failure: at least ``floor(alpha_star * k)``
-    indices missed or spuriously added."""
-    thr = floor_count(alpha_star, k)
-    if thr < 1:
-        raise ValueError("alpha_star too small: floor(alpha_star * k) < 1")
-    return (true_support.missed_by(decoded) >= thr
-            or decoded.missed_by(true_support) >= thr)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     p: int
@@ -553,13 +539,9 @@ class SimConfig:
             raise ValueError("alpha_star must lie in (0, 1]")
         if floor_count(self.alpha_star, self.signal.k) < 1:
             raise ValueError("need floor(alpha_star * k) >= 1")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"master_seed must be a non-negative int, "
-                             f"got {seed!r}")
-        _check_threads(self.threads)
+        _check_int("trials", self.trials, 1)
+        _check_int("master_seed", self.master_seed, 0)
+        _check_int("threads", self.threads, 1)
         if not self.n_grid:
             raise ValueError("empty measurement grid")
         if any(n < 0 for n in self.n_grid):
@@ -567,7 +549,7 @@ class SimConfig:
 
     @property
     def decoder(self) -> str:
-        return _decoder_for(self.signal)
+        return _decoder_for(self.signal)[0]
 
 
 @dataclass(frozen=True)
@@ -607,14 +589,12 @@ def _run_cell(args) -> float:
     # flat-ml's one known draw lets a block of trials score in one pass;
     # mc-marginal draws its coefficients per trial, from the trial's rng
     # once its data are drawn, so it scores one trial at a time
-    mc = config.decoder == "mc-marginal"
-    block = 1 if mc else _trial_block(p, k, n)
-    draws = np.ones((1, k))
-    scale = 1.0 if mc else _flat_value(signal)
+    block = 1 if config.decoder == "mc-marginal" else _trial_block(p, k, n)
     coefficients = _coefficient_draw(signal)
     unit = np.sqrt(0.5)     # sample_circular_gaussian's scale at power 1
-    # error_event: a decoded support that shares at most this many indices
-    # with the true one misses, and adds, floor(alpha_star k) of them
+    # a trial errs when its decode misses, and so adds, at least
+    # floor(alpha_star k) of the k true indices: when the two share at
+    # most this many
     most_shared = k - floor_count(config.alpha_star, k)
     ws = _thread_workspace()
     streams = _trial_streams(config.master_seed, n_idx, 0, config.trials)
@@ -636,9 +616,8 @@ def _run_cell(args) -> float:
             x[t].imag = parts[1]
             y[t] = (np.abs(np.conjugate(x[t][:, support]) @ beta) ** 2
                     + noise.sample(rng, n))
-        if mc:      # the block's one trial draws them after its data
-            draws = sample_circular_gaussian(
-                rng, (config.mc_samples, k), power=signal.sigma_beta_sq)
+        # mc-marginal's one trial draws them from its stream after its data
+        draws, scale = _decoder_draws(signal, config.mc_samples, rng)
         scores = _candidate_scores(x, y, noise, draws, scale)
         decoded = _candidates(p, k)[np.argmax(scores, axis=1)]
         shared = (truth[:, :, None] == decoded[:, None, :]).sum(axis=(1, 2))

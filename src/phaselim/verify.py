@@ -27,7 +27,7 @@ from .densities import (GaussianNoise, concentration_constant,
 from .limits import mi_pair_lower, mi_pair_upper, tail_power_fraction
 from .model import (GaussianIID, SortedSignal, partition_power_arrays,
                     sample_signal_vector)
-from .rng import _check_threads, parallel_map, substream
+from .rng import _check_int, parallel_map, substream
 
 __all__ = [
     "VerificationReport",
@@ -165,13 +165,6 @@ def _finalize(check: str, params: dict, estimate: float, se: float,
                               verdict=verdict)
 
 
-def _require_budget(name: str, value: int, least: int) -> None:
-    """Refuse a Monte Carlo budget below ``least``, whose mean or standard
-    error would be NaN."""
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}")
-
-
 def _draw_info_samples(miss_power: float, keep_power: float,
                        noise: GaussianNoise, trials: int,
                        rng: np.random.Generator):
@@ -280,7 +273,7 @@ def mi_estimate(miss_power: float, keep_power: float, noise: GaussianNoise,
     analytic sandwich for the same power split; ``trials`` is at least 1,
     ``miss_power`` positive and finite, ``keep_power`` non-negative and
     finite."""
-    _require_budget("trials", trials, 1)
+    _check_int("trials", trials, 1)
     if not 0.0 < miss_power < math.inf:     # NaN fails
         raise ValueError(f"miss_power must be positive and finite, "
                          f"got {miss_power!r}")
@@ -311,7 +304,7 @@ def sandwich_check(trials: int = 100000, master_seed: int = 0,
     Combo ``i`` draws from substream ``(master_seed, i)``, so results do
     not depend on the thread count or completion order.
     """
-    _require_budget("trials", trials, 1)
+    _check_int("trials", trials, 1)
 
     def one(idx_combo):
         idx, (miss, keep, sigma) = idx_combo
@@ -335,8 +328,10 @@ def concentration_check(trials: int = 10000, info_samples: int = 1000000,
     is the expected outcome. ``trials`` is at least 1 and ``info_samples``
     at least 2.
     """
-    _require_budget("trials", trials, 1)
-    _require_budget("info_samples", info_samples, 2)
+    _check_int("trials", trials, 1)
+    _check_int("info_samples", info_samples, 2)
+    # substream would refuse a bad seed only after the constants
+    _check_int("master_seed", master_seed, 0)
     miss, keep, sigma, n = (_CONC_MISS_POWER, _CONC_KEEP_POWER, _CONC_SIGMA,
                             _CONC_N)
     noise = GaussianNoise(sigma)
@@ -465,11 +460,12 @@ def run_suite(suite: str, trials: int = 100000, master_seed: int = 0,
 
     ``trials`` is the sandwich budget, at least 1; the concentration suite
     uses a tenth of it for tail trials and ten times it for the centering
-    run. ``threads`` is an int of at least 1, checked before any suite
-    runs.
+    run. ``master_seed`` is an int of at least 0 and ``threads`` one of at
+    least 1; all three are checked before any suite runs.
     """
-    _require_budget("trials", trials, 1)
-    _check_threads(threads)
+    _check_int("trials", trials, 1)
+    _check_int("master_seed", master_seed, 0)
+    _check_int("threads", threads, 1)
     if suite == "sandwich":
         return sandwich_check(trials=trials, master_seed=master_seed,
                               threads=threads)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from phaselim import cli
 from phaselim.cli import main
-from phaselim.verify import VerificationReport
+from phaselim.verify import SUITE_NAMES, VerificationReport
 
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -409,6 +409,19 @@ def test_simulate_refuses_config_before_any_trial(tmp_path, capsys,
         assert code == 2, argv
         assert message in err and stdout == "", (argv, err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_verify_refuses_negative_seed_for_every_suite(tmp_path, capsys,
+                                                     monkeypatch):
+    # logconcavity and negative-control, which draw nothing, ran and
+    # recorded "master_seed": -1; the others failed inside numpy
+    monkeypatch.chdir(tmp_path)
+    for suite in SUITE_NAMES:
+        code, stdout, err = _run(["verify", "--suite", suite, "--seed", "-1",
+                                  "--out", "r.jsonl"], capsys)
+        assert (code, stdout) == (2, ""), suite
+        assert "master_seed" in err, (suite, err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_deterministic_csv(tmp_path, capsys, monkeypatch):

@@ -707,8 +707,10 @@ def test_conditional_logpdf_chunked_batch_identical(monkeypatch):
     ys = rng.normal(3.0, 2.0, size=2000)
     lams = rng.uniform(0.0, 4.0, size=2000)
     quadrature = densities._quadrature_logpdf
+    nodes = densities._QUAD_NODES
+    monkeypatch.setattr(densities, "_QUAD_NODES", 40)
     monkeypatch.setattr(densities, "_QUAD_ELEMENT_BUDGET", 2000 * 4 * 40)
-    one_chunk = quadrature(ys, lams, 1.0, noise, 40)
+    one_chunk = quadrature(ys, lams, 1.0, noise)
     monkeypatch.setattr(densities, "_QUAD_ELEMENT_BUDGET", 37 * 4 * 40)
     # the quadrature evaluates the chi-square kernel once per chunk, on
     # its (samples, 4, nodes) grid
@@ -717,9 +719,9 @@ def test_conditional_logpdf_chunked_batch_identical(monkeypatch):
     monkeypatch.setattr(densities, "noncentral_chi2_scaled_logpdf",
                         lambda u, *rest: chunks.append(len(u))
                         or kernel(u, *rest))
-    whole = quadrature(ys, lams, 1.0, noise, 40)
+    whole = quadrature(ys, lams, 1.0, noise)
     parts = np.concatenate([
-        quadrature(ys[i:i + 100], lams[i:i + 100], 1.0, noise, 40)
+        quadrature(ys[i:i + 100], lams[i:i + 100], 1.0, noise)
         for i in range(0, 2000, 100)])
     assert chunks[:55] == [37] * 54 + [2000 - 54 * 37]
     assert chunks[55:58] == [37, 37, 26]
@@ -730,6 +732,7 @@ def test_conditional_logpdf_chunked_batch_identical(monkeypatch):
     # own, so a sample gives the same bits alone, in a batch, in any slice
     # of it and in any order; the batch mixes zero matched power, both
     # directions and samples left to the quadrature
+    monkeypatch.setattr(densities, "_QUAD_NODES", nodes)
     chunks.clear()
     noise = GaussianNoise(0.5)
     ys = np.concatenate([rng.normal(3.0, 2.0, size=1500),
@@ -926,6 +929,10 @@ def test_concentration_constant_bundle():
     assert consts.scale == pytest.approx(
         150.0 * max(2.0 * consts.moment * (consts.noise_peak + 1.0), 1.0))
     assert consts.scale >= 150.0
+    # NaN was refused as "observations must be finite", naming no argument
+    for total in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="total_power"):
+            concentration_constant(total, noise)
 
 
 def test_concentration_tail_bound_shape():
@@ -933,8 +940,14 @@ def test_concentration_tail_bound_shape():
     vals = [concentration_tail_bound(10, 100.0, mu)
             for mu in (0.0, 0.01, 0.05, 0.2)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        concentration_tail_bound(10, 100.0, -0.1)
+    # a NaN mu bounded the tails by 0.0, and n = -1 by 2.01
+    for args, name in (((10, 100.0, -0.1), "mu"), ((10, 1.0, math.nan), "mu"),
+                       ((10, 1.0, math.inf), "mu"), ((-1, 1.0, 0.1), "n"),
+                       ((0, 1.0, 0.1), "n"), ((math.nan, 1.0, 0.1), "n"),
+                       ((10, math.nan, 0.1), "scale"),
+                       ((10, math.inf, 0.1), "scale")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            concentration_tail_bound(*args)
 
 
 def test_log_floor_is_representable():

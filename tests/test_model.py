@@ -25,14 +25,6 @@ def test_support_set_validation():
         SupportSet(indices=(-1,), universe=5)
 
 
-def test_missed_by_counts():
-    a = SupportSet(indices=(0, 1, 2), universe=6)
-    b = SupportSet(indices=(2, 3, 4), universe=6)
-    assert a.missed_by(b) == 2
-    assert b.missed_by(a) == 2
-    assert a.missed_by(a) == 0
-
-
 def test_floor_count_table():
     assert floor_count(0.0, 10) == 0
     assert floor_count(1.0, 10) == 10
@@ -167,11 +159,11 @@ def test_sorted_signal_prefix():
     sig = SortedSignal(np.array([3.0, 1.0, 2.0j]))
     assert sig.k == 3
     assert np.allclose(sig.sq_magnitudes, [1.0, 4.0, 9.0])
-    assert sig.prefix_power(0) == 0.0
-    assert sig.prefix_power(2) == pytest.approx(5.0)
+    assert sig.prefix[0] == 0.0
+    assert sig.prefix[2] == pytest.approx(5.0)
     assert sig.total_power == pytest.approx(14.0)
     flat = SortedSignal.flat(2.0, 8)
-    assert flat.prefix_power(4) == pytest.approx(1.0)
+    assert flat.prefix[4] == pytest.approx(1.0)
 
 
 def test_partition_modes():

@@ -78,13 +78,53 @@ def test_demo_keywords_exist():
     assert checked
 
 
+_MODULES = ("phaselim", "phaselim.densities", "phaselim.limits",
+            "phaselim.model", "phaselim.rng", "phaselim.simulate",
+            "phaselim.verify")
+
+
 def test_all_names_exist():
-    for module in ("phaselim", "phaselim.densities", "phaselim.limits",
-                   "phaselim.model", "phaselim.rng", "phaselim.simulate",
-                   "phaselim.verify"):
+    for module in _MODULES:
         mod = importlib.import_module(module)
         for name in mod.__all__:
             assert hasattr(mod, name), f"{module}.{name}"
+
+
+def _src_references() -> set:
+    """Names that package code refers to, as a name or an attribute,
+    outside their own definition and outside ``__all__``; an import alone
+    is not a reference."""
+    used = set()
+
+    def visit(node, owners):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owners = owners | {node.name}
+        if isinstance(node, ast.Name) and node.id not in owners:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in owners:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    for path in sorted((ROOT / "src" / "phaselim").glob("*.py")):
+        visit(ast.parse(path.read_text()), frozenset())
+    return used
+
+
+def test_public_names_have_users():
+    # a public name that only tests call belongs in the tests; a user is
+    # package code, a demo's import or the benchmark tracer's table
+    used = _src_references()
+    used |= {name for _, _, name in _demo_imports()}
+    used |= {name for names in _traced_names().values() for name in names}
+    unused = [f"{module}.{name}" for module in _MODULES
+              for name in importlib.import_module(module).__all__
+              if name not in used]
+    assert not unused, unused
 
 
 def test_public_signatures_pinned():

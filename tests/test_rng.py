@@ -4,8 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phaselim import verify
+from phaselim.densities import GaussianNoise
+from phaselim.model import GaussianIID
 from phaselim.rng import (_trial_streams, parallel_map,
                           sample_circular_gaussian, substream)
+from phaselim.simulate import SimConfig, decode
 
 
 def test_substream_reproducible_and_distinct():
@@ -89,3 +93,70 @@ def test_trial_streams_refuse_keys_they_cannot_take():
         with pytest.raises(ValueError):
             next(_trial_streams(*args))
     assert list(_trial_streams(3, 1, 7, 7)) == []
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("drew before refusing")
+
+
+def _entries():
+    """``(parameter, least, call)`` for each public entry that takes a seed
+    or a budget; ``call(value, rng)`` passes ``value`` as that parameter."""
+    noise, signal = GaussianNoise(1.0), GaussianIID(1.0, 2)
+    x, y = np.ones((3, 4), dtype=complex), np.ones(3)
+    entries = [
+        ("master_seed", 0, lambda v, rng: substream(v, 1)),
+        ("path key", 0, lambda v, rng: substream(1, 0, v)),
+        ("trials", 1, lambda v, rng: verify.mi_estimate(1.0, 0.0, noise, v,
+                                                        rng)),
+        ("trials", 1, lambda v, rng: verify.sandwich_check(trials=v)),
+        ("master_seed", 0, lambda v, rng: verify.sandwich_check(
+            trials=10, master_seed=v, threads=2)),
+        ("trials", 1, lambda v, rng: verify.concentration_check(trials=v)),
+        ("info_samples", 2, lambda v, rng: verify.concentration_check(
+            trials=10, info_samples=v)),
+        ("master_seed", 0, lambda v, rng: verify.concentration_check(
+            trials=10, info_samples=10, master_seed=v)),
+        ("master_seed", 0, lambda v, rng:
+            verify.tail_fraction_convergence_check(master_seed=v)),
+        ("trials", 1, lambda v, rng: SimConfig(10, signal, trials=v)),
+        ("mc_samples", 1, lambda v, rng: SimConfig(10, signal,
+                                                   mc_samples=v)),
+        ("master_seed", 0, lambda v, rng: SimConfig(10, signal,
+                                                    master_seed=v)),
+        ("mc_samples", 1, lambda v, rng: decode(
+            x, y, signal, noise, "mc-marginal", mc_samples=v, rng=rng)),
+    ]
+    for suite in verify.SUITE_NAMES:
+        entries += [
+            ("trials", 1, lambda v, rng, s=suite: verify.run_suite(
+                s, trials=v)),
+            ("master_seed", 0, lambda v, rng, s=suite: verify.run_suite(
+                s, master_seed=v))]
+    return entries
+
+
+def _bad_ints(least):
+    return st.one_of(st.integers(max_value=least - 1), st.floats(),
+                     st.booleans(), st.just(float("nan")))
+
+
+@pytest.mark.parametrize("name,least,call", _entries())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_seeds_and_budgets_refused_before_any_draw(name, least, call, data):
+    # a float seed ran its integer part, a bool ran seed 0 or 1, a negative
+    # one failed inside numpy or ran, and a float budget ended in numpy's
+    # TypeError; each is a ValueError that names the parameter, raised
+    # before the entry draws or computes its constants
+    value = data.draw(_bad_ints(least))
+    rng = substream(0, 0)
+    state = rng.bit_generator.state
+    with pytest.MonkeyPatch.context() as mp:
+        for fn in ("_draw_info_samples", "sample_signal_vector",
+                   "concentration_constant", "logconcavity_check",
+                   "logconcavity_negative_control"):
+            mp.setattr(verify, fn, _no_draw)
+        with pytest.raises(ValueError, match=name):
+            call(value, rng)
+    assert rng.bit_generator.state == state

@@ -14,12 +14,11 @@ from scipy.special import logsumexp
 from phaselim import simulate
 from phaselim.densities import GaussianNoise, conditional_output_logpdf
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                            SupportSet, observe, sample_signal_vector,
-                            sample_support)
+                            SupportSet, floor_count, observe,
+                            sample_signal_vector, sample_support)
 from phaselim.rng import sample_circular_gaussian, substream
 from phaselim.simulate import (ErrorCurve, SimConfig, decode, error_curve,
-                               error_event, isotonic_residual,
-                               pava_nonincreasing)
+                               isotonic_residual, pava_nonincreasing)
 
 
 def _draw_instance(p, k, n, signal, noise, rng):
@@ -571,9 +570,24 @@ def test_mc_and_wide_cell_memory_does_not_grow_with_trials(monkeypatch):
     assert peaks[1] <= peaks[0] + 4096, peaks
 
 
+def _missed_by(support, other):
+    """Number of ``support``'s indices absent from ``other``."""
+    return len(set(support.indices) - set(other.indices))
+
+
+def _error_event(true_support, decoded, alpha_star, k):
+    """The paper's approximate-recovery failure: at least
+    ``floor(alpha_star * k)`` indices missed or spuriously added."""
+    thr = floor_count(alpha_star, k)
+    if thr < 1:
+        raise ValueError("alpha_star too small: floor(alpha_star * k) < 1")
+    return (_missed_by(true_support, decoded) >= thr
+            or _missed_by(decoded, true_support) >= thr)
+
+
 def _reference_error_rate(config, n_idx, n):
     """One trial at a time through the public draws, ``decode`` and
-    ``error_event``."""
+    ``_error_event``."""
     k = config.signal.k
     errors = 0
     for t in range(config.trials):
@@ -582,7 +596,7 @@ def _reference_error_rate(config, n_idx, n):
                                        config.noise, rng)
         decoded = decode(x, y, config.signal, config.noise, config.decoder,
                          mc_samples=config.mc_samples, rng=rng)
-        errors += error_event(support, decoded, config.alpha_star, k)
+        errors += _error_event(support, decoded, config.alpha_star, k)
     return errors / config.trials
 
 
@@ -623,16 +637,24 @@ def test_decode_ranks_impossible_candidates_last(monkeypatch):
         assert decoded.indices == (2, 3)
 
 
+def test_missed_by_counts():
+    a = SupportSet(indices=(0, 1, 2), universe=6)
+    b = SupportSet(indices=(2, 3, 4), universe=6)
+    assert _missed_by(a, b) == 2
+    assert _missed_by(b, a) == 2
+    assert _missed_by(a, a) == 0
+
+
 def test_error_event_threshold():
     a = SupportSet(indices=(0, 1, 2, 3), universe=10)
     b = SupportSet(indices=(0, 1, 2, 4), universe=10)  # one miss
     c = SupportSet(indices=(0, 1, 4, 5), universe=10)  # two misses
-    assert not error_event(a, a, 0.5, 4)
-    assert not error_event(a, b, 0.5, 4)   # threshold floor(0.5*4) = 2
-    assert error_event(a, c, 0.5, 4)
-    assert error_event(a, b, 0.25, 4)      # threshold 1
+    assert not _error_event(a, a, 0.5, 4)
+    assert not _error_event(a, b, 0.5, 4)   # threshold floor(0.5*4) = 2
+    assert _error_event(a, c, 0.5, 4)
+    assert _error_event(a, b, 0.25, 4)      # threshold 1
     with pytest.raises(ValueError):
-        error_event(a, b, 0.1, 4)           # floor(0.4) = 0
+        _error_event(a, b, 0.1, 4)           # floor(0.4) = 0
 
 
 def test_sim_config_guards():
