@@ -23,6 +23,7 @@ from .densities import GaussianNoise
 from .model import (_FLOOR_SNAP, DiscreteFlat, DiscreteGeneral, GaussianIID,
                     SignalModel, SortedSignal, _check_power_and_size,
                     floor_count, partition_power_arrays)
+from .rng import _check_int
 
 __all__ = [
     "tail_power_fraction",
@@ -213,6 +214,13 @@ def _check_alpha_search(alpha_star: float, grid_step: float) -> None:
                          f"{_MAX_ALPHA_GRID:.0e} alpha grid points")
 
 
+def _steps_by_count(signal: SignalModel, mode: str) -> bool:
+    """Whether the search evaluates only ``alpha = l/k``: floor mode of a
+    discrete signal, whose missed power is a step function of alpha. Every
+    other query zooms in from the ``grid_step`` grid."""
+    return mode == "floor" and not isinstance(signal, GaussianIID)
+
+
 @dataclass(frozen=True)
 class ThresholdQuery:
     p: int
@@ -225,11 +233,10 @@ class ThresholdQuery:
     def __post_init__(self):
         _check_alpha_search(self.alpha_star, self.grid_step)
         k = self.signal.k
-        if self.p < k:
-            raise ValueError("need k <= p")
+        _check_int("p", self.p, k)
         if self.mode not in ("floor", "asymptotic"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "floor" and not isinstance(self.signal, GaussianIID):
+        if _steps_by_count(self.signal, self.mode):
             # the search evaluates alpha = l/k from l = alpha_star * k on
             count = floor_count(self.alpha_star, k)
             whole = abs(self.alpha_star * k - count) <= _FLOOR_SNAP
@@ -359,11 +366,6 @@ def _round_best(objective, r: np.ndarray, grids: np.ndarray):
 _NOT_FINITE = "measurement count is not a finite float"
 
 
-def _check_finite(*counts: float) -> None:
-    if not all(math.isfinite(c) for c in counts):
-        raise FloatingPointError(_NOT_FINITE)
-
-
 def _threshold_rows(split, points: int, noise: GaussianNoise,
                     alpha_star: float, alphas: np.ndarray, zoom: bool):
     """Normalized thresholds of ``points`` signals in one row search.
@@ -421,27 +423,6 @@ def _threshold_rows(split, points: int, noise: GaussianNoise,
     return v_ach, v_con, best_a[:points], best_a[points:], errors
 
 
-def _normalized_thresholds(signal: SignalModel, mode: str,
-                           noise: GaussianNoise, alpha_star: float,
-                           grid_step: float):
-    split = _power_split(signal, mode)
-    zoom = mode != "floor" or isinstance(signal, GaussianIID)
-    if zoom:
-        alphas = _smooth_grid(alpha_star, grid_step)
-    else:
-        # the missed power is a step function of alpha, so only alpha = l/k
-        # for l = alpha_star k, ..., k can be a maximizer; alpha_star itself
-        # stands for the first, so no reported alpha falls below it
-        k = signal.k
-        alphas = np.append(alpha_star, np.arange(
-            floor_count(alpha_star, k) + 1, k + 1) / k)
-    v_ach, v_con, a_ach, a_con, errors = _threshold_rows(
-        lambda r, a: split(a), 1, noise, alpha_star, alphas, zoom)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(v_ach[0]), float(v_con[0]), float(a_ach[0]), float(a_con[0])
-
-
 def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     """Achievability and converse measurement counts for the query.
 
@@ -471,18 +452,32 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     log`` of the power (for ``alpha_star = 0.1`` the ratio is within 5% of
     the limit only above ``c_beta / sigma ~ 8.4e12``).
     """
-    v_ach, v_con, a_ach, a_con = _normalized_thresholds(
-        query.signal, query.mode, query.noise, query.alpha_star,
-        query.grid_step)
-    k = query.signal.k
+    signal, alpha_star = query.signal, query.alpha_star
+    k = signal.k
+    zoom = not _steps_by_count(signal, query.mode)
+    if zoom:
+        alphas = _smooth_grid(alpha_star, query.grid_step)
+    else:
+        # only alpha = l/k for l = alpha_star k, ..., k can be a maximizer;
+        # alpha_star itself stands for the first, so no reported alpha
+        # falls below it
+        alphas = np.append(alpha_star, np.arange(
+            floor_count(alpha_star, k) + 1, k + 1) / k)
+    split = _power_split(signal, query.mode)
+    v_ach, v_con, a_ach, a_con, errors = _threshold_rows(
+        lambda r, a: split(a), 1, query.noise, alpha_star, alphas, zoom)
+    if errors[0] is not None:
+        raise errors[0]
+    v_ach, v_con = float(v_ach[0]), float(v_con[0])
     budget = k * math.log(query.p / k)
     n_ach, n_con = v_ach * budget, v_con * budget
-    _check_finite(n_ach, n_con)
+    if not (math.isfinite(n_ach) and math.isfinite(n_con)):
+        raise FloatingPointError(_NOT_FINITE)
     return ThresholdResult(
         n_ach=n_ach,
         n_con=n_con,
-        alpha_ach=a_ach,
-        alpha_con=a_con,
+        alpha_ach=float(a_ach[0]),
+        alpha_con=float(a_con[0]),
         n_ach_norm=v_ach,
         n_con_norm=v_con,
     )

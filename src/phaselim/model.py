@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import sample_circular_gaussian
+from .rng import _check_int, sample_circular_gaussian
 
 __all__ = [
     "SupportSet",
@@ -43,9 +43,10 @@ def floor_count(alpha: float, k: int) -> int:
     """``floor(alpha * k)`` with a snap-up guard against float artifacts.
 
     Raises ``OverflowError`` for an infinite and ``ValueError`` for a NaN
-    ``alpha * k``, as ``math.floor`` does.
+    ``alpha * k``, as ``math.floor`` does, or for a ``k`` not an int >= 1.
     """
-    ak = float(alpha) * int(k)
+    _check_int("k", k, 1)
+    ak = float(alpha) * k
     if math.isnan(ak):
         raise ValueError(f"alpha * k is NaN (alpha {alpha!r}, k {k!r})")
     if math.isinf(ak):
@@ -90,9 +91,10 @@ def _check_normal_power(power: float) -> None:
 
 
 def _check_power_and_size(c_beta: float, k: int) -> None:
-    if not (math.isfinite(c_beta) and c_beta > 0) or k < 1:
-        raise ValueError("need finite c_beta > 0 and k >= 1")
+    if not (math.isfinite(c_beta) and c_beta > 0):
+        raise ValueError("need finite c_beta > 0")
     _check_normal_power(c_beta)
+    _check_int("k", k, 1)
 
 
 @dataclass(frozen=True)
@@ -248,8 +250,8 @@ def partition_power_arrays(signal: SortedSignal, alpha, mode: str = "floor"):
 
 def sample_support(p: int, k: int, rng: np.random.Generator) -> SupportSet:
     """Uniformly random size-``k`` subset of ``{0..p-1}``, stored sorted."""
-    if k < 1 or k > p:
-        raise ValueError("need 1 <= k <= p")
+    _check_int("k", k, 1)
+    _check_int("p", p, k)
     return SupportSet(indices=rng.choice(p, size=k, replace=False), universe=p)
 
 

@@ -61,7 +61,7 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 def _check_int(name: str, value, least: int) -> None:
     """Refuse a ``value`` that is not an int, or is a bool, or is below
     ``least``: the one rule for seeds and stream keys (``least`` 0), thread
-    caps and Monte Carlo budgets (an empty budget's mean is NaN)."""
+    caps, Monte Carlo budgets (an empty budget's mean is NaN) and counts."""
     if isinstance(value, bool) or not isinstance(value, int) \
             or value < least:
         raise ValueError(f"{name} must be an int of at least {least}, "
@@ -160,6 +160,9 @@ def _trial_streams(master_seed: int, n_idx: int, start: int, stop: int):
                             "has_uint32": 0, "uinteger": 0}
             yield rng
         del words       # before the next chunk's are derived
+
+
+_UNIT_SCALE = np.sqrt(0.5)  # sample_circular_gaussian's scale at power 1
 
 
 def sample_circular_gaussian(rng: np.random.Generator, size, power: float = 1.0):

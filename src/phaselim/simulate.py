@@ -119,7 +119,7 @@ import numpy as np
 from .densities import GaussianNoise
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
                     SupportSet, floor_count, sample_signal_vector)
-from .rng import (_check_int, _trial_streams, parallel_map,
+from .rng import (_UNIT_SCALE, _check_int, _trial_streams, parallel_map,
                   sample_circular_gaussian)
 
 __all__ = [
@@ -251,8 +251,9 @@ def _check_decode(p: int, signal: SignalModel, noise: GaussianNoise,
     are affordable: 1 to ``MAX_CANDIDATES`` candidates, at least one draw,
     and a power, and power over sigma, within ``_POWER_MAX``."""
     decoder, _ = _decoder_for(signal)
-    count = math.comb(p, signal.k)      # 0 when k > p
-    if not 1 <= count <= MAX_CANDIDATES:
+    _check_int("p", p, signal.k)
+    count = math.comb(p, signal.k)
+    if count > MAX_CANDIDATES:
         raise ValueError(f"C(p,k) = {count} must lie in [1, {MAX_CANDIDATES}]")
     _check_int("mc_samples", mc_samples, 1)
     power = signal.total_power
@@ -544,8 +545,8 @@ class SimConfig:
         _check_int("threads", self.threads, 1)
         if not self.n_grid:
             raise ValueError("empty measurement grid")
-        if any(n < 0 for n in self.n_grid):
-            raise ValueError("measurement counts must be nonnegative")
+        for n in self.n_grid:
+            _check_int("n_grid entry", n, 0)
 
     @property
     def decoder(self) -> str:
@@ -591,7 +592,6 @@ def _run_cell(args) -> float:
     # once its data are drawn, so it scores one trial at a time
     block = 1 if config.decoder == "mc-marginal" else _trial_block(p, k, n)
     coefficients = _coefficient_draw(signal)
-    unit = np.sqrt(0.5)     # sample_circular_gaussian's scale at power 1
     # a trial errs when its decode misses, and so adds, at least
     # floor(alpha_star k) of the k true indices: when the two share at
     # most this many
@@ -611,7 +611,7 @@ def _run_cell(args) -> float:
             support.sort()
             truth[t] = support
             beta = coefficients(rng)
-            parts = rng.normal(0.0, unit, (2, n, p))    # real, then imag
+            parts = rng.normal(0.0, _UNIT_SCALE, (2, n, p))  # real, imag
             x[t].real = parts[0]
             x[t].imag = parts[1]
             y[t] = (np.abs(np.conjugate(x[t][:, support]) @ beta) ** 2

@@ -27,7 +27,7 @@ from .densities import (GaussianNoise, concentration_constant,
 from .limits import mi_pair_lower, mi_pair_upper, tail_power_fraction
 from .model import (GaussianIID, SortedSignal, partition_power_arrays,
                     sample_signal_vector)
-from .rng import _check_int, parallel_map, substream
+from .rng import _UNIT_SCALE, _check_int, parallel_map, substream
 
 __all__ = [
     "VerificationReport",
@@ -188,10 +188,10 @@ def _draw_info_samples(miss_power: float, keep_power: float,
     is zero, so no value of theirs reaches a density. They are still drawn,
     since skipping them would shift every later value, but into the one
     array of the run's length, which ``standard_normal(out=...)`` fills
-    with the words of ``rng.normal(0.0, unit, n)``. That array then takes
-    the missed-real plane, becomes ``full_sq`` block by block and then the
-    densities (8 bytes a sample). The sign of a zero plane value may differ
-    from the general path, which no squared magnitude sees.
+    with the words of ``rng.normal(0.0, _UNIT_SCALE, n)``. That array then
+    takes the missed-real plane, becomes ``full_sq`` block by block and
+    then the densities (8 bytes a sample). The sign of a zero plane value
+    may differ from the general path, which no squared magnitude sees.
 
     The squared magnitudes go through a complex block buffer because
     numpy's complex ``abs`` is not ``np.hypot`` bit for bit. Every step is
@@ -200,7 +200,6 @@ def _draw_info_samples(miss_power: float, keep_power: float,
     temporaries.
     """
     miss_scale = math.sqrt(miss_power)
-    unit = np.sqrt(0.5)     # sample_circular_gaussian's scale at power 1
     blocks = [slice(lo, min(lo + _INFO_BLOCK, trials))
               for lo in range(0, trials, _INFO_BLOCK)]
     buf = np.empty(min(trials, _INFO_BLOCK), dtype=complex)
@@ -212,23 +211,23 @@ def _draw_info_samples(miss_power: float, keep_power: float,
         return np.abs(buf[:n]) ** 2
 
     def miss_block(s):
-        return miss_scale * rng.normal(0.0, unit, s.stop - s.start)
+        return miss_scale * rng.normal(0.0, _UNIT_SCALE, s.stop - s.start)
 
     if keep_power == 0.0:
         vals = np.empty(trials)
         rng.standard_normal(out=vals)   # keep-real, dropped
         rng.standard_normal(out=vals)   # keep-imaginary, dropped
         rng.standard_normal(out=vals)   # miss-real
-        vals *= unit            # rng.normal's rounding, then miss_block's
+        vals *= _UNIT_SCALE     # rng.normal's rounding, then miss_block's
         vals *= miss_scale
         for s in blocks:
             vals[s] = abs_sq(vals[s], miss_block(s))
         full_sq, known_sq = vals, np.broadcast_to(0.0, trials)
     else:
         keep_scale = math.sqrt(keep_power)
-        re = rng.normal(0.0, unit, trials)
+        re = rng.normal(0.0, _UNIT_SCALE, trials)
         re *= keep_scale
-        im = rng.normal(0.0, unit, trials)
+        im = rng.normal(0.0, _UNIT_SCALE, trials)
         im *= keep_scale
         known_sq = np.empty(trials)
         for s in blocks:

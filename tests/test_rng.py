@@ -1,12 +1,16 @@
 """Seeded substreams and order-preserving parallel evaluation."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phaselim import verify
+from phaselim import limits, verify
 from phaselim.densities import GaussianNoise
-from phaselim.model import GaussianIID
+from phaselim.limits import ThresholdQuery, measurement_thresholds
+from phaselim.model import (DiscreteFlat, GaussianIID, floor_count,
+                            sample_support)
 from phaselim.rng import (_trial_streams, parallel_map,
                           sample_circular_gaussian, substream)
 from phaselim.simulate import SimConfig, decode
@@ -100,9 +104,11 @@ def _no_draw(*args, **kwargs):
 
 
 def _entries():
-    """``(parameter, least, call)`` for each public entry that takes a seed
-    or a budget; ``call(value, rng)`` passes ``value`` as that parameter."""
-    noise, signal = GaussianNoise(1.0), GaussianIID(1.0, 2)
+    """``(parameter, least, call)`` for each public entry that takes a
+    seed, a budget or a count; ``call(value, rng)`` passes ``value`` as
+    that parameter."""
+    noise, signal, flat = GaussianNoise(1.0), GaussianIID(1.0, 2), \
+        DiscreteFlat(1.0, 2)
     x, y = np.ones((3, 4), dtype=complex), np.ones(3)
     entries = [
         ("master_seed", 0, lambda v, rng: substream(v, 1)),
@@ -126,6 +132,16 @@ def _entries():
                                                     master_seed=v)),
         ("mc_samples", 1, lambda v, rng: decode(
             x, y, signal, noise, "mc-marginal", mc_samples=v, rng=rng)),
+        ("p", 10, lambda v, rng: measurement_thresholds(ThresholdQuery(
+            p=v, signal=DiscreteFlat(1.0, 10)))),
+        ("k", 1, lambda v, rng: DiscreteFlat(1.0, v)),
+        ("k", 1, lambda v, rng: GaussianIID(1.0, v)),
+        ("p", 2, lambda v, rng: SimConfig(p=v, signal=flat, trials=3)),
+        ("n_grid entry", 0, lambda v, rng: SimConfig(
+            p=6, signal=flat, trials=3, n_grid=(5, v))),
+        ("k", 1, lambda v, rng: floor_count(0.5, v)),
+        ("p", 2, lambda v, rng: sample_support(v, 2, rng)),
+        ("k", 1, lambda v, rng: sample_support(10, v, rng)),
     ]
     for suite in verify.SUITE_NAMES:
         entries += [
@@ -146,9 +162,10 @@ def _bad_ints(least):
 @given(data=st.data())
 def test_seeds_and_budgets_refused_before_any_draw(name, least, call, data):
     # a float seed ran its integer part, a bool ran seed 0 or 1, a negative
-    # one failed inside numpy or ran, and a float budget ended in numpy's
+    # one failed inside numpy or ran, a float budget ended in numpy's
+    # TypeError, and a float count was searched, truncated or ended in a
     # TypeError; each is a ValueError that names the parameter, raised
-    # before the entry draws or computes its constants
+    # before the entry draws, searches or computes its constants
     value = data.draw(_bad_ints(least))
     rng = substream(0, 0)
     state = rng.bit_generator.state
@@ -157,6 +174,7 @@ def test_seeds_and_budgets_refused_before_any_draw(name, least, call, data):
                    "concentration_constant", "logconcavity_check",
                    "logconcavity_negative_control"):
             mp.setattr(verify, fn, _no_draw)
-        with pytest.raises(ValueError, match=name):
+        mp.setattr(limits, "_search_max", _no_draw)
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be"):
             call(value, rng)
     assert rng.bit_generator.state == state
