@@ -42,8 +42,8 @@ _FLOOR_SNAP = 1e-9
 def floor_count(alpha: float, k: int) -> int:
     """``floor(alpha * k)`` with a snap-up guard against float artifacts.
 
-    Raises ``OverflowError`` for an infinite and ``ValueError`` for a NaN
-    ``alpha * k``, as ``math.floor`` does, or for a ``k`` not an int >= 1.
+    Raises ``ValueError`` for a ``k`` that is not an int >= 1, and for a
+    NaN ``alpha * k``; ``OverflowError`` for an infinite one.
     """
     _check_int("k", k, 1)
     ak = float(alpha) * k
