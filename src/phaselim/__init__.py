@@ -20,7 +20,7 @@ from .limits import (ThresholdInfeasibleError, ThresholdQuery,
                      measurement_thresholds, mi_pair_lower, mi_pair_upper,
                      snr_db, tail_power_fraction, write_figure_csv)
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SortedSignal,
-                    SupportSet, floor_count, observe, partition_power_arrays,
+                    floor_count, observe, partition_power_arrays,
                     partition_powers, sample_signal_vector, sample_support)
 from .rng import parallel_map, sample_circular_gaussian, substream
 from .simulate import (ErrorCurve, SimConfig, decode, error_curve,
@@ -35,10 +35,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "SupportSet", "DiscreteFlat", "DiscreteGeneral", "GaussianIID",
-    "SortedSignal", "floor_count", "partition_powers",
-    "partition_power_arrays", "sample_support", "sample_signal_vector",
-    "observe",
+    "DiscreteFlat", "DiscreteGeneral", "GaussianIID", "SortedSignal",
+    "floor_count", "partition_powers", "partition_power_arrays",
+    "sample_support", "sample_signal_vector", "observe",
     # densities
     "GaussianNoise", "ConcentrationConstants",
     "noncentral_chi2_scaled_logpdf", "conditional_output_logpdf",

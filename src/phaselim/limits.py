@@ -469,7 +469,10 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     if errors[0] is not None:
         raise errors[0]
     v_ach, v_con = float(v_ach[0]), float(v_con[0])
-    budget = k * math.log(query.p / k)
+    try:
+        budget = k * math.log(query.p / k)
+    except OverflowError:   # a whole p past the float range
+        budget = k * (math.log(query.p) - math.log(k))
     n_ach, n_con = v_ach * budget, v_con * budget
     if not (math.isfinite(n_ach) and math.isfinite(n_con)):
         raise FloatingPointError(_NOT_FINITE)

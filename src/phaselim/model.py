@@ -21,7 +21,6 @@ import numpy as np
 from .rng import _check_int, sample_circular_gaussian
 
 __all__ = [
-    "SupportSet",
     "DiscreteFlat",
     "DiscreteGeneral",
     "GaussianIID",
@@ -60,25 +59,6 @@ def _snapped_floor(ak):
     within ``_FLOOR_SNAP`` below the next integer."""
     m = np.floor(ak)
     return m + (ak - m > 1.0 - _FLOOR_SNAP)
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Distinct index tuple inside a universe of size ``p``, stored sorted."""
-
-    indices: tuple[int, ...]
-    universe: int
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        object.__setattr__(self, "indices", idx)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("support indices must be distinct")
-        if idx and (idx[0] < 0 or idx[-1] >= self.universe):
-            raise ValueError("support index outside universe")
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def _check_normal_power(power: float) -> None:
@@ -248,11 +228,14 @@ def partition_power_arrays(signal: SortedSignal, alpha, mode: str = "floor"):
     return miss, signal.prefix[-1] - miss
 
 
-def sample_support(p: int, k: int, rng: np.random.Generator) -> SupportSet:
-    """Uniformly random size-``k`` subset of ``{0..p-1}``, stored sorted."""
+def sample_support(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random size-``k`` subset of ``{0..p-1}``, as its sorted
+    index array."""
     _check_int("k", k, 1)
     _check_int("p", p, k)
-    return SupportSet(indices=rng.choice(p, size=k, replace=False), universe=p)
+    support = rng.choice(p, size=k, replace=False)
+    support.sort()
+    return support
 
 
 def sample_signal_vector(model: SignalModel, rng: np.random.Generator) -> np.ndarray:

@@ -169,12 +169,13 @@ def sample_circular_gaussian(rng: np.random.Generator, size, power: float = 1.0)
     """Circularly-symmetric complex Gaussian samples with ``E|W|^2 = power``.
 
     The variance splits evenly between the real and imaginary parts
-    (``power/2`` each).
+    (``power/2`` each). Both planes come from one ``rng.normal`` call, the
+    real one first, which draws the same values as two calls of ``size``.
     """
-    scale = np.sqrt(power / 2.0)
     out = np.empty(size, dtype=complex)
-    out.real = rng.normal(0.0, scale, size)
-    out.imag = rng.normal(0.0, scale, size)
+    parts = rng.normal(0.0, np.sqrt(power / 2.0), (2,) + out.shape)
+    out.real = parts[0]
+    out.imag = parts[1]
     return out
 
 

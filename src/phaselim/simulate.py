@@ -54,34 +54,31 @@ trial blocks
     Every trial of a cell has the same ``n``, ``p`` and ``k``, and
     flat-ml's one known draw is the same in all of them. So ``_run_cell``
     draws a block of trials, each from its own stream, and stages their
-    sensing matrices and observations in the workspace. Trial ``t`` of
-    cell ``n_idx`` draws from the stream that ``substream(master_seed,
-    n_idx, t)`` gives, bit for bit: ``rng._trial_streams`` derives the PCG64
+    sensing matrices and observations in the workspace. Trial ``t`` of cell
+    ``n_idx`` draws from the stream that ``substream(master_seed, n_idx,
+    t)`` gives, bit for bit: ``rng._trial_streams`` derives the PCG64
     states of 256 trials at a time by ``SeedSequence``'s own hashing,
     written as array arithmetic, and reseeds one generator per cell in
-    place. Each trial draws what ``sample_support``,
-    ``sample_signal_vector``, ``sample_circular_gaussian`` and ``observe``
-    draw, in that order (support, coefficients, ``x``, noise), straight
-    into the block: its support is ``rng.choice`` sorted in place, the flat
-    coefficient vector, which draws nothing, is built once per cell, and
-    ``y`` is formed as ``observe`` forms it. The cell then scores the whole
-    block in one direct-form pass with a leading trial axis: a pass's fixed
-    numpy call cost (about 20 ufunc calls and 8 workspace requests) is paid
-    once per block, not once per trial. A trial errs when its decoded
-    support misses at least ``floor(alpha_star k)`` of the ``k`` true
-    indices, and so adds as many; the errors are counted from the true and
-    decoded index arrays, with no ``SupportSet`` per trial. A block holds
-    ``max(1, _CHUNK_ELEMENTS // (max(C(p, k), k p) * max(n, 1)))`` trials
-    (``_trial_block``), so that its projections and its product table
-    each fit one chunk budget: 7 trials at ``p = 10``, ``k = 2``, ``n =
-    50``, 72 at ``n = 5`` and one at 9,880 candidates. Each (candidate,
-    trial) sum runs over the contiguous rows of that trial alone, so a
-    block scores every trial bit for bit as its own decode does, a block
-    of one trial included. An mc-marginal block is one trial: it takes
-    its Monte Carlo coefficient draws from the trial's stream after its
-    data and scores them as ``decode`` does (in the form ``_lifted_pays``
-    picks), without ``decode``'s config checks, which ``SimConfig`` has
-    made once.
+    place. Each trial calls ``sample_support``, ``sample_signal_vector``
+    (the flat vector, which draws nothing, is built once per cell),
+    ``sample_circular_gaussian`` and ``observe``, in that order, and stages
+    its ``x`` and ``y`` in the block. The cell then scores the whole block
+    in one direct-form pass with a leading trial axis: a pass's fixed numpy
+    call cost (about 20 ufunc calls and 8 workspace requests) is paid once
+    per block, not once per trial. A trial errs when its decoded support
+    misses at least ``floor(alpha_star k)`` of the ``k`` true indices, and
+    so adds as many; the errors are counted from the true and decoded index
+    arrays. A block holds ``max(1, _CHUNK_ELEMENTS // (max(C(p, k), k p) *
+    max(n, 1)))`` trials (``_trial_block``), so that its projections and
+    its product table each fit one chunk budget: 7 trials at ``p = 10``,
+    ``k = 2``, ``n = 50``, 72 at ``n = 5`` and one at 9,880 candidates.
+    Each (candidate, trial) sum runs over the contiguous rows of that trial
+    alone, so a block scores every trial bit for bit as its own decode
+    does, a block of one trial included. An mc-marginal block is one trial:
+    it takes its Monte Carlo coefficient draws from the trial's stream
+    after its data and scores them as ``decode`` does (in the form
+    ``_lifted_pays`` picks), without ``decode``'s config checks, which
+    ``SimConfig`` has made once.
 
 Every pass writes into a buffer of a per-thread workspace that is grown on
 demand and reused by later decodes, so a chunk allocates nothing of its
@@ -118,8 +115,9 @@ import numpy as np
 
 from .densities import GaussianNoise
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
-                    SupportSet, floor_count, sample_signal_vector)
-from .rng import (_UNIT_SCALE, _check_int, _trial_streams, parallel_map,
+                    floor_count, observe, sample_signal_vector,
+                    sample_support)
+from .rng import (_check_int, _trial_streams, parallel_map,
                   sample_circular_gaussian)
 
 __all__ = [
@@ -274,10 +272,20 @@ def _trial_block(p: int, k: int, n: int) -> int:
 def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
            noise: GaussianNoise, decoder: str = "flat-ml",
            mc_samples: int = 256,
-           rng: np.random.Generator | None = None) -> SupportSet:
-    """Pick the highest-scoring size-``k`` support for observations ``y``.
-    ``decoder`` must be the one the signal model fixes."""
+           rng: np.random.Generator | None = None) -> np.ndarray:
+    """Pick the highest-scoring size-``k`` support for observations ``y``,
+    as its sorted index array. ``decoder`` must be the one the signal
+    model fixes. ``x`` must be a finite ``(n, p)`` matrix and ``y`` a
+    finite vector of its ``n`` rows, ``n = 0`` included."""
     x, y = np.asarray(x), np.asarray(y, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-d, got shape {x.shape}")
+    if y.shape != x.shape[:1]:
+        raise ValueError(f"y must be 1-d with x's {x.shape[0]} rows, got "
+                         f"shape {y.shape}")
+    for name, a in (("x", x), ("y", y)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
     p = x.shape[1]
     fixed = _check_decode(p, signal, noise, mc_samples)
     if decoder != fixed:
@@ -286,8 +294,7 @@ def decode(x: np.ndarray, y: np.ndarray, signal: SignalModel,
     draws, scale = _decoder_draws(signal, mc_samples, rng)
     [scores] = _candidate_scores(x[None], y[None], noise, draws, scale)
     # the first highest score: ties go to the lexicographically smallest
-    return SupportSet(indices=_candidates(p, signal.k)[np.argmax(scores)],
-                      universe=p)
+    return _candidates(p, signal.k)[np.argmax(scores)].copy()
 
 
 # Overflowing intensities or Gram entries are handled: their candidates
@@ -604,18 +611,11 @@ def _run_cell(args) -> float:
         x = ws.take("trial_x", (size, n, p), complex)
         y = ws.take("trial_y", (size, n), float)
         truth = np.empty((size, k), dtype=np.intp)
-        # each trial draws what sample_support, sample_signal_vector,
-        # sample_circular_gaussian and observe draw, in that order
         for t, rng in zip(range(size), streams):
-            support = rng.choice(p, size=k, replace=False)
-            support.sort()
-            truth[t] = support
+            truth[t] = support = sample_support(p, k, rng)
             beta = coefficients(rng)
-            parts = rng.normal(0.0, _UNIT_SCALE, (2, n, p))  # real, imag
-            x[t].real = parts[0]
-            x[t].imag = parts[1]
-            y[t] = (np.abs(np.conjugate(x[t][:, support]) @ beta) ** 2
-                    + noise.sample(rng, n))
+            x[t] = sample_circular_gaussian(rng, (n, p))
+            y[t] = observe(x[t][:, support], beta, noise, rng)
         # mc-marginal's one trial draws them from its stream after its data
         draws, scale = _decoder_draws(signal, config.mc_samples, rng)
         scores = _candidate_scores(x, y, noise, draws, scale)

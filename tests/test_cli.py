@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,6 +92,17 @@ def test_help_exits_zero():
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 0
+
+
+def test_thresholds_take_p_past_float_range(tmp_path, monkeypatch, capsys):
+    # a 401-digit --p exited 4 when p / k overflowed a float
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(["thresholds", "--model", "flat", "--k", "10",
+                         "--p", "1" + "0" * 400, "--json"], capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert record["p"] == 10**400
+    assert math.isfinite(record["n_ach"]) and math.isfinite(record["n_con"])
 
 
 def test_missing_required_flag_is_usage_error(capsys):

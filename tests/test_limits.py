@@ -285,6 +285,21 @@ def test_threshold_example_value():
     assert r.n_ach_norm == pytest.approx(r.n_ach / budget, rel=1e-12)
 
 
+def test_threshold_budget_past_float_range():
+    # p / k of a whole p past the float range overflowed, though the budget
+    # k log(p/k) is about 9190; counts whose p / k is a float keep their
+    # bytes, 2^1024 included (its quotient by k is in range)
+    sig = DiscreteFlat(c_beta=1.0, k=10)
+    r = measurement_thresholds(ThresholdQuery(p=10**400, signal=sig))
+    budget = 10 * 399 * math.log(10.0)
+    assert math.isfinite(r.n_ach) and math.isfinite(r.n_con)
+    assert r.n_ach == pytest.approx(r.n_ach_norm * budget, rel=1e-12)
+    assert r.n_con == pytest.approx(r.n_con_norm * budget, rel=1e-12)
+    for p in (10**300, 2**1024):
+        r = measurement_thresholds(ThresholdQuery(p=p, signal=sig))
+        assert r.n_ach == r.n_ach_norm * (10 * math.log(p / 10))
+
+
 def test_threshold_determinism():
     q = ThresholdQuery(p=500, signal=DiscreteFlat(c_beta=2.0, k=5),
                        alpha_star=0.3, mode="asymptotic")

@@ -7,22 +7,11 @@ import pytest
 from scipy import stats
 
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                            SortedSignal, SupportSet,
-                            floor_count, observe, partition_powers,
-                            sample_signal_vector, sample_support)
+                            SortedSignal, floor_count, observe,
+                            partition_powers, sample_signal_vector,
+                            sample_support)
 from phaselim.densities import GaussianNoise
 from phaselim.rng import sample_circular_gaussian, substream
-
-
-def test_support_set_validation():
-    s = SupportSet(indices=(3, 1, 2), universe=5)
-    assert s.indices == (1, 2, 3)
-    with pytest.raises(ValueError):
-        SupportSet(indices=(1, 1, 2), universe=5)
-    with pytest.raises(ValueError):
-        SupportSet(indices=(0, 5), universe=5)
-    with pytest.raises(ValueError):
-        SupportSet(indices=(-1,), universe=5)
 
 
 def test_floor_count_table():
@@ -145,14 +134,25 @@ def test_sample_support_uniform_chi2():
     rng = substream(21, 0)
     counts = {}
     for _ in range(draws):
-        s = sample_support(p, k, rng)
-        counts[s.indices] = counts.get(s.indices, 0) + 1
+        s = tuple(sample_support(p, k, rng).tolist())
+        counts[s] = counts.get(s, 0) + 1
     cells = math.comb(p, k)
     assert len(counts) == cells
     observed = np.array(list(counts.values()))
     chi2 = float(np.sum((observed - draws / cells) ** 2 / (draws / cells)))
     # dof = 9; 0.999 quantile ~ 27.9
     assert chi2 < 27.9
+
+
+def test_sample_support_is_sorted_distinct_index_array():
+    # the guarantee the decoder's candidates and the error count rely on
+    rng = substream(22, 0)
+    for p, k in ((1, 1), (5, 2), (5, 5), (40, 3), (1000, 7)):
+        for _ in range(50):
+            s = sample_support(p, k, rng)
+            assert s.shape == (k,) and s.dtype.kind == "i"
+            assert np.all(np.diff(s) > 0)
+            assert 0 <= s[0] and s[-1] < p
 
 
 def test_sorted_signal_prefix():

@@ -14,7 +14,7 @@ from scipy.special import logsumexp
 from phaselim import simulate
 from phaselim.densities import GaussianNoise, conditional_output_logpdf
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                            SupportSet, floor_count, observe,
+                            floor_count, observe,
                             sample_signal_vector, sample_support)
 from phaselim.rng import sample_circular_gaussian, substream
 from phaselim.simulate import (ErrorCurve, SimConfig, decode, error_curve,
@@ -25,7 +25,7 @@ def _draw_instance(p, k, n, signal, noise, rng):
     support = sample_support(p, k, rng)
     beta = sample_signal_vector(signal, rng)
     x = sample_circular_gaussian(rng, (n, p))
-    y = observe(x[:, support.indices], beta, noise, rng)
+    y = observe(x[:, support], beta, noise, rng)
     return support, x, y
 
 
@@ -36,7 +36,7 @@ def test_flat_ml_recovers_at_tiny_noise():
     for _ in range(20):
         support, x, y = _draw_instance(6, 2, 6, signal, noise, rng)
         decoded = decode(x, y, signal, noise, "flat-ml")
-        assert decoded.indices == support.indices
+        assert np.array_equal(decoded, support)
 
 
 def test_flat_ml_zero_measurements_lexicographic():
@@ -45,7 +45,7 @@ def test_flat_ml_zero_measurements_lexicographic():
     x = np.zeros((0, 7), dtype=complex)
     y = np.zeros(0)
     decoded = decode(x, y, signal, noise, "flat-ml")
-    assert decoded.indices == (0, 1, 2)
+    assert tuple(decoded) == (0, 1, 2)
 
 
 def test_flat_ml_accepts_equal_general_values():
@@ -55,7 +55,7 @@ def test_flat_ml_accepts_equal_general_values():
     rng = substream(2, 0)
     support, x, y = _draw_instance(6, 2, 8, signal, noise, rng)
     decoded = decode(x, y, signal, noise, "flat-ml")
-    assert decoded.indices == support.indices
+    assert np.array_equal(decoded, support)
 
 
 def test_flat_ml_rejects_multivalued():
@@ -66,6 +66,34 @@ def test_flat_ml_rejects_multivalued():
         decode(x, np.zeros(1), signal, noise, "flat-ml")
     with pytest.raises(ValueError):
         decode(x, np.zeros(1), GaussianIID(1.0, 2), noise, "flat-ml")
+
+
+@pytest.mark.parametrize("signal, decoder", [
+    (DiscreteFlat(c_beta=1.0, k=2), "flat-ml"),
+    (GaussianIID(c_beta=1.0, k=2), "mc-marginal")])
+def test_decode_refuses_bad_arrays(signal, decoder):
+    # a y whose length is not x's row count failed inside numpy with a
+    # message naming neither argument, and a non-finite entry silently
+    # gave candidate (0, 1); each is refused by name before any draw
+    noise = GaussianNoise(1.0)
+    x = sample_circular_gaussian(substream(3, 0), (5, 6))
+    y = np.ones(5)
+    one_nan = x.copy()
+    one_nan[2, 4] = np.nan
+    for bad_x, bad_y, name in (
+            (x[0], y, "x"), (x[None], y, "x"), (x, np.ones(1), "y"),
+            (x, np.ones((5, 1)), "y"), (x, np.ones(6), "y"),
+            (x, np.full(5, np.nan), "y"), (x, np.full(5, np.inf), "y"),
+            (x, np.array([1.0, 1.0, -np.inf, 1.0, 1.0]), "y"),
+            (one_nan, y, "x"), (x * np.inf, y, "x")):
+        rng = substream(4, 0)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            decode(bad_x, bad_y, signal, noise, decoder, mc_samples=8,
+                   rng=rng)
+        assert rng.bit_generator.state == substream(4, 0).bit_generator.state
+    # zero rows is the zero-measurement limit, not a bad array
+    assert tuple(decode(x[:0], y[:0], signal, noise, decoder, mc_samples=8,
+                        rng=substream(4, 0))) == (0, 1)
 
 
 def test_decode_candidate_guard():
@@ -85,8 +113,7 @@ def test_decode_permutation_equivariance():
     perm = np.array([3, 0, 6, 1, 5, 2, 4])
     # column j of the permuted matrix is column perm[j] of the original
     decoded = decode(x[:, perm], y, signal, noise, "flat-ml")
-    mapped = tuple(sorted(int(perm[j]) for j in decoded.indices))
-    assert mapped == base.indices
+    assert np.array_equal(np.sort(perm[decoded]), base)
 
 
 def test_mc_marginal_needs_rng():
@@ -122,7 +149,7 @@ def test_mc_marginal_matches_single_column_marginal():
             best_exact = (j, exact)
     decoded = decode(x, y, signal, noise, "mc-marginal", mc_samples=20000,
                      rng=substream(42, 0))
-    assert decoded.indices == (best_exact[0],)
+    assert tuple(decoded) == (best_exact[0],)
 
 
 def test_mc_marginal_recovers_high_snr():
@@ -134,7 +161,7 @@ def test_mc_marginal_recovers_high_snr():
         support, x, y = _draw_instance(6, 2, 12, signal, noise, rng)
         decoded = decode(x, y, signal, noise, "mc-marginal",
                          mc_samples=512, rng=rng)
-        hits += decoded.indices == support.indices
+        hits += np.array_equal(decoded, support)
     assert hits >= 8
 
 
@@ -330,7 +357,7 @@ def test_trial_block_scores_match_one_trial_scores(k, extra, n, trials,
     y = np.empty((trials, n))
     for t in range(trials):
         support = sample_support(p, k, rng)
-        y[t] = observe(x[t][:, support.indices],
+        y[t] = observe(x[t][:, support],
                        sample_signal_vector(signal, rng), noise, rng)
     draws = (sample_circular_gaussian(rng, (4, k)) if drawn
              else np.ones((1, k)))
@@ -418,7 +445,7 @@ def test_chunked_scores_match_one_chunk(monkeypatch):
         monkeypatch.setattr(simulate, "_SCORE_ELEMENTS", 1)
         tiny = decode(x, y, signal, noise, decoder, rng=substream(3, 1), **kw)
         monkeypatch.undo()
-        assert tiny == one
+        assert np.array_equal(tiny, one)
 
 
 def test_workspace_reuse_is_bit_identical(monkeypatch):
@@ -493,7 +520,7 @@ def test_repeated_decode_allocates_no_chunk_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert again == first
+    assert np.array_equal(again, first)
     assert peak < 16 * simulate._CHUNK_ELEMENTS, peak
     # the same holds for a repeated flat-ml cell of 7-trial blocks
     config = SimConfig(p=10, signal=DiscreteFlat(c_beta=1.0, k=2),
@@ -572,7 +599,7 @@ def test_mc_and_wide_cell_memory_does_not_grow_with_trials(monkeypatch):
 
 def _missed_by(support, other):
     """Number of ``support``'s indices absent from ``other``."""
-    return len(set(support.indices) - set(other.indices))
+    return len(set(support.tolist()) - set(other.tolist()))
 
 
 def _error_event(true_support, decoded, alpha_star, k):
@@ -602,7 +629,7 @@ def _reference_error_rate(config, n_idx, n):
 
 @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
 def test_cell_error_rate_matches_reference_loop(trials):
-    # the cell's in-place draws, reseeded trial streams and index-array
+    # the cell's staged draws, reseeded trial streams and index-array
     # error count give the error rate of the plain loop, across key chunks
     # (256 trials) and trial blocks; a single-valued DiscreteGeneral
     # draws a permutation, GaussianIID its coefficients and mc draws
@@ -629,26 +656,26 @@ def test_decode_ranks_impossible_candidates_last(monkeypatch):
     noise = GaussianNoise(1.0)
     y = np.array([4.0, 2.0])
     decoded = decode(x, y, DiscreteFlat(c_beta=2.0, k=2), noise, "flat-ml")
-    assert decoded.indices == (2, 3)
+    assert tuple(decoded) == (2, 3)
     for lifted in (False, True):
         _force_form(monkeypatch, lifted)
         decoded = decode(x, y, GaussianIID(c_beta=2.0, k=2), noise,
                          "mc-marginal", mc_samples=8, rng=substream(0, 0))
-        assert decoded.indices == (2, 3)
+        assert tuple(decoded) == (2, 3)
 
 
 def test_missed_by_counts():
-    a = SupportSet(indices=(0, 1, 2), universe=6)
-    b = SupportSet(indices=(2, 3, 4), universe=6)
+    a = np.array([0, 1, 2])
+    b = np.array([2, 3, 4])
     assert _missed_by(a, b) == 2
     assert _missed_by(b, a) == 2
     assert _missed_by(a, a) == 0
 
 
 def test_error_event_threshold():
-    a = SupportSet(indices=(0, 1, 2, 3), universe=10)
-    b = SupportSet(indices=(0, 1, 2, 4), universe=10)  # one miss
-    c = SupportSet(indices=(0, 1, 4, 5), universe=10)  # two misses
+    a = np.array([0, 1, 2, 3])
+    b = np.array([0, 1, 2, 4])  # one miss
+    c = np.array([0, 1, 4, 5])  # two misses
     assert not _error_event(a, a, 0.5, 4)
     assert not _error_event(a, b, 0.5, 4)   # threshold floor(0.5*4) = 2
     assert _error_event(a, c, 0.5, 4)
