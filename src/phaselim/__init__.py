@@ -20,8 +20,8 @@ from .limits import (ThresholdInfeasibleError, ThresholdQuery,
                      measurement_thresholds, mi_pair_lower, mi_pair_upper,
                      snr_db, tail_power_fraction, write_figure_csv)
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SortedSignal,
-                    floor_count, observe, partition_power_arrays,
-                    partition_powers, sample_signal_vector, sample_support)
+                    floor_count, observe, partition_powers,
+                    sample_signal_vector, sample_support)
 from .rng import parallel_map, sample_circular_gaussian, substream
 from .simulate import (ErrorCurve, SimConfig, decode, error_curve,
                        isotonic_residual, pava_nonincreasing)
@@ -36,7 +36,7 @@ __all__ = [
     "__version__",
     # model
     "DiscreteFlat", "DiscreteGeneral", "GaussianIID", "SortedSignal",
-    "floor_count", "partition_powers", "partition_power_arrays",
+    "floor_count", "partition_powers",
     "sample_support", "sample_signal_vector", "observe",
     # densities
     "GaussianNoise", "ConcentrationConstants",

@@ -105,11 +105,8 @@ def _load_config(path: str) -> dict:
     """JSON object, or flat ``key = value`` lines with ``#`` comments."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("config JSON must be an object")
-        return doc
+    if text.lstrip().startswith("{"):   # JSON that parses is an object
+        return json.loads(text)
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -225,8 +222,7 @@ def _run_figure(params: dict):
                          f"{MAX_SNR_GRID} points")
     grid = np.arange(lo, hi + step / 2.0, step)
     curves = figure_curves(alpha_star=params["alpha_star"],
-                           snr_db_values=grid, sigma=params["sigma"],
-                           grid_step=params["grid_step"])
+                           snr_db_values=grid, grid_step=params["grid_step"])
     os.makedirs(params["out_dir"], exist_ok=True)
     outputs = []
     for kind, rows in curves.items():
@@ -328,7 +324,6 @@ _COMMANDS = {
         "snr_min": (float, -10.0, {}),
         "snr_max": (float, 40.0, {}),
         "snr_step": (float, 1.0, {}),
-        "sigma": (float, 1.0, {}),
         "grid_step": (float, 1e-3, {}),
         "out_dir": (str, "figures", {}),
     }),

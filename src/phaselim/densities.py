@@ -586,10 +586,13 @@ def output_law_peak(total_power: float, noise: GaussianNoise):
 
 def _power_integral_edges(t: float, total_power: float, noise_scale: float,
                           y_mode: float) -> np.ndarray:
-    # Right of the mode f^t decays like exp(-t*y/v): geometric panels over
-    # that scale. Left of the mode the noise tail rules: noise-scale panels.
-    right_span = total_power * (50.0 / t + 6.0) + 10.0 * noise_scale
+    # Left of the mode the noise tail rules: f^t falls like a Gaussian of
+    # width sigma / sqrt(t). Right of it f^t decays like exp(-t*y/v), or,
+    # where v is far below sigma, like that same Gaussian: geometric panels
+    # over the wider of the two spans.
     left_span = noise_scale * (math.sqrt(2.0 * (50.0 / t + 2.0)) + 4.0)
+    right_span = max(total_power * (50.0 / t + 6.0) + 10.0 * noise_scale,
+                     left_span)
     fr = np.array([1 / 256, 1 / 128, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
     fl = np.array([1 / 64, 1 / 16, 1 / 4, 1 / 2, 1.0])
     edges = np.concatenate([(y_mode - left_span * fl)[::-1], [y_mode],

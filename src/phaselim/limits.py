@@ -21,8 +21,7 @@ import numpy as np
 
 from .densities import GaussianNoise
 from .model import (_FLOOR_SNAP, DiscreteFlat, DiscreteGeneral, GaussianIID,
-                    SignalModel, SortedSignal, _check_power_and_size,
-                    floor_count, partition_power_arrays)
+                    SignalModel, SortedSignal, floor_count, partition_powers)
 from .rng import _check_int
 
 __all__ = [
@@ -278,7 +277,7 @@ def _power_split(signal: SignalModel, mode: str):
         sorted_sig = SortedSignal(np.asarray(signal.values, dtype=complex))
     else:
         raise TypeError(f"unknown signal model {type(signal).__name__}")
-    return lambda a: partition_power_arrays(sorted_sig, a, mode)
+    return lambda a: partition_powers(sorted_sig, a, mode)
 
 
 def _smooth_grid(alpha_star: float, grid_step: float) -> np.ndarray:
@@ -511,14 +510,16 @@ def c_beta_from_snr_db(db: float, sigma: float = 1.0) -> float:
 
 
 def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
-                  sigma: float = 1.0,
                   grid_step: float = 1e-3) -> dict[str, np.ndarray]:
     """Normalized threshold curves versus SNR.
 
     Returns, for ``"flat"`` and for ``"gaussian"``, rows ``(snr_db,
     n_ach_norm, n_con_norm)`` where the normalization divides out
     ``k * log(p/k)``. Curves use the limiting (asymptotic) forms, so they
-    are size-free. Every SNR point of both curves is searched in one row
+    are size-free, and they see the power only as ``c_beta / sigma``, which
+    each SNR point fixes: the noise is taken at ``sigma = 1``, where every
+    power ``c_beta_from_snr_db`` returns is a normal float (2.2e-162 at
+    least). Every SNR point of both curves is searched in one row
     search (four rows a point), with the values of one query per point;
     a grid with several bad points raises the error of the first, flat
     curve first, as one query after another would.
@@ -532,9 +533,7 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
     if snr_db_values.size > MAX_SNR_GRID:
         raise ValueError(f"more than {MAX_SNR_GRID} SNR points")
     _check_alpha_search(alpha_star, grid_step)
-    noise = GaussianNoise(sigma)
-    powers = np.array([c_beta_from_snr_db(float(db), sigma)
-                       for db in snr_db_values])
+    powers = np.array([c_beta_from_snr_db(float(db)) for db in snr_db_values])
     # point q is SNR point q % n of the flat curve, then of the Gaussian
     # one; rows q and 2n + q are its two objectives
     n = snr_db_values.size
@@ -549,10 +548,9 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
         return _split_total(row_power[r, None], f)
 
     v_ach, v_con, _, _, errors = _threshold_rows(
-        split, 2 * n, noise, alpha_star, _smooth_grid(alpha_star, grid_step),
-        True)
-    for q, error in enumerate(errors):
-        _check_power_and_size(powers[q % n], 1)     # as the signal models do
+        split, 2 * n, GaussianNoise(), alpha_star,
+        _smooth_grid(alpha_star, grid_step), True)
+    for error in errors:
         if error is not None:
             raise error
     return {kind: np.column_stack((snr_db_values, v_ach[i * n:(i + 1) * n],

@@ -30,7 +30,6 @@ __all__ = [
     "sample_signal_vector",
     "observe",
     "partition_powers",
-    "partition_power_arrays",
 ]
 
 # Fractions within 1e-9 of the next integer count as that integer, so that
@@ -175,42 +174,16 @@ class SortedSignal:
         return float(self.prefix[-1])
 
 
-def partition_powers(signal: SortedSignal, alpha: float,
-                     mode: str = "floor") -> tuple[float, float]:
+def partition_powers(signal: SortedSignal, alpha, mode: str = "floor"):
     """Split sorted power at fraction ``alpha`` of the ``k`` entries into
-    ``(miss_power, keep_power)``: the power of the weakest entries a decoder
-    may miss, and the rest.
+    ``(miss_power, keep_power)`` for every entry of ``alpha`` (scalar in,
+    scalar out): the power of the weakest entries a decoder may miss, and
+    the rest.
 
-    ``mode="floor"`` takes the exact ``floor(alpha*k)``-entry prefix;
-    ``mode="asymptotic"`` linearly interpolates the prefix sums at the real
-    point ``alpha*k`` (the large-``k`` limiting curve). The rate forms use
-    :func:`partition_power_arrays`; this scalar form is its reference.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    k = signal.k
-    m = floor_count(alpha, k)
-    if mode == "floor":
-        miss = float(signal.prefix[m])
-    elif mode == "asymptotic":
-        ak = alpha * k
-        m = min(m, k)
-        frac = ak - m
-        miss = float(signal.prefix[m])
-        if frac > 0 and m < k:
-            miss += frac * float(signal.sq_magnitudes[m])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return miss, signal.total_power - miss
-
-
-def partition_power_arrays(signal: SortedSignal, alpha, mode: str = "floor"):
-    """Array form of :func:`partition_powers`: ``(miss_power, keep_power)``
-    for every entry of ``alpha`` (scalar in, scalar out).
-
-    Indexes ``signal.prefix`` directly with the same snapped
-    ``floor(alpha*k)`` count and the same ``asymptotic`` interpolation, so
-    each entry equals the scalar split bit for bit.
+    ``mode="floor"`` takes the exact ``floor(alpha*k)``-entry prefix, with
+    the snap of :func:`floor_count`; ``mode="asymptotic"`` linearly
+    interpolates the prefix sums at the real point ``alpha*k`` (the
+    large-``k`` limiting curve).
     """
     a = np.asarray(alpha, dtype=float)
     if not np.all((a >= 0.0) & (a <= 1.0)):

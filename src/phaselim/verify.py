@@ -25,7 +25,7 @@ from .densities import (GaussianNoise, concentration_constant,
                         concentration_tail_bound, conditional_output_logpdf,
                         info_density)
 from .limits import mi_pair_lower, mi_pair_upper, tail_power_fraction
-from .model import (GaussianIID, SortedSignal, partition_power_arrays,
+from .model import (GaussianIID, SortedSignal, partition_powers,
                     sample_signal_vector)
 from .rng import _UNIT_SCALE, _check_int, parallel_map, substream
 
@@ -389,7 +389,7 @@ def tail_fraction_convergence_check(master_seed: int = 0,
     def one(seed_idx):
         beta = sample_signal_vector(GaussianIID(c_beta, k),
                                     substream(master_seed, seed_idx))
-        prefix = partition_power_arrays(SortedSignal(beta), alphas, "floor")[0]
+        prefix = partition_powers(SortedSignal(beta), alphas, "floor")[0]
         dev = np.abs(prefix - limit) / c_beta
         return _finalize(
             "tail_fraction_convergence",

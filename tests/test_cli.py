@@ -158,8 +158,6 @@ def test_bad_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
         flat + ["--sigma", "1e-160"],
         flat + ["--sigma", "1e160"],
         flat + ["--sigma", "1e300"],
-        ["figure", "--sigma", "1e-155", "--out-dir", "figs"],
-        ["figure", "--sigma", "1e160", "--out-dir", "figs"],
         ["simulate", "--p", "6", "--k", "2", "--sigma", "1e-160"],
         ["simulate", "--p", "6", "--k", "2", "--sigma", "1e160"],
         # signal powers past 1e150, or past 1e150 times sigma: every
@@ -202,9 +200,6 @@ def test_noise_scale_range_edges(tmp_path, capsys, monkeypatch):
             assert code == 0, (model, sigma, c_beta)
             rec = json.loads(stdout)
             assert 0.0 < rec["n_con"] <= rec["n_ach"] < float("inf")
-        code, _, _ = _run(["figure", "--sigma", sigma, "--snr-step", "10",
-                           "--out-dir", "figs" + sigma], capsys)
-        assert code == 0, sigma
         code, _, _ = _run(["simulate", "--p", "6", "--k", "2",
                            "--sigma", sigma, "--n-grid", "2", "--trials", "3",
                            "--out", f"c{sigma}.csv"], capsys)
@@ -564,6 +559,98 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "config" in err
 
 
+def test_config_lines_and_values(tmp_path, capsys, monkeypatch):
+    # blank and comment-only lines are skipped, a line without "=" is named
+    # by its number, and each bad value is a usage error naming its key
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "c.conf"
+    conf.write_text("model = flat\n\n# p = 5\np = 80\nk = 4\njson = off\n")
+    code, stdout, _ = _run(["thresholds", "--config", str(conf)], capsys)
+    assert code == 0 and stdout.startswith("quantity")
+    for text, message in (
+            ("model = flat\n\n# comment\nk 4\n",
+             "config line 4: expected key = value"),
+            # a JSON array is read as key = value lines: JSON text that
+            # starts with "{" always parses to an object
+            ("[1, 2]\n", "config line 1: expected key = value"),
+            ("model = flat\np = 80\nk = 4\njson = maybe\n",
+             "bad config value for json: not a boolean: 'maybe'"),
+            ("model = nope\np = 80\nk = 4\n", "unknown model 'nope'")):
+        conf.write_text(text)
+        code, stdout, err = _run(["thresholds", "--config", str(conf)],
+                                 capsys)
+        assert (code, stdout) == (2, ""), text
+        assert err == f"phaselim: {message}\n", text
+    # a model from the config skips argparse's choices: simulate refuses it
+    # as thresholds does
+    conf.write_text('{"model": "nope", "p": 6, "k": 2}')
+    code, _, err = _run(["simulate", "--config", str(conf)], capsys)
+    assert (code, err) == (2, "phaselim: unknown model 'nope'\n")
+    assert not (tmp_path / "error_curve.csv").exists()
+
+
+def test_bad_n_grid_range_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "c.conf"
+    conf.write_text("n_grid = 1:2:3:4\n")
+    code, stdout, err = _run(["simulate", "--p", "6", "--k", "2",
+                              "--config", str(conf)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == ("phaselim: bad config value for n_grid: bad range "
+                   "'1:2:3:4', want lo:hi or lo:hi:step\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--p", "6", "--k", "2", "--n-grid", "1:2:3:4"])
+    assert exc.value.code == 2
+    assert "argument --n-grid: invalid" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [conf]
+
+
+def test_verify_non_finite_estimate_is_numeric_failure(tmp_path, capsys,
+                                                      monkeypatch):
+    # the reports are still printed and written, as strict JSON
+    monkeypatch.chdir(tmp_path)
+    report = VerificationReport(check="probe", params={}, estimate=math.nan,
+                                se=0.0, lower=None, upper=None, trials=1,
+                                verdict="fail")
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: [report, report])
+    code, stdout, err = _run(["verify", "--suite", "logconcavity",
+                              "--out", "r.jsonl"], capsys)
+    assert code == 4
+    assert err == "numeric failure: 2 non-finite estimates\n"
+    assert stdout == 2 * (report.to_json_line() + "\n")
+    assert (tmp_path / "r.jsonl").read_text() == stdout
+    assert json.loads((tmp_path / "r.jsonl.manifest.json").read_text())[
+        "outputs"]
+
+
+def test_replay_unknown_command_and_unexpected_output(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"command": "plot", "params": {},
+                                 "outputs": {}}))
+    code, stdout, err = _run(["replay", str(bogus)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "manifest names unknown command 'plot'\n"
+    # a figure manifest that records only the flat curve: the Gaussian CSV
+    # the replay writes is unexpected
+    code, _, _ = _run(["figure", "--snr-step", "10", "--out-dir", "figs"],
+                      capsys)
+    assert code == 0
+    mpath = tmp_path / "figs" / "manifest.json"
+    doc = json.loads(mpath.read_text())
+    del doc["outputs"]["figs/gaussian_thresholds.csv"]
+    mpath.write_text(json.dumps(doc))
+    scratch = tmp_path / "re"
+    code, stdout, _ = _run(["replay", str(mpath), "--scratch", str(scratch)],
+                           capsys)
+    assert code == 1
+    assert stdout.splitlines() == [
+        "match    figs/flat_thresholds.csv",
+        f"UNEXPECTED {scratch / 'gaussian_thresholds.csv'}",
+        "replay of 'figure': digest mismatch"]
+
+
 def test_env_seed_default(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PHASELIM_SEED", "77")
@@ -630,7 +717,8 @@ def test_config_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
 
 # Manifest params of one call per subcommand, with and without --config,
 # recorded from the CLI that rebuilt its parser on every call; thresholds
-# and figure have since lost their unused seed and threads.
+# and figure have since lost their unused seed and threads, and figure its
+# sigma, which fig.json still sets and the command ignores.
 _CONFIGS = {
     "th.conf": "model = gaussian\np = 200\nk = 5\nc_beta = 2.5\nseed = 9\n"
                "json = true\nsnr_min = 3\nbogus = 1\n",
@@ -657,11 +745,11 @@ _PINNED_PARAMS = [
     (["figure", "--snr-min", "0", "--snr-max", "4", "--snr-step", "2",
       "--grid-step", "0.01", "--out-dir", "figs"], 0, "figs/manifest.json",
      {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "figs",
-      "sigma": 1.0, "snr_max": 4.0, "snr_min": 0.0, "snr_step": 2.0}),
+      "snr_max": 4.0, "snr_min": 0.0, "snr_step": 2.0}),
     (["figure", "--config", "fig.json", "--snr-step", "1"], 0,
      "f2/manifest.json",
      {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "f2",
-      "sigma": 0.5, "snr_max": 2.0, "snr_min": -2.0, "snr_step": 1.0}),
+      "snr_max": 2.0, "snr_min": -2.0, "snr_step": 1.0}),
     (["verify", "--suite", "logconcavity", "--out", "lc.jsonl"], 0,
      "lc.jsonl.manifest.json",
      {"out": "lc.jsonl", "seed": 0, "suite": "logconcavity", "threads": 1,
@@ -719,6 +807,17 @@ def test_deterministic_commands_take_no_seed(tmp_path, capsys, monkeypatch):
     # a command that draws still reads it
     code, stdout, err = _run(["verify", "--suite", "logconcavity"], capsys)
     assert (code, stdout) == (2, "") and "PHASELIM_SEED" in err
+
+
+def test_figure_takes_no_noise_scale(tmp_path, capsys, monkeypatch):
+    # the curves depend on the SNR alone, so a noise scale changed them by
+    # rounding only
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--sigma", "1", "--out-dir", "figs"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sigma 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_integer_options_refuse_non_integer_config(tmp_path, capsys,
@@ -815,7 +914,7 @@ def test_runners_read_every_declared_option(tmp_path, monkeypatch):
 
 
 # thresholds and figure manifests written while both commands still took
-# --seed and --threads: the replay ignores the two keys
+# --seed and --threads, and figure --sigma: the replay ignores those keys
 _SEEDED_MANIFESTS = {
     "thresholds": ("th.json.manifest.json", {
         "command": "thresholds",
@@ -913,8 +1012,7 @@ def test_fuzz_thresholds_argv(model, mode, flags):
 
 @settings(max_examples=100, deadline=None)
 @given(flags=_flags({"snr_min": ["-10", "0"], "snr_max": ["10", "40"],
-                     "snr_step": ["2", "5"], "sigma": ["0.3", "2"],
-                     "alpha_star": ["0.1", "0.5"],
+                     "snr_step": ["2", "5"], "alpha_star": ["0.1", "0.5"],
                      "grid_step": ["0.01", "0.001"]}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fuzz_figure_argv(flags):

@@ -80,6 +80,11 @@ def test_magnitude_sq_support_and_moments():
         assert mean == pytest.approx(lam + v, abs=1e-8)
 
 
+def test_magnitude_sq_refuses_negative_known_power():
+    with pytest.raises(ValueError, match="known_sq must be nonnegative"):
+        noncentral_chi2_scaled_logpdf(np.array([1.0, 2.0]), -1e-300, 1.0)
+
+
 def test_magnitude_sq_past_float_range():
     # an exponent (su - sl)^2 / v past the float range gives the -inf that
     # the value rounds to, without numpy's overflow warning (an error under
@@ -879,6 +884,72 @@ def test_output_law_peak_beats_dense_grid(log_power, log_sigma):
     grid = float(np.max(conditional_output_logpdf(ys, 0.0, total, noise)))
     log_peak = math.log(peak)
     assert log_peak >= grid - 1e-12 * (1.0 + abs(log_peak))
+
+
+def _emg_log_mp(y, v, sigma):
+    return (sigma ** 2 / (2 * v ** 2) - y / v - mp.log(v)
+            + mp.log(mp.ncdf(y / sigma - sigma / v)))
+
+
+def _moment_objective_mp(t, v, sigma, peak, base):
+    # log(t (M+1)^-t integral f^t) by tanh-sinh over panels that double in
+    # width away from the mode, from base times the narrower of sigma and
+    # the Gaussian width sigma / sqrt(t), out to e^-75 on either side
+    M, ym = peak
+    h = base * min(sigma / math.sqrt(t), sigma)
+    left = sigma * (math.sqrt(150.0 / t) + 8.0)
+    right = max(left, v * (80.0 / t + 10.0) + 10.0 * sigma)
+    offsets = ([-h * 2.0 ** j for j in range(math.ceil(math.log2(left / h)),
+                                             -1, -1)]
+               + [0.0] + [h * 2.0 ** j for j in range(
+                   math.ceil(math.log2(right / h)) + 1)])
+    with mp.workdps(20):
+        t_, v_, s_ = mp.mpf(t), mp.mpf(v), mp.mpf(sigma)
+        val = mp.quad(lambda y: mp.exp(t_ * _emg_log_mp(y, v_, s_)),
+                      [mp.mpf(ym) + o for o in offsets])
+        return float(mp.log(t_) - t_ * mp.log1p(M) + mp.log(val))
+
+
+_MOMENT_TS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+@pytest.mark.parametrize("v", [1e-6, 1e-3, 1.0, 1e3])
+def test_output_law_peak_and_moment_objective_against_mpmath(v):
+    # sigma 1; v = 1 is verify's concentration split. Where v is far below
+    # sigma the right tail of f^t is Gaussian, of width sigma / sqrt(t):
+    # the right span covered a third of it at t = 1e-3 and read -3.0067
+    # there at v = 1e-6, against -2.5362
+    noise = GaussianNoise(1.0)
+    peak = output_law_peak(v, noise)
+    with mp.workdps(40):
+        v_, s_ = mp.mpf(v), mp.mpf(1)
+        # the mode solves phi(z) / Phi(z) = sigma / v, z = y/sigma - sigma/v
+        z = mp.findroot(lambda z: mp.npdf(z) / mp.ncdf(z) - s_ / v_,
+                        (-s_ / v_ - 2, mp.mpf(40)), solver="illinois",
+                        verify=False)
+        y_ref = s_ * (z + s_ / v_)
+        m_ref = float(mp.exp(_emg_log_mp(y_ref, v_, s_)))
+    assert peak[0] == pytest.approx(m_ref, rel=1e-12)
+    assert abs(peak[1] - float(y_ref)) <= 1e-6 * (1.0 + v)
+    checked = 0
+    for t in _MOMENT_TS:
+        ours = densities._log_moment_objective(t, v, noise, peak)
+        ref = _moment_objective_mp(t, v, 1.0, peak, 0.25)
+        # the same rule on panels whose edges fall between these
+        if abs(_moment_objective_mp(t, v, 1.0, peak, 0.25 * math.sqrt(2.0))
+               - ref) > 1e-10 * (1.0 + abs(ref)):
+            continue    # the reference has not converged
+        assert abs(ours - ref) <= 1e-8 * (1.0 + abs(ref)), t
+        checked += 1
+        if v <= 1e-6:
+            # the Gaussian limit: integral f^t = (2 pi)^((1-t)/2) / sqrt(t)
+            limit = (0.5 * math.log(t) - t * math.log1p(peak[0])
+                     + 0.5 * (1.0 - t) * math.log(2.0 * math.pi))
+            assert abs(ours - limit) <= 1e-8 * (1.0 + abs(limit)), t
+    assert checked >= len(_MOMENT_TS) - 1
+    if v == 1e-6:
+        assert densities._log_moment_objective(
+            1e-3, v, noise, peak) == pytest.approx(-2.5362, abs=1e-4)
 
 
 def test_concentration_moment_grid_oracle():

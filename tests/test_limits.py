@@ -20,8 +20,7 @@ from phaselim.cli import main
 from phaselim.limits import (_ROW_CHUNK, _ZOOM_POINTS, _ZOOM_WIDTH,
                              _power_split, _search_max, _threshold_rows)
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                            SortedSignal, floor_count, partition_power_arrays,
-                            partition_powers)
+                            SortedSignal, floor_count, partition_powers)
 
 
 # ------------------------------------------------- tail power fraction
@@ -137,9 +136,9 @@ def test_power_split_per_model():
         (GaussianIID(c_beta=c, k=10), "floor", (c * g, c * (1.0 - g))),
         (DiscreteFlat(c_beta=c, k=10), "asymptotic",
          (alphas * c, (1.0 - alphas) * c)),
-        (DiscreteFlat(c_beta=c, k=10), "floor", partition_power_arrays(
+        (DiscreteFlat(c_beta=c, k=10), "floor", partition_powers(
             SortedSignal.flat(c, 10), alphas, "floor")),
-        (DiscreteGeneral(values=values), "asymptotic", partition_power_arrays(
+        (DiscreteGeneral(values=values), "asymptotic", partition_powers(
             SortedSignal(np.asarray(values)), alphas, "asymptotic")),
     ]
     for signal, mode, (miss, keep) in cases:
@@ -154,7 +153,7 @@ def test_sorted_rates_flat_floor():
     noise = GaussianNoise(1.0)
     sig = SortedSignal.flat(1.0, 10)
     # floor(0.25 * 10) = 2 entries carry power 0.2
-    miss, keep = partition_power_arrays(sig, 0.25, "floor")
+    miss, keep = partition_powers(sig, 0.25, "floor")
     assert float(mi_pair_lower(miss, noise)) == pytest.approx(
         float(mi_pair_lower(0.2, noise)), abs=1e-14)
     assert float(mi_pair_upper(miss, keep, noise)) == pytest.approx(
@@ -216,10 +215,23 @@ def test_upper_rate_cross_term_past_float_range():
                 0.5 * math.log(math.pi * math.e / 2.0), rel=1e-15)
 
 
+def _partition_oracle(signal, alpha, mode):
+    # one alpha at a time through floor_count, in Python floats
+    k = signal.k
+    m = floor_count(alpha, k)
+    miss = float(signal.prefix[m])
+    if mode == "asymptotic":
+        frac = alpha * k - m
+        if frac > 0 and m < k:
+            miss += frac * float(signal.sq_magnitudes[m])
+    return miss, signal.total_power - miss
+
+
 def test_sorted_rates_match_per_alpha_partition():
-    # the array path reproduces partition_powers -> mi_pair_* alpha by alpha,
-    # bit for bit, including alphas whose alpha*k sits within the 1e-9 floor
-    # snap just below an integer
+    # partition_powers of an array and of each float reproduce the
+    # one-alpha oracle, and mi_pair_* of the array its rates alpha by
+    # alpha, bit for bit, including alphas whose alpha*k sits within the
+    # 1e-9 floor snap just below an integer
     rng = np.random.default_rng(11)
     noise = GaussianNoise(0.7)
     signals = [SortedSignal.flat(2.5, 10), SortedSignal.flat(1.0, 1000)]
@@ -235,22 +247,23 @@ def test_sorted_rates_match_per_alpha_partition():
                                  counts / sig.k, (counts - 5e-10) / sig.k,
                                  (counts - 2e-9) / sig.k))
         for mode in ("floor", "asymptotic"):
-            miss, keep = partition_power_arrays(sig, alphas, mode)
+            miss, keep = partition_powers(sig, alphas, mode)
             lo = mi_pair_lower(miss, noise)
             hi = mi_pair_upper(miss, keep, noise)
             for j, a in enumerate(alphas):
-                ref_miss, ref_keep = partition_powers(sig, float(a), mode)
+                ref_miss, ref_keep = _partition_oracle(sig, float(a), mode)
                 assert miss[j] == ref_miss and keep[j] == ref_keep
+                one = partition_powers(sig, float(a), mode)
+                assert [np.ndim(x) for x in one] == [0, 0]
+                assert one == (ref_miss, ref_keep)
                 assert lo[j] == mi_pair_lower(ref_miss, noise)
                 assert hi[j] == mi_pair_upper(ref_miss, ref_keep, noise)
             for bad in (-0.1, 1.5, np.nan):
                 bad_alphas = np.append(alphas, bad)
                 with pytest.raises(ValueError):
-                    mi_pair_lower(partition_power_arrays(
-                        sig, bad_alphas, mode)[0], noise)
+                    partition_powers(sig, bad_alphas, mode)
                 with pytest.raises(ValueError):
-                    mi_pair_upper(*partition_power_arrays(
-                        sig, bad_alphas, mode), noise)
+                    partition_powers(sig, bad, mode)
 
 
 # ------------------------------------------------- threshold queries
@@ -374,6 +387,31 @@ def test_threshold_infeasible_zero_mass():
     q = ThresholdQuery(p=50, signal=sig, alpha_star=0.5, mode="floor")
     with pytest.raises(ThresholdInfeasibleError):
         measurement_thresholds(q)
+
+
+def test_count_past_float_range_is_numeric_failure():
+    # the normalized count is finite (1.0089e306 at any p); its product
+    # with k log(p/k) passes the float range from some p on
+    signal = DiscreteFlat(c_beta=9.2e-153, k=1000)
+    ok = measurement_thresholds(ThresholdQuery(
+        p=1100, signal=signal, alpha_star=0.1, mode="floor"))
+    assert 1e306 < ok.n_ach_norm < ok.n_ach < math.inf
+    with pytest.raises(FloatingPointError,
+                       match="measurement count is not a finite float"):
+        measurement_thresholds(ThresholdQuery(
+            p=10 ** 5, signal=signal, alpha_star=0.1, mode="floor"))
+
+
+def test_upper_rate_broadcasts_a_scalar_against_an_array():
+    noise = GaussianNoise(0.8)
+    keep = np.array([0.0, 1.0, 2.0, 1e200])
+    for miss in (0.5, 1e-160, 1e160):
+        got = mi_pair_upper(miss, keep, noise)
+        assert got.shape == keep.shape
+        assert got.tolist() == [mi_pair_upper(miss, w, noise) for w in keep]
+        flipped = mi_pair_upper(keep, miss, noise)
+        assert flipped.tolist() == [mi_pair_upper(v, miss, noise)
+                                    for v in keep]
 
 
 def test_threshold_underflow_is_numeric_failure():
@@ -702,6 +740,11 @@ def test_row_search_rows_leave_at_different_rounds():
 
 # ----------------------------------------------------- SNR and curves
 
+def test_snr_db_refuses_a_non_model():
+    with pytest.raises(TypeError, match="unknown signal model SortedSignal"):
+        snr_db(SortedSignal.flat(1.0, 3), GaussianNoise())
+
+
 def test_snr_roundtrip():
     noise = GaussianNoise(0.5)
     sig = DiscreteFlat(c_beta=2.0, k=3)
@@ -738,8 +781,7 @@ def test_figure_curves_reject_bad_input():
                    # powers that overflow or underflow the float range
                    {"snr_db_values": [40.0, 1e300]},
                    {"snr_db_values": [3100.0]},
-                   {"snr_db_values": [-1e300]},
-                   {"sigma": 1e-155}, {"sigma": 1e160}):
+                   {"snr_db_values": [-1e300]}):
         with pytest.raises(ValueError):
             figure_curves(**kwargs)
 
@@ -756,13 +798,12 @@ def test_write_figure_csv_roundtrip(tmp_path):
     assert np.allclose(parsed, curves["flat"], rtol=0, atol=0)
 
 
-def _figure_one_by_one(alpha_star=0.1, snr_db_values=(), sigma=1.0,
-                       grid_step=1e-3):
+def _figure_one_by_one(alpha_star=0.1, snr_db_values=(), grid_step=1e-3):
     # the figure as one query after another, flat curve first, through the
     # signal models and the one-row search: the curves, or the first error
-    noise = GaussianNoise(sigma)
+    noise = GaussianNoise()
     try:
-        powers = [c_beta_from_snr_db(float(db), sigma) for db in snr_db_values]
+        powers = [c_beta_from_snr_db(float(db)) for db in snr_db_values]
         out = {}
         for kind, model in (("flat", DiscreteFlat), ("gaussian", GaussianIID)):
             rows = []
@@ -786,9 +827,6 @@ def _figure_one_by_one(alpha_star=0.1, snr_db_values=(), sigma=1.0,
     {"snr_db_values": [-3220.0, -3050.0]},
     # a power that is 0 as a float is refused before any query
     {"snr_db_values": [-3100.0, -3300.0]},
-    # a power below the normal range is refused where its query would be
-    {"snr_db_values": [-3100.0, -3200.0], "sigma": 1e-150},
-    {"snr_db_values": [-3200.0, -3100.0], "sigma": 1e-150},
     # at alpha_star 1e-310 the missed power is subnormal (0 dB) or 0
     # (-300 dB)
     {"snr_db_values": [0.0, -300.0], "alpha_star": 1e-310},

@@ -166,6 +166,18 @@ def test_sorted_signal_prefix():
     assert flat.prefix[4] == pytest.approx(1.0)
 
 
+def test_library_refusals():
+    # each refusal through its public entry, with its message
+    for bad in (np.ones((2, 2)), np.array([])):
+        with pytest.raises(ValueError, match="1-d and nonempty"):
+            SortedSignal(bad)
+    sig = SortedSignal.flat(1.0, 4)
+    with pytest.raises(ValueError, match="unknown mode 'nope'"):
+        partition_powers(sig, np.array([0.1, 0.5]), mode="nope")
+    with pytest.raises(TypeError, match="unknown signal model SortedSignal"):
+        sample_signal_vector(sig, substream(0, 0))
+
+
 def test_partition_modes():
     sig = SortedSignal.flat(1.0, 10)
     lo_miss, _ = partition_powers(sig, 0.25, mode="floor")

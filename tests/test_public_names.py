@@ -127,6 +127,17 @@ def test_public_names_have_users():
     assert not unused, unused
 
 
+def test_readme_api_list_is_the_package_all():
+    # the README's "Public API" block names each package export once
+    import phaselim
+    text = (ROOT / "README.md").read_text()
+    head = "Public API (`import phaselim`):\n"
+    assert text.count(head) == 1
+    block = text.split(head, 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"`([^`]+)`", block)
+    assert sorted(listed) == sorted(set(phaselim.__all__) - {"__version__"})
+
+
 def test_public_signatures_pinned():
     # the quadrature order and forcing switch, the curve kinds and the PAVA
     # weights were set only by tests, or by nothing; a config's k and
@@ -148,7 +159,7 @@ def test_public_signatures_pinned():
             (conditional_output_logpdf,
              ["y", "known_sq", "fresh_power", "noise"]),
             (figure_curves,
-             ["alpha_star", "snr_db_values", "sigma", "grid_step"]),
+             ["alpha_star", "snr_db_values", "grid_step"]),
             (pava_nonincreasing, ["values"])):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
