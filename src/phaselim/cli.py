@@ -14,10 +14,12 @@ Exit codes: 0 success, 1 verification failure / replay mismatch,
 2 usage or invalid parameters, 3 I/O failure, 4 numeric failure.
 
 Each parameter is an explicit flag, else the ``--config`` value (a JSON
-object or flat ``key = value`` lines whose keys mirror the flag names;
-keys the subcommand does not have are ignored), else its default. An
-integer option takes an int or its text, not a float or a bool. Only
-``verify`` and ``simulate`` draw at random and take ``--seed`` and
+object or flat ``key = value`` lines whose keys mirror the flag names,
+hyphens read as underscores; keys the subcommand does not have are
+ignored, and a key set twice or a JSON ``null`` is refused), else its
+default. An integer option takes an int or its text, not a float or a
+bool. A ``--manifest`` that names a data output of its run is refused.
+Only ``verify`` and ``simulate`` draw at random and take ``--seed`` and
 ``--threads``; their seed falls back to ``PHASELIM_SEED``, then 0. The
 other commands record ``master_seed`` as ``null``.
 """
@@ -102,20 +104,29 @@ def _to_bool(value) -> bool:
 
 
 def _load_config(path: str) -> dict:
-    """JSON object, or flat ``key = value`` lines with ``#`` comments."""
+    """JSON object, or flat ``key = value`` lines with ``#`` comments. In
+    both, a key reads its hyphens as underscores, and two keys that name
+    one option are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):   # JSON that parses is an object
-        return json.loads(text)
+        pairs = json.loads(text, object_pairs_hook=list)
+    else:
+        pairs = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"config line {lineno}: expected key = value")
+            key, _, val = line.partition("=")
+            pairs.append((key.strip(), val.strip()))
     out: dict = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        out[key.strip().replace("-", "_")] = val.strip()
+    for key, val in pairs:
+        name = key.replace("-", "_")
+        if name in out:
+            raise ValueError(f"config sets {name} twice")
+        out[name] = val
     return out
 
 
@@ -155,6 +166,16 @@ def _manifest_path(params: dict, command: str) -> str:
     return f"{command}_manifest.json"
 
 
+def _check_not_output(manifest: str, outputs) -> None:
+    """Raise ``ValueError`` if the manifest path names one of the run's data
+    outputs, which writing the manifest would replace."""
+    target = os.path.realpath(manifest)
+    for out in outputs:
+        if os.path.realpath(out) == target:
+            raise ValueError(f"manifest {manifest!r} would overwrite the "
+                             f"output {out!r}")
+
+
 def _check_location(path: str, is_dir: bool) -> None:
     """Raise ``OSError`` now if ``path`` cannot be written once the work is
     done. A file's directory must exist; a directory is created later, so
@@ -188,8 +209,7 @@ def _run_thresholds(params: dict):
     signal = _signal_for(params["model"], params["c_beta"], params["k"])
     result = measurement_thresholds(ThresholdQuery(
         p=params["p"], signal=signal, noise=GaussianNoise(params["sigma"]),
-        alpha_star=params["alpha_star"], mode=params["mode"],
-        grid_step=params["grid_step"]))
+        alpha_star=params["alpha_star"], mode=params["mode"]))
     record = {key: params[key] for key in
               ("model", "p", "k", "c_beta", "sigma", "alpha_star", "mode")}
     record.update(result.to_dict())
@@ -222,7 +242,7 @@ def _run_figure(params: dict):
                          f"{MAX_SNR_GRID} points")
     grid = np.arange(lo, hi + step / 2.0, step)
     curves = figure_curves(alpha_star=params["alpha_star"],
-                           snr_db_values=grid, grid_step=params["grid_step"])
+                           snr_db_values=grid)
     os.makedirs(params["out_dir"], exist_ok=True)
     outputs = []
     for kind, rows in curves.items():
@@ -314,7 +334,6 @@ _COMMANDS = {
         "sigma": (float, 1.0, {}),
         "alpha_star": (float, 0.1, {}),
         "mode": (str, "asymptotic", {"choices": ("floor", "asymptotic")}),
-        "grid_step": (float, 1e-3, {}),
         "json": (_to_bool, False, {"action": "store_true"}),
         "out": (str, None, {"help": "also write the JSON record here"}),
     }),
@@ -324,7 +343,6 @@ _COMMANDS = {
         "snr_min": (float, -10.0, {}),
         "snr_max": (float, 40.0, {}),
         "snr_step": (float, 1.0, {}),
-        "grid_step": (float, 1e-3, {}),
         "out_dir": (str, "figures", {}),
     }),
     "verify": _Command("statistical check suites, JSON-lines reports",
@@ -399,6 +417,8 @@ def _resolve(args, config: dict) -> dict:
         if flag is not None:
             values[name] = flag
         elif name in config:
+            if config[name] is None:
+                raise ValueError(f"bad config value for {name}: null")
             try:
                 values[name] = convert(config[name])
             except (TypeError, ValueError) as exc:
@@ -426,10 +446,14 @@ def _cmd_run(args) -> int:
             _check_location(params[key], kind == "dir")
     if manifest:
         _check_location(manifest, False)
+        _check_not_output(manifest, [params[key] for key in command.outputs
+                                     if params[key]])
 
     started = _utc_now()
     outputs, text, status, summary = command.run(params)
     finished = _utc_now()
+    if manifest:    # the runner names the files of an output directory
+        _check_not_output(manifest, outputs)
     if text:
         print(text)
     _write_manifest(manifest or _manifest_path(params, args.command),

@@ -63,9 +63,10 @@ _SCALED_POWER = 1e150
 # the same SNR at any noise scale.
 _TINY_POWER = math.sqrt(np.finfo(float).tiny)
 
-# Most alpha grid entries a threshold search may use. Several float arrays
-# of the grid's length are live at once, so this bounds the search memory.
-_MAX_ALPHA_GRID = 1e7
+# Spacing of the grid a smooth search starts on. The zoom below, not this
+# spacing, sets the resolution: spacings from 1e-5 to 0.1 moved no count by
+# more than 7.1e-15 relative.
+_GRID_STEP = 1e-3
 
 # The smooth searches zoom in on the best grid point: each round evaluates
 # _ZOOM_POINTS alphas across the best point's two neighbours, so the next
@@ -202,21 +203,16 @@ def mi_pair_upper(miss_power, keep_power, noise: GaussianNoise):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_alpha_search(alpha_star: float, grid_step: float) -> None:
-    """Reject a maximization range or grid step the alpha search cannot use."""
+def _check_alpha_search(alpha_star: float) -> None:
+    """Reject a maximization range the alpha search cannot use."""
     if not 0.0 < alpha_star < 1.0:
         raise ValueError("alpha_star must lie in (0, 1)")
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError("grid_step must be finite and positive")
-    if (1.0 - alpha_star) / grid_step > _MAX_ALPHA_GRID:
-        raise ValueError(f"grid_step {grid_step!r} gives more than "
-                         f"{_MAX_ALPHA_GRID:.0e} alpha grid points")
 
 
 def _steps_by_count(signal: SignalModel, mode: str) -> bool:
     """Whether the search evaluates only ``alpha = l/k``: floor mode of a
     discrete signal, whose missed power is a step function of alpha. Every
-    other query zooms in from the ``grid_step`` grid."""
+    other query zooms in from ``_smooth_grid``."""
     return mode == "floor" and not isinstance(signal, GaussianIID)
 
 
@@ -227,10 +223,9 @@ class ThresholdQuery:
     noise: GaussianNoise = field(default_factory=GaussianNoise)
     alpha_star: float = 0.1
     mode: str = "floor"          # ignored for GaussianIID (always limiting)
-    grid_step: float = 1e-3
 
     def __post_init__(self):
-        _check_alpha_search(self.alpha_star, self.grid_step)
+        _check_alpha_search(self.alpha_star)
         k = self.signal.k
         _check_int("p", self.p, k)
         if self.mode not in ("floor", "asymptotic"):
@@ -280,11 +275,12 @@ def _power_split(signal: SignalModel, mode: str):
     return lambda a: partition_powers(sorted_sig, a, mode)
 
 
-def _smooth_grid(alpha_star: float, grid_step: float) -> np.ndarray:
-    """The ``grid_step`` grid from ``alpha_star`` that the zoom starts on,
+def _smooth_grid(alpha_star: float) -> np.ndarray:
+    """The ``_GRID_STEP`` grid from ``alpha_star`` that the zoom starts on,
     with 1 as its last point."""
-    alphas = np.arange(alpha_star, 1.0, grid_step)
-    # arange can overshoot its stop by rounding (0.1 + 900000 * 1e-6 > 1)
+    alphas = np.arange(alpha_star, 1.0, _GRID_STEP)
+    # arange can overshoot its stop by rounding (from 0.283 its last point
+    # is 1.0000000000000007)
     return np.append(alphas[alphas < 1.0], 1.0)
 
 
@@ -437,10 +433,10 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     are a maximum over the number ``l`` of missed support entries, with
     the counting term and the mutual information of the same ``l``. So
     the search evaluates exactly ``alpha = l/k``, for ``l = alpha_star k,
-    ..., k``, and does not use ``grid_step``. The smooth objectives zoom in
-    on the best ``grid_step`` grid point. Both objectives are two rows of
-    one search (see ``_search_max``), whose first round also supplies the
-    lower rates the zero-rate check reads.
+    ..., k``. The smooth objectives zoom in on the best point of a fixed
+    1e-3 grid. Both objectives are two rows of one search (see
+    ``_search_max``), whose first round also supplies the lower rates the
+    zero-rate check reads.
 
     At high power (i.i.d. Gaussian model) both maximizers tend to
     ``alpha = 1``; the achievability one sits about ``exp(-L(1))`` below
@@ -455,7 +451,7 @@ def measurement_thresholds(query: ThresholdQuery) -> ThresholdResult:
     k = signal.k
     zoom = not _steps_by_count(signal, query.mode)
     if zoom:
-        alphas = _smooth_grid(alpha_star, query.grid_step)
+        alphas = _smooth_grid(alpha_star)
     else:
         # only alpha = l/k for l = alpha_star k, ..., k can be a maximizer;
         # alpha_star itself stands for the first, so no reported alpha
@@ -509,8 +505,8 @@ def c_beta_from_snr_db(db: float, sigma: float = 1.0) -> float:
     return c
 
 
-def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
-                  grid_step: float = 1e-3) -> dict[str, np.ndarray]:
+def figure_curves(alpha_star: float = 0.1,
+                  snr_db_values=None) -> dict[str, np.ndarray]:
     """Normalized threshold curves versus SNR.
 
     Returns, for ``"flat"`` and for ``"gaussian"``, rows ``(snr_db,
@@ -532,7 +528,7 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
                          "values")
     if snr_db_values.size > MAX_SNR_GRID:
         raise ValueError(f"more than {MAX_SNR_GRID} SNR points")
-    _check_alpha_search(alpha_star, grid_step)
+    _check_alpha_search(alpha_star)
     powers = np.array([c_beta_from_snr_db(float(db)) for db in snr_db_values])
     # point q is SNR point q % n of the flat curve, then of the Gaussian
     # one; rows q and 2n + q are its two objectives
@@ -548,8 +544,8 @@ def figure_curves(alpha_star: float = 0.1, snr_db_values=None,
         return _split_total(row_power[r, None], f)
 
     v_ach, v_con, _, _, errors = _threshold_rows(
-        split, 2 * n, GaussianNoise(), alpha_star,
-        _smooth_grid(alpha_star, grid_step), True)
+        split, 2 * n, GaussianNoise(), alpha_star, _smooth_grid(alpha_star),
+        True)
     for error in errors:
         if error is not None:
             raise error

@@ -129,17 +129,11 @@ def test_bad_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
          "--c-beta", "nan"],
         flat + ["--c-beta", "nan"],
         flat + ["--c-beta", "inf"],
-        flat + ["--grid-step", "0"],
-        flat + ["--grid-step", "-0.01"],
-        flat + ["--grid-step", "nan"],
         flat + ["--sigma", "inf"],
-        ["figure", "--grid-step", "0", "--out-dir", "figs"],
         ["simulate", "--p", "6", "--k", "2", "--c-beta", "nan"],
         ["figure", "--snr-step", "0", "--out-dir", "figs"],
         ["figure", "--snr-min", "5", "--snr-max", "0", "--out-dir", "figs"],
         ["verify", "--suite", "sandwich", "--trials", "0"],
-        # a 9e9-entry alpha grid: refused before any array is built
-        flat + ["--grid-step", "1e-10"],
         # alpha_star past 1 wrote pe = 0 at every n (threshold above k)
         ["simulate", "--model", "flat", "--p", "8", "--k", "2",
          "--alpha-star", "5"],
@@ -315,8 +309,7 @@ def test_thresholds_table_output(tmp_path, capsys, monkeypatch):
 def test_figure_grid_and_shape(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = _run(["figure", "--snr-min", "-4", "--snr-max", "6",
-                       "--snr-step", "2", "--out-dir", "figs",
-                       "--grid-step", "5e-3"], capsys)
+                       "--snr-step", "2", "--out-dir", "figs"], capsys)
     assert code == 0
     for kind in ("flat", "gaussian"):
         lines = (tmp_path / "figs" / f"{kind}_thresholds.csv").read_text().splitlines()
@@ -589,6 +582,96 @@ def test_config_lines_and_values(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "error_curve.csv").exists()
 
 
+def test_config_null_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a JSON null for a string option was read as the path "None": with out
+    # and manifest null, thresholds wrote its record and then its manifest
+    # to one file of that name and exited 0
+    monkeypatch.chdir(tmp_path)
+    thresholds = ["thresholds", "--model", "flat", "--p", "1000", "--k",
+                  "10"]
+    for argv, doc, key in (
+            (thresholds, {"out": None, "manifest": None}, "out"),
+            (thresholds, {"manifest": None}, "manifest"),
+            (thresholds, {"mode": None}, "mode"),
+            (thresholds, {"c_beta": None}, "c_beta"),
+            (thresholds, {"json": None}, "json"),
+            (["figure"], {"out_dir": None}, "out_dir"),
+            (["simulate", "--p", "6", "--k", "2"], {"decoder": None},
+             "decoder"),
+            (["simulate", "--p", "6", "--k", "2"], {"n_grid": None},
+             "n_grid"),
+            (["verify", "--suite", "logconcavity"], {"seed": None}, "seed")):
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        code, stdout, err = _run(argv + ["--config", "c.json"], capsys)
+        assert (code, stdout) == (2, ""), doc
+        assert err == f"phaselim: bad config value for {key}: null\n", doc
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("name, text, twice", [
+    ("c.json", '{"model": "flat", "p": 1000, "k": 10, "c-beta": 5.0, '
+     '"alpha-star": 0.2}', '{"c-beta": 5.0, "c_beta": 2.0}'),
+    ("c.conf", "model = flat\np = 1000\nk = 10\nc-beta = 5.0\n"
+     "alpha-star = 0.2\n", "c_beta = 5.0\nc-beta = 2.0\n")],
+    ids=["json", "lines"])
+def test_config_keys_read_hyphens_as_underscores(tmp_path, capsys,
+                                                 monkeypatch, name, text,
+                                                 twice):
+    # a JSON key spelled like its flag ("c-beta") was ignored, and the
+    # default c_beta of 1 used, while a key = value line read it as c_beta;
+    # now both formats read it so, and a file that names one option twice
+    # (the second entry used to win) is refused by the option's name
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / name
+    conf.write_text(text)
+    code, stdout, _ = _run(["thresholds", "--json", "--config", name], capsys)
+    assert code == 0
+    code, expected, _ = _run(["thresholds", "--model", "flat", "--p", "1000",
+                              "--k", "10", "--c-beta", "5", "--alpha-star",
+                              "0.2", "--json"], capsys)
+    assert code == 0 and stdout == expected
+    assert json.loads(stdout)["c_beta"] == 5.0
+    conf.write_text(twice)
+    code, stdout, err = _run(["thresholds", "--model", "flat", "--p", "1000",
+                              "--k", "10", "--config", name], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "phaselim: config sets c_beta twice\n"
+
+
+def test_manifest_never_overwrites_an_output(tmp_path, capsys, monkeypatch):
+    # --manifest r.json beside --out r.json exited 0 with the manifest in
+    # r.json, whose replay still printed "outputs identical"; an output
+    # the flags name is refused before any work, however it is spelled
+    monkeypatch.chdir(tmp_path)
+    thresholds = ["thresholds", "--model", "flat", "--p", "1000", "--k",
+                  "10", "--out", "r.json"]
+    simulate = ["simulate", "--p", "6", "--k", "2", "--trials", "10",
+                "--n-grid", "2"]
+    for argv, manifest, output in (
+            (thresholds, "r.json", "r.json"),
+            (thresholds, "./r.json", "r.json"),
+            (thresholds, str(tmp_path / "r.json"), "r.json"),
+            (simulate, "error_curve.csv", "error_curve.csv"),
+            (["figure", "--out-dir", "figs"], "figs", "figs")):
+        code, stdout, err = _run(argv + ["--manifest", manifest], capsys)
+        assert (code, stdout) == (2, ""), argv
+        assert err == (f"phaselim: manifest {manifest!r} would overwrite "
+                       f"the output {output!r}\n"), argv
+    assert list(tmp_path.iterdir()) == []
+    # a CSV under figure --out-dir is named by the runner: refused once the
+    # work is done, with every data output left as it was written
+    figure = ["figure", "--snr-step", "10", "--out-dir", "figs"]
+    assert _run(figure, capsys)[0] == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "figs").iterdir()}
+    csv = os.path.join("figs", "gaussian_thresholds.csv")
+    code, stdout, err = _run(figure + ["--manifest", csv], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (f"phaselim: manifest {csv!r} would overwrite the output "
+                   f"{csv!r}\n")
+    after = {p.name: p.read_bytes() for p in (tmp_path / "figs").iterdir()}
+    assert after == before
+
+
 def test_bad_n_grid_range_is_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     conf = tmp_path / "c.conf"
@@ -688,8 +771,7 @@ def test_config_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
     conf_b.write_text(json.dumps({"model": "gaussian", "p": 90, "k": 3,
                                   "sigma": 0.5, "threads": 2,
                                   "out": "b.json"}))
-    common = {"c_beta": 1.0, "grid_step": 0.001, "json": False,
-              "mode": "asymptotic"}
+    common = {"c_beta": 1.0, "json": False, "mode": "asymptotic"}
     # thresholds has no seed or thread cap: the configs' seed and threads
     # keys are ignored
     expected = {
@@ -717,8 +799,9 @@ def test_config_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
 
 # Manifest params of one call per subcommand, with and without --config,
 # recorded from the CLI that rebuilt its parser on every call; thresholds
-# and figure have since lost their unused seed and threads, and figure its
-# sigma, which fig.json still sets and the command ignores.
+# and figure have since lost their unused seed and threads, figure its
+# sigma, and both their grid_step, which fig.json still sets and the
+# command ignores.
 _CONFIGS = {
     "th.conf": "model = gaussian\np = 200\nk = 5\nc_beta = 2.5\nseed = 9\n"
                "json = true\nsnr_min = 3\nbogus = 1\n",
@@ -734,22 +817,22 @@ _CONFIGS = {
 _PINNED_PARAMS = [
     (["thresholds", "--model", "flat", "--p", "100", "--k", "4",
       "--out", "th.json"], 0, "th.json.manifest.json",
-     {"alpha_star": 0.1, "c_beta": 1.0, "grid_step": 0.001, "json": False,
-      "k": 4, "mode": "asymptotic", "model": "flat", "out": "th.json",
-      "p": 100, "sigma": 1.0}),
+     {"alpha_star": 0.1, "c_beta": 1.0, "json": False, "k": 4,
+      "mode": "asymptotic", "model": "flat", "out": "th.json", "p": 100,
+      "sigma": 1.0}),
     (["thresholds", "--config", "th.conf", "--alpha-star", "0.2"], 0,
      "thresholds_manifest.json",
-     {"alpha_star": 0.2, "c_beta": 2.5, "grid_step": 0.001, "json": True,
-      "k": 5, "mode": "asymptotic", "model": "gaussian", "out": None,
-      "p": 200, "sigma": 1.0}),
+     {"alpha_star": 0.2, "c_beta": 2.5, "json": True, "k": 5,
+      "mode": "asymptotic", "model": "gaussian", "out": None, "p": 200,
+      "sigma": 1.0}),
     (["figure", "--snr-min", "0", "--snr-max", "4", "--snr-step", "2",
-      "--grid-step", "0.01", "--out-dir", "figs"], 0, "figs/manifest.json",
-     {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "figs",
-      "snr_max": 4.0, "snr_min": 0.0, "snr_step": 2.0}),
+      "--out-dir", "figs"], 0, "figs/manifest.json",
+     {"alpha_star": 0.1, "out_dir": "figs", "snr_max": 4.0, "snr_min": 0.0,
+      "snr_step": 2.0}),
     (["figure", "--config", "fig.json", "--snr-step", "1"], 0,
      "f2/manifest.json",
-     {"alpha_star": 0.1, "grid_step": 0.01, "out_dir": "f2",
-      "snr_max": 2.0, "snr_min": -2.0, "snr_step": 1.0}),
+     {"alpha_star": 0.1, "out_dir": "f2", "snr_max": 2.0, "snr_min": -2.0,
+      "snr_step": 1.0}),
     (["verify", "--suite", "logconcavity", "--out", "lc.jsonl"], 0,
      "lc.jsonl.manifest.json",
      {"out": "lc.jsonl", "seed": 0, "suite": "logconcavity", "threads": 1,
@@ -818,6 +901,37 @@ def test_figure_takes_no_noise_scale(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     assert "unrecognized arguments: --sigma 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_thresholds_and_figure_take_no_grid_step(tmp_path, capsys,
+                                                 monkeypatch):
+    # the alpha search zooms to a 1e-12 bracket from any starting grid, so
+    # the grid step moved the counts by rounding only: the flag is refused
+    # before any work, and a config's grid_step key is ignored, as any key
+    # a subcommand lacks
+    monkeypatch.chdir(tmp_path)
+    thresholds = ["thresholds", "--model", "gaussian", "--p", "1000", "--k",
+                  "10", "--json"]
+    figure = ["figure", "--snr-step", "10", "--out-dir", "figs"]
+    for argv in (thresholds, figure):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--grid-step", "1e-3"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --grid-step 1e-3"
+                in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "c.json").write_text(json.dumps({"grid_step": 0.5}))
+    (tmp_path / "c.conf").write_text("grid_step = nan\n")
+    for argv, manifest in ((thresholds, "thresholds_manifest.json"),
+                           (figure, "figs/manifest.json")):
+        outputs = []
+        for config in ([], ["--config", "c.json"], ["--config", "c.conf"]):
+            code, stdout, _ = _run(argv + config, capsys)
+            assert code == 0, argv + config
+            doc = json.loads((tmp_path / manifest).read_text())
+            assert "grid_step" not in doc["params"]
+            outputs.append((stdout, doc["outputs"]))
+        assert outputs[0] == outputs[1] == outputs[2], argv
 
 
 def test_integer_options_refuse_non_integer_config(tmp_path, capsys,
@@ -914,7 +1028,9 @@ def test_runners_read_every_declared_option(tmp_path, monkeypatch):
 
 
 # thresholds and figure manifests written while both commands still took
-# --seed and --threads, and figure --sigma: the replay ignores those keys
+# --seed and --threads, figure --sigma, and both --grid-step (the figure's
+# recorded at 0.01): the replay ignores those keys, and the figure's
+# outputs came out the same on the 1e-3 grid
 _SEEDED_MANIFESTS = {
     "thresholds": ("th.json.manifest.json", {
         "command": "thresholds",
@@ -959,7 +1075,6 @@ def test_replay_of_seeded_deterministic_manifest(tmp_path, capsys, command,
 
 # Fuzz argv: every numeric flag takes an ordinary value, then up to two
 # flags take an edge value (zero, negative, non-finite or extreme).
-# Ordinary grid steps stay at or above 1e-3, so every accepted run is cheap.
 _EDGES = ["0", "-1", "-10", "nan", "inf", "-inf", "1e-300", "1e-155",
           "1e300"]
 
@@ -995,8 +1110,7 @@ def _fuzz_run(argv):
        mode=st.sampled_from(["floor", "asymptotic"]),
        flags=_flags({"p": ["100", "1000"], "k": ["4", "10"],
                      "c_beta": ["0.3", "2", "40"], "sigma": ["0.3", "2"],
-                     "alpha_star": ["0.1", "0.5"],
-                     "grid_step": ["0.01", "0.001"]}))
+                     "alpha_star": ["0.1", "0.5"]}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fuzz_thresholds_argv(model, mode, flags):
     with tempfile.TemporaryDirectory() as tmp:
@@ -1012,8 +1126,7 @@ def test_fuzz_thresholds_argv(model, mode, flags):
 
 @settings(max_examples=100, deadline=None)
 @given(flags=_flags({"snr_min": ["-10", "0"], "snr_max": ["10", "40"],
-                     "snr_step": ["2", "5"], "alpha_star": ["0.1", "0.5"],
-                     "grid_step": ["0.01", "0.001"]}))
+                     "snr_step": ["2", "5"], "alpha_star": ["0.1", "0.5"]}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fuzz_figure_argv(flags):
     with tempfile.TemporaryDirectory() as tmp:

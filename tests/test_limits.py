@@ -281,11 +281,6 @@ def test_threshold_query_validation():
     # floor mode with floor(alpha* k) = 0 cannot express the error event
     with pytest.raises(ValueError):
         ThresholdQuery(p=10, signal=sig, alpha_star=0.1, mode="floor")
-    # 1e-10 would ask for a 5e9-entry alpha grid (more than 1e7)
-    for step in (0.0, -0.01, math.nan, math.inf, 1e-10):
-        with pytest.raises(ValueError):
-            ThresholdQuery(p=10, signal=sig, alpha_star=0.5,
-                           grid_step=step)
 
 
 def test_threshold_example_value():
@@ -463,13 +458,16 @@ def test_thresholds_finite_at_extreme_power():
 
 
 def test_threshold_grid_never_passes_one():
-    # np.arange(0.1, 1.0, 1e-6) ends at 1.0000000000009 > 1, which the rate
-    # forms reject as an alpha outside [0, 1]
+    # np.arange(0.283, 1.0, 1e-3) ends at 1.0000000000000007 > 1, which the
+    # rate forms reject as an alpha outside [0, 1]
+    assert np.arange(0.283, 1.0, 1e-3)[-1] > 1.0
+    grid = limits._smooth_grid(0.283)
+    assert grid[-1] == 1.0 and np.all(grid[:-1] < 1.0)
     for signal in (GaussianIID(c_beta=1.0, k=10), DiscreteFlat(c_beta=1.0, k=10)):
-        q = ThresholdQuery(p=1000, signal=signal, alpha_star=0.1,
-                           mode="asymptotic", grid_step=1e-6)
+        q = ThresholdQuery(p=1000, signal=signal, alpha_star=0.283,
+                           mode="asymptotic")
         r = measurement_thresholds(q)
-        assert 0.1 <= r.alpha_ach <= 1.0 and 0.1 <= r.alpha_con <= 1.0
+        assert 0.283 <= r.alpha_ach <= 1.0 and 0.283 <= r.alpha_con <= 1.0
         assert 0.0 < r.n_con <= r.n_ach
 
 
@@ -506,8 +504,7 @@ def test_floor_thresholds_are_the_max_over_missed_counts():
     # the missed power is constant on each [l/k, (l+1)/k), so a search over
     # a grid climbed to just below the next step and paired the numerator
     # of l + 1 missed entries with the rate of l (2x too high for flat
-    # k = 10 at alpha_star 0.1, and with the answer moving with grid_step
-    # for flat k = 100)
+    # k = 10 at alpha_star 0.1)
     cases = [(DiscreteFlat(c_beta=0.1, k=10), 0.1),
              (DiscreteFlat(c_beta=10.0, k=10), 0.1),
              (DiscreteGeneral(values=(0.5, 1.0, 1.5, 2.0)), 0.25),
@@ -516,19 +513,13 @@ def test_floor_thresholds_are_the_max_over_missed_counts():
              # 0.3 * 10 is 3.0000000000000004, a whole count within the snap
              (DiscreteFlat(c_beta=1.0, k=10), 0.3)]
     for signal, alpha_star in cases:
-        results = []
-        for step in (1e-3, 1e-2, 0.05):
-            q = ThresholdQuery(p=1000, signal=signal,
-                               noise=GaussianNoise(1.0),
-                               alpha_star=alpha_star, mode="floor",
-                               grid_step=step)
-            r = measurement_thresholds(q)
-            assert (r.n_ach, r.n_con, r.alpha_ach, r.alpha_con) == \
-                _floor_brute_force(q), (signal, alpha_star, step)
-            assert alpha_star <= r.alpha_ach <= 1.0
-            assert alpha_star <= r.alpha_con <= 1.0
-            results.append(r)
-        assert results[0] == results[1] == results[2]
+        q = ThresholdQuery(p=1000, signal=signal, noise=GaussianNoise(1.0),
+                           alpha_star=alpha_star, mode="floor")
+        r = measurement_thresholds(q)
+        assert (r.n_ach, r.n_con, r.alpha_ach, r.alpha_con) == \
+            _floor_brute_force(q), (signal, alpha_star)
+        assert alpha_star <= r.alpha_ach <= 1.0
+        assert alpha_star <= r.alpha_con <= 1.0
     # 0.3 * 4 = 1.2 missed entries is no whole count
     with pytest.raises(ValueError, match="whole count"):
         ThresholdQuery(p=40, signal=DiscreteGeneral(
@@ -579,14 +570,14 @@ def _smooth_grid_of(alpha_star, step):
     return np.append(grid[grid < 1.0], 1.0)
 
 
-def _oracle_thresholds(signal, noise, alpha_star, grid_step):
+def _oracle_thresholds(signal, noise, alpha_star, step):
     """``(v_ach, v_con, a_ach, a_con)`` of the asymptotic-mode query by the
     one-row search, or the error that ends it, as the search before rows
     found them: the zero-rate check first, then the two searches."""
     try:
         ach, con = _smooth_objectives(signal, noise, alpha_star)
         split = _power_split(signal, "asymptotic")
-        grid = _smooth_grid_of(alpha_star, grid_step)
+        grid = _smooth_grid_of(alpha_star, step)
         if np.any(mi_pair_lower(split(grid)[0], noise) == 0.0):
             if split(alpha_star)[0] == 0.0:
                 raise ThresholdInfeasibleError(
@@ -657,7 +648,7 @@ def test_zoom_grids_are_numpy_linspace():
         assert row.tobytes() == np.linspace(a, b, _ZOOM_POINTS).tobytes()
 
 
-def _row_batch(signals, noise, alpha_star, grid_step):
+def _row_batch(signals, noise, alpha_star, step):
     """``_threshold_rows`` over the signals' asymptotic splits, and the
     number of rows in each objective call."""
     splits = [_power_split(signal, "asymptotic") for signal in signals]
@@ -671,7 +662,7 @@ def _row_batch(signals, noise, alpha_star, grid_step):
         return np.array([m for m, _ in parts]), np.array([k for _, k in parts])
 
     out = _threshold_rows(split, len(signals), noise, alpha_star,
-                          _smooth_grid_of(alpha_star, grid_step), True)
+                          _smooth_grid_of(alpha_star, step), True)
     return out, calls
 
 
@@ -682,11 +673,11 @@ def _same_outcome(got, expected):
     return got == expected      # bit for bit
 
 
-def _batch_matches_oracle(signals, noise, alpha_star, grid_step):
+def _batch_matches_oracle(signals, noise, alpha_star, step):
     (v_ach, v_con, a_ach, a_con, errors), calls = _row_batch(
-        signals, noise, alpha_star, grid_step)
+        signals, noise, alpha_star, step)
     for q, signal in enumerate(signals):
-        expected = _oracle_thresholds(signal, noise, alpha_star, grid_step)
+        expected = _oracle_thresholds(signal, noise, alpha_star, step)
         got = errors[q]
         if got is None:
             got = (v_ach[q], v_con[q], a_ach[q], a_con[q])
@@ -702,16 +693,16 @@ _SIGNAL_KINDS = st.sampled_from(["flat", "gaussian", "general"])
                      min_size=1, max_size=6),
        log_sigma=st.floats(-150.0, 150.0),
        alpha_star=st.floats(0.01, 0.95),
-       grid_step=st.sampled_from([1e-3, 3e-3, 0.02, 0.1, 0.5]))
+       step=st.sampled_from([1e-3, 3e-3, 0.02, 0.1, 0.5]))
 @example(rows=[("gaussian", 0.0), ("flat", 0.0), ("general", 200.0),
                ("flat", -160.0), ("gaussian", -310.0)],
-         log_sigma=0.0, alpha_star=0.1, grid_step=1e-3)
+         log_sigma=0.0, alpha_star=0.1, step=1e-3)
 def test_row_search_matches_one_row_oracle(rows, log_sigma, alpha_star,
-                                           grid_step):
+                                           step):
     # every row of a mixed batch (models, powers in the tiny, plain and
     # log-scaled classes of the rate forms, rows that leave at different
     # rounds) returns the one-row search's (alpha, value) bit for bit, or
-    # its error
+    # its error, on starting grids of several spacings
     noise = GaussianNoise(10.0 ** log_sigma)
     signals = []
     for kind, log_power in rows:
@@ -724,7 +715,7 @@ def test_row_search_matches_one_row_oracle(rows, log_sigma, alpha_star,
             model = DiscreteFlat if kind == "flat" else GaussianIID
             signals.append(model(power, 4))
     assume(signals)
-    _batch_matches_oracle(signals, noise, alpha_star, grid_step)
+    _batch_matches_oracle(signals, noise, alpha_star, step)
 
 
 def test_row_search_rows_leave_at_different_rounds():
@@ -761,8 +752,7 @@ def test_snr_roundtrip():
 
 def test_figure_curves_shape():
     grid = np.arange(-6.0, 31.0, 3.0)
-    curves = figure_curves(alpha_star=0.1, snr_db_values=grid,
-                           grid_step=2e-3)
+    curves = figure_curves(alpha_star=0.1, snr_db_values=grid)
     for kind in ("flat", "gaussian"):
         rows = curves[kind]
         assert rows.shape == (grid.size, 3)
@@ -773,8 +763,7 @@ def test_figure_curves_shape():
 
 
 def test_figure_curves_reject_bad_input():
-    for kwargs in ({"grid_step": 0.0}, {"grid_step": math.nan},
-                   {"alpha_star": 1.0},
+    for kwargs in ({"alpha_star": 1.0},
                    {"snr_db_values": []}, {"snr_db_values": [0.0, math.nan]},
                    {"snr_db_values": [math.inf]},
                    {"snr_db_values": np.zeros(MAX_SNR_GRID + 1)},
@@ -798,9 +787,10 @@ def test_write_figure_csv_roundtrip(tmp_path):
     assert np.allclose(parsed, curves["flat"], rtol=0, atol=0)
 
 
-def _figure_one_by_one(alpha_star=0.1, snr_db_values=(), grid_step=1e-3):
+def _figure_one_by_one(alpha_star=0.1, snr_db_values=()):
     # the figure as one query after another, flat curve first, through the
-    # signal models and the one-row search: the curves, or the first error
+    # signal models and the one-row search on the 1e-3 grid: the curves, or
+    # the first error
     noise = GaussianNoise()
     try:
         powers = [c_beta_from_snr_db(float(db)) for db in snr_db_values]
@@ -809,7 +799,7 @@ def _figure_one_by_one(alpha_star=0.1, snr_db_values=(), grid_step=1e-3):
             rows = []
             for db, c in zip(snr_db_values, powers):
                 found = _oracle_thresholds(model(c_beta=c, k=1), noise,
-                                           alpha_star, grid_step)
+                                           alpha_star, 1e-3)
                 if isinstance(found, Exception):
                     raise found
                 rows.append((db, found[0], found[1]))
@@ -831,8 +821,7 @@ def _figure_one_by_one(alpha_star=0.1, snr_db_values=(), grid_step=1e-3):
     # (-300 dB)
     {"snr_db_values": [0.0, -300.0], "alpha_star": 1e-310},
     {"snr_db_values": [-300.0, 0.0], "alpha_star": 1e-310},
-    {"snr_db_values": [-2.0, 1.5, 7.0], "alpha_star": 0.3,
-     "grid_step": 7e-3},
+    {"snr_db_values": [-2.0, 1.5, 7.0], "alpha_star": 0.3},
 ])
 def test_figure_matches_one_query_after_another(kwargs):
     # values bit for bit, and on a grid bad at several points the error
@@ -864,11 +853,21 @@ def test_figure_cli_error_is_the_first_bad_query(tmp_path, capsys,
     assert err == f"phaselim: numeric failure: {expected}\n"
 
 
-@pytest.mark.parametrize("grid_step", [1e-3, 1e-5])
-def test_figure_objective_calls_stay_in_the_chunk_budget(grid_step,
-                                                         monkeypatch):
+@pytest.mark.parametrize("step", [1e-3, 1e-5])
+def test_figure_objective_calls_stay_in_the_chunk_budget(step, monkeypatch):
     # no objective call takes more than _ROW_CHUNK alphas, but for a single
-    # row whose grid alone is larger (90001 alphas at grid_step 1e-5)
+    # row whose grid alone is larger (90001 alphas at a step of 1e-5): the
+    # default figure's rows, flat and Gaussian, searched by the row search
+    # from a grid of that step
+    snr = np.arange(-10.0, 41.0)
+    n = snr.size
+    powers = np.array([c_beta_from_snr_db(db) for db in snr])
+    gaussian = np.arange(2 * n) // n == 1
+
+    def split(r, a):
+        f = np.where(gaussian[r % (2 * n), None], tail_power_fraction(a), a)
+        return limits._split_total(powers[r % n, None], f)
+
     calls = []
 
     def spy(objective, alphas, rows, zoom):
@@ -879,11 +878,12 @@ def test_figure_objective_calls_stay_in_the_chunk_budget(grid_step,
 
     search = limits._search_max
     monkeypatch.setattr(limits, "_search_max", spy)
-    figure_curves(grid_step=grid_step)
+    grid = _smooth_grid_of(0.1, step)
+    _threshold_rows(split, 2 * n, GaussianNoise(), 0.1, grid, True)
     assert calls
     for size, width in calls:
         assert size * width <= _ROW_CHUNK or size == 1, (size, width)
-    grid = _smooth_grid_of(0.1, grid_step).size
+    grid = grid.size
     assert calls[0] == ((max(1, _ROW_CHUNK // grid)), grid)
 
 

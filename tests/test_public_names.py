@@ -141,13 +141,14 @@ def test_readme_api_list_is_the_package_all():
 def test_public_signatures_pinned():
     # the quadrature order and forcing switch, the curve kinds and the PAVA
     # weights were set only by tests, or by nothing; a config's k and
-    # decoder could only repeat or contradict its signal model
+    # decoder could only repeat or contradict its signal model; the alpha
+    # search's zoom, not a grid step, sets its resolution
     from phaselim.densities import conditional_output_logpdf
     from phaselim.limits import ThresholdQuery, figure_curves
     from phaselim.simulate import SimConfig, decode, pava_nonincreasing
     for cls, names in (
             (ThresholdQuery,
-             ["p", "signal", "noise", "alpha_star", "mode", "grid_step"]),
+             ["p", "signal", "noise", "alpha_star", "mode"]),
             (SimConfig,
              ["p", "signal", "noise", "alpha_star", "n_grid", "trials",
               "mc_samples", "master_seed", "threads"])):
@@ -158,8 +159,7 @@ def test_public_signatures_pinned():
     for fn, params in (
             (conditional_output_logpdf,
              ["y", "known_sq", "fresh_power", "noise"]),
-            (figure_curves,
-             ["alpha_star", "snr_db_values", "grid_step"]),
+            (figure_curves, ["alpha_star", "snr_db_values"]),
             (pava_nonincreasing, ["values"])):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
 

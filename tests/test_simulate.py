@@ -1,5 +1,6 @@
 """Exhaustive decoder, error curves, and the monotone-fit helper."""
 import dataclasses
+import hashlib
 import itertools
 import math
 import threading
@@ -307,6 +308,65 @@ def test_lifted_scores_match_reference_loop(k, extra, n, m, log_sigma, fit,
     best, second = np.sort(np.append(ref, -np.inf))[::-1][:2]
     if np.isfinite(best) and best - second > _LIFT_TOL * (1.0 + abs(best)):
         assert np.argmax(ours) == np.argmax(ref)
+
+
+# sha256 of ``_candidate_scores(...).tobytes()`` for the seeded inputs of
+# _score_case: every score bit of a flat-ml block, of an mc-marginal decode
+# in the direct form (2 rows) and in the lifted form (10 rows), and of a
+# lifted decode whose observations fit one candidate under draw 0 to 1e-3,
+# so that its expanded square cancels and that candidate is rescored
+# directly. At a noise scale of 2e-3 that draw alone sets the candidate's
+# score, which a one-ulp change of an intensity moves. Error-rate pins
+# cannot see a moved score bit; these can.
+_SCORE_DIGESTS = {
+    "flat_ml_block":
+        "8319abf439dc3e04ae1d80d8a3a2ead403d2d07d8eb4ba431ea0fcd0b3b60055",
+    "mc_direct":
+        "a3384322b2c42a5bc47667d715487cfbb9521c93ab4b4bc9b435be9bc10b17bf",
+    "mc_lifted":
+        "3b23163a25a0dd4f11d13d90916d5a995ba6df40087caed56819e8c258980b91",
+    "mc_lifted_rescored":
+        "c328600dc36398ed26ceb55f1a7beb33570a1e7b617085b42c1f8ecdba4c4f1a",
+}
+
+
+def _score_case(case):
+    """``(x, y, noise, draws, scale, lifted)`` of a pinned score case."""
+    rng = substream(61, sorted(_SCORE_DIGESTS).index(case))
+    if case == "flat_ml_block":
+        x = sample_circular_gaussian(rng, (5, 6, 6))
+        y = np.abs(rng.normal(1.0, 1.0, size=(5, 6)))
+        return x, y, GaussianNoise(0.5), np.ones((1, 2)), 0.8, False
+    n = 2 if case == "mc_direct" else 10
+    x = sample_circular_gaussian(rng, (1, n, 6))
+    draws = sample_circular_gaussian(rng, (32, 2), power=0.7)
+    if case == "mc_lifted_rescored":
+        fit = np.abs(np.conjugate(x[0][:, [1, 3]]) @ draws[0]) ** 2
+        y = (fit + 1e-3 * rng.standard_normal(n))[None]
+        return x, y, GaussianNoise(2e-3), draws, 1.0, True
+    y = np.abs(rng.normal(1.0, 1.0, size=(1, n)))
+    return x, y, GaussianNoise(0.6), draws, 1.0, n > 2
+
+
+@pytest.mark.parametrize("case", sorted(_SCORE_DIGESTS))
+def test_candidate_score_bytes_pinned(case, monkeypatch):
+    x, y, noise, draws, scale, lifted = _score_case(case)
+    trials, n, _ = x.shape
+    assert (trials == 1 and simulate._lifted_pays(2, n, len(draws))) == lifted
+    direct = simulate._direct_loglik
+    rescored = []
+
+    def spy(xt, y, noise, draws, scale, sup, out, ws):
+        rescored.append(len(sup))
+        direct(xt, y, noise, draws, scale, sup, out, ws)
+
+    monkeypatch.setattr(simulate, "_direct_loglik", spy)
+    scores = simulate._candidate_scores(x, y, noise, draws, scale)
+    assert scores.shape == (trials, 15) and np.isfinite(scores).all()
+    # the lifted form calls the direct one only to rescore candidates
+    assert bool(lifted and rescored) == (case == "mc_lifted_rescored")
+    digest = hashlib.sha256(scores.tobytes()).hexdigest()
+    assert digest == _SCORE_DIGESTS[case]
 
 
 def test_lifted_overflowing_gram_scores_directly(monkeypatch):
