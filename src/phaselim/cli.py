@@ -168,7 +168,10 @@ def _manifest_path(params: dict, command: str) -> str:
 
 def _check_not_output(manifest: str, outputs) -> None:
     """Raise ``ValueError`` if the manifest path names one of the run's data
-    outputs, which writing the manifest would replace."""
+    outputs, which writing the manifest would replace. A run without data
+    outputs resolves no path."""
+    if not outputs:
+        return
     target = os.path.realpath(manifest)
     for out in outputs:
         if os.path.realpath(out) == target:
