@@ -19,9 +19,9 @@ from .limits import (ThresholdInfeasibleError, ThresholdQuery,
                      ThresholdResult, c_beta_from_snr_db, figure_curves,
                      measurement_thresholds, mi_pair_lower, mi_pair_upper,
                      snr_db, tail_power_fraction, write_figure_csv)
-from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SortedSignal,
-                    floor_count, observe, partition_powers,
-                    sample_signal_vector, sample_support)
+from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, floor_count,
+                    observe, partition_powers, sample_signal_vector,
+                    sample_support)
 from .rng import parallel_map, sample_circular_gaussian, substream
 from .simulate import (ErrorCurve, SimConfig, decode, error_curve,
                        isotonic_residual, pava_nonincreasing)
@@ -35,8 +35,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "DiscreteFlat", "DiscreteGeneral", "GaussianIID", "SortedSignal",
-    "floor_count", "partition_powers",
+    "DiscreteFlat", "DiscreteGeneral", "GaussianIID", "floor_count",
+    "partition_powers",
     "sample_support", "sample_signal_vector", "observe",
     # densities
     "GaussianNoise", "ConcentrationConstants",

@@ -18,7 +18,9 @@ object or flat ``key = value`` lines whose keys mirror the flag names,
 hyphens read as underscores; keys the subcommand does not have are
 ignored, and a key set twice or a JSON ``null`` is refused), else its
 default. An integer option takes an int or its text, not a float or a
-bool. A ``--manifest`` that names a data output of its run is refused.
+bool. A ``--manifest`` that names a data output of its run, and a manifest
+or data output that would be written over the ``--config`` file, are
+refused before any work runs.
 Only ``verify`` and ``simulate`` draw at random and take ``--seed`` and
 ``--threads``; their seed falls back to ``PHASELIM_SEED``, then 0. The
 other commands record ``master_seed`` as ``null``.
@@ -179,6 +181,17 @@ def _check_not_output(manifest: str, outputs) -> None:
                              f"output {out!r}")
 
 
+def _check_not_config(config: str, manifest: str, outputs) -> None:
+    """Raise ``ValueError`` if the manifest or a data output of the run
+    would be written over the config file it reads."""
+    source = os.path.realpath(config)
+    for role, path in (("manifest", manifest),
+                       *(("output", out) for out in outputs)):
+        if os.path.realpath(path) == source:
+            raise ValueError(f"{role} {path!r} would overwrite the config "
+                             f"{config!r}")
+
+
 def _check_location(path: str, is_dir: bool) -> None:
     """Raise ``OSError`` now if ``path`` cannot be written once the work is
     done. A file's directory must exist; a directory is created later, so
@@ -249,7 +262,7 @@ def _run_figure(params: dict):
     os.makedirs(params["out_dir"], exist_ok=True)
     outputs = []
     for kind, rows in curves.items():
-        path = os.path.join(params["out_dir"], f"{kind}_thresholds.csv")
+        path = os.path.join(params["out_dir"], _FIGURE_CSVS[kind])
         write_figure_csv(rows, path)
         outputs.append(path)
     return outputs, "wrote " + ", ".join(outputs), 0, ""
@@ -307,10 +320,11 @@ def _run_simulate(params: dict):
 # ----------------------------------------------------------------- parser
 # One entry per subcommand: its help text, its runner, the parameters that
 # name output locations (checked before the work runs, redirected by
-# replay) and its options, each ``name: (convert, default, add_argument
-# keywords)``. ``convert`` reads the flag's text and the config value
-# alike. ``_REQUIRED`` marks an option that a flag or the config must set;
-# a callable default is called when neither sets it.
+# replay), each mapped to ``None`` for a file or to the names of the files
+# it receives for a directory, and its options, each ``name: (convert,
+# default, add_argument keywords)``. ``convert`` reads the flag's text and
+# the config value alike. ``_REQUIRED`` marks an option that a flag or the
+# config must set; a callable default is called when neither sets it.
 
 _Command = collections.namedtuple("_Command", "help run outputs options")
 
@@ -327,9 +341,13 @@ _RANDOM_OPTIONS = {
                 {"help": "worker cap; results do not depend on it"}),
 }
 
+# the CSV ``figure`` writes for each curve of figure_curves
+_FIGURE_CSVS = {kind: f"{kind}_thresholds.csv"
+                for kind in ("flat", "gaussian")}
+
 _COMMANDS = {
     "thresholds": _Command("achievability and converse measurement counts",
-                           _run_thresholds, {"out": "file"}, {
+                           _run_thresholds, {"out": None}, {
         "model": (str, _REQUIRED, {"choices": ("gaussian", "flat")}),
         "p": (_to_int, _REQUIRED, {}),
         "k": (_to_int, _REQUIRED, {}),
@@ -341,7 +359,8 @@ _COMMANDS = {
         "out": (str, None, {"help": "also write the JSON record here"}),
     }),
     "figure": _Command("threshold-vs-SNR curve CSVs for both models",
-                       _run_figure, {"out_dir": "dir"}, {
+                       _run_figure,
+                       {"out_dir": tuple(_FIGURE_CSVS.values())}, {
         "alpha_star": (float, 0.1, {}),
         "snr_min": (float, -10.0, {}),
         "snr_max": (float, 40.0, {}),
@@ -349,14 +368,14 @@ _COMMANDS = {
         "out_dir": (str, "figures", {}),
     }),
     "verify": _Command("statistical check suites, JSON-lines reports",
-                       _run_verify, {"out": "file"}, {
+                       _run_verify, {"out": None}, {
         "suite": (str, _REQUIRED, {"choices": SUITE_NAMES}),
         "trials": (_to_int, 100000, {}),
         "out": (str, None, {"help": "also write the JSON lines here"}),
         **_RANDOM_OPTIONS,
     }),
     "simulate": _Command("exhaustive-decoder error curve at tiny sizes",
-                         _run_simulate, {"out": "file"}, {
+                         _run_simulate, {"out": None}, {
         "p": (_to_int, _REQUIRED, {}),
         "k": (_to_int, _REQUIRED, {}),
         "model": (str, "flat", {"choices": ("flat", "gaussian")}),
@@ -442,25 +461,31 @@ def _cmd_run(args) -> int:
     command = _COMMANDS[args.command]
     params = _resolve(args, _load_config(args.config) if args.config else {})
     manifest = params.pop("manifest")
+    # every data output: each output file, and each output directory with
+    # the files it receives
+    outputs = []
+    for key, names in command.outputs.items():
+        if params[key]:
+            _check_location(params[key], names is not None)
+            outputs += [params[key], *(os.path.join(params[key], name)
+                                       for name in names or ())]
     # a default manifest sits beside an output checked here or in the
     # working directory
-    for key, kind in command.outputs.items():
-        if params[key]:
-            _check_location(params[key], kind == "dir")
     if manifest:
         _check_location(manifest, False)
-        _check_not_output(manifest, [params[key] for key in command.outputs
-                                     if params[key]])
+        _check_not_output(manifest, outputs)
+    else:
+        manifest = _manifest_path(params, args.command)
+    if args.config:
+        _check_not_config(args.config, manifest, outputs)
 
     started = _utc_now()
     outputs, text, status, summary = command.run(params)
     finished = _utc_now()
-    if manifest:    # the runner names the files of an output directory
-        _check_not_output(manifest, outputs)
     if text:
         print(text)
-    _write_manifest(manifest or _manifest_path(params, args.command),
-                    args.command, params, outputs, started, finished)
+    _write_manifest(manifest, args.command, params, outputs, started,
+                    finished)
     if summary:
         print(summary, file=sys.stderr)
     return status
@@ -478,9 +503,9 @@ def _cmd_replay(args) -> int:
         params["threads"] = args.threads
     scratch = args.scratch or tempfile.mkdtemp(prefix="phaselim-replay-")
     os.makedirs(scratch, exist_ok=True)
-    for key, kind in _COMMANDS[command].outputs.items():
+    for key, names in _COMMANDS[command].outputs.items():
         if params.get(key):
-            params[key] = scratch if kind == "dir" else os.path.join(
+            params[key] = scratch if names is not None else os.path.join(
                 scratch, os.path.basename(params[key]))
     outputs = _COMMANDS[command].run(params)[0]
     produced = {os.path.basename(path): path for path in outputs}

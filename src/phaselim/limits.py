@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .densities import GaussianNoise
-from .model import (_FLOOR_SNAP, DiscreteFlat, DiscreteGeneral, GaussianIID,
-                    SignalModel, SortedSignal, floor_count, partition_powers)
+from .model import (_FLOOR_SNAP, DiscreteFlat, GaussianIID, SignalModel,
+                    floor_count, partition_powers)
 from .rng import _check_int
 
 __all__ = [
@@ -203,6 +203,11 @@ def mi_pair_upper(miss_power, keep_power, noise: GaussianNoise):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_signal_model(signal) -> None:
+    if not isinstance(signal, SignalModel):
+        raise TypeError(f"unknown signal model {type(signal).__name__}")
+
+
 def _check_alpha_search(alpha_star: float) -> None:
     """Reject a maximization range the alpha search cannot use."""
     if not 0.0 < alpha_star < 1.0:
@@ -225,6 +230,7 @@ class ThresholdQuery:
     mode: str = "floor"          # ignored for GaussianIID (always limiting)
 
     def __post_init__(self):
+        _check_signal_model(self.signal)
         _check_alpha_search(self.alpha_star)
         k = self.signal.k
         _check_int("p", self.p, k)
@@ -267,12 +273,11 @@ def _power_split(signal: SignalModel, mode: str):
     if isinstance(signal, DiscreteFlat) and mode == "asymptotic":
         return lambda a: _split_total(signal.c_beta, a)
     if isinstance(signal, DiscreteFlat):
-        sorted_sig = SortedSignal.flat(signal.c_beta, signal.k)
-    elif isinstance(signal, DiscreteGeneral):
-        sorted_sig = SortedSignal(np.asarray(signal.values, dtype=complex))
+        beta = np.full(signal.k, np.sqrt(signal.c_beta / signal.k),
+                       dtype=complex)
     else:
-        raise TypeError(f"unknown signal model {type(signal).__name__}")
-    return lambda a: partition_powers(sorted_sig, a, mode)
+        beta = np.asarray(signal.values, dtype=complex)
+    return lambda a: partition_powers(beta, a, mode)
 
 
 def _smooth_grid(alpha_star: float) -> np.ndarray:
@@ -486,8 +491,7 @@ def snr_db(signal: SignalModel, noise: GaussianNoise) -> float:
     is the (expected) total signal power. Base-10 decibels; the i.i.d.
     Gaussian model drops its vanishing ``1/k`` correction. Taken in logs,
     so no square overflows or underflows."""
-    if not isinstance(signal, (DiscreteFlat, DiscreteGeneral, GaussianIID)):
-        raise TypeError(f"unknown signal model {type(signal).__name__}")
+    _check_signal_model(signal)
     return 10.0 * (math.log10(2.0) + 2.0 * math.log10(signal.total_power)
                    - 2.0 * math.log10(noise.sigma))
 

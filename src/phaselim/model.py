@@ -24,7 +24,6 @@ __all__ = [
     "DiscreteFlat",
     "DiscreteGeneral",
     "GaussianIID",
-    "SortedSignal",
     "floor_count",
     "sample_support",
     "sample_signal_vector",
@@ -144,61 +143,39 @@ class GaussianIID:
 SignalModel = DiscreteFlat | DiscreteGeneral | GaussianIID
 
 
-class SortedSignal:
-    """Squared coefficient magnitudes sorted ascending, with prefix sums.
-
-    ``prefix[m]`` is the summed power of the ``m`` weakest coefficients,
-    accumulated left to right over the sorted entries (order pinned for
-    bitwise reproducibility). ``prefix[0] == 0`` and ``prefix[k]`` is the
-    total power.
-    """
-
-    def __init__(self, beta: np.ndarray):
-        beta = np.asarray(beta)
-        if beta.ndim != 1 or beta.size == 0:
-            raise ValueError("coefficient vector must be 1-d and nonempty")
-        mags = np.sort(np.abs(beta) ** 2)
-        self.sq_magnitudes = mags
-        self.prefix = np.concatenate(([0.0], np.cumsum(mags)))
-
-    @classmethod
-    def flat(cls, c_beta: float, k: int) -> "SortedSignal":
-        return cls(np.full(k, np.sqrt(c_beta / k), dtype=complex))
-
-    @property
-    def k(self) -> int:
-        return self.sq_magnitudes.size
-
-    @property
-    def total_power(self) -> float:
-        return float(self.prefix[-1])
-
-
-def partition_powers(signal: SortedSignal, alpha, mode: str = "floor"):
-    """Split sorted power at fraction ``alpha`` of the ``k`` entries into
+def partition_powers(beta, alpha, mode: str = "floor"):
+    """Split the power of the coefficient vector ``beta`` (1-d, nonempty,
+    in any order) at fraction ``alpha`` of its ``k`` entries into
     ``(miss_power, keep_power)`` for every entry of ``alpha`` (scalar in,
     scalar out): the power of the weakest entries a decoder may miss, and
     the rest.
 
-    ``mode="floor"`` takes the exact ``floor(alpha*k)``-entry prefix, with
-    the snap of :func:`floor_count`; ``mode="asymptotic"`` linearly
-    interpolates the prefix sums at the real point ``alpha*k`` (the
-    large-``k`` limiting curve).
+    The squared magnitudes are sorted ascending and summed left to right
+    (order pinned for bitwise reproducibility). ``mode="floor"`` takes the
+    exact ``floor(alpha*k)``-entry prefix, with the snap of
+    :func:`floor_count`; ``mode="asymptotic"`` linearly interpolates the
+    prefix sums at the real point ``alpha*k`` (the large-``k`` limiting
+    curve).
     """
+    beta = np.asarray(beta)
+    if beta.ndim != 1 or beta.size == 0:
+        raise ValueError("coefficient vector must be 1-d and nonempty")
     a = np.asarray(alpha, dtype=float)
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
     if mode not in ("floor", "asymptotic"):
         raise ValueError(f"unknown mode {mode!r}")
-    k = signal.k
+    mags = np.sort(np.abs(beta) ** 2)
+    prefix = np.concatenate(([0.0], np.cumsum(mags)))
+    k = mags.size
     ak = a * k
     m = _snapped_floor(ak).astype(np.intp)
-    miss = signal.prefix[m]
+    miss = prefix[m]
     if mode == "asymptotic":
         frac = ak - m
-        step = signal.sq_magnitudes[np.minimum(m, k - 1)]
+        step = mags[np.minimum(m, k - 1)]
         miss = miss + np.where((frac > 0) & (m < k), frac * step, 0.0)
-    return miss, signal.prefix[-1] - miss
+    return miss, prefix[-1] - miss
 
 
 def sample_support(p: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -658,8 +658,8 @@ def test_manifest_never_overwrites_an_output(tmp_path, capsys, monkeypatch):
         assert err == (f"phaselim: manifest {manifest!r} would overwrite "
                        f"the output {output!r}\n"), argv
     assert list(tmp_path.iterdir()) == []
-    # a CSV under figure --out-dir is named by the runner: refused once the
-    # work is done, with every data output left as it was written
+    # a CSV under figure --out-dir is refused before any work too, with
+    # every data output left as it was written
     figure = ["figure", "--snr-step", "10", "--out-dir", "figs"]
     assert _run(figure, capsys)[0] == 0
     before = {p.name: p.read_bytes() for p in (tmp_path / "figs").iterdir()}
@@ -670,6 +670,33 @@ def test_manifest_never_overwrites_an_output(tmp_path, capsys, monkeypatch):
                    f"{csv!r}\n")
     after = {p.name: p.read_bytes() for p in (tmp_path / "figs").iterdir()}
     assert after == before
+
+
+@pytest.mark.parametrize("argv, config, role, path", [
+    (["thresholds", "--manifest", "c.conf"], "c.conf", "manifest", "c.conf"),
+    (["thresholds", "--out", "./d.conf"], "d.conf", "output", "./d.conf"),
+    (["thresholds"], "thresholds_manifest.json", "manifest",
+     "thresholds_manifest.json"),
+    (["figure", "--out-dir", "figs"], "figs/flat_thresholds.csv", "output",
+     os.path.join("figs", "flat_thresholds.csv"))],
+    ids=["manifest", "out", "default-manifest", "out-dir-csv"])
+def test_run_never_overwrites_its_config(tmp_path, capsys, monkeypatch,
+                                         argv, config, role, path):
+    # the run exited 0 with its manifest or a data output written over the
+    # --config file it read; now any path the run writes that resolves to
+    # the config is refused before any work
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "figs").mkdir()
+    text = "model = flat\np = 1000\nk = 10\nsnr_step = 10\n"
+    (tmp_path / config).write_text(text)
+    code, stdout, err = _run(argv + ["--config", config], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (f"phaselim: {role} {path!r} would overwrite the config "
+                   f"{config!r}\n")
+    assert (tmp_path / config).read_text() == text
+    (tmp_path / config).unlink()
+    assert sorted(os.listdir(tmp_path)) == ["figs"]
+    assert os.listdir(tmp_path / "figs") == []
 
 
 def test_bad_n_grid_range_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -767,7 +794,8 @@ def test_config_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
     conf_a = tmp_path / "a.conf"
     conf_a.write_text("model = flat\np = 80\nk = 4\nalpha_star = 0.2\n"
                       "seed = 5\nout = a.json\n")
-    conf_b = tmp_path / "b.json"
+    # (a config named b.json would be its own --out, which is refused)
+    conf_b = tmp_path / "b_conf.json"
     conf_b.write_text(json.dumps({"model": "gaussian", "p": 90, "k": 3,
                                   "sigma": 0.5, "threads": 2,
                                   "out": "b.json"}))

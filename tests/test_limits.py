@@ -20,7 +20,12 @@ from phaselim.cli import main
 from phaselim.limits import (_ROW_CHUNK, _ZOOM_POINTS, _ZOOM_WIDTH,
                              _power_split, _search_max, _threshold_rows)
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                            SortedSignal, floor_count, partition_powers)
+                            floor_count, partition_powers)
+
+
+def _flat(c_beta, k):
+    # the coefficient vector of DiscreteFlat(c_beta, k)
+    return np.full(k, np.sqrt(c_beta / k), dtype=complex)
 
 
 # ------------------------------------------------- tail power fraction
@@ -137,23 +142,23 @@ def test_power_split_per_model():
         (DiscreteFlat(c_beta=c, k=10), "asymptotic",
          (alphas * c, (1.0 - alphas) * c)),
         (DiscreteFlat(c_beta=c, k=10), "floor", partition_powers(
-            SortedSignal.flat(c, 10), alphas, "floor")),
+            _flat(c, 10), alphas, "floor")),
         (DiscreteGeneral(values=values), "asymptotic", partition_powers(
-            SortedSignal(np.asarray(values)), alphas, "asymptotic")),
+            np.asarray(values), alphas, "asymptotic")),
     ]
     for signal, mode, (miss, keep) in cases:
         got_miss, got_keep = _power_split(signal, mode)(alphas)
         assert np.array_equal(got_miss, miss), signal
         assert np.array_equal(got_keep, keep), signal
-    with pytest.raises(TypeError):
-        _power_split(SortedSignal.flat(c, 10), "floor")
+    # a coefficient vector is no signal model: the query refuses it
+    with pytest.raises(TypeError, match="unknown signal model ndarray"):
+        ThresholdQuery(p=10, signal=_flat(c, 10))
 
 
 def test_sorted_rates_flat_floor():
     noise = GaussianNoise(1.0)
-    sig = SortedSignal.flat(1.0, 10)
     # floor(0.25 * 10) = 2 entries carry power 0.2
-    miss, keep = partition_powers(sig, 0.25, "floor")
+    miss, keep = partition_powers(_flat(1.0, 10), 0.25, "floor")
     assert float(mi_pair_lower(miss, noise)) == pytest.approx(
         float(mi_pair_lower(0.2, noise)), abs=1e-14)
     assert float(mi_pair_upper(miss, keep, noise)) == pytest.approx(
@@ -215,16 +220,27 @@ def test_upper_rate_cross_term_past_float_range():
                 0.5 * math.log(math.pi * math.e / 2.0), rel=1e-15)
 
 
-def _partition_oracle(signal, alpha, mode):
+def _sorted_prefix(beta):
+    # squared magnitudes (numpy's complex abs), ascending, and their sums
+    # left to right, in Python floats
+    squares = sorted((np.abs(np.asarray(beta)) ** 2).tolist())
+    prefix = [0.0]
+    for sq in squares:
+        prefix.append(prefix[-1] + sq)
+    return squares, prefix
+
+
+def _partition_oracle(beta, alpha, mode):
     # one alpha at a time through floor_count, in Python floats
-    k = signal.k
+    squares, prefix = _sorted_prefix(beta)
+    k = len(squares)
     m = floor_count(alpha, k)
-    miss = float(signal.prefix[m])
+    miss = prefix[m]
     if mode == "asymptotic":
         frac = alpha * k - m
         if frac > 0 and m < k:
-            miss += frac * float(signal.sq_magnitudes[m])
-    return miss, signal.total_power - miss
+            miss += frac * squares[m]
+    return miss, prefix[-1] - miss
 
 
 def test_sorted_rates_match_per_alpha_partition():
@@ -234,18 +250,18 @@ def test_sorted_rates_match_per_alpha_partition():
     # 1e-9 floor snap just below an integer
     rng = np.random.default_rng(11)
     noise = GaussianNoise(0.7)
-    signals = [SortedSignal.flat(2.5, 10), SortedSignal.flat(1.0, 1000)]
+    signals = [_flat(2.5, 10), _flat(1.0, 1000)]
     for _ in range(6):
         k = int(rng.integers(1, 50))
         general = DiscreteGeneral(values=tuple(rng.normal(size=k)
                                                + 1j * rng.normal(size=k)))
-        signals.append(SortedSignal(np.asarray(general.values)))
+        signals.append(np.asarray(general.values))
     assert floor_count((3 - 5e-10) / 10, 10) == 3   # the snap case occurs
     for sig in signals:
-        counts = np.arange(1, sig.k + 1)
+        counts = np.arange(1, sig.size + 1)
         alphas = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 64),
-                                 counts / sig.k, (counts - 5e-10) / sig.k,
-                                 (counts - 2e-9) / sig.k))
+                                 counts / sig.size, (counts - 5e-10) / sig.size,
+                                 (counts - 2e-9) / sig.size))
         for mode in ("floor", "asymptotic"):
             miss, keep = partition_powers(sig, alphas, mode)
             lo = mi_pair_lower(miss, noise)
@@ -281,6 +297,22 @@ def test_threshold_query_validation():
     # floor mode with floor(alpha* k) = 0 cannot express the error event
     with pytest.raises(ValueError):
         ThresholdQuery(p=10, signal=sig, alpha_star=0.1, mode="floor")
+
+
+def test_threshold_query_refuses_a_non_model():
+    # object() raised AttributeError on its missing k; an object with a k
+    # got floor mode's whole-count ValueError, or a TypeError only once
+    # measurement_thresholds ran
+    class Fake:
+        k = 4
+        c_beta = 1.0
+
+    for signal in (object(), Fake()):
+        for mode in ("floor", "asymptotic"):
+            with pytest.raises(TypeError, match="unknown signal model "
+                               f"{type(signal).__name__}$"):
+                ThresholdQuery(p=10, signal=signal, alpha_star=0.25,
+                               mode=mode)
 
 
 def test_threshold_example_value():
@@ -484,15 +516,15 @@ def _floor_brute_force(q):
     # of l/k over the rate of those same l entries (alpha_star itself for
     # the first l), one scalar l at a time
     k = q.signal.k
-    sig = (SortedSignal.flat(q.signal.c_beta, k)
-           if isinstance(q.signal, DiscreteFlat)
-           else SortedSignal(np.asarray(q.signal.values, dtype=complex)))
+    _, prefix = _sorted_prefix(_flat(q.signal.c_beta, k)
+                               if isinstance(q.signal, DiscreteFlat)
+                               else q.signal.values)
     first = floor_count(q.alpha_star, k)
     points = [(q.alpha_star if l == first else l / k, l)
               for l in range(first, k + 1)]
-    ach = [(a / mi_pair_lower(sig.prefix[l], q.noise), a) for a, l in points]
+    ach = [(a / mi_pair_lower(prefix[l], q.noise), a) for a, l in points]
     con = [((a - q.alpha_star) / mi_pair_upper(
-        sig.prefix[l], sig.total_power - sig.prefix[l], q.noise), a)
+        prefix[l], prefix[-1] - prefix[l], q.noise), a)
         for a, l in points]
     (v_ach, a_ach), (v_con, a_con) = (max(ach, key=lambda t: t[0]),
                                       max(con, key=lambda t: t[0]))
@@ -732,8 +764,8 @@ def test_row_search_rows_leave_at_different_rounds():
 # ----------------------------------------------------- SNR and curves
 
 def test_snr_db_refuses_a_non_model():
-    with pytest.raises(TypeError, match="unknown signal model SortedSignal"):
-        snr_db(SortedSignal.flat(1.0, 3), GaussianNoise())
+    with pytest.raises(TypeError, match="unknown signal model ndarray"):
+        snr_db(_flat(1.0, 3), GaussianNoise())
 
 
 def test_snr_roundtrip():
@@ -924,6 +956,41 @@ _FIGURE_PINS = {
     "gaussian":
         "20c69cf6d6fbdae15cb1062ea7cd932c12b3229ca4a9f656deb6aa3db8ca537f",
 }
+
+
+# sha256 of the reprs of DiscreteGeneral outcomes, which no CLI query
+# reaches: floor mode indexes the sorted prefix sums, asymptotic mode
+# interpolates between them; each pin covers its alphas at sigma 1 and 0.05
+_GENERAL_VALUES = {
+    "complex": (0.3 + 1j, -0.2, 0.9j, 0.4, 1.1 - 0.5j),
+    "real": (0.5, 1.0, 1.5, 2.0, -0.75),
+    "zeros": (0.0, 0.7, 0.0, 1.2j, 0.5),
+}
+_GENERAL_ALPHAS = {"floor": (0.2, 0.4, 0.6, 0.8),
+                   "asymptotic": (0.1, 0.35, 0.5, 0.9)}
+_GENERAL_PINS = {
+    ("complex", "floor"):
+        "a29218f8125af231185ebf369565946d46907eb39031b9196026a154ce036ff7",
+    ("complex", "asymptotic"):
+        "18139c637b54b56bf1571903cec0481398eaf9f3a9f2371041786d600314b866",
+    ("real", "floor"):
+        "2274eccf3f55f5a538905c0786658cf63e1c5499a10e22a3f6ecd639eab86c46",
+    ("real", "asymptotic"):
+        "f6fcad2e2146150f83588f7fa73b1e09ed3231375d46fc1f96ced6fdc0cf4d63",
+    ("zeros", "floor"):
+        "d5df70620547fb3db11d48dc70b51066a837da8634b44b89fda882299132a8b0",
+    ("zeros", "asymptotic"):
+        "c1a83d28df99e5472846c7d1fcf6cbf30fffa899ba3f05153977e83b27fb7ce7",
+}
+
+
+def test_general_threshold_bytes_pinned():
+    for (name, mode), pin in _GENERAL_PINS.items():
+        signal = DiscreteGeneral(_GENERAL_VALUES[name])
+        text = "\n".join(
+            repr(_threshold_outcome(signal, sigma, alpha_star, mode))
+            for alpha_star in _GENERAL_ALPHAS[mode] for sigma in (1.0, 0.05))
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, (name, mode)
 
 
 def test_threshold_json_bytes_pinned(tmp_path, capsys, monkeypatch):

@@ -7,9 +7,8 @@ import pytest
 from scipy import stats
 
 from phaselim.model import (DiscreteFlat, DiscreteGeneral, GaussianIID,
-                            SortedSignal, floor_count, observe,
-                            partition_powers, sample_signal_vector,
-                            sample_support)
+                            floor_count, observe, partition_powers,
+                            sample_signal_vector, sample_support)
 from phaselim.densities import GaussianNoise
 from phaselim.rng import sample_circular_gaussian, substream
 
@@ -155,54 +154,60 @@ def test_sample_support_is_sorted_distinct_index_array():
             assert 0 <= s[0] and s[-1] < p
 
 
+def _flat(c_beta, k):
+    return np.full(k, np.sqrt(c_beta / k), dtype=complex)
+
+
 def test_sorted_signal_prefix():
-    sig = SortedSignal(np.array([3.0, 1.0, 2.0j]))
-    assert sig.k == 3
-    assert np.allclose(sig.sq_magnitudes, [1.0, 4.0, 9.0])
-    assert sig.prefix[0] == 0.0
-    assert sig.prefix[2] == pytest.approx(5.0)
-    assert sig.total_power == pytest.approx(14.0)
-    flat = SortedSignal.flat(2.0, 8)
-    assert flat.prefix[4] == pytest.approx(1.0)
+    beta = np.array([3.0, 1.0, 2.0j])
+    # the missed power is the prefix sum of the sorted squared magnitudes
+    # 1, 4, 9, in any input order
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+        miss, keep = partition_powers(beta[order], np.arange(4) / 3)
+        assert np.array_equal(miss, [0.0, 1.0, 5.0, 14.0])
+        assert np.array_equal(keep, [14.0, 13.0, 9.0, 0.0])
+    miss, keep = partition_powers(beta, 0.5, "asymptotic")
+    assert miss == 1.0 + 0.5 * 4.0 and keep == 14.0 - miss
+    assert partition_powers(_flat(2.0, 8), 0.5)[0] == pytest.approx(1.0)
 
 
 def test_library_refusals():
     # each refusal through its public entry, with its message
-    for bad in (np.ones((2, 2)), np.array([])):
+    for bad in (np.ones((2, 2)), np.array([]), 1.0):
         with pytest.raises(ValueError, match="1-d and nonempty"):
-            SortedSignal(bad)
-    sig = SortedSignal.flat(1.0, 4)
+            partition_powers(bad, 0.5)
     with pytest.raises(ValueError, match="unknown mode 'nope'"):
-        partition_powers(sig, np.array([0.1, 0.5]), mode="nope")
-    with pytest.raises(TypeError, match="unknown signal model SortedSignal"):
-        sample_signal_vector(sig, substream(0, 0))
+        partition_powers(_flat(1.0, 4), np.array([0.1, 0.5]), mode="nope")
+    with pytest.raises(TypeError, match="unknown signal model ndarray"):
+        sample_signal_vector(_flat(1.0, 4), substream(0, 0))
 
 
 def test_partition_modes():
-    sig = SortedSignal.flat(1.0, 10)
-    lo_miss, _ = partition_powers(sig, 0.25, mode="floor")
-    assert floor_count(0.25, sig.k) == 2
+    beta = _flat(1.0, 10)
+    lo_miss, _ = partition_powers(beta, 0.25, mode="floor")
+    assert floor_count(0.25, beta.size) == 2
     assert lo_miss == pytest.approx(0.2)
-    hi_miss, hi_keep = partition_powers(sig, 0.25, mode="asymptotic")
+    hi_miss, hi_keep = partition_powers(beta, 0.25, mode="asymptotic")
     assert hi_miss == pytest.approx(0.25)
-    assert hi_miss + hi_keep == pytest.approx(sig.total_power)
-    _, full_keep = partition_powers(sig, 1.0, mode="floor")
+    assert hi_miss + hi_keep == pytest.approx(1.0)
+    _, full_keep = partition_powers(beta, 1.0, mode="floor")
     assert full_keep == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        partition_powers(sig, 1.5)
+        partition_powers(beta, 1.5)
     with pytest.raises(ValueError):
-        partition_powers(sig, 0.5, mode="nope")
+        partition_powers(beta, 0.5, mode="nope")
 
 
 def test_partition_split_exact_on_battery():
     rng = np.random.default_rng(5)
     for _ in range(40):
         k = int(rng.integers(1, 30))
-        sig = SortedSignal(rng.normal(size=k) + 1j * rng.normal(size=k))
+        beta = rng.normal(size=k) + 1j * rng.normal(size=k)
+        total = float(np.sum(np.abs(beta) ** 2))
         a = float(rng.uniform(0, 1))
         for mode in ("floor", "asymptotic"):
-            miss, keep = partition_powers(sig, a, mode=mode)
-            assert miss + keep == pytest.approx(sig.total_power, abs=1e-12)
+            miss, keep = partition_powers(beta, a, mode=mode)
+            assert miss + keep == pytest.approx(total, abs=1e-12)
             assert miss >= -1e-15
             assert keep >= -1e-12
 

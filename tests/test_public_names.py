@@ -142,9 +142,11 @@ def test_public_signatures_pinned():
     # the quadrature order and forcing switch, the curve kinds and the PAVA
     # weights were set only by tests, or by nothing; a config's k and
     # decoder could only repeat or contradict its signal model; the alpha
-    # search's zoom, not a grid step, sets its resolution
+    # search's zoom, not a grid step, sets its resolution; the power split
+    # sorts the coefficient vector it is given
     from phaselim.densities import conditional_output_logpdf
     from phaselim.limits import ThresholdQuery, figure_curves
+    from phaselim.model import partition_powers
     from phaselim.simulate import SimConfig, decode, pava_nonincreasing
     for cls, names in (
             (ThresholdQuery,
@@ -160,6 +162,7 @@ def test_public_signatures_pinned():
             (conditional_output_logpdf,
              ["y", "known_sq", "fresh_power", "noise"]),
             (figure_curves, ["alpha_star", "snr_db_values"]),
+            (partition_powers, ["beta", "alpha", "mode"]),
             (pava_nonincreasing, ["values"])):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
