@@ -494,8 +494,14 @@ def _cmd_run(args) -> int:
 def _cmd_replay(args) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    # shapes first: a manifest that cannot be compared runs no command
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest is {type(doc).__name__}, not an object")
+    for key in ("params", "outputs"):
+        if not isinstance(value := doc.get(key, {}), dict):
+            raise ValueError(f"{key} is {type(value).__name__}, not an object")
     command = doc.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         print(f"manifest names unknown command {command!r}", file=sys.stderr)
         return 2
     params = dict(doc["params"])

@@ -123,6 +123,11 @@ class GaussianNoise:
         return float(np.exp(2.0 * self.entropy()))
 
 
+def _check_noise(noise) -> None:
+    if not isinstance(noise, GaussianNoise):
+        raise TypeError(f"unknown noise model {type(noise).__name__}")
+
+
 def noncentral_chi2_scaled_logpdf(u, known_sq, fresh_power):
     """Log density of ``|W|^2`` for complex Gaussian ``W`` with mean power
     ``known_sq`` and fluctuation power ``fresh_power``."""
@@ -622,8 +627,12 @@ def _log_moment_objective(t: float, total_power: float, noise: GaussianNoise,
 @dataclass(frozen=True)
 class ConcentrationConstants:
     moment: float       # sup-of-moments constant of the output law
-    scale: float        # multiplier entering the tail exponent
     noise_peak: float
+
+    @property
+    def scale(self) -> float:
+        """Multiplier entering the tail exponent."""
+        return 150.0 * max(2.0 * self.moment * (self.noise_peak + 1.0), 1.0)
 
 
 def concentration_constant(total_power: float,
@@ -632,9 +641,8 @@ def concentration_constant(total_power: float,
 
     ``moment`` is the sup over ``t in [1e-3, 1e3]`` of the moment objective
     (linear scale), found by golden-section search on ``ln t``; valid
-    because the objective is log-concave in ``t``, hence unimodal. The scale
-    is ``150 * max(2 * moment * (noise_peak + 1), 1)``. ``total_power`` must
-    be positive and finite.
+    because the objective is log-concave in ``t``, hence unimodal; the scale
+    follows from it. ``total_power`` must be positive and finite.
     """
     if not 0.0 < total_power < math.inf:    # NaN fails
         raise ValueError(f"total_power must be positive and finite, "
@@ -645,13 +653,8 @@ def concentration_constant(total_power: float,
     lo, hi = math.log(1e-3), math.log(1e3)
     _, best = golden_max(obj, lo, hi, tol=1e-10)
     best = max(best, obj(lo), obj(hi))
-    moment = float(np.exp(best))
-    noise_peak = noise.peak()
-    return ConcentrationConstants(
-        moment=moment,
-        scale=150.0 * max(2.0 * moment * (noise_peak + 1.0), 1.0),
-        noise_peak=noise_peak,
-    )
+    return ConcentrationConstants(moment=float(np.exp(best)),
+                                  noise_peak=noise.peak())
 
 
 def concentration_tail_bound(n: int, scale: float, mu: float) -> float:

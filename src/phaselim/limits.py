@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .densities import GaussianNoise
+from .densities import GaussianNoise, _check_noise
 from .model import (_FLOOR_SNAP, DiscreteFlat, GaussianIID, SignalModel,
-                    floor_count, partition_powers)
+                    _check_signal_model, floor_count, partition_powers)
 from .rng import _check_int
 
 __all__ = [
@@ -203,11 +203,6 @@ def mi_pair_upper(miss_power, keep_power, noise: GaussianNoise):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_signal_model(signal) -> None:
-    if not isinstance(signal, SignalModel):
-        raise TypeError(f"unknown signal model {type(signal).__name__}")
-
-
 def _check_alpha_search(alpha_star: float) -> None:
     """Reject a maximization range the alpha search cannot use."""
     if not 0.0 < alpha_star < 1.0:
@@ -231,6 +226,7 @@ class ThresholdQuery:
 
     def __post_init__(self):
         _check_signal_model(self.signal)
+        _check_noise(self.noise)
         _check_alpha_search(self.alpha_star)
         k = self.signal.k
         _check_int("p", self.p, k)
@@ -492,6 +488,7 @@ def snr_db(signal: SignalModel, noise: GaussianNoise) -> float:
     Gaussian model drops its vanishing ``1/k`` correction. Taken in logs,
     so no square overflows or underflows."""
     _check_signal_model(signal)
+    _check_noise(noise)
     return 10.0 * (math.log10(2.0) + 2.0 * math.log10(signal.total_power)
                    - 2.0 * math.log10(noise.sigma))
 

@@ -143,6 +143,11 @@ class GaussianIID:
 SignalModel = DiscreteFlat | DiscreteGeneral | GaussianIID
 
 
+def _check_signal_model(signal) -> None:
+    if not isinstance(signal, SignalModel):
+        raise TypeError(f"unknown signal model {type(signal).__name__}")
+
+
 def partition_powers(beta, alpha, mode: str = "floor"):
     """Split the power of the coefficient vector ``beta`` (1-d, nonempty,
     in any order) at fraction ``alpha`` of its ``k`` entries into
@@ -197,9 +202,8 @@ def sample_signal_vector(model: SignalModel, rng: np.random.Generator) -> np.nda
         return np.full(model.k, np.sqrt(model.c_beta / model.k), dtype=complex)
     if isinstance(model, DiscreteGeneral):
         return rng.permutation(np.asarray(model.values, dtype=complex))
-    if isinstance(model, GaussianIID):
-        return sample_circular_gaussian(rng, model.k, power=model.sigma_beta_sq)
-    raise TypeError(f"unknown signal model {type(model).__name__}")
+    _check_signal_model(model)
+    return sample_circular_gaussian(rng, model.k, power=model.sigma_beta_sq)
 
 
 def observe(x_rows: np.ndarray, beta: np.ndarray, noise, rng: np.random.Generator) -> np.ndarray:

@@ -113,10 +113,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import GaussianNoise
+from .densities import GaussianNoise, _check_noise
 from .model import (DiscreteFlat, DiscreteGeneral, GaussianIID, SignalModel,
-                    floor_count, observe, sample_signal_vector,
-                    sample_support)
+                    _check_signal_model, floor_count, observe,
+                    sample_signal_vector, sample_support)
 from .rng import (_check_int, _trial_streams, parallel_map,
                   sample_circular_gaussian)
 
@@ -219,6 +219,7 @@ def _decoder_for(signal: SignalModel) -> tuple[str, float]:
     squared magnitude; ``mc-marginal`` for ``GaussianIID``, whose draws
     carry their power, scaled by 1. Any other signal, such as a
     multi-valued ``DiscreteGeneral``, is refused."""
+    _check_signal_model(signal)
     if isinstance(signal, GaussianIID):
         return "mc-marginal", 1.0
     if isinstance(signal, DiscreteFlat):
@@ -249,6 +250,7 @@ def _check_decode(p: int, signal: SignalModel, noise: GaussianNoise,
     are affordable: 1 to ``MAX_CANDIDATES`` candidates, at least one draw,
     and a power, and power over sigma, within ``_POWER_MAX``."""
     decoder, _ = _decoder_for(signal)
+    _check_noise(noise)
     _check_int("p", p, signal.k)
     count = math.comb(p, signal.k)
     if count > MAX_CANDIDATES:
@@ -564,8 +566,12 @@ class SimConfig:
 class ErrorCurve:
     n_values: np.ndarray
     pe: np.ndarray
-    se: np.ndarray
     trials: int
+
+    @property
+    def se(self) -> np.ndarray:
+        """Binomial standard error of each ``pe``."""
+        return np.sqrt(self.pe * (1.0 - self.pe) / self.trials)
 
     def to_csv(self, path, reference: dict | None = None) -> None:
         """``n,pe,se,trials`` rows; optional reference thresholds appended
@@ -640,9 +646,8 @@ def error_curve(config: SimConfig) -> ErrorCurve:
     """
     cells = [(config, i, n) for i, n in enumerate(config.n_grid)]
     pe = np.array(parallel_map(_run_cell, cells, config.threads))
-    se = np.sqrt(pe * (1.0 - pe) / config.trials)
     return ErrorCurve(n_values=np.asarray(config.n_grid, dtype=int),
-                      pe=pe, se=se, trials=config.trials)
+                      pe=pe, trials=config.trials)
 
 
 def pava_nonincreasing(values) -> np.ndarray:

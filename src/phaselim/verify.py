@@ -1,9 +1,9 @@
 """Monte Carlo and grid verification of the package's analytic claims.
 
 Each check returns :class:`VerificationReport` records that are
-self-certifying: the verdict is a pure function of the stored fields
-(estimate, standard error, bounds, resolution), so a reader can recompute
-it from the report alone. Pass means the estimate sits inside
+self-certifying: the verdict is derived from the stored fields (estimate,
+standard error, bounds, resolution), and reading a report back refuses a
+record whose verdict disagrees. Pass means the estimate sits inside
 ``[lower - 3 se, upper + 3 se]``; a run whose standard error exceeds the
 fixed resolution (or whose sampler clamped too often) is declared
 inconclusive rather than pass or fail.
@@ -104,25 +104,15 @@ class VerificationReport:
     lower: float | None   # None means unbounded below
     upper: float | None   # None means unbounded above
     trials: int
-    verdict: str
 
-    @staticmethod
-    def decide(estimate: float, se: float, lower: float | None,
-               upper: float | None, resolution: float | None = None,
-               forced_inconclusive: bool = False) -> str:
-        if forced_inconclusive:
+    @property
+    def verdict(self) -> str:
+        if (self.params.get("forced_inconclusive")
+                or self.se > self.params.get("resolution", math.inf)):
             return "inconclusive"
-        if resolution is not None and se > resolution:
-            return "inconclusive"
-        lo = -math.inf if lower is None else lower - 3.0 * se
-        hi = math.inf if upper is None else upper + 3.0 * se
-        return "pass" if lo <= estimate <= hi else "fail"
-
-    def recompute_verdict(self) -> str:
-        """Re-derive the verdict from stored fields (self-certification)."""
-        return self.decide(self.estimate, self.se, self.lower, self.upper,
-                           self.params.get("resolution"),
-                           bool(self.params.get("forced_inconclusive", False)))
+        lo = -math.inf if self.lower is None else self.lower - 3.0 * self.se
+        hi = math.inf if self.upper is None else self.upper + 3.0 * self.se
+        return "pass" if lo <= self.estimate <= hi else "fail"
 
     def to_json_line(self) -> str:
         """Strict JSON: a non-finite float is written as the string
@@ -142,26 +132,17 @@ class VerificationReport:
 
     @classmethod
     def from_json_line(cls, line: str) -> "VerificationReport":
-        """Read back a :meth:`to_json_line` record."""
-        return cls(**json.loads(line, object_hook=lambda rec: {
+        """Read back a :meth:`to_json_line` record. Raises ``ValueError``
+        when its verdict is not the one its fields give."""
+        rec = json.loads(line, object_hook=lambda rec: {
             key: float(v) if v in _NON_FINITE else v
-            for key, v in rec.items()}))
-
-
-def _finalize(check: str, params: dict, estimate: float, se: float,
-              lower: float | None, upper: float | None, trials: int,
-              resolution: float | None = None,
-              forced_inconclusive: bool = False) -> VerificationReport:
-    params = dict(params)
-    if resolution is not None:
-        params["resolution"] = resolution
-    if forced_inconclusive:
-        params["forced_inconclusive"] = True
-    verdict = VerificationReport.decide(estimate, se, lower, upper,
-                                        resolution, forced_inconclusive)
-    return VerificationReport(check=check, params=params, estimate=estimate,
-                              se=se, lower=lower, upper=upper, trials=trials,
-                              verdict=verdict)
+            for key, v in rec.items()})
+        stored = rec.pop("verdict", None)
+        report = cls(**rec)
+        if stored != report.verdict:
+            raise ValueError(f"stored verdict {stored!r} is not the "
+                             f"{report.verdict!r} its fields give")
+        return report
 
 
 def _draw_info_samples(miss_power: float, keep_power: float,
@@ -288,11 +269,12 @@ def mi_estimate(miss_power: float, keep_power: float, noise: GaussianNoise,
         "keep_power": keep_power,
         "sigma": noise.sigma,
         "n_clamped": n_clamped,
+        "resolution": _MI_RESOLUTION,
     }
-    forced = (n_clamped / trials) > _MAX_CLAMP_FRACTION
-    return _finalize("mi_sandwich", params, estimate, se, lower, upper,
-                     trials, resolution=_MI_RESOLUTION,
-                     forced_inconclusive=forced)
+    if n_clamped / trials > _MAX_CLAMP_FRACTION:
+        params["forced_inconclusive"] = True
+    return VerificationReport("mi_sandwich", params, estimate, se, lower,
+                              upper, trials)
 
 
 def sandwich_check(trials: int = 100000, master_seed: int = 0,
@@ -356,6 +338,8 @@ def concentration_check(trials: int = 10000, info_samples: int = 1000000,
         "info_mean": info_mean,
         "info_se": info_se,
     }
+    if centering_bad:
+        base_params["forced_inconclusive"] = True
     reports = []
     for mu in _CONC_MU_VALUES:
         deviation = 2.0 * n * consts.scale * mu
@@ -365,9 +349,9 @@ def concentration_check(trials: int = 10000, info_samples: int = 1000000,
             p_hat = float(np.mean(hit))
             se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
             params = dict(base_params, mu=mu, side=side)
-            reports.append(_finalize(
+            reports.append(VerificationReport(
                 "concentration_tail", params, p_hat, se, None,
-                float(bound), trials, forced_inconclusive=centering_bad))
+                float(bound), trials))
     return reports
 
 
@@ -390,7 +374,7 @@ def tail_fraction_convergence_check(master_seed: int = 0,
                                     substream(master_seed, seed_idx))
         prefix = partition_powers(beta, alphas, "floor")[0]
         dev = np.abs(prefix - limit) / c_beta
-        return _finalize(
+        return VerificationReport(
             "tail_fraction_convergence",
             {"seed_index": seed_idx, "k": k, "c_beta": c_beta,
              "alpha_step": step},
@@ -419,7 +403,7 @@ def logconcavity_check() -> list[VerificationReport]:
         est = _second_difference_scan(
             lambda ys: conditional_output_logpdf(ys, known_sq, fresh, noise),
             known_sq + fresh, sigma)
-        reports.append(_finalize(
+        reports.append(VerificationReport(
             "logconcavity",
             {"known_sq": known_sq, "fresh_power": fresh, "sigma": sigma,
              "step_scale": _SCAN_STEP_SCALE, "points": _SCAN_POINTS},
@@ -445,7 +429,7 @@ def logconcavity_negative_control() -> VerificationReport:
             - 0.5 * math.log(2 * math.pi * sigma ** 2)
 
     est = _second_difference_scan(logpdf, mu2 / 2.0, sigma)
-    return _finalize(
+    return VerificationReport(
         "logconcavity_negative_control",
         {"sigma": sigma, "separation": _NEG_SEPARATION,
          "step_scale": _SCAN_STEP_SCALE, "points": _SCAN_POINTS},

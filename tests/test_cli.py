@@ -372,7 +372,7 @@ def test_verify_one_trial_report_is_strict_json(tmp_path, capsys,
         assert rec["se"] == "Infinity"
         rep = VerificationReport.from_json_line(line)
         assert rep.se == float("inf")
-        assert rep.recompute_verdict() == rec["verdict"] == "inconclusive"
+        assert rep.verdict == rec["verdict"] == "inconclusive"
         assert rep.to_json_line() == line
 
 
@@ -720,8 +720,7 @@ def test_verify_non_finite_estimate_is_numeric_failure(tmp_path, capsys,
     # the reports are still printed and written, as strict JSON
     monkeypatch.chdir(tmp_path)
     report = VerificationReport(check="probe", params={}, estimate=math.nan,
-                                se=0.0, lower=None, upper=None, trials=1,
-                                verdict="fail")
+                                se=0.0, lower=None, upper=None, trials=1)
     monkeypatch.setattr(cli, "run_suite", lambda *a, **k: [report, report])
     code, stdout, err = _run(["verify", "--suite", "logconcavity",
                               "--out", "r.jsonl"], capsys)
@@ -737,11 +736,13 @@ def test_replay_unknown_command_and_unexpected_output(tmp_path, capsys,
                                                       monkeypatch):
     monkeypatch.chdir(tmp_path)
     bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"command": "plot", "params": {},
-                                 "outputs": {}}))
-    code, stdout, err = _run(["replay", str(bogus)], capsys)
-    assert (code, stdout) == (2, "")
-    assert err == "manifest names unknown command 'plot'\n"
+    # a list, which no command name is, escaped as a TypeError
+    for command in ("plot", ["plot"]):
+        bogus.write_text(json.dumps({"command": command, "params": {},
+                                     "outputs": {}}))
+        code, stdout, err = _run(["replay", str(bogus)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"manifest names unknown command {command!r}\n"
     # a figure manifest that records only the flat curve: the Gaussian CSV
     # the replay writes is unexpected
     code, _, _ = _run(["figure", "--snr-step", "10", "--out-dir", "figs"],
@@ -759,6 +760,30 @@ def test_replay_unknown_command_and_unexpected_output(tmp_path, capsys,
         "match    figs/flat_thresholds.csv",
         f"UNEXPECTED {scratch / 'gaussian_thresholds.csv'}",
         "replay of 'figure': digest mismatch"]
+
+
+def test_replay_refuses_a_manifest_of_the_wrong_shape(tmp_path, capsys,
+                                                     monkeypatch):
+    # each escaped main with a traceback and exit 1, a digest mismatch's
+    # code; the list of outputs only after the command had run again
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = _run(["thresholds", "--model", "flat", "--p", "100",
+                       "--k", "4", "--json", "--out", "t.json"], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "t.json.manifest.json").read_text())
+    doc["outputs"] = list(doc["outputs"])
+    for body, reason in (
+            ([1, 2], "manifest is list, not an object"),
+            ({"command": "thresholds", "params": 5},
+             "params is int, not an object"),
+            (doc, "outputs is list, not an object")):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(body))
+        code, stdout, err = _run(["replay", str(path), "--scratch", "re"],
+                                 capsys)
+        assert (code, stdout, err) == (2, "",
+                                       f"phaselim: bad manifest: {reason}\n")
+        assert not (tmp_path / "re").exists()
 
 
 def test_env_seed_default(tmp_path, capsys, monkeypatch):
@@ -1213,4 +1238,4 @@ def test_fuzz_verify_argv(suite, trials, seed, threads):
         if os.path.exists(out):
             for rec in _strict_lines(out):
                 rep = VerificationReport.from_json_line(json.dumps(rec))
-                assert rep.recompute_verdict() == rec["verdict"]
+                assert rep.verdict == rec["verdict"]

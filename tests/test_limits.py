@@ -768,6 +768,20 @@ def test_snr_db_refuses_a_non_model():
         snr_db(_flat(1.0, 3), GaussianNoise())
 
 
+@pytest.mark.parametrize("entry", ["ThresholdQuery", "snr_db"])
+@pytest.mark.parametrize("noise", [1.0, None])
+def test_unknown_noise_refused(entry, noise):
+    # a float noise constructed a query that then failed with
+    # AttributeError in measurement_thresholds; snr_db read its sigma
+    signal = DiscreteFlat(1.0, 4)
+    with pytest.raises(TypeError, match="unknown noise model "
+                       f"{type(noise).__name__}$"):
+        if entry == "snr_db":
+            snr_db(signal, noise)
+        else:
+            ThresholdQuery(p=10, signal=signal, noise=noise, alpha_star=0.25)
+
+
 def test_snr_roundtrip():
     noise = GaussianNoise(0.5)
     sig = DiscreteFlat(c_beta=2.0, k=3)

@@ -143,17 +143,27 @@ def test_public_signatures_pinned():
     # weights were set only by tests, or by nothing; a config's k and
     # decoder could only repeat or contradict its signal model; the alpha
     # search's zoom, not a grid step, sets its resolution; the power split
-    # sorts the coefficient vector it is given
-    from phaselim.densities import conditional_output_logpdf
+    # sorts the coefficient vector it is given; no record keeps a field its
+    # other fields fix (a report's verdict, a curve's se, the constants'
+    # scale are properties)
+    from phaselim.densities import (ConcentrationConstants,
+                                    conditional_output_logpdf)
     from phaselim.limits import ThresholdQuery, figure_curves
     from phaselim.model import partition_powers
-    from phaselim.simulate import SimConfig, decode, pava_nonincreasing
+    from phaselim.simulate import (ErrorCurve, SimConfig, decode,
+                                   pava_nonincreasing)
+    from phaselim.verify import VerificationReport
     for cls, names in (
             (ThresholdQuery,
              ["p", "signal", "noise", "alpha_star", "mode"]),
             (SimConfig,
              ["p", "signal", "noise", "alpha_star", "n_grid", "trials",
-              "mc_samples", "master_seed", "threads"])):
+              "mc_samples", "master_seed", "threads"]),
+            (VerificationReport,
+             ["check", "params", "estimate", "se", "lower", "upper",
+              "trials"]),
+            (ErrorCurve, ["n_values", "pe", "trials"]),
+            (ConcentrationConstants, ["moment", "noise_peak"])):
         assert [f.name for f in dataclasses.fields(cls)] == names, cls
     # the benchmark tracer reads decode's decoder as positional argument 4
     assert list(inspect.signature(decode).parameters) == [

@@ -744,6 +744,17 @@ def test_error_event_threshold():
         _error_event(a, b, 0.1, 4)           # floor(0.4) = 0
 
 
+@pytest.mark.parametrize("entry", ["SimConfig", "decode"])
+def test_unknown_noise_refused(entry):
+    # both read the float's missing sigma (AttributeError)
+    signal = DiscreteFlat(1.0, 2)
+    with pytest.raises(TypeError, match="unknown noise model float$"):
+        if entry == "decode":
+            decode(np.ones((3, 5)), np.ones(3), signal, 1.0)
+        else:
+            SimConfig(p=10, signal=signal, noise=1.0)
+
+
 def test_sim_config_guards():
     sig = DiscreteFlat(c_beta=1.0, k=5)
     with pytest.raises(ValueError):
@@ -756,6 +767,12 @@ def test_sim_config_guards():
     # so the config is refused here, not at a worker's first block
     with pytest.raises(ValueError, match="no decoder"):
         SimConfig(p=10, signal=DiscreteGeneral((1.0, 2.0)))
+    # an object that is no signal model is refused as the query, snr_db
+    # and the sampler refuse it, not as a decoder mismatch (ValueError)
+    with pytest.raises(TypeError, match="unknown signal model object$"):
+        SimConfig(p=10, signal=object())
+    with pytest.raises(TypeError, match="unknown signal model object$"):
+        decode(np.ones((3, 5)), np.ones(3), object(), GaussianNoise())
     assert [SimConfig(p=10, signal=signal).decoder for signal in (
         DiscreteFlat(1.0, 2), DiscreteGeneral((0.5j, 0.5j)),
         GaussianIID(1.0, 2))] == ["flat-ml", "flat-ml", "mc-marginal"]
@@ -914,7 +931,7 @@ def test_error_curve_decreases_and_hits_zero():
 
 def test_error_curve_csv_format(tmp_path):
     curve = ErrorCurve(n_values=np.array([5, 10]), pe=np.array([0.5, 0.25]),
-                       se=np.array([0.05, 0.04]), trials=100)
+                       trials=100)
     path = tmp_path / "curve.csv"
     curve.to_csv(path, reference={"n_ach": 12.5, "n_con": 3.25})
     lines = path.read_text().splitlines()
@@ -950,8 +967,7 @@ def test_pava_is_least_squares_projection():
 
 def test_isotonic_residual_monotone_curve():
     curve = ErrorCurve(n_values=np.array([1, 2, 3]),
-                       pe=np.array([0.9, 0.5, 0.1]),
-                       se=np.array([0.03, 0.05, 0.03]), trials=100)
+                       pe=np.array([0.9, 0.5, 0.1]), trials=100)
     residual, pooled = isotonic_residual(curve)
     assert residual == 0.0
     assert pooled == pytest.approx(math.sqrt((0.03**2 + 0.05**2 + 0.03**2) / 3))

@@ -22,29 +22,53 @@ from phaselim.verify import (DEFAULT_LOGCONCAVITY_BATTERY,
                              tail_fraction_convergence_check)
 
 
+def _report(estimate, se, lower, upper, **params):
+    return VerificationReport(check="demo", params=params, estimate=estimate,
+                              se=se, lower=lower, upper=upper, trials=100)
+
+
 def test_decide_truth_table():
-    decide = VerificationReport.decide
-    assert decide(0.5, 0.01, 0.2, 0.9) == "pass"
-    assert decide(0.19, 0.01, 0.2, 0.9) == "pass"      # inside 3 se slack
-    assert decide(0.1, 0.01, 0.2, 0.9) == "fail"
-    assert decide(0.95, 0.01, 0.2, 0.9) == "fail"
-    assert decide(0.5, 0.01, None, 0.9) == "pass"      # unbounded below
-    assert decide(5.0, 0.01, None, 0.9) == "fail"
-    assert decide(0.5, 0.2, 0.2, 0.9, resolution=0.1) == "inconclusive"
-    assert decide(0.5, 0.01, 0.2, 0.9, forced_inconclusive=True) == "inconclusive"
+    assert _report(0.5, 0.01, 0.2, 0.9).verdict == "pass"
+    assert _report(0.19, 0.01, 0.2, 0.9).verdict == "pass"  # inside 3 se slack
+    assert _report(0.1, 0.01, 0.2, 0.9).verdict == "fail"
+    assert _report(0.95, 0.01, 0.2, 0.9).verdict == "fail"
+    assert _report(0.5, 0.01, None, 0.9).verdict == "pass"  # unbounded below
+    assert _report(5.0, 0.01, None, 0.9).verdict == "fail"
+    assert _report(0.5, 0.2, 0.2, 0.9,
+                   resolution=0.1).verdict == "inconclusive"
+    assert _report(0.5, 0.01, 0.2, 0.9,
+                   forced_inconclusive=True).verdict == "inconclusive"
 
 
 def test_report_self_certifies():
-    rep = VerificationReport(check="demo", params={"resolution": 0.05},
-                             estimate=0.4, se=0.01, lower=0.1, upper=0.9,
-                             trials=100, verdict="pass")
-    assert rep.recompute_verdict() == rep.verdict
+    rep = _report(0.4, 0.01, 0.1, 0.9, resolution=0.05)
+    assert rep.verdict == "pass"
     line = rep.to_json_line()
     rec = json.loads(line)
     assert rec["check"] == "demo"
     assert rec["verdict"] == "pass"
     # canonical bytes: keys sorted, no whitespace
     assert line == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    assert VerificationReport.from_json_line(line) == rep
+
+
+def test_report_refuses_a_flipped_verdict():
+    # the verdict is derived, not read: a record whose stored verdict
+    # disagrees with its fields is refused, as is one with none. Before,
+    # the flipped record read back as a report that carried "fail".
+    line = ('{"check":"demo","estimate":0.4,"lower":0.1,'
+            '"params":{"resolution":0.05},"se":0.01,"trials":100,'
+            '"upper":0.9,"verdict":"pass"}')
+    assert VerificationReport.from_json_line(line).verdict == "pass"
+    rec = json.loads(line)
+    for stored in ("fail", "inconclusive", None):
+        rec["verdict"] = stored
+        with pytest.raises(ValueError, match=f"stored verdict {stored!r} "
+                           "is not the 'pass' its fields give"):
+            VerificationReport.from_json_line(json.dumps(rec))
+    del rec["verdict"]
+    with pytest.raises(ValueError, match="stored verdict None"):
+        VerificationReport.from_json_line(json.dumps(rec))
 
 
 def test_mi_estimate_tame_combo():
@@ -54,7 +78,7 @@ def test_mi_estimate_tame_combo():
     assert rep.lower < rep.estimate < rep.upper
     assert rep.se > 0
     assert rep.params["n_clamped"] == 0
-    assert rep.recompute_verdict() == "pass"
+    assert VerificationReport.from_json_line(rep.to_json_line()) == rep
 
 
 def test_mi_estimate_deterministic():
@@ -261,9 +285,12 @@ REPORT_DIGESTS = {
 
 @pytest.mark.parametrize("suite", sorted(REPORT_DIGESTS))
 def test_report_bytes_pinned(suite):
-    data = "".join(r.to_json_line() + "\n"
-                   for r in run_suite(suite, trials=2000, master_seed=1))
+    reports = run_suite(suite, trials=2000, master_seed=1)
+    data = "".join(r.to_json_line() + "\n" for r in reports)
     assert hashlib.sha256(data.encode()).hexdigest() == REPORT_DIGESTS[suite]
+    # every record reads back, its stored verdict certified
+    assert [VerificationReport.from_json_line(line)
+            for line in data.splitlines()] == reports
 
 
 # The same digests at budgets that span several blocks of the information
