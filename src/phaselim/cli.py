@@ -168,28 +168,21 @@ def _manifest_path(params: dict, command: str) -> str:
     return f"{command}_manifest.json"
 
 
-def _check_not_output(manifest: str, outputs) -> None:
-    """Raise ``ValueError`` if the manifest path names one of the run's data
-    outputs, which writing the manifest would replace. A run without data
-    outputs resolves no path."""
-    if not outputs:
+def _check_collisions(config, outputs, manifest: str) -> None:
+    """Raise ``ValueError`` if a file of the run resolves to the path of one
+    before it: the ``config`` it reads, its data outputs (a directory
+    before the files it receives), then its manifest. A run with no config
+    and no data outputs resolves no path."""
+    if not (config or outputs):
         return
-    target = os.path.realpath(manifest)
-    for out in outputs:
-        if os.path.realpath(out) == target:
-            raise ValueError(f"manifest {manifest!r} would overwrite the "
-                             f"output {out!r}")
-
-
-def _check_not_config(config: str, manifest: str, outputs) -> None:
-    """Raise ``ValueError`` if the manifest or a data output of the run
-    would be written over the config file it reads."""
-    source = os.path.realpath(config)
-    for role, path in (("manifest", manifest),
-                       *(("output", out) for out in outputs)):
-        if os.path.realpath(path) == source:
-            raise ValueError(f"{role} {path!r} would overwrite the config "
-                             f"{config!r}")
+    files = [("output", out) for out in outputs] + [("manifest", manifest)]
+    seen = {os.path.realpath(config): f"config {config!r}"} if config else {}
+    for role, path in files:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{role} {path!r} would overwrite the "
+                             f"{seen[real]}")
+        seen[real] = f"{role} {path!r}"
 
 
 def _check_location(path: str, is_dir: bool) -> None:
@@ -428,6 +421,17 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+def _convert(convert, value, what: str):
+    """``value`` as an option's ``convert`` reads it. A null, or a value
+    that ``convert`` refuses, is a ``ValueError`` that names ``what``."""
+    if value is None:
+        raise ValueError(f"bad {what}: null")
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {what}: {exc}") from exc
+
+
 def _resolve(args, config: dict) -> dict:
     """Every option of ``args.command``: the explicit flag, else the config
     value read by the flag's converter, else the default. A required option
@@ -439,12 +443,8 @@ def _resolve(args, config: dict) -> dict:
         if flag is not None:
             values[name] = flag
         elif name in config:
-            if config[name] is None:
-                raise ValueError(f"bad config value for {name}: null")
-            try:
-                values[name] = convert(config[name])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad config value for {name}: {exc}") from exc
+            values[name] = _convert(convert, config[name],
+                                    f"config value for {name}")
         elif default is _REQUIRED:
             missing.append("--" + name.replace("_", "-"))
         else:
@@ -473,11 +473,9 @@ def _cmd_run(args) -> int:
     # working directory
     if manifest:
         _check_location(manifest, False)
-        _check_not_output(manifest, outputs)
     else:
         manifest = _manifest_path(params, args.command)
-    if args.config:
-        _check_not_config(args.config, manifest, outputs)
+    _check_collisions(args.config, outputs, manifest)
 
     started = _utc_now()
     outputs, text, status, summary = command.run(params)
@@ -504,7 +502,12 @@ def _cmd_replay(args) -> int:
     if not isinstance(command, str) or command not in _COMMANDS:
         print(f"manifest names unknown command {command!r}", file=sys.stderr)
         return 2
-    params = dict(doc["params"])
+    # each recorded value read as a config value is; a null is an absent
+    # value, and a key that is no option is left unread
+    options = _COMMANDS[command].options
+    params = {name: _convert(options[name][0], value, f"value for {name}")
+              if name in options else value
+              for name, value in doc["params"].items() if value is not None}
     if args.threads is not None:
         params["threads"] = args.threads
     scratch = args.scratch or tempfile.mkdtemp(prefix="phaselim-replay-")

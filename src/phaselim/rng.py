@@ -8,13 +8,14 @@ order blocks complete. :func:`substream` builds one from numpy's
 
 A simulation cell keys its trials ``(master_seed, n_idx, t)``, and one
 ``substream`` call builds two numpy objects and hashes every key word.
-:func:`_trial_streams` yields the same streams from one ``PCG64``
-reseeded in place through its ``state`` setter. It writes
-``SeedSequence``'s mixing (numpy's ``bit_generator.pyx``, whose streams
-numpy keeps stable, NEP 19) as uint32 arithmetic: the key words that a
-cell's trials share are hashed once, and the trial indices of a chunk of
-``_KEY_CHUNK`` trials in one array pass. Trial ``t`` starts from
-``substream(master_seed, n_idx, t)``'s state, bit for bit.
+:func:`_trial_streams` yields the same streams from one ``PCG64`` reseeded
+in place through its ``state`` setter. numpy's ``SeedSequence`` mixes the
+key words that a cell's trials share into its public ``pool``, once a cell.
+This module hashes each trial index into that pool and runs
+``generate_state`` as uint32 arithmetic after numpy's ``bit_generator.pyx``
+(whose streams numpy keeps stable, NEP 19), ``_KEY_CHUNK`` trials in one
+array pass. Trial ``t`` starts from ``substream(master_seed, n_idx, t)``'s
+state, bit for bit.
 """
 from __future__ import annotations
 
@@ -68,8 +69,8 @@ def _check_int(name: str, value, least: int) -> None:
                          f"got {value!r}")
 
 
-# ``_hashmix`` and ``_mix`` take Python ints, which they mask to 32 bits,
-# or uint32 arrays, which wrap.
+# ``_hashmix`` and ``_mix`` take uint32 arrays, which wrap, and Python
+# ints, which they mask to 32 bits.
 def _hashmix(value, hash_const: int):
     """``SeedSequence``'s hash of one word, and the next hash constant."""
     value = value ^ hash_const
@@ -85,15 +86,10 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _key_words(value: int) -> list[int]:
-    """The uint32 words ``SeedSequence`` makes of a key value, least
-    significant first; 0 is one word."""
+def _n_words(value: int) -> int:
+    """``SeedSequence``'s count of uint32 words in a key value; 0 has one."""
     _check_int("stream key", value, 0)
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+    return max(1, -(-value.bit_length() // 32))
 
 
 def _chunk_words(pool: list[int], hash_const: int, t0: int,
@@ -129,23 +125,12 @@ def _trial_streams(master_seed: int, n_idx: int, start: int, stop: int):
     if not 0 <= start <= stop <= _MASK32 + 1:
         raise ValueError(f"trial range [{start}, {stop}) must lie in "
                          f"[0, 2^32]")
-    run = _key_words(master_seed)
-    # a spawned SeedSequence pads its run entropy to the pool size
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + _key_words(n_idx)
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            hashed, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], hashed)
+    # the pool that the key words every trial shares leave, and the hash
+    # constant after them: each of the ``w`` entropy words (a spawned
+    # sequence pads its run entropy to the pool size) takes four hashes
+    w = max(_n_words(master_seed), _POOL_SIZE) + _n_words(n_idx)
+    pool = np.random.SeedSequence(master_seed, spawn_key=[n_idx]).pool.tolist()
+    hash_const = _INIT_A * pow(_MULT_A, 4 * w, _MASK32 + 1) & _MASK32
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     for t0 in range(start, stop, _KEY_CHUNK):

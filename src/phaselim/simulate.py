@@ -51,31 +51,30 @@ lifted
     overflowed, the candidate is scored directly instead.
 
 trial blocks
-    Every trial of a cell has the same ``n``, ``p`` and ``k``, and
-    flat-ml's one known draw is the same in all of them. So ``_run_cell``
-    draws a block of trials, each from its own stream, and stages their
-    sensing matrices and observations in the workspace. Trial ``t`` of cell
-    ``n_idx`` draws from the stream that ``substream(master_seed, n_idx,
-    t)`` gives, bit for bit: ``rng._trial_streams`` derives the PCG64
-    states of 256 trials at a time by ``SeedSequence``'s own hashing,
-    written as array arithmetic, and reseeds one generator per cell in
-    place. Each trial calls ``sample_support``, ``sample_signal_vector``
-    (the flat vector, which draws nothing, is built once per cell),
-    ``sample_circular_gaussian`` and ``observe``, in that order, and stages
-    its ``x`` and ``y`` in the block. The cell then scores the whole block
-    in one direct-form pass with a leading trial axis: a pass's fixed numpy
-    call cost (about 20 ufunc calls and 8 workspace requests) is paid once
-    per block, not once per trial. A trial errs when its decoded support
-    misses at least ``floor(alpha_star k)`` of the ``k`` true indices, and
-    so adds as many; the errors are counted from the true and decoded index
-    arrays. A block holds ``max(1, _CHUNK_ELEMENTS // (max(C(p, k), k p) *
-    max(n, 1)))`` trials (``_trial_block``), so that its projections and
-    its product table each fit one chunk budget: 7 trials at ``p = 10``,
-    ``k = 2``, ``n = 50``, 72 at ``n = 5`` and one at 9,880 candidates.
-    Each (candidate, trial) sum runs over the contiguous rows of that trial
-    alone, so a block scores every trial bit for bit as its own decode
-    does, a block of one trial included. An mc-marginal block is one trial:
-    it takes its Monte Carlo coefficient draws from the trial's stream
+    Every trial of a cell has the same ``n``, ``p`` and ``k``, and flat-ml's
+    one known draw is the same in all of them. So ``_run_cell`` draws a block
+    of trials, each from its own stream, and stages their sensing matrices and
+    observations in the workspace. Trial ``t`` of cell ``n_idx`` draws from the
+    stream that ``substream(master_seed, n_idx, t)`` gives, bit for bit:
+    ``rng._trial_streams`` hashes the indices of 256 trials at a time into the
+    pool that numpy's ``SeedSequence`` mixes from the cell's key, as array
+    arithmetic, and reseeds one generator per cell in place. Each trial calls
+    ``sample_support``, ``sample_signal_vector`` (the flat vector, which draws
+    nothing, is built once per cell), ``sample_circular_gaussian`` and
+    ``observe``, in that order, and stages its ``x`` and ``y`` in the block.
+    The cell then scores the whole block in one direct-form pass with a leading
+    trial axis: a pass's fixed numpy call cost (about 20 ufunc calls and 8
+    workspace requests) is paid once per block, not once per trial. A trial
+    errs when its decoded support misses at least ``floor(alpha_star k)`` of
+    the ``k`` true indices, and so adds as many; the errors are counted from
+    the true and decoded index arrays. A block holds ``max(1, _CHUNK_ELEMENTS
+    // (max(C(p, k), k p) * max(n, 1)))`` trials (``_trial_block``), so that
+    its projections and its product table each fit one chunk budget: 7 trials
+    at ``p = 10``, ``k = 2``, ``n = 50``, 72 at ``n = 5`` and one at 9,880
+    candidates. Each (candidate, trial) sum runs over the contiguous rows of
+    that trial alone, so a block scores every trial bit for bit as its own
+    decode does, a block of one trial included. An mc-marginal block is one
+    trial: it takes its Monte Carlo coefficient draws from the trial's stream
     after its data and scores them as ``decode`` does (in the form
     ``_lifted_pays`` picks), without ``decode``'s config checks, which
     ``SimConfig`` has made once.

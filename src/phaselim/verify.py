@@ -91,6 +91,17 @@ def _encode(value):
     return value
 
 
+# The JSON types of a report record's fields (a bool is no int here).
+_REPORT_FIELDS = {"check": str, "params": dict, "estimate": (int, float),
+                  "se": (int, float), "lower": (int, float, type(None)),
+                  "upper": (int, float, type(None)), "trials": int}
+
+
+def _check_json_type(name: str, value, types) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"report {name} is {type(value).__name__}")
+
+
 SUITE_NAMES = ("sandwich", "concentration", "gconv", "logconcavity", "all",
                "negative-control")
 
@@ -117,26 +128,26 @@ class VerificationReport:
     def to_json_line(self) -> str:
         """Strict JSON: a non-finite float is written as the string
         ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``."""
-        rec = {
-            "check": self.check,
-            "params": self.params,
-            "estimate": self.estimate,
-            "se": self.se,
-            "lower": self.lower,
-            "upper": self.upper,
-            "trials": self.trials,
-            "verdict": self.verdict,
-        }
+        rec = {**vars(self), "verdict": self.verdict}
         return json.dumps(_encode(rec), sort_keys=True, separators=(",", ":"),
                           allow_nan=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "VerificationReport":
         """Read back a :meth:`to_json_line` record. Raises ``ValueError``
-        when its verdict is not the one its fields give."""
+        unless it is an object of the report's seven fields, each of its
+        JSON type, and the verdict that they give."""
         rec = json.loads(line, object_hook=lambda rec: {
             key: float(v) if v in _NON_FINITE else v
             for key, v in rec.items()})
+        if not isinstance(rec, dict) \
+                or rec.keys() - {"verdict"} != _REPORT_FIELDS.keys():
+            raise ValueError(f"not a report record: {line.strip()[:80]!r}")
+        for key, types in _REPORT_FIELDS.items():
+            _check_json_type(key, rec[key], types)
+        # the verdict also reads the params' resolution
+        _check_json_type("resolution", rec["params"].get("resolution", 0.0),
+                         (int, float))
         stored = rec.pop("verdict", None)
         report = cls(**rec)
         if stored != report.verdict:

@@ -786,6 +786,52 @@ def test_replay_refuses_a_manifest_of_the_wrong_shape(tmp_path, capsys,
         assert not (tmp_path / "re").exists()
 
 
+def test_replay_reads_recorded_params_as_config_values(tmp_path, capsys,
+                                                       monkeypatch):
+    # the recorded params reached the runner raw: "c_beta": "abc" and
+    # "out": 5 escaped main with a TypeError and exit 1, a digest
+    # mismatch's code, and "p": "100" exited 2, though a config may give it
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = _run(["thresholds", "--model", "flat", "--p", "100",
+                       "--k", "4", "--json", "--out", "t.json"], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "t.json.manifest.json").read_text())
+    path = tmp_path / "m.json"
+
+    def replay(params):
+        path.write_text(json.dumps({**doc, "params": params}))
+        return _run(["replay", str(path), "--scratch", "re"], capsys)
+
+    code, stdout, _ = replay({**doc["params"], "p": "100", "c_beta": "1",
+                              "json": "on"})
+    assert (code, stdout.splitlines()[-1]) == (
+        0, "replay of 'thresholds': outputs identical")
+    for key, value, reason in (
+            ("c_beta", "abc", "could not convert string to float: 'abc'"),
+            ("c_beta", [1], "float() argument must be a string or a real "
+                            "number, not 'list'"),
+            ("c_beta", 10**400, "int too large to convert to float"),
+            ("p", 2.5, "not an integer: 2.5"),
+            ("json", "maybe", "not a boolean: 'maybe'")):
+        code, stdout, err = replay({**doc["params"], key: value})
+        assert (code, stdout) == (2, ""), (key, value)
+        assert err == (f"phaselim: bad manifest: bad value for {key}: "
+                       f"{reason}\n"), (key, value)
+    # the text of 5 names the output, as a config's 5 would: the replay
+    # writes "5", not the recorded t.json
+    code, stdout, _ = replay({**doc["params"], "out": 5})
+    assert code == 1
+    assert stdout.splitlines() == [
+        "MISMATCH t.json", f"UNEXPECTED {os.path.join('re', '5')}",
+        "replay of 'thresholds': digest mismatch"]
+    # a parameter the command reads, missing or null
+    for params in ({key: value for key, value in doc["params"].items()
+                    if key != "c_beta"}, {**doc["params"], "c_beta": None}):
+        code, stdout, err = replay(params)
+        assert (code, stdout, err) == (2, "", "phaselim: bad manifest: "
+                                              "'c_beta'\n")
+
+
 def test_env_seed_default(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PHASELIM_SEED", "77")
@@ -1190,8 +1236,9 @@ def test_fuzz_figure_argv(flags):
 
 
 def _strict_lines(path):
-    return [json.loads(line, parse_constant=_reject_constant)
-            for line in open(path, encoding="utf-8").read().splitlines()]
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line, parse_constant=_reject_constant)
+                for line in fh.read().splitlines()]
 
 
 @settings(max_examples=60, deadline=None)

@@ -71,6 +71,44 @@ def test_report_refuses_a_flipped_verdict():
         VerificationReport.from_json_line(json.dumps(rec))
 
 
+_GOOD_RECORD = {"check": "demo", "estimate": 0.4, "lower": 0.1,
+                "params": {"resolution": 0.05}, "se": 0.01, "trials": 100,
+                "upper": 0.9, "verdict": "pass"}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "not a report record"),
+    ('"demo"', "not a report record"),
+    (json.dumps({**_GOOD_RECORD, "extra": 1}), "not a report record"),
+    (json.dumps({k: v for k, v in _GOOD_RECORD.items() if k != "se"}),
+     "not a report record"),
+    (json.dumps({**_GOOD_RECORD, "params": 5}), "report params is int"),
+    (json.dumps({**_GOOD_RECORD, "params": [1]}), "report params is list"),
+    (json.dumps({**_GOOD_RECORD, "check": 5}), "report check is int"),
+    (json.dumps({**_GOOD_RECORD, "estimate": "abc"}),
+     "report estimate is str"),
+    (json.dumps({**_GOOD_RECORD, "estimate": True}),
+     "report estimate is bool"),
+    (json.dumps({**_GOOD_RECORD, "se": None}), "report se is NoneType"),
+    (json.dumps({**_GOOD_RECORD, "lower": "0.1"}), "report lower is str"),
+    (json.dumps({**_GOOD_RECORD, "upper": [0.9]}), "report upper is list"),
+    (json.dumps({**_GOOD_RECORD, "trials": True}), "report trials is bool"),
+    (json.dumps({**_GOOD_RECORD, "trials": 100.0}),
+     "report trials is float"),
+    (json.dumps({**_GOOD_RECORD, "params": {"resolution": "abc"}}),
+     "report resolution is str")], ids=[
+    "list", "string", "extra-key", "no-se", "params-int", "params-list",
+    "check-int", "estimate-str", "estimate-bool", "se-null", "lower-str",
+    "upper-list", "trials-bool", "trials-float", "resolution-str"])
+def test_report_refuses_a_malformed_record(line, message):
+    # each raised AttributeError or TypeError, or read back as a report
+    # whose fields are not of their types
+    assert VerificationReport.from_json_line(
+        json.dumps(_GOOD_RECORD)).verdict == "pass"
+    with pytest.raises(ValueError, match=message):
+        VerificationReport.from_json_line(line)
+
+
 def test_mi_estimate_tame_combo():
     rep = mi_estimate(1.0, 0.0, GaussianNoise(1.0), trials=20000,
                       rng=substream(0, 0))
@@ -78,6 +116,26 @@ def test_mi_estimate_tame_combo():
     assert rep.lower < rep.estimate < rep.upper
     assert rep.se > 0
     assert rep.params["n_clamped"] == 0
+    assert VerificationReport.from_json_line(rep.to_json_line()) == rep
+
+
+@pytest.mark.parametrize("clamped", [20, 21])
+def test_mi_estimate_forced_inconclusive_past_the_clamp_share(monkeypatch,
+                                                              clamped):
+    # 20 clamps of 20,000 samples is the largest share a pass allows; one
+    # more forces the report inconclusive, whatever its estimate
+    density = verify.info_density
+
+    def clamping(*args):
+        return density(*args)[0], clamped
+
+    monkeypatch.setattr(verify, "info_density", clamping)
+    rep = mi_estimate(1.0, 0.0, GaussianNoise(1.0), trials=20000,
+                      rng=substream(0, 0))
+    assert rep.params["n_clamped"] == clamped
+    forced = clamped > verify._MAX_CLAMP_FRACTION * 20000
+    assert rep.params.get("forced_inconclusive", False) is forced
+    assert rep.verdict == ("inconclusive" if forced else "pass")
     assert VerificationReport.from_json_line(rep.to_json_line()) == rep
 
 
